@@ -256,42 +256,35 @@ func RunBenchSuite(opts BenchOptions) (*bench.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, pipelined := range []bool{false, true} {
-		pcfg := core.DefaultPipelineConfig()
-		pcfg.Workers = opts.Workers
-		pcfg.Pipelined = pipelined
-		best := time.Duration(math.MaxInt64)
-		var steps int64
-		for r := 0; r < opts.Reps; r++ {
-			t0 := time.Now()
-			_, an, err := AnalyzeStreamArchive(arch, pcfg, false, 0)
-			if err != nil {
-				return nil, err
-			}
-			if d := time.Since(t0); d < best {
-				best = d
-			}
-			steps = 0
-			for i := range an.Threads {
-				steps += int64(len(an.Threads[i].Steps))
-			}
+	pcfg := core.DefaultPipelineConfig()
+	pcfg.Workers = opts.Workers
+	best := time.Duration(math.MaxInt64)
+	var steps int64
+	for r := 0; r < opts.Reps; r++ {
+		t0 := time.Now()
+		_, an, err := AnalyzeStreamArchive(arch, pcfg, false, 0)
+		if err != nil {
+			return nil, err
 		}
-		sec := best.Seconds()
-		rep.Streaming = append(rep.Streaming, bench.Streaming{
-			Subject: "h2",
-			Scale:   opts.Scale,
-			Workers: opts.Workers,
-			// Record the mode that actually ran: on a single-CPU runtime
-			// the session falls back to the synchronous path (see
-			// core.PipelineConfig.EffectivePipelined).
-			Pipelined:       pcfg.EffectivePipelined(),
-			TraceBytes:      fi.Size(),
-			WallMs:          sec * 1e3,
-			TraceMBPerSec:   float64(fi.Size()) / (1 << 20) / sec,
-			Bytecodes:       steps,
-			BytecodesPerSec: float64(steps) / sec,
-		})
+		if d := time.Since(t0); d < best {
+			best = d
+		}
+		steps = 0
+		for i := range an.Threads {
+			steps += int64(len(an.Threads[i].Steps))
+		}
 	}
+	sec := best.Seconds()
+	rep.Streaming = append(rep.Streaming, bench.Streaming{
+		Subject:         "h2",
+		Scale:           opts.Scale,
+		Workers:         opts.Workers,
+		TraceBytes:      fi.Size(),
+		WallMs:          sec * 1e3,
+		TraceMBPerSec:   float64(fi.Size()) / (1 << 20) / sec,
+		Bytecodes:       steps,
+		BytecodesPerSec: float64(steps) / sec,
+	})
 
 	// ---- Per-subject batch wall-clock ----
 	const subjScale = 0.5

@@ -91,6 +91,7 @@ func analyzeFaulted(prog *bytecode.Program, run *RunResult, pcfg core.PipelineCo
 	s.AddSideband(inj.Sideband(run.Sideband))
 	for i := range run.Traces {
 		if err := s.Feed(run.Traces[i].Core, inj.Items(run.Traces[i].Core, run.Traces[i].Items)); err != nil {
+			s.abandon()
 			return nil, nil, err
 		}
 	}

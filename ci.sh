@@ -9,7 +9,7 @@
 # The race pass covers the offline-phase parallelism introduced with the
 # worker pool — the read-only Matcher contract, the per-core trace carve and
 # the pool primitives themselves — plus the streaming pipeline: the chunked
-# collector export, the incremental stitcher, and the Session fan-out (the
+# collector export, the incremental stitcher, and the staged Session (the
 # full root suite under -race is too slow for CI, so the race pass runs the
 # streaming-specific tests).
 set -eu
@@ -26,10 +26,10 @@ echo "==> go test ./..."
 go test ./...
 
 echo "==> go test -race (concurrent packages)"
-go test -race ./internal/core/... ./internal/trace/... ./internal/conc/... ./internal/pt/... ./internal/ring/... ./internal/source/... ./internal/etrace/...
+go test -race ./internal/core/... ./internal/trace/... ./internal/conc/... ./internal/pt/... ./internal/source/... ./internal/etrace/...
 
 echo "==> go test -race (root streaming tests)"
-go test -race -run 'TestStream|TestAnalyzeStreamed|TestSession|TestAnalyzeDeterministicAcrossWorkers|TestPipelined|TestAsyncSink' .
+go test -race -run 'TestStream|TestAnalyzeStreamed|TestSession|TestAnalyzeDeterministicAcrossWorkers|TestDeadline' .
 
 echo "==> go test -race (ingest service + fleet + netfault + iofault + scrub)"
 go test -race ./internal/ingest/... ./internal/fleet/... ./internal/netfault/... ./internal/iofault/... ./internal/scrub/...

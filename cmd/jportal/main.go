@@ -116,7 +116,7 @@ commands:
   stream  <dir>                incremental analysis of a chunked archive
                                (-follow tails an archive still being written,
                                 -poll sets the follow-mode poll interval,
-                                -pipeline uses the ring-connected stages)
+                                -workers sets the analyzer worker count)
   serve                        trace-ingest server: agents push archives over TCP
                                (-listen, -http metrics sidecar, -data, -queue,
                                 -policy block|nack, -drain shutdown budget;
@@ -457,16 +457,12 @@ func cmdStream(args []string) error {
 	ckptPath := fs.String("ckpt", "", "checkpoint file path (default <dir>/session.ckpt when checkpointing)")
 	resume := fs.Bool("resume", false, "resume from the checkpoint if one exists (implies checkpointing)")
 	stall := fs.Duration("stall", 0, "watchdog stall window (0 = no watchdog)")
-	pipeline := fs.Bool("pipeline", false, "ring-connected stage pipeline (DESIGN.md §12); output is identical")
-	ringSize := fs.Int("ring", 0, "pipeline ring capacity (0 = default)")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		return fmt.Errorf("need a chunked archive directory")
 	}
 	pcfg := core.DefaultPipelineConfig()
 	pcfg.Workers = *workers
-	pcfg.Pipelined = *pipeline
-	pcfg.RingSize = *ringSize
 	opts := jportal.StreamOptions{
 		Follow:          *follow,
 		Poll:            *poll,
@@ -635,8 +631,8 @@ func cmdBench(args []string) error {
 		fmt.Println()
 	}
 	for _, s := range rep.Streaming {
-		fmt.Printf("stream  %s x%.2g workers=%d pipelined=%-5v %8.1f ms  %6.2f MB/s  %8.2fM bytecodes/s\n",
-			s.Subject, s.Scale, s.Workers, s.Pipelined, s.WallMs, s.TraceMBPerSec, s.BytecodesPerSec/1e6)
+		fmt.Printf("stream  %s x%.2g workers=%d %8.1f ms  %6.2f MB/s  %8.2fM bytecodes/s\n",
+			s.Subject, s.Scale, s.Workers, s.WallMs, s.TraceMBPerSec, s.BytecodesPerSec/1e6)
 	}
 	for _, s := range rep.Subjects {
 		fmt.Printf("subject %-12s x%.2g %10.1f ms\n", s.Name, s.Scale, s.WallMs)

@@ -43,7 +43,6 @@ type Streaming struct {
 	Subject         string  `json:"subject"`
 	Scale           float64 `json:"scale"`
 	Workers         int     `json:"workers"`
-	Pipelined       bool    `json:"pipelined"`
 	TraceBytes      int64   `json:"trace_bytes"`
 	WallMs          float64 `json:"wall_ms"` // min over Reps
 	TraceMBPerSec   float64 `json:"trace_mb_per_sec"`

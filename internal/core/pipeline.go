@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"time"
 
 	"jportal/internal/bytecode"
@@ -32,10 +31,10 @@ type PipelineConfig struct {
 	// extension; the paper uses the NFA).
 	UseCallContext bool
 	// Workers bounds the goroutines of each parallel stage of the offline
-	// phase: per-thread analysis, per-segment reconstruction and per-hole
-	// recovery all fan out to at most this many workers. 0 means
-	// GOMAXPROCS. The reconstructed output is deterministic — identical
-	// for every worker count.
+	// phase: the session's analyzer workers (thread t runs on worker
+	// t mod Workers), per-segment reconstruction and per-hole recovery.
+	// 0 means GOMAXPROCS. The reconstructed output is deterministic —
+	// identical for every worker count.
 	Workers int
 	// MaxPendingSegments caps how many decoded-but-unreconstructed
 	// segments a ThreadAnalyzer buffers before reconstructing them as a
@@ -43,47 +42,10 @@ type PipelineConfig struct {
 	// bounds streaming memory without changing output: waves preserve
 	// segment order, and recovery always sees the complete flow sequence.
 	MaxPendingSegments int
-	// Pipelined runs the streaming Session's stages on their own
-	// goroutines — one stitcher, WorkerCount() analyzer workers — connected
-	// by single-producer single-consumer rings (DESIGN.md §12), so the
-	// caller's Feed returns as soon as the chunk is enqueued and decode
-	// overlaps collection. Output is byte-identical to the synchronous
-	// session for every worker count and ring size. The knob is a
-	// request: EffectivePipelined gates it on GOMAXPROCS >= 2, since the
-	// rings only pay off when stages truly run in parallel.
-	Pipelined bool
-	// RingSize is the per-ring capacity in messages for the pipelined
-	// session (0 = DefaultRingSize; rounded up to a power of two). Smaller
-	// rings trade throughput for tighter in-flight memory; output is
-	// unaffected.
-	RingSize int
-}
-
-// DefaultRingSize is the pipelined session's ring capacity when RingSize
-// is zero.
-const DefaultRingSize = 256
-
-// RingCapacity resolves the RingSize knob.
-func (c PipelineConfig) RingCapacity() int {
-	if c.RingSize > 0 {
-		return c.RingSize
-	}
-	return DefaultRingSize
 }
 
 // WorkerCount resolves the Workers knob (0 = GOMAXPROCS).
 func (c PipelineConfig) WorkerCount() int { return conc.Workers(c.Workers) }
-
-// EffectivePipelined resolves the Pipelined knob: the ring-connected
-// stages run only when the runtime can actually execute two stages at
-// once (GOMAXPROCS >= 2). On a single-CPU runtime the stage goroutines
-// just time-slice one core and every ring handoff is pure overhead —
-// BENCH_6 recorded the h2 replay at 18.46 MB/s pipelined vs 19.51 MB/s
-// synchronous — so the session falls back to the synchronous path there.
-// Output is byte-identical either way (DESIGN.md §12).
-func (c PipelineConfig) EffectivePipelined() bool {
-	return c.Pipelined && runtime.GOMAXPROCS(0) >= 2
-}
 
 // Validate rejects nonsensical configurations up front, before they would
 // surface as a hang, a panic, or a silently serial pipeline deep inside the
@@ -94,9 +56,6 @@ func (c PipelineConfig) Validate() error {
 	}
 	if c.MaxPendingSegments < 0 {
 		return fmt.Errorf("core: MaxPendingSegments %d is negative (0 means unbounded)", c.MaxPendingSegments)
-	}
-	if c.RingSize < 0 {
-		return fmt.Errorf("core: RingSize %d is negative (0 means DefaultRingSize)", c.RingSize)
 	}
 	r := c.Recovery
 	if r.AnchorLen < 0 || r.ConfirmLen < 0 || r.TopN < 0 ||

@@ -229,6 +229,9 @@ type Pusher struct {
 	opts   Options
 	ncores int
 	ctx    context.Context
+	// stopWatch unregisters the ctx cancellation watcher; Close and a
+	// successful Finish call it so a pusher never outlives its upload.
+	stopWatch func() bool
 
 	mu           sync.Mutex
 	cond         *sync.Cond
@@ -277,8 +280,7 @@ func Dial(ctx context.Context, opts Options, ncores int) (*Pusher, error) {
 		return nil, err
 	}
 	p.resumeSeq = p.acked
-	go func() {
-		<-ctx.Done()
+	p.stopWatch = context.AfterFunc(ctx, func() {
 		p.mu.Lock()
 		if p.fatal == nil && !p.closed {
 			p.fatal = ctx.Err()
@@ -288,7 +290,7 @@ func Dial(ctx context.Context, opts Options, ncores int) (*Pusher, error) {
 		}
 		p.cond.Broadcast()
 		p.mu.Unlock()
-	}()
+	})
 	return p, nil
 }
 
@@ -726,11 +728,13 @@ func (p *Pusher) Finish() error {
 			return err
 		}
 	}
+	p.stopWatch()
 	return nil
 }
 
 // Close tears the connection down. Safe after Finish and after errors.
 func (p *Pusher) Close() error {
+	p.stopWatch()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.closed = true

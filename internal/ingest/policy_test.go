@@ -139,6 +139,25 @@ func TestSubmitSequencingRules(t *testing.T) {
 	}
 }
 
+// TestSubmitAfterWriterOvertakesRebind: a reconnect resets the gate to the
+// durable frontier (seq 2) while seqs 3..5 of the old connection are still
+// queued; the writer then archives them. The client, ACKed through 5,
+// sends 6 next — which must be accepted, not NACKed as a gap back to 3.
+func TestSubmitAfterWriterOvertakesRebind(t *testing.T) {
+	_, sess := newTestSession(t, Config{QueueDepth: 8})
+	fc := newFakeConn(t)
+	sess.lastAcked = 5
+	sess.nextEnqueue = 3
+
+	if !sess.submit(msg{typ: FrameChunk, seq: 6, data: []byte{1}}, fc.cw) {
+		t.Fatal("in-order frame closed the connection")
+	}
+	fc.expectNone(t)
+	if len(sess.queue) != 1 || sess.nextEnqueue != 7 {
+		t.Fatalf("queue=%d nextEnqueue=%d after accept", len(sess.queue), sess.nextEnqueue)
+	}
+}
+
 func TestPolicyNackOverflow(t *testing.T) {
 	srv, sess := newTestSession(t, Config{QueueDepth: 2, Policy: PolicyNack})
 	fc := newFakeConn(t)

@@ -1006,6 +1006,12 @@ func (sess *session) submit(m msg, cw *connWriter) bool {
 		return false
 	}
 	if m.typ != FrameFin {
+		// A bind resets nextEnqueue to the durable frontier while frames of
+		// the previous connection may still be queued; once the writer
+		// archives them the frontier overtakes the gate. Frames at or below
+		// the frontier are never needed again, so the gate follows it —
+		// otherwise every later frame reads as a gap and is NACKed forever.
+		sess.nextEnqueue = max(sess.nextEnqueue, sess.lastAcked+1)
 		switch {
 		case m.seq <= sess.lastAcked:
 			// Re-delivery of something already archived (the client lost

@@ -19,6 +19,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -1023,5 +1024,51 @@ func TestClientFollowsRedirect(t *testing.T) {
 	}
 	if n := ownerSrv.Metrics().SessionsSealed.Load(); n != 1 {
 		t.Fatalf("owner sealed %d sessions, want 1", n)
+	}
+}
+
+// settledGoroutines waits up to two seconds for the goroutine count to fall
+// to want, and returns the last count seen.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > want && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestPusherLeavesNoGoroutines: uploads under a Background context leave no
+// goroutine behind once the server is gone — whether the pusher was closed
+// or only finished.
+func TestPusherLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	srv, err := ingest.NewServer(ingest.Config{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	gob := testProgramGob(t)
+	stream := buildStream(t, 2, 20)
+	opts := client.Options{Addr: ln.Addr().String(), MaxChunkBytes: 256}
+
+	opts.SessionID = "closed"
+	pushStream(t, opts, gob, stream).Close()
+	opts.SessionID = "finished"
+	pushStream(t, opts, gob, stream)
+
+	// The finished pusher still holds its connection open, so the drain
+	// runs to its deadline and then force-closes it.
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	srv.Shutdown(ctx)
+	<-done
+	if n := settledGoroutines(before); n > before {
+		t.Fatalf("%d goroutines left behind after two uploads", n-before)
 	}
 }

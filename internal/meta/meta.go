@@ -233,7 +233,7 @@ func (s *Snapshot) Export(c *CompiledMethod) {
 // template table, the stubs, and the *CompiledMethod blobs themselves
 // (never mutated after export). The clone has its own Compiled map, export
 // log and sorted index, so exporting into it never races readers of the
-// original — the pipelined session gives each analyzer worker a replica
+// original — the staged Session gives each analyzer worker a replica
 // and delivers blob records to it in stream order.
 func (s *Snapshot) Clone() *Snapshot {
 	c := &Snapshot{

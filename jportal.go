@@ -201,6 +201,7 @@ func Analyze(prog *bytecode.Program, run *RunResult, cfg core.PipelineConfig) (*
 	s.AddSideband(run.Sideband)
 	for i := range run.Traces {
 		if err := s.Feed(run.Traces[i].Core, run.Traces[i].Items); err != nil {
+			s.abandon()
 			return nil, err
 		}
 	}

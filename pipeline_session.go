@@ -3,296 +3,211 @@ package jportal
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 
 	"jportal/internal/core"
 	"jportal/internal/meta"
-	"jportal/internal/ring"
 	"jportal/internal/source"
 	"jportal/internal/trace"
 	"jportal/internal/vm"
 )
 
-// The pipelined session (core.PipelineConfig.Pipelined, DESIGN.md §12)
-// runs the Session's stages on their own goroutines connected by SPSC
-// rings instead of executing them synchronously inside Feed/Drain:
+// The staged session (DESIGN.md §12) runs the Session's stages on their own
+// goroutines connected by buffered channels:
 //
-//	caller ──in ring──▶ stitcher goroutine ──worker rings──▶ analyzer workers
+//	caller ──in──▶ stitcher goroutine ──work[w]──▶ analyzer workers
 //
-// The caller's Feed/AddSideband/Watermark/Drain enqueue typed messages on
-// the input ring and return immediately; the stitcher goroutine applies
-// them to the StreamStitcher in arrival order — exactly the order the
-// synchronous session would have — and routes emitted thread deltas to
-// WorkerCount() analyzer workers, sharded thread→worker by thread index.
-// Each thread's deltas therefore reach its analyzer in emission order
-// through one FIFO ring, which is why the output is byte-identical to the
-// synchronous session for every worker count and ring size.
+// The caller's Feed/AddSideband/Watermark/AddBlobs/Drain enqueue typed
+// messages on the input channel and return; the stitcher goroutine applies
+// them to the StreamStitcher in arrival order and routes emitted thread
+// deltas to WorkerCount() analyzer workers, thread t to worker t mod
+// WorkerCount(). Each thread's deltas therefore reach its analyzer in
+// emission order through one FIFO channel, which is why the output is
+// byte-identical to batch Analyze for every worker count.
 //
 // Metadata safety: in a live run the VM keeps exporting compiled-method
 // blobs into its snapshot while workers decode, so workers never read the
-// caller's snapshot. Instead each worker owns a replica (meta.Snapshot.
-// Clone) and blob deliveries (Session.AddBlobs) are broadcast in-band
-// through the rings: ring FIFO order guarantees a worker observes a blob
-// before any chunk that references it, mirroring §3.2's dump-before-use
-// discipline.
+// caller's snapshot. Each worker owns a replica (meta.Snapshot.Clone), and
+// blob deliveries are broadcast in-band: channel order guarantees a worker
+// observes a blob before any chunk that references it, mirroring §3.2's
+// dump-before-use discipline.
 //
-// Quiescence: checkpoint export and restore need the whole pipeline
-// drained. quiesce() pushes a sync message that the stitcher forwards to
-// every worker and acknowledges only after all of them have; the atomic
-// ring cursors give the happens-before edges that make the session's
-// state readable (and writable, until the next enqueue) from the caller's
-// goroutine.
+// Quiescence: checkpoint export and restore need the whole pipeline idle.
+// quiesce sends a sync message that the stitcher forwards to every worker
+// and acknowledges only after all of them have; the channel operations give
+// the happens-before edges that make the session's state readable (and
+// writable, until the next enqueue) from the caller's goroutine.
 
-type pipeKind uint8
+// stageQueue is the capacity of every stage channel, in messages: enough to
+// keep the stages overlapped, small enough to bound in-flight memory.
+const stageQueue = 256
 
-const (
-	pkChunk pipeKind = iota
-	pkSideband
-	pkWatermark
-	pkBlobs
-	pkDrain
-	pkSync
-	pkClose
-)
-
-// pipeMsg is one input-ring message (caller → stitcher).
-type pipeMsg struct {
-	kind  pipeKind
-	core  int
-	mark  uint64
-	items []source.Item
-	recs  []vm.SwitchRecord
-	blobs []*meta.CompiledMethod
-	ctx   context.Context
-	ack   chan struct{} // pkSync: closed once the whole pipeline is drained
-}
-
-type workKind uint8
+type stageKind uint8
 
 const (
-	wkDelta workKind = iota
-	wkBlobs
-	wkSync
+	msgChunk     stageKind = iota // caller → stitcher
+	msgSideband                   // caller → stitcher
+	msgWatermark                  // caller → stitcher
+	msgDrain                      // caller → stitcher
+	msgBlobs                      // caller → stitcher → every worker
+	msgSync                       // caller → stitcher → every worker
+	msgDelta                      // stitcher → worker
 )
 
-// workMsg is one worker-ring message (stitcher → analyzer worker).
-type workMsg struct {
-	kind   workKind
+// stageMsg is one message on a stage channel.
+type stageMsg struct {
+	kind   stageKind
+	core   int
 	thread int
+	mark   uint64
 	items  []source.Item
+	recs   []vm.SwitchRecord
 	blobs  []*meta.CompiledMethod
 	ctx    context.Context
-	wg     *sync.WaitGroup // wkSync
+	wg     *sync.WaitGroup // msgSync: Done once the receiver has drained
 }
 
-// pipelinedSession is the goroutine/ring machinery attached to a Session
-// when PipelineConfig.Pipelined is set.
-type pipelinedSession struct {
-	s       *Session
-	workers int
-	in      *ring.SPSC[pipeMsg]
-	wrings  []*ring.SPSC[workMsg]
-	// wsnap[w] is worker w's snapshot replica; only worker w touches it
-	// (main may read at quiescence).
-	wsnap []*meta.Snapshot
-	// byThread[w][t] is thread t's analyzer (t%workers == w), created
-	// lazily by worker w; main touches the table only at quiescence.
-	byThread   [][]*core.ThreadAnalyzer
-	stitchDone chan struct{}
-	workDone   []chan struct{}
-	// buffered/peak mirror the stitcher's BufferedItems for concurrent
-	// readers; written only by the stitcher goroutine.
-	buffered atomic.Int64
-	peak     atomic.Int64
-	joined   bool
-}
-
-func newPipelinedSession(s *Session) *pipelinedSession {
+// startStages launches the stitcher goroutine and the analyzer workers, each
+// worker over its own replica of snap.
+func (s *Session) startStages(snap *meta.Snapshot) {
 	w := s.pipe.Cfg.WorkerCount()
-	n := s.pipe.Cfg.RingCapacity()
-	p := &pipelinedSession{
-		s:          s,
-		workers:    w,
-		in:         ring.New[pipeMsg](n),
-		wrings:     make([]*ring.SPSC[workMsg], w),
-		wsnap:      make([]*meta.Snapshot, w),
-		byThread:   make([][]*core.ThreadAnalyzer, w),
-		stitchDone: make(chan struct{}),
-		workDone:   make([]chan struct{}, w),
+	s.in = make(chan stageMsg, stageQueue)
+	s.work = make([]chan stageMsg, w)
+	s.wsnap = make([]*meta.Snapshot, w)
+	s.byThread = make([][]*core.ThreadAnalyzer, w)
+	s.stages.Add(1 + w)
+	for i := range s.work {
+		s.work[i] = make(chan stageMsg, stageQueue)
+		s.wsnap[i] = snap.Clone()
+		go s.analyzeLoop(i)
 	}
-	for i := 0; i < w; i++ {
-		p.wrings[i] = ring.New[workMsg](n)
-		p.wsnap[i] = s.snap.Clone()
-		p.workDone[i] = make(chan struct{})
-	}
-	go p.stitchLoop()
-	for i := 0; i < w; i++ {
-		go p.workLoop(i)
-	}
-	return p
+	go s.stitchLoop()
 }
 
 // stitchLoop is the stitcher goroutine: it owns s.st between quiescence
-// points, applying input messages in arrival order and routing emitted
-// deltas to the worker rings.
-func (p *pipelinedSession) stitchLoop() {
-	defer close(p.stitchDone)
-	s := p.s
-	for {
-		m, ok := p.in.Pop(nil)
-		if !ok {
-			// Input ring closed without pkClose: the session was abandoned.
-			// Release the workers so nothing spins forever.
-			for _, r := range p.wrings {
-				r.Close()
-			}
-			return
-		}
+// points. When the input channel closes it runs the final carve, routes the
+// last deltas under s.closeCtx, and releases the workers.
+func (s *Session) stitchLoop() {
+	defer s.stages.Done()
+	for m := range s.in {
 		switch m.kind {
-		case pkChunk:
-			s.st.Feed(m.core, m.items) // core range pre-validated by Session.Feed
-			p.note()
-		case pkSideband:
+		case msgChunk:
+			s.st.Feed(m.core, m.items) // core range checked by Session.Feed
+			s.noteBuffered()
+		case msgSideband:
 			s.st.AddSideband(m.recs)
-		case pkWatermark:
+		case msgWatermark:
 			s.st.Watermark(m.core, m.mark)
-		case pkBlobs:
-			for _, r := range p.wrings {
-				r.Push(workMsg{kind: wkBlobs, blobs: m.blobs}, nil)
+		case msgDrain:
+			s.route(s.st.Drain(), m.ctx)
+			s.noteBuffered()
+		case msgBlobs:
+			for _, w := range s.work {
+				w <- m
 			}
-		case pkDrain:
-			p.route(s.st.Drain(), m.ctx)
-			p.note()
-		case pkSync:
+		case msgSync:
 			var wg sync.WaitGroup
-			wg.Add(len(p.wrings))
-			for _, r := range p.wrings {
-				r.Push(workMsg{kind: wkSync, wg: &wg}, nil)
+			wg.Add(len(s.work))
+			for _, w := range s.work {
+				w <- stageMsg{kind: msgSync, wg: &wg}
 			}
 			wg.Wait()
-			close(m.ack)
-		case pkClose:
-			p.route(s.st.FinishWorkers(s.pipe.Cfg.Workers), m.ctx)
-			for _, r := range p.wrings {
-				r.Close()
-			}
-			return
+			m.wg.Done()
 		}
 	}
-}
-
-// note republishes the stitcher's in-flight item count for concurrent
-// BufferedItems/PeakBufferedItems readers.
-func (p *pipelinedSession) note() {
-	n := int64(p.s.st.BufferedItems())
-	p.buffered.Store(n)
-	if n > p.peak.Load() {
-		p.peak.Store(n)
+	s.route(s.st.FinishWorkers(s.pipe.Cfg.Workers), s.closeCtx)
+	for _, w := range s.work {
+		close(w)
 	}
 }
 
-// route pushes emitted thread deltas to their workers. Delta item slices
-// are freshly built by the stitcher's emit and never reused, so ownership
-// transfers cleanly through the ring.
-func (p *pipelinedSession) route(deltas []trace.ThreadStream, ctx context.Context) {
-	for i := range deltas {
-		d := deltas[i]
-		p.wrings[d.Thread%p.workers].Push(
-			workMsg{kind: wkDelta, thread: d.Thread, items: d.Items, ctx: ctx}, nil)
+// noteBuffered republishes the stitcher's in-flight item count for
+// concurrent BufferedItems/PeakBufferedItems readers.
+func (s *Session) noteBuffered() {
+	n := int64(s.st.BufferedItems())
+	s.buffered.Store(n)
+	if n > s.peak.Load() {
+		s.peak.Store(n)
 	}
 }
 
-// workLoop is analyzer worker w: it drains its ring, exporting broadcast
-// blobs into its snapshot replica and feeding deltas to the analyzers it
-// owns, until the ring closes.
-func (p *pipelinedSession) workLoop(w int) {
-	defer close(p.workDone[w])
-	s := p.s
-	for {
-		m, ok := p.wrings[w].Pop(nil)
-		if !ok {
-			return
-		}
+// route sends emitted thread deltas to their workers. Delta item slices are
+// freshly built by the stitcher and never reused, so ownership transfers.
+func (s *Session) route(deltas []trace.ThreadStream, ctx context.Context) {
+	for _, d := range deltas {
+		s.work[d.Thread%len(s.work)] <- stageMsg{kind: msgDelta, thread: d.Thread, items: d.Items, ctx: ctx}
+	}
+}
+
+// analyzeLoop is analyzer worker w: it exports broadcast blobs into its
+// snapshot replica and feeds deltas to the analyzers it owns, until its
+// channel closes.
+func (s *Session) analyzeLoop(w int) {
+	defer s.stages.Done()
+	snap := s.wsnap[w]
+	for m := range s.work[w] {
 		switch m.kind {
-		case wkBlobs:
+		case msgBlobs:
+			// A blob already present, pointer-identical at its entry
+			// address, is skipped: the clone may already hold it.
 			for _, b := range m.blobs {
-				p.wsnap[w].Export(b)
+				if b != nil && snap.Compiled[b.EntryAddr()] != b {
+					snap.Export(b)
+				}
 			}
-		case wkDelta:
-			a := p.analyzer(w, m.thread)
+		case msgDelta:
+			a := s.analyzer(m.thread)
 			before := a.SegmentsSeen()
 			a.FeedContext(m.ctx, m.items)
 			s.hbEmitted.Add(1)
 			s.hbSegments.Add(a.SegmentsSeen() - before)
-		case wkSync:
+		case msgSync:
 			m.wg.Done()
 		}
 	}
 }
 
-// analyzer returns thread's analyzer, creating it against worker w's
-// snapshot replica on first use. Called by worker w, or by the caller's
-// goroutine at quiescence (merge, checkpoint restore).
-func (p *pipelinedSession) analyzer(w, thread int) *core.ThreadAnalyzer {
-	for thread >= len(p.byThread[w]) {
-		p.byThread[w] = append(p.byThread[w], nil)
+// analyzer returns thread's analyzer, creating it against its worker's
+// snapshot replica on first use. Called by that worker, or by the caller's
+// goroutine at quiescence.
+func (s *Session) analyzer(thread int) *core.ThreadAnalyzer {
+	w := thread % len(s.work)
+	for thread >= len(s.byThread[w]) {
+		s.byThread[w] = append(s.byThread[w], nil)
 	}
-	if a := p.byThread[w][thread]; a != nil {
+	if a := s.byThread[w][thread]; a != nil {
 		return a
 	}
-	a := p.s.pipe.NewThreadAnalyzer(thread, p.wsnap[w])
-	a.SetLedger(p.s.ledger)
-	p.byThread[w][thread] = a
+	a := s.pipe.NewThreadAnalyzer(thread, s.wsnap[w])
+	a.SetLedger(s.ledger)
+	s.byThread[w][thread] = a
 	return a
 }
 
-// quiesce blocks until every message enqueued so far has been fully
-// processed by the stitcher and all workers. On return the session's
-// stitcher state and analyzers are safe for the caller's goroutine to
-// read and mutate, until the next enqueue.
-func (p *pipelinedSession) quiesce() {
-	ack := make(chan struct{})
-	p.in.Push(pipeMsg{kind: pkSync, ack: ack}, nil)
-	<-ack
+// quiesce blocks until every message enqueued so far has been processed by
+// the stitcher and all workers.
+func (s *Session) quiesce() {
+	var wg sync.WaitGroup
+	wg.Add(1)
+	s.in <- stageMsg{kind: msgSync, wg: &wg}
+	wg.Wait()
 }
 
-// merge assembles s.analyzers — one per thread, in thread order — from
-// the per-worker tables, creating empty analyzers for threads that had
-// sideband but no trace (mirroring the synchronous grow). Safe only at
-// quiescence or after close.
-func (p *pipelinedSession) merge() {
-	n := p.s.st.NumThreads()
-	if len(p.s.analyzers) > n {
-		n = len(p.s.analyzers)
-	}
+// merge rebuilds s.analyzers — one per thread, in thread order, at least n
+// — from the workers' tables, creating empty analyzers for threads that
+// have sideband but no trace. Safe only at quiescence or after stopStages.
+func (s *Session) merge(n int) {
+	n = max(n, s.st.NumThreads(), len(s.analyzers))
 	as := make([]*core.ThreadAnalyzer, n)
-	for t := 0; t < n; t++ {
-		as[t] = p.analyzer(t%p.workers, t)
+	for t := range as {
+		as[t] = s.analyzer(t)
 	}
-	p.s.analyzers = as
+	s.analyzers = as
 }
 
-// syncPeak folds the stitcher-maintained peak into the session's field.
-func (p *pipelinedSession) syncPeak() {
-	if pk := int(p.peak.Load()); pk > p.s.peak {
-		p.s.peak = pk
-	}
-}
-
-// close finishes the stitch (final carve + emission), drains the workers,
-// joins every goroutine, and merges the per-worker analyzers into
-// s.analyzers for the common finish path. Idempotent.
-func (p *pipelinedSession) close(ctx context.Context) {
-	if p.joined {
-		return
-	}
-	p.joined = true
-	p.in.Push(pipeMsg{kind: pkClose, ctx: ctx}, nil)
-	p.in.Close()
-	<-p.stitchDone
-	for _, ch := range p.workDone {
-		<-ch
-	}
-	p.merge()
-	p.syncPeak()
+// stopStages closes the input, lets the stitcher finish the stitch under
+// ctx, and joins every stage goroutine.
+func (s *Session) stopStages(ctx context.Context) {
+	s.closeCtx = ctx
+	close(s.in)
+	s.stages.Wait()
 }

@@ -1,48 +1,33 @@
 package jportal
 
 import (
-	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 
-	"jportal/internal/bytecode"
 	"jportal/internal/core"
-	"jportal/internal/meta"
 	"jportal/internal/workload"
 )
 
-// forceTwoProcs lifts GOMAXPROCS to 2 for the duration of the test, so
-// the ring-connected stages actually run on single-CPU CI machines:
-// PipelineConfig.EffectivePipelined falls back to the synchronous session
-// below two procs, and these tests exist precisely to exercise the rings.
-func forceTwoProcs(t *testing.T) {
+// atProcs runs fn at GOMAXPROCS 1 and at 2, so the staged session is proven
+// on a single proc (stages time-slice one P) as well as with real overlap.
+func atProcs(t *testing.T, fn func(t *testing.T, procs int)) {
 	t.Helper()
-	if old := runtime.GOMAXPROCS(0); old < 2 {
-		runtime.GOMAXPROCS(2)
-		t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	old := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(old)
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		fn(t, procs)
 	}
 }
 
-// TestPipelinedMatchesBatchAllSubjects is the golden equivalence check of
-// the ring handoff (DESIGN.md §12): for every benchmark subject, the
-// pipelined Session — SPSC rings between caller, stitcher and sharded
-// analyzer workers — must reproduce the batch Analyze byte-for-byte at
-// every worker count and ring size, including the degenerate capacity-1
-// ring that forces a handoff stall on every message.
-func TestPipelinedMatchesBatchAllSubjects(t *testing.T) {
-	forceTwoProcs(t)
-	variants := []struct {
-		workers int
-		ring    int
-		chunk   int
-	}{
-		{1, 1, 7},
-		{3, 7, 64},
-		{8, 1024, 256},
-	}
+// TestSessionMatchesBatchAllSubjects is the golden equivalence check of the
+// staged session (DESIGN.md §12): for every benchmark subject, a Session fed
+// in small chunks with a Drain per round — channels between caller,
+// stitcher and sharded analyzer workers — must reproduce the batch Analyze
+// byte-for-byte at every worker count, at GOMAXPROCS 1 and 2.
+func TestSessionMatchesBatchAllSubjects(t *testing.T) {
+	variants := []struct{ workers, chunk int }{{1, 7}, {3, 64}, {8, 256}}
 	for _, name := range workload.Names() {
 		s := workload.MustLoad(name, 0.25)
 		rcfg := DefaultRunConfig()
@@ -56,24 +41,23 @@ func TestPipelinedMatchesBatchAllSubjects(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for _, v := range variants {
-			cfg := core.DefaultPipelineConfig()
-			cfg.Pipelined = true
-			cfg.Workers = v.workers
-			cfg.RingSize = v.ring
-			got := sessionAnalyze(t, s, run, cfg, v.chunk)
-			equalAnalyses(t, fmt.Sprintf("%s/w%d-ring%d", name, v.workers, v.ring), batch, got)
-		}
+		atProcs(t, func(t *testing.T, procs int) {
+			for _, v := range variants {
+				cfg := core.DefaultPipelineConfig()
+				cfg.Workers = v.workers
+				got := sessionAnalyze(t, s, run, cfg, v.chunk)
+				equalAnalyses(t, fmt.Sprintf("%s/p%d-w%d", name, procs, v.workers), batch, got)
+			}
+		})
 	}
 }
 
-// TestPipelinedLiveMatchesBatch runs the fully live path — collector sink
-// feeding a pipelined Session while the VM is still compiling methods —
-// and checks it against a batch run. This covers the per-worker snapshot
-// replicas: blobs travel in-band through the rings, so every worker sees
-// a dump before the first chunk that references it (§3.2 ordering).
-func TestPipelinedLiveMatchesBatch(t *testing.T) {
-	forceTwoProcs(t)
+// TestSessionLiveMatchesBatch runs the fully live path — collector sink
+// feeding a Session while the VM is still compiling methods — and checks it
+// against a batch run. This covers the per-worker snapshot replicas: blobs
+// travel in-band through the channels, so every worker sees a dump before
+// the first chunk that references it (§3.2 ordering).
+func TestSessionLiveMatchesBatch(t *testing.T) {
 	s := workload.MustLoad("h2", 0.5)
 	rcfg := DefaultRunConfig()
 	rcfg.CollectOracle = false
@@ -89,98 +73,16 @@ func TestPipelinedLiveMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, v := range []struct{ workers, ring int }{{2, 1}, {4, 64}} {
-		s2 := workload.MustLoad("h2", 0.5)
-		pcfg := core.DefaultPipelineConfig()
-		pcfg.Pipelined = true
-		pcfg.Workers = v.workers
-		pcfg.RingSize = v.ring
-		_, streamed, err := AnalyzeStreamed(s2.Program, s2.Threads, rcfg, pcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		equalAnalyses(t, fmt.Sprintf("live/w%d-ring%d", v.workers, v.ring), batch, streamed)
-	}
-}
-
-// collectArchive runs the subject once with the archive writer wrapped in
-// an AsyncSink of the given ring capacity (0 = write synchronously) and
-// returns the raw bytes of the sealed stream.jpt.
-func collectArchive(t *testing.T, ringSize int) []byte {
-	t.Helper()
-	forceTwoProcs(t)
-	s := workload.MustLoad("fop", 0.25)
-	rcfg := DefaultRunConfig()
-	rcfg.CollectOracle = false
-	rcfg.PT.BufBytes = 16 << 10
-	rcfg.SinkChunkItems = 64
-
-	dir := filepath.Join(t.TempDir(), "chunked")
-	var w *StreamArchiveWriter
-	var async *AsyncSink
-	_, err := RunWithSink(s.Program, s.Threads, rcfg,
-		func(p *bytecode.Program, snap *meta.Snapshot, ncores int) (TraceSink, error) {
-			var err error
-			w, err = CreateStreamArchive(dir, p, snap, ncores)
-			if err != nil || ringSize == 0 {
-				return w, err
+	atProcs(t, func(t *testing.T, procs int) {
+		for _, workers := range []int{2, 4} {
+			s2 := workload.MustLoad("h2", 0.5)
+			pcfg := core.DefaultPipelineConfig()
+			pcfg.Workers = workers
+			_, streamed, err := AnalyzeStreamed(s2.Program, s2.Threads, rcfg, pcfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			async = NewAsyncSink(w, ringSize)
-			return async, nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if async != nil {
-		if err := async.Close(); err != nil {
-			t.Fatal(err)
+			equalAnalyses(t, fmt.Sprintf("live/p%d-w%d", procs, workers), batch, streamed)
 		}
-	}
-	if err := w.Seal(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The archive must also still analyse — and with a pipelined replay
-	// session it must match the batch materialisation of the same records.
-	prog2, run2, err := LoadRun(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := Analyze(prog2, run2, core.DefaultPipelineConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pcfg := core.DefaultPipelineConfig()
-	pcfg.Pipelined = true
-	pcfg.Workers = 3
-	_, replayed, err := AnalyzeStreamArchive(dir, pcfg, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	equalAnalyses(t, fmt.Sprintf("replay ring%d", ringSize), batch, replayed)
-
-	raw, err := os.ReadFile(filepath.Join(dir, "stream.jpt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
-}
-
-// TestAsyncSinkArchiveBytesIdentical is the determinism check for the
-// asynchronous handoff: the archive bytes a run produces must not depend
-// on whether a ring sits between the collector and the writer, nor on the
-// ring's capacity — {1, 7, 1024} all yield the same stream.jpt as the
-// synchronous writer, byte for byte.
-func TestAsyncSinkArchiveBytesIdentical(t *testing.T) {
-	want := collectArchive(t, 0)
-	if len(want) == 0 {
-		t.Fatal("synchronous archive is empty")
-	}
-	for _, ring := range []int{1, 7, 1024} {
-		got := collectArchive(t, ring)
-		if !bytes.Equal(want, got) {
-			t.Errorf("ring %d: stream.jpt differs from synchronous write (%d vs %d bytes)",
-				ring, len(got), len(want))
-		}
-	}
+	})
 }

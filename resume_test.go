@@ -271,6 +271,9 @@ func TestDeadlineYieldsPartialAnalysis(t *testing.T) {
 // segments and a clean Close still returns a valid Analysis. Partial means
 // partial, not poisoned. The waves are split by watermark — the first Drain
 // may only emit scheduling windows finalized below the mid-run watermark.
+// Drain is asynchronous, so the first wave is read after a checkpoint has
+// waited for it, and the cancelled wave is judged from the Analysis after
+// Close: each emitted delta carries its wave's context.
 func TestDeadlineMidDrainStillCompletes(t *testing.T) {
 	s := workload.MustLoad("fop", 0.3)
 	rcfg := DefaultRunConfig()
@@ -306,6 +309,11 @@ func TestDeadlineMidDrainStillCompletes(t *testing.T) {
 		sess.Watermark(c, mid)
 	}
 	if err := sess.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	// Drain is asynchronous; a checkpoint waits for the stages to finish
+	// the first wave before its heartbeat is read.
+	if _, err := sess.ExportCheckpoint(0); err != nil {
 		t.Fatal(err)
 	}
 	decodedEarly := sess.DeltasApplied()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"jportal/internal/bytecode"
@@ -25,6 +26,13 @@ import (
 // batch call for every chunking, watermark schedule and worker count —
 // streaming changes when work happens, never what it computes.
 //
+// The stages run on their own goroutines (pipeline_session.go): Feed,
+// AddSideband, Watermark, AddBlobs and Drain only enqueue, and Close joins
+// the stages. Every Session owns goroutines until it is closed, so close
+// abandoned sessions too. Calls must all come from one goroutine; the
+// heartbeats, BufferedItems and PeakBufferedItems alone are safe to sample
+// from others.
+//
 // Memory stays bounded by the stages: the stitcher holds only windows that
 // are not yet globally safe to emit (PeakBufferedItems reports the high
 // water mark), and each thread's analyzer reconstructs its decoded
@@ -32,36 +40,46 @@ import (
 // recovery alone waits for Close: §5's recoverer matches holes against
 // every segment of the thread, so recovering earlier would change fills.
 type Session struct {
-	prog      *bytecode.Program
-	snap      *meta.Snapshot
-	pipe      *core.Pipeline
-	st        *trace.StreamStitcher
-	ncores    int
+	prog   *bytecode.Program
+	pipe   *core.Pipeline
+	st     *trace.StreamStitcher
+	ncores int
+	closed bool
+	result *Analysis
+	// analyzers is every thread's analyzer in thread order, assembled from
+	// the workers' tables by merge at quiescence and at Close.
 	analyzers []*core.ThreadAnalyzer
-	peak      int
-	closed    bool
-	result    *Analysis
-	// pl is the ring-connected stage machinery when cfg.Pipelined is set
-	// (pipeline_session.go); nil for the synchronous session. With pl
-	// non-nil, session methods must all be called from one goroutine (the
-	// input ring is single-producer) — which both RunWithSink and the
-	// archive replay already guarantee.
-	pl *pipelinedSession
 	// ledger is the session's quarantine record (DESIGN.md §10): every
 	// hardened stage reports what it excluded and why, and Close folds the
 	// totals into the Analysis's DegradationReport.
 	ledger *fault.Ledger
 	// hbEmitted and hbSegments are watchdog heartbeats (DESIGN.md §11):
 	// thread deltas applied and segments reconstructed so far. Atomics so a
-	// supervisor goroutine can sample them while the session works; the
-	// session itself only updates them after a fan-out returns.
+	// supervisor goroutine can sample them while the workers update them.
 	hbEmitted  atomic.Uint64
 	hbSegments atomic.Uint64
+	// buffered and peak mirror the stitcher's BufferedItems and its
+	// high-water mark for concurrent readers.
+	buffered atomic.Int64
+	peak     atomic.Int64
+
+	// Stage machinery (pipeline_session.go). in carries the caller's
+	// messages to the stitcher; work[w] carries deltas to analyzer worker
+	// w, which alone touches wsnap[w] and byThread[w] between quiescence
+	// points. closeCtx is the context the final carve runs under.
+	in       chan stageMsg
+	work     []chan stageMsg
+	wsnap    []*meta.Snapshot
+	byThread [][]*core.ThreadAnalyzer
+	stages   sync.WaitGroup
+	closeCtx context.Context
 }
 
 // OpenSession starts an incremental analysis over ncores per-core trace
-// streams, decoding against snap (which may still be growing: the online
-// phase exports method metadata before the trace bytes that reference it).
+// streams, decoding against snap. snap may still be growing — the online
+// phase exports method metadata before the trace bytes that reference it —
+// but each analyzer worker decodes against its own copy taken here, so
+// metadata exported later must arrive through AddBlobs.
 func OpenSession(prog *bytecode.Program, snap *meta.Snapshot, ncores int, cfg core.PipelineConfig) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -72,20 +90,16 @@ func OpenSession(prog *bytecode.Program, snap *meta.Snapshot, ncores int, cfg co
 	if ncores <= 0 {
 		return nil, fmt.Errorf("jportal: session needs at least one core, got %d", ncores)
 	}
-	snap.Seal()
 	pipe := core.NewPipeline(prog, cfg)
 	s := &Session{
 		prog:   prog,
-		snap:   snap,
 		pipe:   pipe,
 		st:     trace.NewStreamStitcher(ncores, pipe.Source().Traits()),
 		ncores: ncores,
 		ledger: fault.NewLedger(metrics.Default),
 	}
 	s.st.SetLedger(s.ledger)
-	if cfg.EffectivePipelined() {
-		s.pl = newPipelinedSession(s)
-	}
+	s.startStages(snap)
 	return s, nil
 }
 
@@ -94,85 +108,62 @@ func OpenSession(prog *bytecode.Program, snap *meta.Snapshot, ncores int, cfg co
 func (s *Session) Ledger() *fault.Ledger { return s.ledger }
 
 // AddSideband delivers scheduler switch records in the order the VM
-// recorded them.
+// recorded them. The records are copied, so the caller may reuse its slice.
 func (s *Session) AddSideband(recs []vm.SwitchRecord) {
-	if s.pl != nil {
-		if len(recs) == 0 || s.closed {
-			return
-		}
-		s.pl.in.Push(pipeMsg{kind: pkSideband, recs: append([]vm.SwitchRecord(nil), recs...)}, nil)
+	if len(recs) == 0 || s.closed {
 		return
 	}
-	s.st.AddSideband(recs)
+	s.in <- stageMsg{kind: msgSideband, recs: append([]vm.SwitchRecord(nil), recs...)}
 }
 
 // Watermark declares that every switch record for core with TSC < w has
 // been delivered (watermarks only move forward).
 func (s *Session) Watermark(core int, w uint64) {
-	if s.pl != nil {
-		if s.closed {
-			return
-		}
-		s.pl.in.Push(pipeMsg{kind: pkWatermark, core: core, mark: w}, nil)
+	if s.closed {
 		return
 	}
-	s.st.Watermark(core, w)
+	s.in <- stageMsg{kind: msgWatermark, core: core, mark: w}
 }
 
-// AddBlobs delivers compiled-method metadata (BlobSink). The synchronous
-// session shares the VM's live snapshot, so a blob already present —
-// pointer-identical at its entry address — is skipped, which makes the
-// delivery idempotent when RunWithSink re-offers the export-log suffix.
-// The pipelined session instead broadcasts the blobs to every worker's
-// snapshot replica in-band: ring order guarantees each worker sees a blob
-// before any trace chunk that references it (§3.2 dump-before-use).
+// AddBlobs delivers compiled-method metadata (BlobSink). The blobs are
+// broadcast in-band to every worker's snapshot replica, so each worker sees
+// a blob before any trace chunk that references it (§3.2 dump-before-use).
+// A blob a replica already holds is skipped, which makes the delivery
+// idempotent when RunWithSink re-offers the export-log suffix.
 func (s *Session) AddBlobs(blobs []*meta.CompiledMethod) error {
 	if s.closed {
 		return errors.New("jportal: AddBlobs on closed session")
 	}
-	if s.pl != nil {
-		if len(blobs) == 0 {
-			return nil
-		}
-		s.pl.in.Push(pipeMsg{kind: pkBlobs, blobs: append([]*meta.CompiledMethod(nil), blobs...)}, nil)
-		return nil
-	}
-	for _, b := range blobs {
-		if b == nil || s.snap.Compiled[b.EntryAddr()] == b {
-			continue
-		}
-		s.snap.Export(b)
+	if len(blobs) > 0 {
+		s.in <- stageMsg{kind: msgBlobs, blobs: append([]*meta.CompiledMethod(nil), blobs...)}
 	}
 	return nil
 }
 
-// Feed delivers one chunk of a core's exported trace, in export order.
-// The pipelined session copies the items before enqueueing, so the caller
-// may reuse its buffer immediately (the archive reader does).
+// Feed delivers one chunk of a core's exported trace, in export order. The
+// items are copied before they are enqueued, so the caller may reuse its
+// buffer immediately (the archive reader does). The copy is transient
+// extra memory: up to stageQueue chunks can wait in the input channel, so
+// a batch Analyze, which feeds each core's whole trace as one chunk,
+// briefly holds about one more copy of the trace than a synchronous
+// Feed would.
 func (s *Session) Feed(core int, items []source.Item) error {
 	if s.closed {
 		return errors.New("jportal: Feed on closed session")
 	}
-	if s.pl != nil {
-		if core < 0 || core >= s.ncores {
-			return fmt.Errorf("jportal: chunk for core %d, session has %d cores", core, s.ncores)
-		}
-		s.pl.in.Push(pipeMsg{kind: pkChunk, core: core, items: append([]source.Item(nil), items...)}, nil)
-		return nil
+	if core < 0 || core >= s.ncores {
+		return fmt.Errorf("jportal: chunk for core %d, session has %d cores", core, s.ncores)
 	}
-	if err := s.st.Feed(core, items); err != nil {
-		return err
-	}
-	if n := s.st.BufferedItems(); n > s.peak {
-		s.peak = n
-	}
+	s.in <- stageMsg{kind: msgChunk, core: core, items: append([]source.Item(nil), items...)}
 	return nil
 }
 
 // Drain advances the analysis over every scheduling window that is final
 // under the current watermarks: finalized per-thread deltas are stitched
 // out and pushed through the per-thread analyzers (decode, tokenize, and
-// reconstruction waves).
+// reconstruction waves). Drain is asynchronous: it enqueues the request
+// and returns, and the stages do the work; Close (or a checkpoint) waits
+// for it.
 func (s *Session) Drain() error {
 	return s.DrainContext(context.Background())
 }
@@ -180,44 +171,19 @@ func (s *Session) Drain() error {
 // DrainContext is Drain with deadline propagation: once ctx is cancelled,
 // stitched-out deltas are quarantined under the deadline reason instead of
 // decoded, so a timed-out caller regains control without losing the
-// session's structural validity.
+// session's structural validity. The emitted deltas carry ctx, so a
+// cancellation that lands after DrainContext returns still quarantines.
 func (s *Session) DrainContext(ctx context.Context) error {
 	if s.closed {
 		return errors.New("jportal: Drain on closed session")
 	}
-	if s.pl != nil {
-		// Asynchronous: the stitcher drains and routes on its goroutine;
-		// emitted deltas carry ctx so a later cancellation still
-		// quarantines instead of decoding.
-		s.pl.in.Push(pipeMsg{kind: pkDrain, ctx: ctx}, nil)
-		return nil
-	}
-	s.apply(ctx, s.st.Drain())
+	s.in <- stageMsg{kind: msgDrain, ctx: ctx}
 	return nil
 }
 
-// apply feeds emitted thread deltas to their analyzers. Deltas are
-// per-thread independent, so they fan out to the configured workers.
-func (s *Session) apply(ctx context.Context, deltas []trace.ThreadStream) {
-	if len(deltas) == 0 {
-		return
-	}
-	// Seal before concurrent decode: BlobFor must not rebuild the sorted
-	// address index from racing goroutines when the snapshot grew since
-	// the last drain.
-	s.snap.Seal()
-	s.grow(s.st.NumThreads())
-	conc.ParallelFor(s.pipe.Cfg.WorkerCount(), len(deltas), func(i int) {
-		s.analyzers[deltas[i].Thread].FeedContext(ctx, deltas[i].Items)
-	})
-	s.hbEmitted.Add(uint64(len(deltas)))
-	s.updateSegmentHeartbeat()
-}
-
 // updateSegmentHeartbeat republishes the total segments reconstructed so
-// far. Called only after a fan-out returns, so reading each analyzer is
-// race-free; the atomic store is what makes the sum safe for a sampling
-// watchdog goroutine.
+// far. Called only while the workers are idle (quiescence or after the
+// stages exit), so reading each analyzer is race-free.
 func (s *Session) updateSegmentHeartbeat() {
 	var total uint64
 	for _, a := range s.analyzers {
@@ -235,41 +201,14 @@ func (s *Session) DeltasApplied() uint64 { return s.hbEmitted.Load() }
 // concurrently.
 func (s *Session) SegmentsReconstructed() uint64 { return s.hbSegments.Load() }
 
-// grow ensures one analyzer per thread seen so far. In pipelined mode new
-// analyzers bind to their worker's snapshot replica; callers must hold
-// quiescence (checkpoint restore does).
-func (s *Session) grow(nthreads int) {
-	for t := len(s.analyzers); t < nthreads; t++ {
-		var a *core.ThreadAnalyzer
-		if s.pl != nil {
-			a = s.pl.analyzer(t%s.pl.workers, t)
-		} else {
-			a = s.pipe.NewThreadAnalyzer(t, s.snap)
-			a.SetLedger(s.ledger)
-		}
-		s.analyzers = append(s.analyzers, a)
-	}
-}
-
 // BufferedItems returns the trace items currently buffered in the stitcher
-// (fed but not yet emitted to an analyzer).
-func (s *Session) BufferedItems() int {
-	if s.pl != nil {
-		return int(s.pl.buffered.Load())
-	}
-	return s.st.BufferedItems()
-}
+// (fed but not yet emitted to an analyzer), as of the last chunk or drain
+// the stitcher processed.
+func (s *Session) BufferedItems() int { return int(s.buffered.Load()) }
 
 // PeakBufferedItems returns the high-water mark of BufferedItems over the
 // session — the streaming pipeline's peak in-flight trace memory.
-func (s *Session) PeakBufferedItems() int {
-	if s.pl != nil {
-		if pk := int(s.pl.peak.Load()); pk > s.peak {
-			return pk
-		}
-	}
-	return s.peak
-}
+func (s *Session) PeakBufferedItems() int { return int(s.peak.Load()) }
 
 // Close declares the input complete, runs the remaining decode,
 // reconstruction and recovery, and returns the Analysis. Close is
@@ -287,15 +226,8 @@ func (s *Session) CloseContext(ctx context.Context) (*Analysis, error) {
 		return s.result, nil
 	}
 	s.closed = true
-	if s.pl != nil {
-		// Final carve, emission and decode happen on the pipeline's own
-		// goroutines; close joins them and merges the per-worker analyzers
-		// into s.analyzers for the common finish below.
-		s.pl.close(ctx)
-	} else {
-		s.apply(ctx, s.st.FinishWorkers(s.pipe.Cfg.Workers))
-		s.grow(s.st.NumThreads())
-	}
+	s.stopStages(ctx)
+	s.merge(0)
 	threads := make([]*core.ThreadResult, len(s.analyzers))
 	conc.ParallelFor(s.pipe.Cfg.WorkerCount(), len(s.analyzers), func(i int) {
 		threads[i] = s.analyzers[i].FinishContext(ctx)
@@ -310,6 +242,15 @@ func (s *Session) CloseContext(ctx context.Context) (*Analysis, error) {
 		}
 	}
 	return s.result, nil
+}
+
+// abandon releases an unfinished session's goroutines on an error path. The
+// pre-cancelled context makes the remaining work quarantine instead of
+// compute.
+func (s *Session) abandon() {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s.CloseContext(ctx)
 }
 
 // degradationReport folds the ledger and per-thread results into the
@@ -351,7 +292,10 @@ func (s *Session) degradationReport() *fault.DegradationReport {
 // TraceSink consumes the online phase's outputs incrementally: RunWithSink
 // delivers sideband, watermarks and trace chunks through it as the
 // collector drains. *Session implements TraceSink (live analysis); so does
-// *StreamArchiveWriter (chunked archival).
+// *StreamArchiveWriter (chunked archival). A sink that wraps a *Session
+// must also implement BlobSink and forward AddBlobs: the session's workers
+// decode against snapshot copies taken at OpenSession, so metadata the VM
+// exports later reaches them only through AddBlobs.
 type TraceSink interface {
 	AddSideband(recs []vm.SwitchRecord)
 	Watermark(core int, w uint64)
@@ -359,8 +303,9 @@ type TraceSink interface {
 	Drain() error
 }
 
-// BlobSink is optionally implemented by sinks that persist metadata (the
-// live Session shares the VM's snapshot and does not need it): RunWithSink
+// BlobSink is optionally implemented by sinks that need the metadata the
+// VM exports during the run (the archive writer persists it; the live
+// Session hands it to its workers' snapshot replicas): RunWithSink
 // delivers each compiled method's blob before any trace chunk that can
 // reference it, mirroring §3.2's dump-before-use ordering.
 type BlobSink interface {
@@ -485,6 +430,9 @@ func AnalyzeStreamed(prog *bytecode.Program, threads []vm.ThreadSpec, rcfg RunCo
 			return sess, err
 		})
 	if err != nil {
+		if sess != nil {
+			sess.abandon()
+		}
 		return nil, nil, err
 	}
 	an, err := sess.Close()

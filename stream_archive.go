@@ -521,14 +521,11 @@ func AnalyzeStreamArchiveOpts(ctx context.Context, dir string, cfg core.Pipeline
 	var sess *Session
 	records := 0 // archive records fully applied
 	chunks := 0  // chunk records among them (checkpoint cadence)
-	// Error paths below return without closing the session; a pipelined
-	// session owns goroutines, so release them (with a pre-cancelled
-	// context: quarantine, don't compute) instead of leaking spinners.
+	// Error paths below return without closing the session; it owns
+	// goroutines, so release them instead of leaking them.
 	defer func() {
-		if sess != nil && !sess.closed {
-			cctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			sess.CloseContext(cctx)
+		if sess != nil {
+			sess.abandon()
 		}
 	}()
 

@@ -33,24 +33,20 @@ type SessionCheckpoint struct {
 	Ledger    fault.LedgerState
 }
 
-// ExportCheckpoint snapshots the session between drains. The session must
-// be quiescent — no Feed/Drain in flight, not closed — which the archive
-// replay loop guarantees by checkpointing only between records.
+// ExportCheckpoint snapshots the session between drains. It first waits
+// for the stages to process everything enqueued so far, so the state it
+// exports covers exactly the calls made before it; the archive replay loop
+// checkpoints only between records.
 func (s *Session) ExportCheckpoint(records int) (*SessionCheckpoint, error) {
 	if s.closed {
 		return nil, errors.New("jportal: checkpoint of a closed session")
 	}
-	if s.pl != nil {
-		// Drain the ring pipeline to a quiescent point, then export over
-		// the same merged analyzer view the synchronous session holds.
-		s.pl.quiesce()
-		s.pl.merge()
-		s.pl.syncPeak()
-	}
+	s.quiesce()
+	s.merge(0)
 	ck := &SessionCheckpoint{
 		NCores:    s.ncores,
 		Records:   records,
-		Peak:      s.peak,
+		Peak:      int(s.peak.Load()),
 		Stitcher:  s.st.ExportState(),
 		Analyzers: make([]core.ThreadAnalyzerState, len(s.analyzers)),
 		Ledger:    s.ledger.ExportState(),
@@ -70,30 +66,27 @@ func (s *Session) RestoreCheckpoint(ck *SessionCheckpoint) error {
 	if s.closed {
 		return errors.New("jportal: restore into a closed session")
 	}
-	if len(s.analyzers) != 0 || s.peak != 0 {
-		return errors.New("jportal: restore into a session that has already analysed input")
-	}
 	if ck.NCores != s.ncores {
 		return fmt.Errorf("jportal: checkpoint has %d cores, session has %d", ck.NCores, s.ncores)
 	}
-	if s.pl != nil {
-		// Quiesce first: the prefix's blob records must be applied to every
-		// worker replica before analyzers restore against them, and the
-		// stitcher must be idle before its state is replaced.
-		s.pl.quiesce()
+	// Quiesce first: the prefix's blob records must reach every worker
+	// replica before analyzers restore against them, and the stitcher must
+	// be idle before its state is replaced.
+	s.quiesce()
+	if s.peak.Load() != 0 || s.DeltasApplied() != 0 {
+		return errors.New("jportal: restore into a session that has already analysed input")
 	}
 	if err := s.st.RestoreState(ck.Stitcher); err != nil {
 		return err
 	}
-	s.snap.Seal()
-	s.grow(len(ck.Analyzers))
+	s.merge(len(ck.Analyzers))
 	for i := range ck.Analyzers {
 		if err := s.analyzers[i].RestoreState(ck.Analyzers[i]); err != nil {
 			return fmt.Errorf("jportal: restore thread %d: %w", i, err)
 		}
 	}
 	s.ledger.RestoreState(ck.Ledger)
-	s.peak = ck.Peak
+	s.peak.Store(int64(ck.Peak))
 	s.updateSegmentHeartbeat()
 	return nil
 }

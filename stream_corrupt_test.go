@@ -11,13 +11,17 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"jportal"
 	"jportal/internal/bytecode"
 	"jportal/internal/core"
 	"jportal/internal/meta"
+	"jportal/internal/source"
 	"jportal/internal/streamfmt"
+	"jportal/internal/vm"
 	"jportal/internal/workload"
 )
 
@@ -138,5 +142,54 @@ func TestStreamArchiveCorruptionIsAlwaysAnError(t *testing.T) {
 	}
 	if err := analyzeDir(dir); err == nil {
 		t.Fatal("corrupt program.gob analyzed without error")
+	}
+}
+
+// TestSessionErrorPathsLeaveNoGoroutines: every Session owns stage
+// goroutines, so the entry points that open one must release it on their
+// error paths too — a Feed error in Analyze, a RunWithSink error in
+// AnalyzeStreamed, and a replay of a damaged archive.
+func TestSessionErrorPathsLeaveNoGoroutines(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "base")
+	collectSmallArchive(t, base)
+	stream, err := os.ReadFile(filepath.Join(base, jportal.StreamFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := workload.MustLoad("fop", 0.15)
+	rcfg := jportal.DefaultRunConfig()
+	rcfg.CollectOracle = false
+	run, err := jportal.Run(s.Program, s.Threads, rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcfg := core.DefaultPipelineConfig()
+	before := runtime.NumGoroutine()
+
+	bad := *run
+	bad.Traces = []source.CoreTrace{{Core: -1, Items: run.Traces[0].Items}}
+	if _, err := jportal.Analyze(s.Program, &bad, pcfg); err == nil {
+		t.Error("Analyze accepted a trace for core -1")
+	}
+	if _, _, err := jportal.AnalyzeStreamed(s.Program, []vm.ThreadSpec{}, rcfg, pcfg); err == nil {
+		t.Error("AnalyzeStreamed ran with no threads")
+	}
+	flipped := append([]byte(nil), stream...)
+	flipped[len(flipped)/2] ^= 0x10
+	for i, damaged := range [][]byte{stream[:len(stream)/2], flipped} {
+		dir := filepath.Join(t.TempDir(), "damaged")
+		cloneArchive(t, base, dir, damaged)
+		if err := analyzeDir(dir); err == nil {
+			t.Errorf("damaged archive %d analyzed without error", i)
+		}
+	}
+
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > before && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > before {
+		t.Fatalf("%d goroutines left behind by the error paths", n-before)
 	}
 }

@@ -490,6 +490,8 @@ type countingSink struct {
 	fed *int
 }
 
+func (c countingSink) AddBlobs(blobs []*meta.CompiledMethod) error { return c.s.AddBlobs(blobs) }
+
 func (c countingSink) AddSideband(recs []vm.SwitchRecord) { c.s.AddSideband(recs) }
 func (c countingSink) Watermark(core int, w uint64)       { c.s.Watermark(core, w) }
 func (c countingSink) Feed(core int, items []pt.Item) error {
