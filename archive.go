@@ -4,9 +4,9 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -19,68 +19,59 @@ import (
 
 // A run archive is JPortal's deployment interface between the online and
 // offline phases (paper §3): everything the offline decoder needs, written
-// to a directory. Two layouts exist, declared by the archive.meta header:
+// to a directory as the run produces it:
 //
-// layout "batch" (SaveRun, after a completed run):
-//
-//	archive.meta    magic + format version + layout
+//	archive.meta    magic + format version + layout (+ source for non-PT runs)
 //	program.gob     the bytecode program (source of the ICFG)
-//	snapshot.bin    machine-code metadata (templates, JIT blobs, debug info)
-//	sideband.gob    scheduler thread-switch records
-//	trace.core<N>   one PT trace file per core
+//	stream.jpt      the append-only record stream — see stream_archive.go
 //
-// layout "chunked" (CreateStreamArchive, appended to while the run is
-// live): archive.meta, program.gob and stream.jpt — see stream_archive.go.
-//
-// Either way collection and analysis can run in different processes (or
-// machines), exactly as the paper separates them. Archives written before
-// the header existed (version 1) are read as layout "batch".
+// Collection and analysis can therefore run in different processes (or
+// machines), exactly as the paper separates them. A run analyzed after it
+// finished is the same archive, sealed in one pass.
 
 const (
 	archiveMetaFile  = "archive.meta"
 	archiveMagicLine = "jportal-run-archive"
 
-	// archiveVersion is the newest header version this binary reads.
-	// Version 2 added the header itself; version 3 added the source key.
-	// Writers stamp the oldest version that can faithfully read the
-	// archive (see writeArchiveMeta), so version-gating — not the reader's
-	// tolerance for unknown keys — is what keeps a pre-source binary from
-	// silently misdecoding a non-Intel-PT archive as PT packets.
-	archiveVersion       = 3
-	archiveVersionLegacy = 2
+	// archiveVersion is the newest header version this binary reads, and
+	// archiveVersionMin the oldest. Version 2 added the header itself;
+	// version 3 added the source key. Writers stamp the oldest version
+	// that can faithfully read the archive (see writeArchiveMeta), so
+	// version-gating — not the reader's tolerance for unknown keys — is
+	// what keeps a pre-source binary from silently misdecoding a
+	// non-Intel-PT archive as PT packets.
+	archiveVersion    = 3
+	archiveVersionMin = 2
 
-	// LayoutBatch and LayoutChunked are the archive layouts.
-	LayoutBatch   = "batch"
-	LayoutChunked = "chunked"
+	// layoutChunked is the one archive layout. The header still names it,
+	// so a directory of any other shape is refused by name.
+	layoutChunked = "chunked"
 )
 
-// writeArchiveMeta writes the version header declaring the layout and, for
-// runs collected by a non-default trace source, the source ID. Default
-// (Intel PT) archives are stamped with the legacy version and no source
-// key, so they stay byte-identical to the ones written before sources
-// existed (the golden test pins this) and remain readable by old
-// binaries. Non-default archives are stamped with the current version:
-// a pre-source binary has no Traits for the payload, so it must refuse
-// via the version gate rather than misdecode the packets as PT.
-func writeArchiveMeta(dir, layout, srcID string) error {
-	return writeArchiveMetaFS(iofault.OS, dir, layout, srcID)
-}
-
-func writeArchiveMetaFS(fsys iofault.FS, dir, layout, srcID string) error {
-	ver := archiveVersionLegacy
-	if srcID != "" && srcID != source.DefaultID {
+// writeArchiveMeta writes the version header through fsys and, for runs
+// collected by a non-default trace source, the source ID. Default (Intel
+// PT) archives are stamped with the oldest version and no source key, so
+// they stay byte-identical to the ones written before sources existed (the
+// golden test pins this). Non-default archives are stamped with the
+// current version: a pre-source binary has no Traits for the payload, so
+// it must refuse via the version gate rather than misdecode the packets as
+// PT.
+func writeArchiveMeta(fsys iofault.FS, dir, srcID string) error {
+	nonDefault := srcID != "" && srcID != source.DefaultID
+	ver := archiveVersionMin
+	if nonDefault {
 		ver = archiveVersion
 	}
-	body := fmt.Sprintf("%s\nversion: %d\nlayout: %s\n", archiveMagicLine, ver, layout)
-	if srcID != "" && srcID != source.DefaultID {
+	body := fmt.Sprintf("%s\nversion: %d\nlayout: %s\n", archiveMagicLine, ver, layoutChunked)
+	if nonDefault {
 		body += fmt.Sprintf("source: %s\n", srcID)
 	}
 	return writeFileFS(fsys, filepath.Join(dir, archiveMetaFile), []byte(body))
 }
 
 // writeFileFS is os.WriteFile routed through an iofault.FS, so the archive
-// writers' small fixed artefacts (header, program, sideband) draw from the
-// same fault streams as the record stream itself.
+// writers' small fixed artefacts (header, program) draw from the same
+// fault streams as the record stream itself.
 func writeFileFS(fsys iofault.FS, path string, data []byte) error {
 	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
@@ -93,36 +84,39 @@ func writeFileFS(fsys iofault.FS, path string, data []byte) error {
 	return f.Close()
 }
 
-// readArchiveMeta parses the header. A missing header with a program.gob
-// present is a pre-versioning (v1) batch archive; anything else that lacks
-// the header is not a run archive at all.
-func readArchiveMeta(dir string) (version int, layout, srcID string, err error) {
+// ArchiveSourceID reads and validates dir's archive.meta header and
+// reports the trace-source backend the run was collected by
+// (source.DefaultID when the header carries no source key). It is the one
+// header query: readers open archives through it, the ingest layer routes
+// pushed or handed-off sessions by it, the fleet aggregation tier analyzes
+// mixed-source archives with it, and the scrubber validates headers with
+// it.
+func ArchiveSourceID(dir string) (string, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, archiveMetaFile))
 	if os.IsNotExist(err) {
-		if _, serr := os.Stat(filepath.Join(dir, "program.gob")); serr != nil {
-			return 0, "", "", fmt.Errorf("jportal: %s is not a run archive (no %s, no program.gob)", dir, archiveMetaFile)
-		}
-		return 1, LayoutBatch, source.DefaultID, nil
+		return "", fmt.Errorf("jportal: %s is not a run archive (no %s)", dir, archiveMetaFile)
 	}
 	if err != nil {
-		return 0, "", "", err
+		return "", err
 	}
-	version, layout, srcID, err = parseArchiveMeta(raw)
+	_, srcID, err := parseArchiveMeta(raw)
 	if err != nil {
-		return 0, "", "", fmt.Errorf("jportal: %s: %w", dir, err)
+		return "", fmt.Errorf("jportal: %s: %w", dir, err)
 	}
-	return version, layout, srcID, nil
+	return srcID, nil
 }
 
 // parseArchiveMeta parses an archive.meta header body: the magic line, the
-// version line, the layout, and (version 3+) the optional source key.
-// Pure — no filesystem access — so the fuzz target can drive it directly.
-func parseArchiveMeta(raw []byte) (version int, layout, srcID string, err error) {
+// version line, the layout, and (version 3+) the optional source key. It
+// accepts only chunked archives of a version this binary reads. Pure — no
+// filesystem access — so the fuzz target can drive it directly.
+func parseArchiveMeta(raw []byte) (version int, srcID string, err error) {
 	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
 	if len(lines) < 3 || strings.TrimSpace(lines[0]) != archiveMagicLine {
-		return 0, "", "", errors.New("malformed archive header")
+		return 0, "", errors.New("malformed archive header")
 	}
-	version, layout, srcID = 0, "", source.DefaultID
+	layout := ""
+	srcID = source.DefaultID
 	for _, ln := range lines[1:] {
 		k, v, ok := strings.Cut(ln, ":")
 		if !ok {
@@ -132,7 +126,7 @@ func parseArchiveMeta(raw []byte) (version int, layout, srcID string, err error)
 		case "version":
 			version, err = strconv.Atoi(strings.TrimSpace(v))
 			if err != nil {
-				return 0, "", "", fmt.Errorf("bad archive version %q", strings.TrimSpace(v))
+				return 0, "", fmt.Errorf("bad archive version %q", strings.TrimSpace(v))
 			}
 		case "layout":
 			layout = strings.TrimSpace(v)
@@ -142,169 +136,77 @@ func parseArchiveMeta(raw []byte) (version int, layout, srcID string, err error)
 				// Writers only stamp a source key for non-default
 				// backends; an empty value is a damaged header, not a
 				// spelling of the default.
-				return 0, "", "", errors.New("archive header has an empty source key")
+				return 0, "", errors.New("archive header has an empty source key")
 			}
 		}
 	}
-	if version > archiveVersion {
-		return 0, "", "", fmt.Errorf("archive version %d is newer than this binary supports (%d)",
-			version, archiveVersion)
+	if version == 0 {
+		return 0, "", errors.New("archive header missing a version")
 	}
-	if version < 1 {
-		return 0, "", "", errors.New("archive header missing a version")
+	if version < archiveVersionMin || version > archiveVersion {
+		return 0, "", fmt.Errorf("unsupported archive version %d (this binary reads versions %d to %d)",
+			version, archiveVersionMin, archiveVersion)
 	}
-	if layout != LayoutBatch && layout != LayoutChunked {
-		return 0, "", "", fmt.Errorf("unknown archive layout %q", layout)
+	if layout != layoutChunked {
+		return 0, "", fmt.Errorf("unsupported archive layout %q (only %q archives exist)", layout, layoutChunked)
 	}
-	return version, layout, srcID, nil
+	return version, srcID, nil
 }
 
-// ArchiveInfo describes a run archive's header: what the scrubber and the
-// retention/compaction pass need to know before touching the payload.
-type ArchiveInfo struct {
-	Version int
-	Layout  string // LayoutBatch or LayoutChunked
-	Source  string // trace-source backend ID (source.DefaultID when unstamped)
-}
-
-// ReadArchiveInfo reads and validates dir's archive.meta header.
-func ReadArchiveInfo(dir string) (ArchiveInfo, error) {
-	version, layout, srcID, err := readArchiveMeta(dir)
-	if err != nil {
-		return ArchiveInfo{}, err
-	}
-	return ArchiveInfo{Version: version, Layout: layout, Source: srcID}, nil
-}
-
-// ArchiveSourceID reports the trace-source backend a run archive was
-// collected by (source.DefaultID when the header carries no source key).
-// The ingest layer uses it to route a pushed or handed-off session to the
-// right decoder, and the fleet aggregation tier to analyze mixed-source
-// archives with their own backends.
-func ArchiveSourceID(dir string) (string, error) {
-	_, _, srcID, err := readArchiveMeta(dir)
-	return srcID, err
-}
-
-// SaveRun writes prog and the run's offline-relevant artefacts into dir
-// (created if missing).
-func SaveRun(dir string, prog *bytecode.Program, run *RunResult) error {
-	if run.Traces == nil {
-		return fmt.Errorf("jportal: run has no traces to save")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	if err := writeArchiveMeta(dir, LayoutBatch, run.SourceID); err != nil {
-		return err
-	}
-	if err := writeGob(filepath.Join(dir, "program.gob"), prog); err != nil {
-		return err
-	}
-	sf, err := os.Create(filepath.Join(dir, "snapshot.bin"))
-	if err != nil {
-		return err
-	}
-	if err := meta.WriteSnapshot(sf, run.Snapshot); err != nil {
-		sf.Close()
-		return err
-	}
-	if err := sf.Close(); err != nil {
-		return err
-	}
-	if err := writeGob(filepath.Join(dir, "sideband.gob"), run.Sideband); err != nil {
-		return err
-	}
-	for i := range run.Traces {
-		tf, err := os.Create(filepath.Join(dir, fmt.Sprintf("trace.core%d", run.Traces[i].Core)))
-		if err != nil {
-			return err
-		}
-		if err := source.WriteTrace(tf, &run.Traces[i]); err != nil {
-			tf.Close()
-			return err
-		}
-		if err := tf.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LoadRun reads an archive written by SaveRun or a sealed chunked archive
-// written by CreateStreamArchive (the header routes to the right reader).
-// The returned RunResult carries traces, sideband and snapshot (no oracle
-// and no runtime stats — those exist only in the collecting process).
+// LoadRun reads a sealed archive and materialises it as a batch RunResult
+// — per-core traces in core order, sideband and snapshot — so batch
+// consumers (jportal decode, the experiments) read the same archives the
+// streaming replay does. There is no oracle and there are no runtime
+// stats: those exist only in the collecting process.
 func LoadRun(dir string) (*bytecode.Program, *RunResult, error) {
-	_, layout, srcID, err := readArchiveMeta(dir)
+	r, err := OpenStreamArchive(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	src, err := source.Lookup(srcID)
-	if err != nil {
-		return nil, nil, fmt.Errorf("jportal: %s: %w", dir, err)
-	}
-	if layout == LayoutChunked {
-		return loadChunkedRun(dir, src)
-	}
-	var prog bytecode.Program
-	if err := readGob(filepath.Join(dir, "program.gob"), &prog); err != nil {
-		return nil, nil, err
-	}
-	if err := bytecode.Verify(&prog); err != nil {
-		return nil, nil, fmt.Errorf("jportal: archived program invalid: %w", err)
-	}
-	sf, err := os.Open(filepath.Join(dir, "snapshot.bin"))
-	if err != nil {
-		return nil, nil, err
-	}
-	snap, err := meta.ReadSnapshot(sf)
-	sf.Close()
-	if err != nil {
-		return nil, nil, err
-	}
+	defer r.Close()
+	var snap *meta.Snapshot
 	var sideband []vm.SwitchRecord
-	if err := readGob(filepath.Join(dir, "sideband.gob"), &sideband); err != nil {
-		return nil, nil, err
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, "trace.core*"))
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(matches) == 0 {
-		return nil, nil, fmt.Errorf("jportal: no trace files in %s", dir)
-	}
-	var traces []source.CoreTrace
-	for _, name := range matches {
-		tf, err := os.Open(name)
+	items := make([][]source.Item, r.NumCores())
+	for {
+		ev, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err == ErrStreamPending {
+			return nil, nil, fmt.Errorf("jportal: %s is an unsealed archive; use jportal stream -follow", dir)
+		}
 		if err != nil {
 			return nil, nil, err
 		}
-		tr, err := source.ReadTrace(tf, src.Traits())
-		tf.Close()
-		if err != nil {
-			return nil, nil, fmt.Errorf("jportal: %s: %w", name, err)
+		switch ev.Kind {
+		case EvSnapshot:
+			snap = ev.Snapshot
+		case EvBlob:
+			if snap == nil {
+				return nil, nil, fmt.Errorf("jportal: %s: blob record before snapshot", dir)
+			}
+			snap.Export(ev.Blob)
+		case EvSideband:
+			sideband = append(sideband, ev.Rec)
+		case EvChunk:
+			if ev.Core < 0 || ev.Core >= len(items) {
+				return nil, nil, fmt.Errorf("jportal: %s: chunk for core %d of %d", dir, ev.Core, len(items))
+			}
+			items[ev.Core] = append(items[ev.Core], ev.Items...)
 		}
-		traces = append(traces, *tr)
 	}
-	// Glob order is lexical (trace.core10 before trace.core2); the analysis
-	// requires ascending core order, so sort numerically by the core id each
-	// file recorded.
-	sort.Slice(traces, func(i, j int) bool { return traces[i].Core < traces[j].Core })
-	for i := 1; i < len(traces); i++ {
-		if traces[i].Core == traces[i-1].Core {
-			return nil, nil, fmt.Errorf("jportal: duplicate trace files for core %d in %s", traces[i].Core, dir)
-		}
+	if snap == nil {
+		return nil, nil, fmt.Errorf("jportal: %s: stream has no snapshot record", dir)
 	}
-	return &prog, &RunResult{Traces: traces, Sideband: sideband, Snapshot: snap, SourceID: src.ID()}, nil
+	traces := make([]source.CoreTrace, r.NumCores())
+	for c := range traces {
+		traces[c] = source.CoreTrace{Core: c, Items: items[c]}
+	}
+	return r.Program(), &RunResult{Traces: traces, Sideband: sideband, Snapshot: snap, SourceID: r.Source().ID()}, nil
 }
 
 func writeGob(path string, v any) error {
-	return writeGobFS(iofault.OS, path, v)
-}
-
-func writeGobFS(fsys iofault.FS, path string, v any) error {
-	f, err := fsys.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}

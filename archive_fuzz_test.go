@@ -13,30 +13,31 @@ import (
 )
 
 func FuzzArchiveMeta(f *testing.F) {
-	f.Add([]byte("jportal-run-archive\nversion: 2\nlayout: batch\n"))
 	f.Add([]byte("jportal-run-archive\nversion: 2\nlayout: chunked\n"))
 	f.Add([]byte("jportal-run-archive\nversion: 3\nlayout: chunked\nsource: etrace\n"))
+	f.Add([]byte("jportal-run-archive\nversion: 2\nlayout: batch\n"))
+	f.Add([]byte("jportal-run-archive\nversion: 1\nlayout: chunked\n"))
 	f.Add([]byte("jportal-run-archive\nversion: 99\nlayout: chunked\n"))
-	f.Add([]byte("jportal-run-archive\nversion: -1\nlayout: batch\n"))
-	f.Add([]byte("jportal-run-archive\nversion: x\nlayout: batch\n"))
-	f.Add([]byte("jportal-run-archive\r\nversion: 2\r\nlayout: batch\r\n"))
+	f.Add([]byte("jportal-run-archive\nversion: -1\nlayout: chunked\n"))
+	f.Add([]byte("jportal-run-archive\nversion: x\nlayout: chunked\n"))
+	f.Add([]byte("jportal-run-archive\r\nversion: 2\r\nlayout: chunked\r\n"))
 	f.Add([]byte(""))
 	f.Add([]byte("garbage"))
-	f.Add([]byte("jportal-run-archive"))
 	f.Add([]byte("jportal-run-archive\nversion: 3\nlayout: chunked\nsource: \n"))
 
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		version, layout, srcID, err := parseArchiveMeta(raw)
+		version, srcID, err := parseArchiveMeta(raw)
 		if err != nil {
 			return
 		}
 		// Accepted headers must satisfy the invariants every reader
 		// depends on; a violation here would become a misdecode later.
-		if version < 1 || version > archiveVersion {
+		if version < archiveVersionMin || version > archiveVersion {
 			t.Fatalf("accepted out-of-range version %d", version)
 		}
-		if layout != LayoutBatch && layout != LayoutChunked {
-			t.Fatalf("accepted unknown layout %q", layout)
+		// Chunked is the only layout: an accepted header names it.
+		if !strings.Contains(string(raw), "layout") || !strings.Contains(string(raw), layoutChunked) {
+			t.Fatalf("accepted a header that does not declare the %q layout: %q", layoutChunked, raw)
 		}
 		if srcID == "" {
 			t.Fatal("accepted header resolved to an empty source ID")

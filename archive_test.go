@@ -4,19 +4,42 @@ import (
 	"path/filepath"
 	"testing"
 
+	"jportal/internal/bytecode"
 	"jportal/internal/core"
+	"jportal/internal/meta"
 	"jportal/internal/metrics"
+	"jportal/internal/vm"
 	"jportal/internal/workload"
 )
 
-func TestArchiveRoundTrip(t *testing.T) {
-	s := workload.MustLoad("fop", 0.3)
-	run, err := Run(s.Program, s.Threads, DefaultRunConfig())
+// sealArchive runs prog under rcfg straight into a sealed archive at dir,
+// as jportal collect does, and returns the run's result (with its oracle
+// when rcfg collects one).
+func sealArchive(t testing.TB, prog *bytecode.Program, threads []vm.ThreadSpec, rcfg RunConfig, dir string) *RunResult {
+	t.Helper()
+	var w *StreamArchiveWriter
+	run, err := RunWithSink(prog, threads, rcfg,
+		func(p *bytecode.Program, snap *meta.Snapshot, ncores int) (TraceSink, error) {
+			var err error
+			w, err = CreateStreamArchiveSource(dir, p, snap, ncores, rcfg.Source)
+			return w, err
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := w.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	return run
+}
+
+func TestArchiveRoundTrip(t *testing.T) {
+	s := workload.MustLoad("fop", 0.3)
 	dir := filepath.Join(t.TempDir(), "archive")
-	if err := SaveRun(dir, s.Program, run); err != nil {
+	sealArchive(t, s.Program, s.Threads, DefaultRunConfig(), dir)
+	s2 := workload.MustLoad("fop", 0.3)
+	run, err := Run(s2.Program, s2.Threads, DefaultRunConfig())
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -39,7 +62,7 @@ func TestArchiveRoundTrip(t *testing.T) {
 
 	// Analyzing the loaded archive must produce the same reconstruction
 	// as analyzing the live run.
-	live, err := Analyze(s.Program, run, core.DefaultPipelineConfig())
+	live, err := Analyze(s2.Program, run, core.DefaultPipelineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,19 +86,6 @@ func TestArchiveRoundTrip(t *testing.T) {
 		if metrics.Similarity(ka, kb, 4096) != 1 {
 			t.Fatalf("thread %d: reconstructions differ after archive round trip", i)
 		}
-	}
-}
-
-func TestSaveRunRequiresTraces(t *testing.T) {
-	s := workload.MustLoad("fop", 0.1)
-	cfg := DefaultRunConfig()
-	cfg.DisableTracing = true
-	run, err := Run(s.Program, s.Threads, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveRun(t.TempDir(), s.Program, run); err == nil {
-		t.Fatal("saved a traceless run")
 	}
 }
 

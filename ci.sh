@@ -41,7 +41,7 @@ echo "==> serve/push loopback smoke"
 SMOKE=$(mktemp -d)
 trap 'rm -rf "$SMOKE"' EXIT
 go build -o "$SMOKE/jportal" ./cmd/jportal
-"$SMOKE/jportal" collect -chunked -scale 0.5 -out "$SMOKE/local" fop >/dev/null
+"$SMOKE/jportal" collect -scale 0.5 -out "$SMOKE/local" fop >/dev/null
 "$SMOKE/jportal" serve -listen 127.0.0.1:7901 -data "$SMOKE/ingest" >"$SMOKE/serve.log" 2>&1 &
 SERVE_PID=$!
 for i in $(seq 1 50); do

@@ -9,11 +9,9 @@ import (
 	"strings"
 
 	"jportal"
-	"jportal/internal/bytecode"
 	"jportal/internal/core"
 	"jportal/internal/fault"
 	"jportal/internal/fleet"
-	"jportal/internal/meta"
 	"jportal/internal/scrub"
 	"jportal/internal/workload"
 )
@@ -190,17 +188,7 @@ func collectChaosArchive(name string, scale float64, src string) (archive, subj 
 	cfg := jportal.DefaultRunConfig()
 	cfg.CollectOracle = false
 	cfg.Source = src
-	var w *jportal.StreamArchiveWriter
-	if _, err := jportal.RunWithSink(prog, threads, cfg,
-		func(p *bytecode.Program, snap *meta.Snapshot, ncores int) (jportal.TraceSink, error) {
-			var err error
-			w, err = jportal.CreateStreamArchiveSource(archive, p, snap, ncores, cfg.Source)
-			return w, err
-		}); err != nil {
-		cleanup()
-		return "", "", nil, err
-	}
-	if err := w.Seal(); err != nil {
+	if _, err := collectArchive(archive, prog, threads, cfg); err != nil {
 		cleanup()
 		return "", "", nil, err
 	}

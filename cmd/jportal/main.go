@@ -9,18 +9,20 @@
 //	jportal run      <subject|file.jasm>  run with PT collection, print stats
 //	jportal analyze  <subject|file.jasm>  run + offline reconstruction + accuracy
 //	jportal report   <subject|file.jasm>  run + reconstruction + client profiles
-//	jportal stream   <dir>                incremental analysis of a chunked archive
+//	jportal collect  <subject|file.jasm>  run, streaming the trace into an archive
+//	jportal decode   <dir>                offline reconstruction of an archive
+//	jportal stream   <dir>                incremental analysis of an archive
 //	jportal serve                         networked trace-ingest server
-//	jportal push     <dir>                upload a chunked archive to a server
+//	jportal push     <dir>                upload an archive to a server
 //	jportal scrub                         verify/repair archives in a data dir
 //	jportal disasm   <file.jasm>          assemble and disassemble a program
 //	jportal chaos                         fault-injection coverage sweep
 //	jportal exp      <table1|table2|table3|table4|table5|figure7|all>
 //
-// Flags (where applicable): -scale, -buf (paper-label MB), -top, -out,
-// -workers (offline-phase worker count, 0 = GOMAXPROCS). collect takes
-// -chunked to write the streaming archive layout as the run progresses;
-// stream takes -follow to tail an archive a collector is still writing.
+// Flags (where applicable): -scale, -buf (paper-label MB), -top, -out
+// (collect's archive directory), -workers (offline-phase worker count,
+// 0 = GOMAXPROCS). stream takes -follow to tail an archive a collector is
+// still writing.
 package main
 
 import (
@@ -110,10 +112,11 @@ commands:
   run     <subject|file.jasm>  run under PT collection and print statistics
   analyze <subject|file.jasm>  run, decode, reconstruct; print accuracy
   report  <subject|file.jasm>  run, reconstruct, print client profiles
-  collect <subject|file.jasm>  online phase only: run and archive traces+metadata
-                               (-chunked streams the archive as the run progresses)
+  collect <subject|file.jasm>  online phase only: run, streaming traces+metadata
+                               into an archive as the run progresses (-out DIR,
+                               -chunk items per trace chunk record)
   decode  <dir>                offline phase only: analyze a collected archive
-  stream  <dir>                incremental analysis of a chunked archive
+  stream  <dir>                incremental analysis of an archive
                                (-follow tails an archive still being written,
                                 -poll sets the follow-mode poll interval,
                                 -workers sets the analyzer worker count)
@@ -121,7 +124,7 @@ commands:
                                (-listen, -http metrics sidecar, -data, -queue,
                                 -policy block|nack, -drain shutdown budget;
                                 -coordinator/-node/-advertise join a fleet)
-  push    <dir>                upload a chunked archive to a jportal serve
+  push    <dir>                upload an archive to a jportal serve
                                (-addr list rotated on failure, -id session,
                                 -retry-budget, resumable; -live runs a subject
                                 and streams its records as they appear;
@@ -156,7 +159,7 @@ commands:
                                (table1 table2 table3 table4 table5 figure7 paths all)
 
 common flags: -scale F (workload size), -buf MB (paper-label buffer),
-              -top N (hot-method count), -out FILE (write traces),
+              -top N (hot-method count), -out DIR (collect's archive),
               -workers N (offline-phase parallelism, 0 = GOMAXPROCS),
               -source S (trace backend: intel-pt, riscv-etrace)
 `)
@@ -206,7 +209,6 @@ func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	scale := fs.Float64("scale", 1.0, "workload scale")
 	buf := fs.Int("buf", 128, "paper-label buffer size (MB)")
-	out := fs.String("out", "", "write per-core traces to FILE.core<N>")
 	src := fs.String("source", "", sourceFlagHelp())
 	fs.Parse(args)
 	if fs.NArg() != 1 {
@@ -237,20 +239,6 @@ func cmdRun(args []string) error {
 	fmt.Printf("trace: generated=%dKB exported=%dKB lost=%dKB (%.1f%%)\n",
 		run.GenBytes/1024, exported/1024, lost/1024,
 		100*float64(lost)/float64(run.GenBytes))
-	if *out != "" {
-		for _, tr := range run.Traces {
-			f, err := os.Create(fmt.Sprintf("%s.core%d", *out, tr.Core))
-			if err != nil {
-				return err
-			}
-			if err := source.WriteTrace(f, &tr); err != nil {
-				f.Close()
-				return err
-			}
-			f.Close()
-		}
-		fmt.Printf("traces written to %s.core*\n", *out)
-	}
 	return nil
 }
 
@@ -363,8 +351,7 @@ func cmdCollect(args []string) error {
 	scale := fs.Float64("scale", 1.0, "workload scale")
 	buf := fs.Int("buf", 128, "paper-label buffer size (MB)")
 	out := fs.String("out", "jportal-run", "archive directory")
-	chunked := fs.Bool("chunked", false, "write the streaming (chunked) archive layout as the run progresses")
-	chunk := fs.Int("chunk", 0, "chunked export granularity in trace items (0 = default)")
+	chunk := fs.Int("chunk", 0, "trace items per chunk record (0 = default)")
 	src := fs.String("source", "", sourceFlagHelp())
 	fs.Parse(args)
 	if fs.NArg() != 1 {
@@ -378,40 +365,29 @@ func cmdCollect(args []string) error {
 	cfg.CollectOracle = false // the offline phase has no oracle in production
 	cfg.PT.BufBytes = uint64(*buf) << (20 - experiments.BufScaleShift)
 	cfg.Source = *src
-	if *chunked {
-		cfg.SinkChunkItems = *chunk
-		var w *jportal.StreamArchiveWriter
-		run, err := jportal.RunWithSink(prog, threads, cfg,
-			func(p *bytecode.Program, snap *meta.Snapshot, ncores int) (jportal.TraceSink, error) {
-				var err error
-				w, err = jportal.CreateStreamArchiveSource(*out, p, snap, ncores, cfg.Source)
-				return w, err
-			})
-		if err != nil {
-			return err
-		}
-		if err := w.Seal(); err != nil {
-			return err
-		}
-		fmt.Printf("%s: chunked archive sealed (%dKB generated) at %s\n",
-			name, run.GenBytes/1024, *out)
-		return nil
-	}
-	run, err := jportal.Run(prog, threads, cfg)
+	cfg.SinkChunkItems = *chunk
+	run, err := collectArchive(*out, prog, threads, cfg)
 	if err != nil {
 		return err
 	}
-	if err := jportal.SaveRun(*out, prog, run); err != nil {
-		return err
-	}
-	var exported, lost uint64
-	for _, tr := range run.Traces {
-		exported += tr.Bytes()
-		lost += tr.LostBytes()
-	}
-	fmt.Printf("%s: archived %d cores (%dKB exported, %dKB lost) to %s\n",
-		name, len(run.Traces), exported/1024, lost/1024, *out)
+	fmt.Printf("%s: archive sealed (%dKB generated) at %s\n", name, run.GenBytes/1024, *out)
 	return nil
+}
+
+// collectArchive runs prog under cfg, streaming every drained trace chunk
+// into a run archive at dir, and seals the archive.
+func collectArchive(dir string, prog *bytecode.Program, threads []vm.ThreadSpec, cfg jportal.RunConfig) (*jportal.RunResult, error) {
+	var w *jportal.StreamArchiveWriter
+	run, err := jportal.RunWithSink(prog, threads, cfg,
+		func(p *bytecode.Program, snap *meta.Snapshot, ncores int) (jportal.TraceSink, error) {
+			var err error
+			w, err = jportal.CreateStreamArchiveSource(dir, p, snap, ncores, cfg.Source)
+			return w, err
+		})
+	if err != nil {
+		return nil, err
+	}
+	return run, w.Seal()
 }
 
 func cmdDecode(args []string) error {
@@ -459,7 +435,7 @@ func cmdStream(args []string) error {
 	stall := fs.Duration("stall", 0, "watchdog stall window (0 = no watchdog)")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
-		return fmt.Errorf("need a chunked archive directory")
+		return fmt.Errorf("need an archive directory")
 	}
 	pcfg := core.DefaultPipelineConfig()
 	pcfg.Workers = *workers

@@ -56,7 +56,7 @@ func TestCollectDecodeRoundTrip(t *testing.T) {
 	if err := cmdDecode([]string{dir}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "snapshot.bin")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, "stream.jpt")); err != nil {
 		t.Fatal(err)
 	}
 }

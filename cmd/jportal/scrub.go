@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"jportal/internal/metrics"
@@ -60,9 +59,9 @@ func cmdScrub(args []string) error {
 			}
 			cs, err := scrub.CompactArchive(filepath.Join(*data, sr.ID), metrics.Default)
 			if err != nil {
-				// Unsealed and non-chunked archives are simply not
-				// compactable; anything else deserves a line.
-				if !errors.Is(err, scrub.ErrNotSealed) && !strings.Contains(err.Error(), "compaction applies") {
+				// Unsealed archives are simply not compactable; anything
+				// else deserves a line.
+				if !errors.Is(err, scrub.ErrNotSealed) {
 					fmt.Fprintf(os.Stderr, "scrub: compact %s: %v\n", sr.ID, err)
 				}
 				continue

@@ -9,7 +9,6 @@ import (
 	"jportal/internal/bytecode"
 	"jportal/internal/core"
 	"jportal/internal/etrace"
-	"jportal/internal/meta"
 	"jportal/internal/workload"
 )
 
@@ -25,37 +24,30 @@ func etraceRunConfig() RunConfig {
 }
 
 // TestETraceEndToEndAllSubjects runs every subject through the full
-// pipeline on the E-Trace backend: collect, batch archive round-trip,
-// chunked archive round-trip, and streamed analysis — the same suite the
-// PT golden test covers, proving the neutral layers are ISA-agnostic.
+// pipeline on the E-Trace backend: collect into an archive, load it whole,
+// and replay it as a stream — the same suite the PT golden test covers,
+// proving the neutral layers are ISA-agnostic.
 func TestETraceEndToEndAllSubjects(t *testing.T) {
 	for _, name := range workload.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			s := workload.MustLoad(name, 0.2)
-			rcfg := etraceRunConfig()
-			run, err := Run(s.Program, s.Threads, rcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			dir := filepath.Join(t.TempDir(), "archive")
+			run := sealArchive(t, s.Program, s.Threads, etraceRunConfig(), dir)
 			if run.SourceID != etrace.ID {
 				t.Fatalf("SourceID = %q, want %q", run.SourceID, etrace.ID)
 			}
 
-			// Batch archive: the source ID must survive the round trip and
-			// be declared in archive.meta.
-			batchDir := filepath.Join(t.TempDir(), "batch")
-			if err := SaveRun(batchDir, s.Program, run); err != nil {
-				t.Fatal(err)
-			}
-			metaBytes, err := os.ReadFile(filepath.Join(batchDir, "archive.meta"))
+			// The source ID must be declared in archive.meta and survive
+			// the load.
+			metaBytes, err := os.ReadFile(filepath.Join(dir, archiveMetaFile))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !strings.Contains(string(metaBytes), "source: "+etrace.ID+"\n") {
 				t.Fatalf("archive.meta missing source line:\n%s", metaBytes)
 			}
-			prog2, run2, err := LoadRun(batchDir)
+			prog2, run2, err := LoadRun(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,7 +55,7 @@ func TestETraceEndToEndAllSubjects(t *testing.T) {
 				t.Fatalf("loaded SourceID = %q, want %q", run2.SourceID, etrace.ID)
 			}
 
-			// Analysis of the reloaded run must route to the E-Trace decoder
+			// Analysis of the loaded run must route to the E-Trace decoder
 			// (RunResult.Source) and reconstruct the control flow.
 			an, err := Analyze(prog2, run2, core.DefaultPipelineConfig())
 			if err != nil {
@@ -79,72 +71,34 @@ func TestETraceEndToEndAllSubjects(t *testing.T) {
 				}
 			}
 
-			// Chunked archive: stream out during the run, replay through the
-			// streaming pipeline, and check the analysis agrees with batch.
-			s2 := workload.MustLoad(name, 0.2)
-			chunkDir := filepath.Join(t.TempDir(), "chunked")
-			var w *StreamArchiveWriter
-			runC, err := RunWithSink(s2.Program, s2.Threads, rcfg,
-				func(p *bytecode.Program, snap *meta.Snapshot, ncores int) (TraceSink, error) {
-					var err error
-					w, err = CreateStreamArchiveSource(chunkDir, p, snap, ncores, rcfg.Source)
-					return w, err
-				})
+			// The streamed replay of the same archive agrees with the load.
+			_, streamed, err := AnalyzeStreamArchive(dir, core.DefaultPipelineConfig(), false, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := w.Seal(); err != nil {
-				t.Fatal(err)
-			}
-			if runC.SourceID != etrace.ID {
-				t.Fatalf("streamed SourceID = %q, want %q", runC.SourceID, etrace.ID)
-			}
-			_, anC, err := AnalyzeStreamArchive(chunkDir, core.DefaultPipelineConfig(), false, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for tid := range anC.Threads {
-				sim := similarity(anC, runC.Oracle, tid)
-				if sim < 0.5 {
-					t.Errorf("streamed thread %d similarity %.3f too low", tid, sim)
-				}
-			}
+			equalAnalyses(t, "stream vs load", an, streamed)
 		})
 	}
 }
 
-// TestMixedSourceArchives saves one PT run and one E-Trace run of the same
-// program side by side and checks LoadRun routes each archive to its own
-// decoder: the PT archive.meta stays byte-compatible (no source line), the
-// E-Trace one declares its source, and both analyses succeed.
+// TestMixedSourceArchives collects one PT run and one E-Trace run of the
+// same program side by side and checks LoadRun routes each archive to its
+// own decoder: the PT archive.meta stays byte-compatible (no source line),
+// the E-Trace one declares its source, and both analyses succeed.
 func TestMixedSourceArchives(t *testing.T) {
 	prog := bytecode.MustAssemble(fibSrc)
-
-	ptCfg := DefaultRunConfig()
-	ptCfg.VM.Cores = 1
-	ptRun, err := Run(prog, nil, ptCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	etCfg := DefaultRunConfig()
-	etCfg.VM.Cores = 1
-	etCfg.Source = etrace.ID
-	etRun, err := Run(prog, nil, etCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	root := t.TempDir()
 	ptDir := filepath.Join(root, "pt")
 	etDir := filepath.Join(root, "etrace")
-	if err := SaveRun(ptDir, prog, ptRun); err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveRun(etDir, prog, etRun); err != nil {
-		t.Fatal(err)
-	}
 
-	ptMeta, err := os.ReadFile(filepath.Join(ptDir, "archive.meta"))
+	ptCfg := DefaultRunConfig()
+	ptCfg.VM.Cores = 1
+	ptRun := sealArchive(t, prog, nil, ptCfg, ptDir)
+	etCfg := ptCfg
+	etCfg.Source = etrace.ID
+	etRun := sealArchive(t, prog, nil, etCfg, etDir)
+
+	ptMeta, err := os.ReadFile(filepath.Join(ptDir, archiveMetaFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +108,7 @@ func TestMixedSourceArchives(t *testing.T) {
 	if !strings.Contains(string(ptMeta), "version: 2\n") {
 		t.Fatalf("PT archive.meta must keep the legacy version stamp:\n%s", ptMeta)
 	}
-	etMeta, err := os.ReadFile(filepath.Join(etDir, "archive.meta"))
+	etMeta, err := os.ReadFile(filepath.Join(etDir, archiveMetaFile))
 	if err != nil {
 		t.Fatal(err)
 	}

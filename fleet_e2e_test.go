@@ -187,11 +187,7 @@ func TestFleetNodeLossResume(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.subject, func(t *testing.T) {
 			localDir := filepath.Join(t.TempDir(), "local")
-			if tc.srcID == "" {
-				collectArchive(t, tc.subject, localDir)
-			} else {
-				collectArchiveSource(t, tc.subject, localDir, tc.srcID)
-			}
+			collectArchiveSource(t, tc.subject, localDir, tc.srcID)
 			stream, err := os.ReadFile(filepath.Join(localDir, jportal.StreamFileName))
 			if err != nil {
 				t.Fatal(err)

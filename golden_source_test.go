@@ -10,17 +10,15 @@ import (
 	"sort"
 	"testing"
 
-	"jportal/internal/bytecode"
 	"jportal/internal/core"
-	"jportal/internal/meta"
 	"jportal/internal/workload"
 )
 
 // goldenFixtureFile pins the PT path across the TraceSource refactor: the
 // hashes in it were generated BEFORE internal/source existed, so a passing
-// run proves the refactored pipeline writes byte-identical batch archives,
-// byte-identical chunked archives, and the exact same analysis for every
-// subject. Regenerate (only when intentionally changing the formats) with
+// run proves the refactored pipeline writes byte-identical archives and
+// the exact same analysis for every subject. Regenerate (only when
+// intentionally changing the formats) with
 //
 //	GOLDEN_UPDATE=1 go test -run TestPTGoldenByteIdentity .
 const goldenFixtureFile = "testdata/golden_pt.json"
@@ -89,9 +87,9 @@ func hashAnalysis(an *Analysis) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// TestPTGoldenByteIdentity runs every subject through the batch archive,
-// the chunked archive and the analysis pipeline and compares the resulting
-// hashes against the pre-refactor fixture.
+// TestPTGoldenByteIdentity runs every subject through the archive and the
+// analysis pipeline and compares the resulting hashes against the
+// pre-refactor fixture.
 func TestPTGoldenByteIdentity(t *testing.T) {
 	got := make(map[string]string)
 	for _, name := range workload.Names() {
@@ -102,26 +100,9 @@ func TestPTGoldenByteIdentity(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 
-		batchDir := filepath.Join(t.TempDir(), "batch")
-		if err := SaveRun(batchDir, s.Program, run); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got[name+"/batch"] = hashDir(t, batchDir)
-
 		s2 := workload.MustLoad(name, 0.2)
 		chunkDir := filepath.Join(t.TempDir(), "chunked")
-		var w *StreamArchiveWriter
-		if _, err := RunWithSink(s2.Program, s2.Threads, rcfg,
-			func(p *bytecode.Program, snap *meta.Snapshot, ncores int) (TraceSink, error) {
-				var err error
-				w, err = CreateStreamArchive(chunkDir, p, snap, ncores)
-				return w, err
-			}); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if err := w.Seal(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		sealArchive(t, s2.Program, s2.Threads, rcfg, chunkDir)
 		got[name+"/chunked"] = hashDir(t, chunkDir)
 
 		an, err := Analyze(s.Program, run, core.DefaultPipelineConfig())

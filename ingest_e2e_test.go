@@ -38,23 +38,10 @@ func collectRcfg() jportal.RunConfig {
 	return rcfg
 }
 
-// collectArchive runs the subject and seals a chunked archive at dir.
+// collectArchive runs the subject and seals an Intel PT archive at dir.
 func collectArchive(t *testing.T, subject string, dir string) {
 	t.Helper()
-	s := workload.MustLoad(subject, 0.3)
-	var w *jportal.StreamArchiveWriter
-	_, err := jportal.RunWithSink(s.Program, s.Threads, collectRcfg(),
-		func(p *bytecode.Program, snap *meta.Snapshot, ncores int) (jportal.TraceSink, error) {
-			var err error
-			w, err = jportal.CreateStreamArchive(dir, p, snap, ncores)
-			return w, err
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Seal(); err != nil {
-		t.Fatal(err)
-	}
+	collectArchiveSource(t, subject, dir, "")
 }
 
 func startIngestServer(t *testing.T, cfg ingest.Config) (*ingest.Server, string) {

@@ -277,22 +277,43 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	tr := col.Finish(1000)[0]
 
-	var buf bytes.Buffer
-	if err := source.WriteTrace(&buf, &tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := source.ReadTrace(bytes.NewReader(buf.Bytes()), Traits())
+	got, err := decodeRecords(encodeRecords(tr.Items))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Items) != len(tr.Items) {
-		t.Fatalf("round-trip items %d, want %d", len(got.Items), len(tr.Items))
+	if len(got) != len(tr.Items) {
+		t.Fatalf("round-trip items %d, want %d", len(got), len(tr.Items))
 	}
-	for i := range got.Items {
-		if got.Items[i] != tr.Items[i] {
-			t.Fatalf("item %d differs: %+v vs %+v", i, got.Items[i], tr.Items[i])
+	for i := range got {
+		if got[i] != tr.Items[i] {
+			t.Fatalf("item %d differs: %+v vs %+v", i, got[i], tr.Items[i])
 		}
 	}
+}
+
+// encodeRecords frames items as one run of item records, the payload a
+// chunk record carries.
+func encodeRecords(items []Item) []byte {
+	var rec []byte
+	for i := range items {
+		rec = source.AppendItem(rec, &items[i])
+	}
+	return rec
+}
+
+// decodeRecords reads a run of item records back with source.DecodeItem,
+// validating each against this source's traits.
+func decodeRecords(rec []byte) ([]Item, error) {
+	var items []Item
+	for len(rec) > 0 {
+		it, n, err := source.DecodeItem(rec, Traits())
+		if err != nil {
+			return nil, err
+		}
+		items = append(items, it)
+		rec = rec[n:]
+	}
+	return items, nil
 }
 
 // TestTraitsValidation pins this source's bounds: branch maps beyond
@@ -317,10 +338,10 @@ func TestTraitsValidation(t *testing.T) {
 }
 
 // FuzzDecode mirrors ptdecode's hardening contract for the E-Trace
-// backend: arbitrary wire bytes must never panic the trace reader or the
-// decoder, and every accepted item must decode without invariant
-// violations (faults and desyncs are the contract for garbage, panics are
-// not).
+// backend: arbitrary item-record bytes must never panic the record reader
+// or the decoder, and every accepted run of records must hold only valid
+// items and re-encode to the same bytes (faults and desyncs are the
+// contract for garbage, panics are not).
 func FuzzDecode(f *testing.F) {
 	cfg := source.DefaultCollectorConfig()
 	col := NewCollector(cfg, 1)
@@ -333,39 +354,28 @@ func FuzzDecode(f *testing.F) {
 		}
 	}
 	tr := col.Finish(1000)[0]
-	var buf bytes.Buffer
-	if err := source.WriteTrace(&buf, &tr); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
+	f.Add(encodeRecords(tr.Items))
 	f.Add([]byte{})
-	f.Add([]byte("JPTRACE1garbage"))
-	hostile := func(it Item) []byte {
-		out := append([]byte(nil), "JPTRACE1"...)
-		out = append(out, 0, 0, 0, 0)
-		out = source.AppendItem(out, &it)
-		return append(out, 0x03)
-	}
-	f.Add(hostile(Item{Packet: Packet{Kind: KBranch, NBits: 255, Bits: ^uint64(0)}}))
-	f.Add(hostile(Item{Packet: Packet{Kind: Kind(0x7f), IP: 0xdead}}))
-	f.Add(hostile(Item{Gap: true, LostBytes: 1 << 60, GapStart: 100, GapEnd: 1}))
+	f.Add([]byte("garbage"))
+	f.Add(encodeRecords([]Item{{Packet: Packet{Kind: KBranch, NBits: 255, Bits: ^uint64(0)}}}))
+	f.Add(encodeRecords([]Item{{Packet: Packet{Kind: Kind(0x7f), IP: 0xdead}}}))
+	f.Add(encodeRecords([]Item{{Gap: true, LostBytes: 1 << 60, GapStart: 100, GapEnd: 1}}))
 
 	snap := buildWorld(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := source.ReadTrace(bytes.NewReader(data), Traits())
+		got, err := decodeRecords(data)
 		if err != nil {
 			return
 		}
-		for i := range got.Items {
-			if err := Traits().ValidateItem(&got.Items[i]); err != nil {
-				t.Fatalf("accepted trace holds invalid item %d: %v", i, err)
+		for i := range got {
+			if err := Traits().ValidateItem(&got[i]); err != nil {
+				t.Fatalf("accepted records hold invalid item %d: %v", i, err)
 			}
 		}
 		d := New(snap)
-		d.Decode(got.Items) // must not panic
-		var out bytes.Buffer
-		if err := source.WriteTrace(&out, got); err != nil {
-			t.Fatalf("accepted trace does not re-serialize: %v", err)
+		d.Decode(got) // must not panic
+		if !bytes.Equal(encodeRecords(got), data) {
+			t.Fatal("accepted records do not re-encode to the same bytes")
 		}
 	})
 }

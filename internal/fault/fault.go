@@ -16,6 +16,7 @@ package fault
 import (
 	"sort"
 
+	"jportal/internal/faultrng"
 	"jportal/internal/meta"
 	"jportal/internal/metrics"
 	"jportal/internal/source"
@@ -164,32 +165,6 @@ func (m *Matrix) sidebandActive() bool {
 	return m.SidebandTear > 0 || m.SidebandReorder > 0 || m.ClockSkewMax > 0
 }
 
-// splitmix is the splitmix64 generator: tiny, seedable, and good enough to
-// make fault placement look arbitrary while staying fully reproducible.
-type splitmix struct{ state uint64 }
-
-func (s *splitmix) next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// chance returns true with probability p.
-func (s *splitmix) chance(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return float64(s.next()>>11)/float64(1<<53) < p
-}
-
-// intn returns a value in [0, n).
-func (s *splitmix) intn(n int) int { return int(s.next() % uint64(n)) }
-
 // chunkItems is the run length chunk-level faults (drop/dup) operate on.
 // It matches the collector's default sink flush granularity.
 const chunkItems = 256
@@ -207,9 +182,9 @@ type Injector struct {
 	tr  *source.Traits
 	reg *metrics.Registry
 
-	cores    map[int]*splitmix
+	cores    map[int]*faultrng.Stream
 	skews    map[int]uint64
-	sideband splitmix
+	sideband faultrng.Stream
 	counts   [numClasses]uint64
 }
 
@@ -217,8 +192,8 @@ type Injector struct {
 // of the source described by tr, and mirroring injection counters into reg
 // (nil is allowed and drops them).
 func NewInjector(m Matrix, tr *source.Traits, reg *metrics.Registry) *Injector {
-	in := &Injector{m: m, tr: tr, reg: reg, cores: make(map[int]*splitmix), skews: make(map[int]uint64)}
-	in.sideband.state = m.Seed ^ 0x5b3cd1a9e4f7c261
+	in := &Injector{m: m, tr: tr, reg: reg, cores: make(map[int]*faultrng.Stream), skews: make(map[int]uint64)}
+	in.sideband = faultrng.New(m.Seed ^ 0x5b3cd1a9e4f7c261)
 	return in
 }
 
@@ -243,14 +218,13 @@ func (in *Injector) Counts() map[string]uint64 {
 
 // coreRNG returns core's persistent RNG stream (derived from the seed, so
 // streams are independent of feeding order across cores).
-func (in *Injector) coreRNG(core int) *splitmix {
+func (in *Injector) coreRNG(core int) *faultrng.Stream {
 	if r, ok := in.cores[core]; ok {
 		return r
 	}
-	seed := splitmix{state: in.m.Seed ^ (uint64(core+1) * 0x9e3779b97f4a7c15)}
-	r := &splitmix{state: seed.next()}
-	in.cores[core] = r
-	return r
+	r := faultrng.Derive(in.m.Seed ^ (uint64(core+1) * 0x9e3779b97f4a7c15))
+	in.cores[core] = &r
+	return &r
 }
 
 // skew returns core's constant clock offset — a pure function of the seed
@@ -262,8 +236,8 @@ func (in *Injector) skew(core int) uint64 {
 	if s, ok := in.skews[core]; ok {
 		return s
 	}
-	s := splitmix{state: in.m.Seed ^ 0xc2b2ae3d27d4eb4f ^ uint64(core+1)}
-	v := s.next() % (in.m.ClockSkewMax + 1)
+	s := faultrng.New(in.m.Seed ^ 0xc2b2ae3d27d4eb4f ^ uint64(core+1))
+	v := s.Next() % (in.m.ClockSkewMax + 1)
 	in.skews[core] = v
 	if v > 0 {
 		in.count(ClassClockSkew)
@@ -288,13 +262,13 @@ func (in *Injector) Items(core int, items []source.Item) []source.Item {
 			end = len(items)
 		}
 		run := items[off:end]
-		if rng.chance(in.m.ChunkDrop) {
+		if rng.Chance(in.m.ChunkDrop) {
 			// Silent loss: no gap marker, the decoder must notice on its
 			// own (resync or desync).
 			in.count(ClassChunkDrop)
 			continue
 		}
-		dup := rng.chance(in.m.ChunkDup)
+		dup := rng.Chance(in.m.ChunkDup)
 		if dup {
 			in.count(ClassChunkDup)
 		}
@@ -315,7 +289,7 @@ func btoi(b bool) int {
 }
 
 // corrupt returns a (possibly) damaged copy of one item.
-func (in *Injector) corrupt(rng *splitmix, skew uint64, it *source.Item) source.Item {
+func (in *Injector) corrupt(rng *faultrng.Stream, skew uint64, it *source.Item) source.Item {
 	c := *it
 	if c.Gap {
 		c.GapStart += skew
@@ -325,22 +299,22 @@ func (in *Injector) corrupt(rng *splitmix, skew uint64, it *source.Item) source.
 	if skew > 0 {
 		in.tr.SkewTime(&c.Packet, skew)
 	}
-	if rng.chance(in.m.Truncate) {
+	if rng.Chance(in.m.Truncate) {
 		in.count(ClassTruncate)
 		c.Packet.Kind = in.tr.TruncatedKind()
 		return c
 	}
-	if rng.chance(in.m.BitFlip) {
+	if rng.Chance(in.m.BitFlip) {
 		in.count(ClassBitFlip)
-		switch rng.intn(4) {
+		switch rng.Intn(4) {
 		case 0:
-			c.Packet.IP ^= 1 << uint(rng.intn(64))
+			c.Packet.IP ^= 1 << uint(rng.Intn(64))
 		case 1:
-			c.Packet.Bits ^= 1 << uint(rng.intn(64))
+			c.Packet.Bits ^= 1 << uint(rng.Intn(64))
 		case 2:
-			c.Packet.NBits ^= 1 << uint(rng.intn(8))
+			c.Packet.NBits ^= 1 << uint(rng.Intn(8))
 		case 3:
-			c.Packet.TSC ^= 1 << uint(rng.intn(48))
+			c.Packet.TSC ^= 1 << uint(rng.Intn(48))
 		}
 	}
 	return c
@@ -358,14 +332,14 @@ func (in *Injector) Sideband(recs []vm.SwitchRecord) []vm.SwitchRecord {
 		// The capturing core's clock stamps the record: skew it the same
 		// way that core's trace packets are skewed.
 		r.TSC += in.skew(r.Core)
-		if in.sideband.chance(in.m.SidebandTear) {
+		if in.sideband.Chance(in.m.SidebandTear) {
 			in.count(ClassSidebandTear)
 			r.TSC = 0 // torn record: the timestamp field reads as garbage
 		}
 		out = append(out, r)
 	}
 	for i := 0; i+1 < len(out); i++ {
-		if in.sideband.chance(in.m.SidebandReorder) {
+		if in.sideband.Chance(in.m.SidebandReorder) {
 			in.count(ClassSidebandReorder)
 			out[i], out[i+1] = out[i+1], out[i]
 			i++ // don't cascade a swapped record forward
@@ -390,10 +364,10 @@ func (in *Injector) Snapshot(snap *meta.Snapshot) *meta.Snapshot {
 	// Fate is a pure function of seed and entry address so re-exports of
 	// the same blob agree.
 	for _, c := range snap.ExportedBlobs() {
-		h := splitmix{state: in.m.Seed ^ 0xd6e8feb86659fd93 ^ c.EntryAddr()}
-		if h.chance(in.m.StaleJIT) {
+		h := faultrng.New(in.m.Seed ^ 0xd6e8feb86659fd93 ^ c.EntryAddr())
+		if h.Chance(in.m.StaleJIT) {
 			in.count(ClassStaleJIT)
-			if h.next()&1 == 0 {
+			if h.Next()&1 == 0 {
 				continue // metadata missing entirely
 			}
 			out.Export(staleCopy(c, &h))
@@ -406,10 +380,10 @@ func (in *Injector) Snapshot(snap *meta.Snapshot) *meta.Snapshot {
 
 // staleCopy clones c with every debug record's innermost frame PC shifted —
 // the mapping still parses but points at the wrong bytecode.
-func staleCopy(c *meta.CompiledMethod, rng *splitmix) *meta.CompiledMethod {
+func staleCopy(c *meta.CompiledMethod, rng *faultrng.Stream) *meta.CompiledMethod {
 	cc := *c
 	cc.Debug = make([]meta.DebugRecord, len(c.Debug))
-	shift := int32(1 + rng.intn(3))
+	shift := int32(1 + rng.Intn(3))
 	for i, d := range c.Debug {
 		nd := d
 		nd.Frames = append([]meta.Frame(nil), d.Frames...)

@@ -20,7 +20,7 @@ import (
 // chunked archive pushed through an in-process fleet (coordinator + two
 // nodes) whose every network edge runs behind a seeded netfault injector.
 type SweepConfig struct {
-	// ArchiveDir is a sealed chunked archive (collect -chunked output) to
+	// ArchiveDir is a sealed archive (jportal collect output) to
 	// push through the faulted fleet.
 	ArchiveDir string
 	// SourceID is the archive's trace-source backend ("" = default).

@@ -119,7 +119,7 @@ type Coordinator struct {
 	closed    bool
 
 	rebalances  atomic.Int64 // membership changes (join, leave, lease expiry)
-	redirected  atomic.Int64 // REDIRECT frames sent to v3 clients
+	redirected  atomic.Int64 // REDIRECT frames sent
 	flapsDamped atomic.Int64 // heartbeats that arrived inside the damping window
 
 	stop chan struct{}
@@ -431,11 +431,11 @@ func readRegistration(body io.Reader) (registration, error) {
 }
 
 // ServeIngest answers ingest-protocol HELLOs on ln with the session's
-// route: REDIRECT for protocol-3 clients, a typed "protocol-version" ERR
-// for older ones (they cannot parse v3 frames — satellite contract), and
-// BUSY while the fleet is empty (the client retries; a node may still be
-// registering). The coordinator never ingests data itself — every
-// connection ends after the handshake answer. Returns when ln closes.
+// route: REDIRECT to the owning node, BUSY while the fleet is empty (the
+// client retries; a node may still be registering), and a typed
+// "protocol-version" ERR for any other protocol version. The coordinator
+// never ingests data itself — every connection ends after the handshake
+// answer. Returns when ln closes.
 func (c *Coordinator) ServeIngest(ln net.Listener) error {
 	c.lnMu.Lock()
 	c.listeners = append(c.listeners, ln)
@@ -471,9 +471,9 @@ func (c *Coordinator) answerHello(conn net.Conn) {
 		reply(ingest.FrameErr, []byte(fmt.Sprintf("coordinator: %v", err)))
 		return
 	}
-	if version < ingest.MinProtoVersion || version > ingest.ProtoVersion {
+	if version != ingest.ProtoVersion {
 		reply(ingest.FrameErr, ingest.FormatErr(ingest.ErrCategoryProtocol,
-			fmt.Sprintf("unsupported protocol %d (want %d..%d)", version, ingest.MinProtoVersion, ingest.ProtoVersion)))
+			fmt.Sprintf("unsupported protocol %d (want %d)", version, ingest.ProtoVersion)))
 		return
 	}
 	if !ingest.ValidSessionID(id) {
@@ -485,32 +485,18 @@ func (c *Coordinator) answerHello(conn net.Conn) {
 		// (it rotates to another coordinator address meanwhile). The hint
 		// is half the leadership lease: about how long until either the
 		// leader answers elsewhere or this standby takes over.
-		if version >= ingest.ProtoVersionBusy {
-			reply(ingest.FrameBusy, ingest.AppendBusy(nil, uint32((c.cfg.Election.cfg.TTL/2).Milliseconds())))
-		} else {
-			reply(ingest.FrameErr, []byte("coordinator: not the fleet leader"))
-		}
+		reply(ingest.FrameBusy, ingest.AppendBusy(nil, uint32((c.cfg.Election.cfg.TTL/2).Milliseconds())))
 		return
 	}
-	name, addr, ok := c.Route(id)
+	_, addr, ok := c.Route(id)
 	if !ok {
 		// Empty fleet: ask the client to retry — a node may be seconds from
-		// registering. Pre-BUSY clients get a plain error instead.
-		if version >= ingest.ProtoVersionBusy {
-			reply(ingest.FrameBusy, ingest.AppendBusy(nil, uint32((c.cfg.LeaseTTL/2).Milliseconds())))
-		} else {
-			reply(ingest.FrameErr, []byte("coordinator: no ingest nodes registered"))
-		}
+		// registering.
+		reply(ingest.FrameBusy, ingest.AppendBusy(nil, uint32((c.cfg.LeaseTTL/2).Milliseconds())))
 		return
 	}
-	if version >= ingest.ProtoVersionRedirect {
-		c.redirected.Add(1)
-		reply(ingest.FrameRedirect, ingest.AppendRedirect(nil, addr))
-		return
-	}
-	reply(ingest.FrameErr, ingest.FormatErr(ingest.ErrCategoryProtocol,
-		fmt.Sprintf("session %q is served by node %s; protocol %d cannot follow redirects (need %d+)",
-			id, name, version, ingest.ProtoVersionRedirect)))
+	c.redirected.Add(1)
+	reply(ingest.FrameRedirect, ingest.AppendRedirect(nil, addr))
 }
 
 // MetricsSnapshot aggregates the fleet view: the coordinator's own

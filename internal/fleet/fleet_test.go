@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -132,14 +133,10 @@ func TestCoordinatorAnswersHellos(t *testing.T) {
 	}
 	go c.ServeIngest(ln)
 
-	// Empty fleet: BUSY for v2+, plain ERR for v1.
+	// Empty fleet: BUSY.
 	typ, _ := helloCoordinator(t, ln.Addr().String(), ingest.ProtoVersion, "s")
 	if typ != ingest.FrameBusy {
 		t.Fatalf("empty fleet answered %#x, want BUSY", typ)
-	}
-	typ, _ = helloCoordinator(t, ln.Addr().String(), ingest.MinProtoVersion, "s")
-	if typ != ingest.FrameErr {
-		t.Fatalf("empty fleet answered v1 with %#x, want ERR", typ)
 	}
 
 	m, err := Join(context.Background(), MemberConfig{
@@ -150,7 +147,7 @@ func TestCoordinatorAnswersHellos(t *testing.T) {
 	}
 	defer m.Stop()
 
-	// v3 client: REDIRECT to the owner.
+	// REDIRECT to the owner.
 	typ, payload := helloCoordinator(t, ln.Addr().String(), ingest.ProtoVersion, "s")
 	if typ != ingest.FrameRedirect {
 		t.Fatalf("answered %#x, want REDIRECT", typ)
@@ -159,17 +156,71 @@ func TestCoordinatorAnswersHellos(t *testing.T) {
 		t.Fatalf("REDIRECT to %q (%v)", addr, err)
 	}
 
-	// v2 client: typed protocol-version ERR — never a frame it can't parse.
-	typ, payload = helloCoordinator(t, ln.Addr().String(), ingest.ProtoVersionBusy, "s")
+	// Any other protocol version: typed protocol-version ERR — never a
+	// frame the client can't parse.
+	typ, payload = helloCoordinator(t, ln.Addr().String(), ingest.ProtoVersion-1, "s")
 	if typ != ingest.FrameErr {
-		t.Fatalf("v2 answered %#x, want ERR", typ)
+		t.Fatalf("v%d answered %#x, want ERR", ingest.ProtoVersion-1, typ)
 	}
 	if category, _ := ingest.SplitErr(payload); category != ingest.ErrCategoryProtocol {
-		t.Fatalf("v2 ERR %q lacks the protocol-version category", payload)
+		t.Fatalf("ERR %q lacks the protocol-version category", payload)
 	}
 
 	if got := c.redirected.Load(); got != 1 {
 		t.Fatalf("redirected = %d, want 1", got)
+	}
+}
+
+// settledGoroutines waits up to two seconds for the goroutine count to
+// fall to want and returns the last count seen.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > want && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestShutdownLeavesNoGoroutines: an elected coordinator answering HELLOs
+// and a joined member leave no goroutine behind once the member drains,
+// the coordinator closes and the election stops.
+func TestShutdownLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	dir := t.TempDir()
+	e, err := StartElection(ElectionConfig{Dir: dir, ID: "solo", TTL: 200 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCoordinator(CoordinatorConfig{LeaseTTL: time.Minute, StateDir: dir, Election: e})
+	web := httptest.NewServer(c.Handler())
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- c.ServeIngest(ln) }()
+	m, err := Join(context.Background(), MemberConfig{
+		Name: "n1", CoordinatorURL: web.URL, IngestAddr: "127.0.0.1:2001",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if typ, _ := helloCoordinator(t, ln.Addr().String(), ingest.ProtoVersion, "s"); typ != ingest.FrameRedirect {
+		t.Fatalf("answered %#x, want REDIRECT", typ)
+	}
+
+	if err := m.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	if err := <-served; err != nil {
+		t.Fatalf("ServeIngest: %v", err)
+	}
+	e.Close()
+	web.Close()
+	if n := settledGoroutines(before); n > before {
+		t.Fatalf("%d goroutines left behind after shutdown", n-before)
 	}
 }
 

@@ -532,10 +532,9 @@ func (p *Pusher) dialHelloOnce(addr string) (net.Conn, uint64, error) {
 			conn.Close()
 			return nil, 0, err
 		}
-		if version < ingest.MinProtoVersion || version > ingest.ProtoVersion {
+		if version != ingest.ProtoVersion {
 			conn.Close()
-			return nil, 0, fmt.Errorf("server speaks protocol %d, client speaks %d..%d",
-				version, ingest.MinProtoVersion, ingest.ProtoVersion)
+			return nil, 0, fmt.Errorf("server speaks protocol %d, client speaks %d", version, ingest.ProtoVersion)
 		}
 		return conn, resumeSeq, nil
 	case ingest.FrameBusy:

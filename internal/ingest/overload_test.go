@@ -18,7 +18,7 @@ import (
 	"jportal/internal/streamfmt"
 )
 
-// dialRawExpectBusy performs a v2 handshake that must be answered BUSY and
+// dialRawExpectBusy performs a handshake that must be answered BUSY and
 // returns the retry-after hint.
 func dialRawExpectBusy(t *testing.T, addr, id string) time.Duration {
 	t.Helper()
@@ -58,16 +58,12 @@ func TestSessionCapAnswersBusy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A v2 HELLO past the cap earns BUSY with a positive retry hint; a v1
-	// HELLO earns a plain ERR (it would not understand the new frame).
+	// A HELLO past the cap earns BUSY with a positive retry hint.
 	if retry := dialRawExpectBusy(t, addr, "refused"); retry <= 0 {
 		t.Fatalf("BUSY retry-after = %v, want > 0", retry)
 	}
-	if msg := dialRawExpectErr(t, addr, ingest.AppendHello(nil, 1, 2, "refused-v1")); !strings.Contains(msg, "busy") {
-		t.Fatalf("v1 rejection %q does not say busy", msg)
-	}
-	if n := srv.Metrics().BusyRejections.Load(); n != 2 {
-		t.Fatalf("BusyRejections = %d, want 2", n)
+	if n := srv.Metrics().BusyRejections.Load(); n != 1 {
+		t.Fatalf("BusyRejections = %d, want 1", n)
 	}
 
 	// A Pusher refused with BUSY backs off and redials rather than failing:

@@ -1,8 +1,8 @@
 // Package ingest is jportal's networked trace-ingest layer: a TCP server
 // (jportal serve) that accepts many concurrent agent connections, each
-// relaying the records of a chunked run archive (internal/streamfmt), and
+// relaying the records of a run archive (internal/streamfmt), and
 // assembles per-session archives byte-identical to what a local
-// `jportal collect -chunked` of the same run would have written.
+// `jportal collect` of the same run would have written.
 //
 // # Wire protocol
 //
@@ -26,15 +26,15 @@
 // under the NACK backpressure policy — earns a NACK carrying the sequence
 // the server wants next; the client backs off and resends from there.
 // ERR is terminal for the connection and carries a human-readable reason.
-// BUSY (protocol 2+) answers a HELLO the server refuses for load reasons —
-// the concurrent-session cap or the global memory budget — and carries a
+// BUSY answers a HELLO the server refuses for load reasons — the
+// concurrent-session cap or the global memory budget — and carries a
 // retry-after hint in milliseconds; the client backs off with jitter and
 // redials instead of treating the refusal as an error.
-// REDIRECT (protocol 3+) answers a HELLO for a session this process does
-// not own in a sharded fleet: it carries the owning node's ingest address
-// and the client redials there. A v1/v2 client that hits a v3-only path is
-// answered with a typed ERR in the "protocol-version" category — never a
-// frame it could misparse, never silence.
+// REDIRECT answers a HELLO for a session this process does not own in a
+// sharded fleet: it carries the owning node's ingest address and the
+// client redials there. A HELLO of any protocol version but ProtoVersion
+// is answered with a typed ERR in the "protocol-version" category — never
+// a frame the client could misparse, never silence.
 package ingest
 
 import (
@@ -44,24 +44,11 @@ import (
 	"strings"
 )
 
-// ProtoVersion is the frame-protocol version exchanged in HELLO. Version 2
-// adds the BUSY admission-control frame; version 3 adds the fleet REDIRECT
-// frame and the optional HELLO source-ID field. Servers still accept
-// version-1/2 clients, but answer v3-only verdicts (a redirect to the
-// session's owning node) with a typed protocol-version ERR those clients
-// can surface instead of a frame they would misparse.
+// ProtoVersion is the frame-protocol version exchanged in HELLO, and the
+// only one servers and clients speak: the one with the BUSY
+// admission-control frame, the fleet REDIRECT frame and the optional HELLO
+// source-ID field.
 const ProtoVersion = 3
-
-// MinProtoVersion is the oldest client protocol the server still speaks.
-const MinProtoVersion = 1
-
-// ProtoVersionBusy is the first protocol version whose clients understand
-// the BUSY frame.
-const ProtoVersionBusy = 2
-
-// ProtoVersionRedirect is the first protocol version whose clients
-// understand the REDIRECT frame (and may carry a source ID in HELLO).
-const ProtoVersionRedirect = 3
 
 // Frame types.
 const (
@@ -74,8 +61,8 @@ const (
 	FrameNack     byte = 0x07 // s->c: u64 wantSeq (resend from here, after backoff)
 	FrameFinAck   byte = 0x08 // s->c: u64 seq
 	FrameErr      byte = 0x09 // s->c: utf-8 message, connection is dead
-	FrameBusy     byte = 0x0A // s->c: u32 retryAfterMs; admission refused, retry later (v2+)
-	FrameRedirect byte = 0x0B // s->c: u16 addrLen | addr; session owned by another node, redial there (v3+)
+	FrameBusy     byte = 0x0A // s->c: u32 retryAfterMs; admission refused, retry later
+	FrameRedirect byte = 0x0B // s->c: u16 addrLen | addr; session owned by another node, redial there
 )
 
 // MaxFramePayload caps a frame's payload. Chunks are far smaller (the
@@ -121,8 +108,7 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	return hdr[0], payload, nil
 }
 
-// AppendHello encodes a HELLO payload with no source field — the exact
-// wire bytes every pre-v3 client sends.
+// AppendHello encodes a HELLO payload with no source field.
 func AppendHello(dst []byte, version uint32, ncores int, id string) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, version)
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(ncores))
@@ -130,11 +116,10 @@ func AppendHello(dst []byte, version uint32, ncores int, id string) []byte {
 	return append(dst, id...)
 }
 
-// AppendHelloSource encodes a HELLO payload carrying a trace-source ID
-// (v3+): the server initializes the session's archive header with it, so
+// AppendHelloSource encodes a HELLO payload carrying a trace-source ID:
+// the server initializes the session's archive header with it, so
 // non-default backends (RISC-V E-Trace) survive the network hop and any
-// later node handoff. An empty src emits the field-free pre-v3 layout, so
-// default-source uploads stay byte-compatible with older servers.
+// later node handoff. An empty src omits the field, as AppendHello does.
 func AppendHelloSource(dst []byte, version uint32, ncores int, id, src string) []byte {
 	dst = AppendHello(dst, version, ncores, id)
 	if src == "" {
@@ -145,7 +130,7 @@ func AppendHelloSource(dst []byte, version uint32, ncores int, id, src string) [
 }
 
 // ParseHello decodes a HELLO payload. src is empty unless the client sent
-// the optional v3 source-ID field.
+// the optional source-ID field.
 func ParseHello(p []byte) (version uint32, ncores int, id, src string, err error) {
 	if len(p) < 10 {
 		return 0, 0, "", "", fmt.Errorf("ingest: short HELLO (%d bytes)", len(p))
@@ -241,8 +226,8 @@ func ParseHelloAck(p []byte) (version uint32, resumeSeq uint64, err error) {
 const MaxRedirectAddrLen = 256
 
 // AppendRedirect encodes a REDIRECT payload: the ingest address (host:port)
-// of the node that owns the session. A v3+ client closes this connection
-// and redials the owner; the frame is never sent to older clients.
+// of the node that owns the session. The client closes this connection and
+// redials the owner.
 func AppendRedirect(dst []byte, addr string) []byte {
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(addr)))
 	return append(dst, addr...)
@@ -261,10 +246,9 @@ func ParseRedirect(p []byte) (addr string, err error) {
 }
 
 // ErrCategoryProtocol is the typed-ERR category for protocol-version
-// verdicts: the server needed a v3-only frame (REDIRECT) but the client's
-// HELLO version cannot parse it. Clients surface the category instead of
-// retrying — redialing the same address with the same version cannot
-// succeed.
+// verdicts: the client's HELLO named a version other than ProtoVersion.
+// Clients surface the category instead of retrying — redialing the same
+// address with the same version cannot succeed.
 const ErrCategoryProtocol = "protocol-version"
 
 // ErrCategoryRedirectLoop is the typed category for redirect-hop

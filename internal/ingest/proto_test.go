@@ -55,7 +55,7 @@ func TestHelloRoundTrip(t *testing.T) {
 }
 
 func TestHelloSourceRoundTrip(t *testing.T) {
-	// An explicit non-default source travels as the v3 suffix.
+	// An explicit non-default source travels as the HELLO suffix.
 	p := AppendHelloSource(nil, ProtoVersion, 4, "agent-02", "riscv-etrace")
 	version, ncores, id, src, err := ParseHello(p)
 	if err != nil {
@@ -65,8 +65,7 @@ func TestHelloSourceRoundTrip(t *testing.T) {
 		t.Fatalf("got version=%d ncores=%d id=%q src=%q", version, ncores, id, src)
 	}
 	// An empty source omits the suffix entirely, producing a frame that is
-	// byte-identical to the pre-v3 layout (wire compatibility with old
-	// servers for default-source uploads).
+	// byte-identical to AppendHello's.
 	plain := AppendHello(nil, ProtoVersion, 4, "agent-02")
 	withEmpty := AppendHelloSource(nil, ProtoVersion, 4, "agent-02", "")
 	if !bytes.Equal(plain, withEmpty) {

@@ -67,8 +67,8 @@ type Config struct {
 	// 0 means 2 minutes.
 	IdleTimeout time.Duration
 	// MaxSessions caps how many sessions may have a connection attached at
-	// once. A HELLO past the cap is answered with BUSY (protocol 2+) or ERR
-	// (protocol 1) instead of being accepted. 0 means unlimited.
+	// once. A HELLO past the cap is answered with BUSY instead of being
+	// accepted. 0 means unlimited.
 	MaxSessions int
 	// MemoryBudgetBytes bounds the payload bytes queued across every
 	// session (accepted but not yet archived). New sessions are refused
@@ -88,8 +88,7 @@ type Config struct {
 	StallAfter time.Duration
 	// Router, when set, scopes this server to a fleet shard: a HELLO for a
 	// session the router places on another node is answered with REDIRECT
-	// (protocol 3+) or a typed protocol-version ERR (older clients) instead
-	// of being served. Usually installed after listening via SetRouter,
+	// instead of being served. Usually installed after listening via SetRouter,
 	// once the advertised address is known.
 	Router Router
 	// Logf, when set, receives one line per connection-level event.
@@ -473,9 +472,9 @@ func (s *Server) handleConn(conn net.Conn) {
 		cw.sendErr(err.Error())
 		return
 	}
-	if version < MinProtoVersion || version > ProtoVersion {
+	if version != ProtoVersion {
 		cw.send(FrameErr, FormatErr(ErrCategoryProtocol,
-			fmt.Sprintf("protocol version %d not supported (server speaks %d..%d)", version, MinProtoVersion, ProtoVersion)))
+			fmt.Sprintf("protocol version %d not supported (server speaks %d)", version, ProtoVersion)))
 		return
 	}
 	if !ValidSessionID(id) {
@@ -494,19 +493,11 @@ func (s *Server) handleConn(conn net.Conn) {
 		return
 	}
 	// Fleet routing: a session this node does not own is redirected to its
-	// owner before any admission or session state is touched. Clients too
-	// old to parse REDIRECT get the typed protocol-version ERR — the one
-	// verdict they can surface — never a frame they would misparse.
+	// owner before any admission or session state is touched.
 	if r := s.router(); r != nil {
 		if owner, local := r.Route(id); !local {
 			s.metrics.RedirectsSent.Add(1)
-			if version >= ProtoVersionRedirect {
-				cw.send(FrameRedirect, AppendRedirect(nil, owner))
-			} else {
-				cw.send(FrameErr, FormatErr(ErrCategoryProtocol,
-					fmt.Sprintf("session %q is served by %s; protocol %d cannot follow redirects (need %d+)",
-						id, owner, version, ProtoVersionRedirect)))
-			}
+			cw.send(FrameRedirect, AppendRedirect(nil, owner))
 			return
 		}
 	}
@@ -515,14 +506,10 @@ func (s *Server) handleConn(conn net.Conn) {
 	if err != nil {
 		var busy *errBusy
 		if errors.As(err, &busy) {
-			// Admission refusal, not a protocol error: a v2 client backs off
-			// and redials; a v1 client only understands ERR.
+			// Admission refusal, not a protocol error: the client backs off
+			// and redials.
 			s.metrics.BusyRejections.Add(1)
-			if version >= ProtoVersionBusy {
-				cw.send(FrameBusy, AppendBusy(nil, uint32(busy.retryAfter.Milliseconds())))
-			} else {
-				cw.sendErr(err.Error())
-			}
+			cw.send(FrameBusy, AppendBusy(nil, uint32(busy.retryAfter.Milliseconds())))
 			return
 		}
 		s.metrics.Errors.Add(1)
@@ -536,8 +523,7 @@ func (s *Server) handleConn(conn net.Conn) {
 	if resume > 0 {
 		s.metrics.SessionsResumed.Add(1)
 	}
-	// Echo the client's own version: both sides then speak the older dialect.
-	cw.send(FrameHelloAck, AppendHelloAck(nil, version, resume))
+	cw.send(FrameHelloAck, AppendHelloAck(nil, ProtoVersion, resume))
 	s.cfg.Logf("ingest: %s: session %q attached (resume seq %d)", conn.RemoteAddr(), id, resume)
 
 	for {
@@ -771,7 +757,7 @@ func (s *Server) openSession(id string, ncores int, src string) (*session, error
 		os.RemoveAll(dir)
 		return nil, err
 	}
-	if err := jportal.InitChunkedArchiveDirFS(dir, src, sess.fsys); err != nil {
+	if err := jportal.InitChunkedArchiveDir(dir, src, sess.fsys); err != nil {
 		return fresh(err)
 	}
 	f, err := sess.fsys.OpenFile(filepath.Join(dir, jportal.StreamFileName), os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -1178,7 +1164,7 @@ func (sess *session) archive(m msg) error {
 
 	switch m.typ {
 	case FrameProgram:
-		if err := jportal.WriteArchiveProgramFS(sess.dir, m.data, sess.fsys); err != nil {
+		if err := jportal.WriteArchiveProgram(sess.dir, m.data, sess.fsys); err != nil {
 			if isStorageErr(err) {
 				return &storageError{err}
 			}

@@ -943,25 +943,26 @@ func (r staticRouter) Route(id string) (string, bool) {
 	return "", true
 }
 
-// TestRouterVersionGate pins the fleet-era handshake contract for every
-// protocol generation: a v3 client whose session lives elsewhere gets a
-// REDIRECT; v1/v2 clients — which cannot parse v3 frames — get a typed
-// "protocol-version" ERR (a clean verdict, not a hang or a misparsed
-// frame); and sessions the router maps locally are untouched by any of it.
+// TestRouterVersionGate pins the handshake's version gate on a routed
+// server: a ProtoVersion client whose session lives elsewhere gets a
+// REDIRECT; a HELLO of any other version (1, 2 or 4) gets a typed
+// "protocol-version" ERR before routing sees it (a clean verdict, not a
+// hang or a misparsed frame); and sessions the router maps locally attach
+// normally.
 func TestRouterVersionGate(t *testing.T) {
 	srv, addr := startServer(t, ingest.Config{
 		DataDir: t.TempDir(),
 		Router:  staticRouter{owner: map[string]string{"elsewhere": "10.255.0.9:7"}},
 	})
 
-	// v3: REDIRECT carrying the owner's address.
+	// REDIRECT carrying the owner's address.
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	if err := ingest.WriteFrame(c, ingest.FrameHello,
-		ingest.AppendHello(nil, ingest.ProtoVersionRedirect, 2, "elsewhere")); err != nil {
+		ingest.AppendHello(nil, ingest.ProtoVersion, 2, "elsewhere")); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := ingest.ReadFrame(c)
@@ -969,7 +970,7 @@ func TestRouterVersionGate(t *testing.T) {
 		t.Fatal(err)
 	}
 	if typ != ingest.FrameRedirect {
-		t.Fatalf("v3 routed HELLO: got frame %#x, want REDIRECT", typ)
+		t.Fatalf("routed HELLO: got frame %#x, want REDIRECT", typ)
 	}
 	owner, err := ingest.ParseRedirect(payload)
 	if err != nil {
@@ -979,25 +980,25 @@ func TestRouterVersionGate(t *testing.T) {
 		t.Fatalf("REDIRECT to %q", owner)
 	}
 
-	// v1 and v2: typed ERR, never a v3 frame.
-	for _, version := range []uint32{ingest.MinProtoVersion, ingest.ProtoVersionBusy} {
+	// Any other version: typed ERR, never a frame the client might misparse.
+	for _, version := range []uint32{1, 2, 4} {
 		msg := dialRawExpectErr(t, addr,
 			ingest.AppendHello(nil, version, 2, "elsewhere"))
 		category, _ := ingest.SplitErr([]byte(msg))
 		if category != ingest.ErrCategoryProtocol {
-			t.Errorf("v%d routed HELLO: ERR %q lacks the %s category",
+			t.Errorf("v%d HELLO: ERR %q lacks the %s category",
 				version, msg, ingest.ErrCategoryProtocol)
 		}
 	}
 
-	// A session the router keeps local attaches normally at any version.
+	// A session the router keeps local attaches normally.
 	r := dialRaw(t, addr, "local", 2)
 	if r.resume != 0 {
 		t.Fatalf("fresh local session resumed at %d", r.resume)
 	}
 
-	if got := srv.Metrics().RedirectsSent.Load(); got != 3 {
-		t.Fatalf("RedirectsSent = %d, want 3", got)
+	if got := srv.Metrics().RedirectsSent.Load(); got != 1 {
+		t.Fatalf("RedirectsSent = %d, want 1", got)
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 	"syscall"
 	"time"
 
+	"jportal/internal/faultrng"
 	"jportal/internal/metrics"
 )
 
@@ -232,28 +233,6 @@ func (osFS) SyncDir(dir string) error {
 	return d.Sync()
 }
 
-// splitmix is the splitmix64 generator (same shape as internal/netfault's).
-type splitmix struct{ state uint64 }
-
-func (s *splitmix) next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// chance returns true with probability p.
-func (s *splitmix) chance(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return float64(s.next()>>11)/float64(1<<53) < p
-}
-
 // op identifies which fault classes apply to one operation.
 type op uint8
 
@@ -281,7 +260,7 @@ type Injector struct {
 	reg *metrics.Registry
 
 	mu     sync.Mutex
-	scopes map[string]*splitmix
+	scopes map[string]*faultrng.Stream
 	counts [numClasses]int64
 }
 
@@ -290,7 +269,7 @@ type Injector struct {
 // counters are pre-registered at zero so they are present — and zero — on
 // rate-0 runs.
 func NewInjector(m Matrix, reg *metrics.Registry) *Injector {
-	in := &Injector{m: m, reg: reg, scopes: make(map[string]*splitmix)}
+	in := &Injector{m: m, reg: reg, scopes: make(map[string]*faultrng.Stream)}
 	reg.Add(metrics.CounterIofaultInjected, 0)
 	for c := Class(0); c < numClasses; c++ {
 		reg.Add(c.InjectCounterName(), 0)
@@ -312,18 +291,11 @@ func (in *Injector) Counts() map[string]int64 {
 	return out
 }
 
-func (in *Injector) scope(name string) *splitmix {
+func (in *Injector) scope(name string) *faultrng.Stream {
 	sc, ok := in.scopes[name]
 	if !ok {
-		// Seed each scope from the matrix seed and an FNV-1a hash of its
-		// name, run through one splitmix step so nearby hashes decorrelate.
-		h := uint64(1469598103934665603)
-		for i := 0; i < len(name); i++ {
-			h ^= uint64(name[i])
-			h *= 1099511628211
-		}
-		seed := splitmix{state: in.m.Seed ^ h}
-		sc = &splitmix{state: seed.next()}
+		s := faultrng.Scope(in.m.Seed, name)
+		sc = &s
 		in.scopes[name] = sc
 	}
 	return sc
@@ -345,14 +317,14 @@ func (in *Injector) next(scope string, kind op, size int) action {
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	sc := in.scope(scope)
-	enospc := sc.chance(in.m.ENOSPC)
-	readErr := sc.chance(in.m.ReadErr)
-	writeErr := sc.chance(in.m.WriteErr)
-	syncErr := sc.chance(in.m.SyncErr)
-	torn := sc.chance(in.m.TornWrite)
-	slow := sc.chance(in.m.Slow)
-	slowDraw := sc.next()
-	tornDraw := sc.next()
+	enospc := sc.Chance(in.m.ENOSPC)
+	readErr := sc.Chance(in.m.ReadErr)
+	writeErr := sc.Chance(in.m.WriteErr)
+	syncErr := sc.Chance(in.m.SyncErr)
+	torn := sc.Chance(in.m.TornWrite)
+	slow := sc.Chance(in.m.Slow)
+	slowDraw := sc.Next()
+	tornDraw := sc.Next()
 
 	switch kind {
 	case opCreate:

@@ -27,6 +27,7 @@ import (
 	"sync"
 	"time"
 
+	"jportal/internal/faultrng"
 	"jportal/internal/metrics"
 )
 
@@ -131,34 +132,9 @@ func (m Matrix) active() bool {
 	return m.ConnDrop > 0 || m.Tear > 0 || m.Partition > 0 || m.DelayMax > 0
 }
 
-// splitmix is the splitmix64 generator (same shape as internal/fault's).
-type splitmix struct{ state uint64 }
-
-func (s *splitmix) next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// chance returns true with probability p.
-func (s *splitmix) chance(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return float64(s.next()>>11)/float64(1<<53) < p
-}
-
-// intn returns a value in [0, n).
-func (s *splitmix) intn(n int) int { return int(s.next() % uint64(n)) }
-
 // scopeState is one named stream's RNG plus any partition in progress.
 type scopeState struct {
-	rng           splitmix
+	rng           faultrng.Stream
 	partitionLeft int
 }
 
@@ -213,15 +189,7 @@ func (in *Injector) Counts() map[string]int64 {
 func (in *Injector) scope(name string) *scopeState {
 	sc, ok := in.scopes[name]
 	if !ok {
-		// Seed each scope from the matrix seed and an FNV-1a hash of its
-		// name, run through one splitmix step so nearby hashes decorrelate.
-		h := uint64(1469598103934665603)
-		for i := 0; i < len(name); i++ {
-			h ^= uint64(name[i])
-			h *= 1099511628211
-		}
-		seed := splitmix{state: in.m.Seed ^ h}
-		sc = &scopeState{rng: splitmix{state: seed.next()}}
+		sc = &scopeState{rng: faultrng.Scope(in.m.Seed, name)}
 		in.scopes[name] = sc
 	}
 	return sc
@@ -248,15 +216,15 @@ func (in *Injector) next(scope string) verdict {
 	}
 	// Fixed draw order, every draw made: the stream advances identically
 	// whether or not a given fault fires.
-	part := sc.rng.chance(in.m.Partition)
-	drop := sc.rng.chance(in.m.ConnDrop)
-	tear := sc.rng.chance(in.m.Tear)
+	part := sc.rng.Chance(in.m.Partition)
+	drop := sc.rng.Chance(in.m.ConnDrop)
+	tear := sc.rng.Chance(in.m.Tear)
 	tearMax := in.m.TearAfterMax
 	if tearMax <= 0 {
 		tearMax = 4096
 	}
-	tearAfter := sc.rng.intn(tearMax) + 1
-	delayDraw := sc.rng.next()
+	tearAfter := sc.rng.Intn(tearMax) + 1
+	delayDraw := sc.rng.Next()
 	switch {
 	case part:
 		span := in.m.PartitionSpan

@@ -1,7 +1,6 @@
 package pt
 
 import (
-	"bytes"
 	"testing"
 	"testing/quick"
 )
@@ -260,26 +259,27 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	tr := c.Finish(10000)[0]
 
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, &tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Core != tr.Core || len(got.Items) != len(tr.Items) {
-		t.Fatalf("round trip: %d items vs %d", len(got.Items), len(tr.Items))
+	var rec []byte
+	for i := range tr.Items {
+		rec = AppendItem(rec, &tr.Items[i])
 	}
 	for i := range tr.Items {
-		if tr.Items[i] != got.Items[i] {
-			t.Fatalf("item %d differs: %+v vs %+v", i, tr.Items[i], got.Items[i])
+		got, n, err := DecodeItem(rec)
+		if err != nil {
+			t.Fatalf("item %d: %v", i, err)
 		}
+		if got != tr.Items[i] {
+			t.Fatalf("item %d differs: %+v vs %+v", i, tr.Items[i], got)
+		}
+		rec = rec[n:]
+	}
+	if len(rec) != 0 {
+		t.Fatalf("%d bytes left after %d items", len(rec), len(tr.Items))
 	}
 }
 
 func TestWireRejectsGarbage(t *testing.T) {
-	if _, err := ReadTrace(bytes.NewReader([]byte("not a trace at all........"))); err == nil {
+	if _, _, err := DecodeItem([]byte("not a trace at all........")); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }

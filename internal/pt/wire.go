@@ -1,15 +1,11 @@
 package pt
 
-import (
-	"io"
+import "jportal/internal/source"
 
-	"jportal/internal/source"
-)
-
-// The wire framing is the neutral one in internal/source (the records are
-// a source-independent struct dump); these wrappers bind it to the PT
-// traits so records validate against the PT packet vocabulary. The bytes
-// are identical to what this package wrote before the source layer
+// The item record encoding is the neutral one in internal/source (the
+// records are a source-independent struct dump); these wrappers bind it to
+// the PT traits so records validate against the PT packet vocabulary. The
+// bytes are identical to what this package wrote before the source layer
 // existed.
 
 // ErrMalformed tags wire records whose decoded fields fail validation —
@@ -24,17 +20,11 @@ var ErrMalformed = source.ErrMalformed
 func ValidateItem(it *Item) error { return traits.ValidateItem(it) }
 
 // AppendItem appends the wire encoding of one item (a tagged record) to
-// dst and returns the extended slice. It is the unit the chunked archive
-// frames trace chunks with; WriteTrace uses the same records.
+// dst and returns the extended slice. It is the unit the archive's chunk
+// records frame trace chunks with.
 func AppendItem(dst []byte, it *Item) []byte { return source.AppendItem(dst, it) }
 
 // DecodeItem decodes one item record from the front of src, returning the
 // item and the number of bytes consumed. Records that decode but fail
 // ValidateItem are rejected with ErrMalformed.
 func DecodeItem(src []byte) (Item, int, error) { return source.DecodeItem(src, traits) }
-
-// WriteTrace serialises a core trace to w.
-func WriteTrace(w io.Writer, t *CoreTrace) error { return source.WriteTrace(w, t) }
-
-// ReadTrace deserialises a core trace from r.
-func ReadTrace(r io.Reader) (*CoreTrace, error) { return source.ReadTrace(r, traits) }

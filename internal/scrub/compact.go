@@ -42,12 +42,8 @@ func CompactArchive(dir string, reg *metrics.Registry) (CompactStats, error) {
 	if reg == nil {
 		reg = metrics.Default
 	}
-	info, err := jportal.ReadArchiveInfo(dir)
-	if err != nil {
+	if _, err := jportal.ArchiveSourceID(dir); err != nil {
 		return cs, err
-	}
-	if info.Layout != jportal.LayoutChunked {
-		return cs, fmt.Errorf("scrub: %s is a %q archive; compaction applies to chunked archives", dir, info.Layout)
 	}
 	path := filepath.Join(dir, jportal.StreamFileName)
 	data, err := os.ReadFile(path)
@@ -62,8 +58,8 @@ func CompactArchive(dir string, reg *metrics.Registry) (CompactStats, error) {
 	}
 	out := make([]byte, 0, len(data))
 	out = append(out, data[:streamfmt.HeaderLen]...)
-	crc := crc32.Update(0, crc32.IEEETable, out)     // compacted stream
-	origCRC := crc                                   // original stream, for verifying its seal
+	crc := crc32.Update(0, crc32.IEEETable, out) // compacted stream
+	origCRC := crc                               // original stream, for verifying its seal
 	marks := make([]uint64, ncores)
 	seenBlobs := map[string]struct{}{}
 	sealed := false

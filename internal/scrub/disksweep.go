@@ -30,7 +30,7 @@ import (
 
 // DiskSweepConfig configures one `jportal chaos -disk` sweep.
 type DiskSweepConfig struct {
-	// ArchiveDir is a sealed chunked archive (collect -chunked output) to
+	// ArchiveDir is a sealed archive (jportal collect output) to
 	// push through the faulted storage.
 	ArchiveDir string
 	// SourceID is the archive's trace-source backend ("" = default).

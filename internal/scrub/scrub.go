@@ -263,18 +263,11 @@ func scrubSession(cfg *Config, rep *Report, lim *rateLimiter, fetcher **peerFetc
 	// The header first: without archive.meta the session cannot be
 	// attributed (which backend decodes it?) or resumed, so the payload
 	// does not matter.
-	info, err := jportal.ReadArchiveInfo(dir)
-	if err != nil {
+	if _, err := jportal.ArchiveSourceID(dir); err != nil {
 		sr.Outcome, sr.Detail = OutcomeMissingMeta, err.Error()
 		if cfg.Repair {
 			quarantine(cfg, &sr, id, fault.ReasonMissingMeta)
 		}
-		return sr
-	}
-	if info.Layout != jportal.LayoutChunked {
-		// Batch archives have no incremental frontier to repair against;
-		// their artefacts are verified at load. Count the bytes and move on.
-		sr.Outcome = OutcomeClean
 		return sr
 	}
 

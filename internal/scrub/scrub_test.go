@@ -18,6 +18,7 @@ import (
 	"jportal/internal/fault"
 	"jportal/internal/ingest"
 	"jportal/internal/ingest/client"
+	"jportal/internal/iofault"
 	"jportal/internal/metrics"
 	"jportal/internal/pt"
 	"jportal/internal/streamfmt"
@@ -70,7 +71,7 @@ func buildStream(t *testing.T, ncores, nchunks int) []byte {
 func writeSession(t *testing.T, dataDir, id string, gob, stream []byte, seq uint64, frontier int64, sealed bool) string {
 	t.Helper()
 	dir := filepath.Join(dataDir, id)
-	if err := jportal.InitChunkedArchiveDir(dir); err != nil {
+	if err := jportal.InitChunkedArchiveDir(dir, "", iofault.OS); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, "program.gob"), gob, 0o644); err != nil {
@@ -228,7 +229,7 @@ func TestScrubMissingMetaQuarantines(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	// A stream with no archive.meta and no program.gob: not attributable.
+	// A stream with no archive.meta: not attributable.
 	if err := os.WriteFile(filepath.Join(dir, jportal.StreamFileName), buildStream(t, 1, 2), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 package source
 
 import (
-	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -81,43 +81,35 @@ func TestSkewTimeOnlyTouchesTimeKinds(t *testing.T) {
 }
 
 func TestWireRoundTrip(t *testing.T) {
-	tr := testTraits
-	want := CoreTrace{Core: 2, Items: []Item{
+	want := []Item{
 		{Packet: Packet{Kind: 1, TSC: 42, WireLen: 16}},
 		{Packet: Packet{Kind: 2, Bits: 0x55, NBits: 7, WireLen: 2}},
 		{Gap: true, LostBytes: 99, GapStart: 50, GapEnd: 60},
 		{Packet: Packet{Kind: 3, IP: 0xdeadbeef, WireLen: 5}},
-	}}
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, &want); err != nil {
-		t.Fatal(err)
 	}
-	got, err := ReadTrace(bytes.NewReader(buf.Bytes()), tr)
-	if err != nil {
-		t.Fatal(err)
+	var rec []byte
+	for i := range want {
+		rec = AppendItem(rec, &want[i])
 	}
-	if got.Core != want.Core {
-		t.Errorf("core: got %d, want %d", got.Core, want.Core)
-	}
-	if len(got.Items) != len(want.Items) {
-		t.Fatalf("items: got %d, want %d", len(got.Items), len(want.Items))
-	}
-	for i := range want.Items {
-		if got.Items[i] != want.Items[i] {
-			t.Errorf("item %d: got %+v, want %+v", i, got.Items[i], want.Items[i])
+	for i := range want {
+		got, n, err := DecodeItem(rec, testTraits)
+		if err != nil {
+			t.Fatalf("item %d: %v", i, err)
 		}
+		if got != want[i] {
+			t.Errorf("item %d: got %+v, want %+v", i, got, want[i])
+		}
+		rec = rec[n:]
+	}
+	if len(rec) != 0 {
+		t.Fatalf("%d bytes left after %d items", len(rec), len(want))
 	}
 }
 
 func TestWireRejectsMalformed(t *testing.T) {
-	tr := testTraits
-	bad := CoreTrace{Items: []Item{{Packet: Packet{Kind: 2, NBits: 40}}}}
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, &bad); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadTrace(bytes.NewReader(buf.Bytes()), tr); err == nil {
-		t.Fatal("hostile TNT length survived ReadTrace validation")
+	bad := Item{Packet: Packet{Kind: 2, NBits: 40}}
+	if _, _, err := DecodeItem(AppendItem(nil, &bad), testTraits); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("hostile TNT length survived DecodeItem validation: %v", err)
 	}
 }
 

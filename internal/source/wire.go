@@ -1,34 +1,27 @@
 package source
 
 import (
-	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 )
 
-// The trace file format: a magic header, then a stream of records. Each
-// record is a 1-byte tag followed by a fixed-size payload. Packet records
-// carry the full Packet struct fields (the in-memory WireLen is recomputed
-// on read); gap records carry the loss episode. The format is a neutral
-// struct dump — byte-identical for every source — so one framing serves
-// all backends; validation is the per-source part, driven by Traits. The
-// format is deliberately simple and self-describing enough for tests to
-// round-trip traces through disk, and its sizes are what Table 5 reports
-// as "TS".
-
-var wireMagic = [8]byte{'J', 'P', 'T', 'R', 'A', 'C', 'E', '1'}
+// The item record encoding: a 1-byte tag followed by a fixed-size payload.
+// Packet records carry the full Packet struct fields; gap records carry
+// the loss episode. The encoding is a neutral struct dump — byte-identical
+// for every source — so one framing serves all backends; validation is the
+// per-source part, driven by Traits. The archive's chunk records
+// (internal/streamfmt) are runs of these records, and their sizes are what
+// Table 5 reports as "TS".
 
 const (
 	tagPacket byte = 0x01
 	tagGap    byte = 0x02
-	tagEnd    byte = 0x03
 )
 
 // AppendItem appends the wire encoding of one item (a tagged record) to
-// dst and returns the extended slice. It is the unit the chunked archive
-// frames trace chunks with; WriteTrace uses the same records.
+// dst and returns the extended slice. It is the unit the archive's chunk
+// records frame trace chunks with.
 func AppendItem(dst []byte, it *Item) []byte {
 	var buf [28]byte
 	if it.Gap {
@@ -96,74 +89,5 @@ func decodePacketPayload(buf []byte) Packet {
 		IP:      binary.LittleEndian.Uint64(buf[3:11]),
 		Bits:    binary.LittleEndian.Uint64(buf[11:19]),
 		TSC:     binary.LittleEndian.Uint64(buf[19:27]),
-	}
-}
-
-// WriteTrace serialises a core trace to w.
-func WriteTrace(w io.Writer, t *CoreTrace) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(wireMagic[:]); err != nil {
-		return err
-	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(t.Core))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	var rec []byte
-	for i := range t.Items {
-		rec = AppendItem(rec[:0], &t.Items[i])
-		if _, err := bw.Write(rec); err != nil {
-			return err
-		}
-	}
-	if err := bw.WriteByte(tagEnd); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadTrace deserialises a core trace from r, validating every record
-// against the source's traits.
-func ReadTrace(r io.Reader, tr *Traits) (*CoreTrace, error) {
-	br := bufio.NewReader(r)
-	var hdr [12]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, err
-	}
-	if [8]byte(hdr[:8]) != wireMagic {
-		return nil, errors.New("source: bad trace magic")
-	}
-	t := &CoreTrace{Core: int(binary.LittleEndian.Uint32(hdr[8:12]))}
-	var buf [27]byte
-	for {
-		tag, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		switch tag {
-		case tagEnd:
-			return t, nil
-		case tagGap:
-			if _, err := io.ReadFull(br, buf[:24]); err != nil {
-				return nil, err
-			}
-			it := decodeGapPayload(buf[:24])
-			if err := tr.ValidateItem(&it); err != nil {
-				return nil, err
-			}
-			t.Items = append(t.Items, it)
-		case tagPacket:
-			if _, err := io.ReadFull(br, buf[:27]); err != nil {
-				return nil, err
-			}
-			it := Item{Packet: decodePacketPayload(buf[:27])}
-			if err := tr.ValidateItem(&it); err != nil {
-				return nil, err
-			}
-			t.Items = append(t.Items, it)
-		default:
-			return nil, fmt.Errorf("source: unknown record tag %#x", tag)
-		}
 	}
 }

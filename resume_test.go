@@ -16,7 +16,6 @@ import (
 	"strings"
 	"testing"
 
-	"jportal/internal/bytecode"
 	"jportal/internal/core"
 	"jportal/internal/meta"
 	"jportal/internal/workload"
@@ -28,22 +27,7 @@ import (
 func buildChunkedArchive(t *testing.T, name string, scale workload.Scale, dir string) {
 	t.Helper()
 	s := workload.MustLoad(name, scale)
-	rcfg := DefaultRunConfig()
-	rcfg.CollectOracle = false
-	rcfg.PT.BufBytes = 16 << 10
-	rcfg.SinkChunkItems = 64
-	var w *StreamArchiveWriter
-	if _, err := RunWithSink(s.Program, s.Threads, rcfg,
-		func(p *bytecode.Program, snap *meta.Snapshot, ncores int) (TraceSink, error) {
-			var err error
-			w, err = CreateStreamArchive(dir, p, snap, ncores)
-			return w, err
-		}); err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	if err := w.Seal(); err != nil {
-		t.Fatal(err)
-	}
+	sealArchive(t, s.Program, s.Threads, goldenRunConfig(), dir)
 }
 
 // countArchiveRecords scans a sealed archive and returns its record count.

@@ -26,14 +26,13 @@ import (
 	"jportal/internal/watchdog"
 )
 
-// The chunked archive is the streaming counterpart of SaveRun: instead of
-// four complete artefacts written after the run, everything goes into one
-// append-only stream.jpt next to program.gob, in the order the online phase
-// produced it. That makes the archive tail-followable — an offline analyzer
-// (jportal stream -follow) can decode it while the collecting process is
-// still appending — and it preserves §3.2's dump-before-use discipline on
-// disk: a blob record always precedes the first chunk whose trace bytes
-// reference it.
+// The run archive's record stream: everything the online phase produces
+// goes into one append-only stream.jpt next to program.gob, in the order
+// it was produced. That makes the archive tail-followable — an offline
+// analyzer (jportal stream -follow) can decode it while the collecting
+// process is still appending — and it preserves §3.2's dump-before-use
+// discipline on disk: a blob record always precedes the first chunk whose
+// trace bytes reference it.
 //
 // The record format lives in internal/streamfmt (it is shared with the
 // networked ingest layer, which relays the same records over TCP). A
@@ -64,45 +63,27 @@ type StreamArchiveWriter struct {
 	err error
 }
 
-// InitChunkedArchiveDir creates dir and writes the archive.meta header
-// declaring the chunked layout. It is the first step of CreateStreamArchive,
-// exported separately for the ingest server, which assembles the same
-// archive from records relayed over the network.
-func InitChunkedArchiveDir(dir string) error {
-	return InitChunkedArchiveDirSource(dir, "")
-}
-
-// InitChunkedArchiveDirSource is InitChunkedArchiveDir for a run collected
-// by the named trace source ("" = the default, Intel PT): the header
-// records the source ID so readers decode the chunks with the right
-// backend.
-func InitChunkedArchiveDirSource(dir, srcID string) error {
-	return InitChunkedArchiveDirFS(dir, srcID, iofault.OS)
-}
-
-// InitChunkedArchiveDirFS is InitChunkedArchiveDirSource with the header
-// write routed through fsys, so a fault injector covering the archive
-// directory also covers its creation.
-func InitChunkedArchiveDirFS(dir, srcID string, fsys iofault.FS) error {
+// InitChunkedArchiveDir creates dir and writes the archive.meta header for
+// a run collected by the named trace source ("" = the default, Intel PT),
+// so readers decode the chunks with the right backend. The header write
+// goes through fsys, so a fault injector covering the archive directory
+// also covers its creation. It is the first step of CreateStreamArchive;
+// the ingest server calls it to assemble the same archive from records
+// relayed over the network.
+func InitChunkedArchiveDir(dir, srcID string, fsys iofault.FS) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	return writeArchiveMetaFS(fsys, dir, LayoutChunked, srcID)
+	return writeArchiveMeta(fsys, dir, srcID)
 }
 
 // WriteArchiveProgram validates that programGob decodes to a well-formed
-// program and writes it verbatim as dir's program.gob. The ingest server
-// uses it to persist the program bytes a client relayed, byte-identical to
-// the client's local archive.
-func WriteArchiveProgram(dir string, programGob []byte) error {
-	return WriteArchiveProgramFS(dir, programGob, iofault.OS)
-}
-
-// WriteArchiveProgramFS is WriteArchiveProgram with the write routed
-// through fsys: the ingest server persists relayed program bytes on the
-// same faultable path as the record stream, so an injected ENOSPC here is
-// shed and retried like any other storage fault.
-func WriteArchiveProgramFS(dir string, programGob []byte, fsys iofault.FS) error {
+// program and writes it verbatim as dir's program.gob, through fsys. The
+// ingest server uses it to persist the program bytes a client relayed,
+// byte-identical to the client's local archive, on the same faultable path
+// as the record stream: an injected ENOSPC here is shed and retried like
+// any other storage fault.
+func WriteArchiveProgram(dir string, programGob []byte, fsys iofault.FS) error {
 	var prog bytecode.Program
 	if err := gob.NewDecoder(bytes.NewReader(programGob)).Decode(&prog); err != nil {
 		return fmt.Errorf("jportal: program bytes do not decode: %w", err)
@@ -113,10 +94,10 @@ func WriteArchiveProgramFS(dir string, programGob []byte, fsys iofault.FS) error
 	return writeFileFS(fsys, filepath.Join(dir, "program.gob"), programGob)
 }
 
-// CreateStreamArchive creates dir as a chunked run archive: header,
-// program, and a stream.jpt opened with the initial snapshot record (the
-// template table and stubs exist before any thread runs; compiled methods
-// arrive later as blob records).
+// CreateStreamArchive creates dir as a run archive: header, program, and a
+// stream.jpt opened with the initial snapshot record (the template table
+// and stubs exist before any thread runs; compiled methods arrive later as
+// blob records).
 func CreateStreamArchive(dir string, prog *bytecode.Program, snap *meta.Snapshot, ncores int) (*StreamArchiveWriter, error) {
 	return CreateStreamArchiveSource(dir, prog, snap, ncores, "")
 }
@@ -124,32 +105,19 @@ func CreateStreamArchive(dir string, prog *bytecode.Program, snap *meta.Snapshot
 // CreateStreamArchiveSource is CreateStreamArchive for a run collected by
 // the named trace source ("" = the default, Intel PT).
 func CreateStreamArchiveSource(dir string, prog *bytecode.Program, snap *meta.Snapshot, ncores int, srcID string) (*StreamArchiveWriter, error) {
-	return CreateStreamArchiveFS(dir, prog, snap, ncores, srcID, iofault.OS)
-}
-
-// CreateStreamArchiveFS is CreateStreamArchiveSource with every write —
-// header, program, and the record stream itself — routed through fsys.
-// Passing iofault.OS (what the non-FS constructors do) touches the real
-// filesystem directly; passing an injector-scoped FS makes the whole local
-// collection path draw from one deterministic fault stream, which is how
-// jportal chaos -disk exercises the writer.
-func CreateStreamArchiveFS(dir string, prog *bytecode.Program, snap *meta.Snapshot, ncores int, srcID string, fsys iofault.FS) (*StreamArchiveWriter, error) {
 	if ncores <= 0 {
 		return nil, fmt.Errorf("jportal: stream archive needs at least one core, got %d", ncores)
-	}
-	if fsys == nil {
-		fsys = iofault.OS
 	}
 	if _, err := source.Lookup(srcID); err != nil {
 		return nil, fmt.Errorf("jportal: %w", err)
 	}
-	if err := InitChunkedArchiveDirFS(dir, srcID, fsys); err != nil {
+	if err := InitChunkedArchiveDir(dir, srcID, iofault.OS); err != nil {
 		return nil, err
 	}
-	if err := writeGobFS(fsys, filepath.Join(dir, "program.gob"), prog); err != nil {
+	if err := writeGob(filepath.Join(dir, "program.gob"), prog); err != nil {
 		return nil, err
 	}
-	f, err := fsys.OpenFile(filepath.Join(dir, StreamFileName), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	f, err := iofault.OS.OpenFile(filepath.Join(dir, StreamFileName), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -287,16 +255,12 @@ type StreamArchiveReader struct {
 	items []source.Item
 }
 
-// OpenStreamArchive opens dir (which must be a chunked-layout archive) and
-// reads the fixed header. The initial snapshot record arrives as the first
-// Next event.
+// OpenStreamArchive opens the run archive in dir and reads the fixed
+// header. The initial snapshot record arrives as the first Next event.
 func OpenStreamArchive(dir string) (*StreamArchiveReader, error) {
-	_, layout, srcID, err := readArchiveMeta(dir)
+	srcID, err := ArchiveSourceID(dir)
 	if err != nil {
 		return nil, err
-	}
-	if layout != LayoutChunked {
-		return nil, fmt.Errorf("jportal: %s is a %q archive, not a chunked stream", dir, layout)
 	}
 	src, err := source.Lookup(srcID)
 	if err != nil {
@@ -412,22 +376,13 @@ func (r *StreamArchiveReader) Next() (*StreamEvent, error) {
 	return &ev, nil
 }
 
-// AnalyzeStreamArchive replays a chunked archive through a streaming
-// Session. With follow true it tails an archive still being written,
-// sleeping poll between attempts until the seal arrives; otherwise an
-// unsealed archive is an error. The result is byte-identical to batch
-// Analyze over the same run.
+// AnalyzeStreamArchive replays an archive through a streaming Session.
+// With follow true it tails an archive still being written, sleeping poll
+// between attempts until the seal arrives; otherwise an unsealed archive
+// is an error. The result is byte-identical to batch Analyze over the same
+// run.
 func AnalyzeStreamArchive(dir string, cfg core.PipelineConfig, follow bool, poll time.Duration) (*bytecode.Program, *Analysis, error) {
-	return AnalyzeStreamArchiveContext(context.Background(), dir, cfg, follow, poll)
-}
-
-// AnalyzeStreamArchiveContext is AnalyzeStreamArchive with cancellation:
-// when ctx is cancelled mid-follow, the session is closed over everything
-// consumed so far and the partial Analysis is returned alongside ctx's
-// error — the caller can flush partial output (jportal stream -follow does,
-// on SIGINT) while still seeing that the tail was never reached.
-func AnalyzeStreamArchiveContext(ctx context.Context, dir string, cfg core.PipelineConfig, follow bool, poll time.Duration) (*bytecode.Program, *Analysis, error) {
-	return AnalyzeStreamArchiveOpts(ctx, dir, cfg, StreamOptions{Follow: follow, Poll: poll})
+	return AnalyzeStreamArchiveOpts(context.Background(), dir, cfg, StreamOptions{Follow: follow, Poll: poll})
 }
 
 // DefaultCheckpointEvery is how many chunk records pass between checkpoint
@@ -479,12 +434,16 @@ func (o *StreamOptions) logf(format string, args ...any) {
 	}
 }
 
-// AnalyzeStreamArchiveOpts replays a chunked archive through a streaming
-// Session with the full resilience option set: follow mode, cancellation
-// with partial results, crash-safe checkpointing, resume, and watchdog
+// AnalyzeStreamArchiveOpts replays an archive through a streaming Session
+// with the full resilience option set: follow mode, cancellation with
+// partial results, crash-safe checkpointing, resume, and watchdog
 // supervision. Output is byte-identical to the plain replay (and to batch
 // Analyze) for every option combination — checkpointing and resume change
-// when work happens, never what it computes.
+// when work happens, never what it computes. When ctx is cancelled
+// mid-follow, the session is closed over everything consumed so far and
+// the partial Analysis is returned alongside ctx's error — the caller can
+// flush partial output (jportal stream -follow does, on SIGINT) while still
+// seeing that the tail was never reached.
 func AnalyzeStreamArchiveOpts(ctx context.Context, dir string, cfg core.PipelineConfig, opts StreamOptions) (*bytecode.Program, *Analysis, error) {
 	r, err := OpenStreamArchive(dir)
 	if err != nil {
@@ -708,54 +667,4 @@ func AnalyzeStreamArchiveOpts(ctx context.Context, dir string, cfg core.Pipeline
 		os.Remove(opts.CheckpointPath)
 	}
 	return r.Program(), an, nil
-}
-
-// loadChunkedRun materialises a sealed chunked archive as a batch
-// RunResult, so every batch consumer (jportal decode, experiments) accepts
-// either layout.
-func loadChunkedRun(dir string, src source.Source) (*bytecode.Program, *RunResult, error) {
-	r, err := OpenStreamArchive(dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer r.Close()
-	var snap *meta.Snapshot
-	var sideband []vm.SwitchRecord
-	items := make([][]source.Item, r.NumCores())
-	for {
-		ev, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err == ErrStreamPending {
-			return nil, nil, fmt.Errorf("jportal: %s is an unsealed chunked archive; use jportal stream -follow", dir)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		switch ev.Kind {
-		case EvSnapshot:
-			snap = ev.Snapshot
-		case EvBlob:
-			if snap == nil {
-				return nil, nil, fmt.Errorf("jportal: %s: blob record before snapshot", dir)
-			}
-			snap.Export(ev.Blob)
-		case EvSideband:
-			sideband = append(sideband, ev.Rec)
-		case EvChunk:
-			if ev.Core < 0 || ev.Core >= len(items) {
-				return nil, nil, fmt.Errorf("jportal: %s: chunk for core %d of %d", dir, ev.Core, len(items))
-			}
-			items[ev.Core] = append(items[ev.Core], ev.Items...)
-		}
-	}
-	if snap == nil {
-		return nil, nil, fmt.Errorf("jportal: %s: stream has no snapshot record", dir)
-	}
-	traces := make([]source.CoreTrace, r.NumCores())
-	for c := range traces {
-		traces[c] = source.CoreTrace{Core: c, Items: items[c]}
-	}
-	return r.Program(), &RunResult{Traces: traces, Sideband: sideband, Snapshot: snap, SourceID: src.ID()}, nil
 }

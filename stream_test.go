@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -296,91 +297,61 @@ func TestStreamArchiveFollow(t *testing.T) {
 	equalAnalyses(t, "follow", batch, r.an)
 }
 
-// TestArchiveVersioning covers the header satellite: legacy (headerless)
-// archives still load, future versions and non-archives fail with clear
-// errors, and trace files sort numerically by core.
+// TestArchiveVersioning pins the header gate: a sealed archive loads, and
+// a directory with no header, a batch-layout header, the retired version
+// 1, a future version or a malformed header fails in both readers with an
+// error naming the problem.
 func TestArchiveVersioning(t *testing.T) {
-	s := workload.MustLoad("fop", 0.2)
-	rcfg := DefaultRunConfig()
-	rcfg.CollectOracle = false
-	run, err := Run(s.Program, s.Threads, rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := filepath.Join(t.TempDir(), "arch")
-	if err := SaveRun(dir, s.Program, run); err != nil {
-		t.Fatal(err)
-	}
+	buildChunkedArchive(t, "fop", 0.2, dir)
 	if _, _, err := LoadRun(dir); err != nil {
 		t.Fatalf("versioned archive: %v", err)
 	}
-
-	// Legacy: archives written before the header existed load as v1 batch.
-	if err := os.Remove(filepath.Join(dir, archiveMetaFile)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := LoadRun(dir); err != nil {
-		t.Fatalf("legacy archive: %v", err)
-	}
-
-	// Future version: refuse with a version message, not a decode error.
-	if err := os.WriteFile(filepath.Join(dir, archiveMetaFile),
-		[]byte(archiveMagicLine+"\nversion: 99\nlayout: batch\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := LoadRun(dir); err == nil {
-		t.Fatal("loaded a future-version archive")
-	}
-
-	// Unknown layout.
-	if err := os.WriteFile(filepath.Join(dir, archiveMetaFile),
-		[]byte(archiveMagicLine+"\nversion: 2\nlayout: exotic\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := LoadRun(dir); err == nil {
-		t.Fatal("loaded an unknown-layout archive")
-	}
-
-	// Not an archive at all: empty directory.
-	if _, _, err := LoadRun(t.TempDir()); err == nil {
-		t.Fatal("loaded an empty directory as an archive")
-	}
-
-	// Malformed header.
-	bad := t.TempDir()
-	if err := os.WriteFile(filepath.Join(bad, archiveMetaFile), []byte("junk\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := LoadRun(bad); err == nil {
-		t.Fatal("loaded a malformed header")
+	header := filepath.Join(dir, archiveMetaFile)
+	for _, tc := range []struct{ name, meta, want string }{
+		{"no header", "", "not a run archive"},
+		{"batch layout", archiveMagicLine + "\nversion: 2\nlayout: batch\n", `layout "batch"`},
+		{"version 1", archiveMagicLine + "\nversion: 1\nlayout: chunked\n", "version 1 "},
+		{"future version", archiveMagicLine + "\nversion: 99\nlayout: chunked\n", "version 99 "},
+		{"malformed", "junk\n", "malformed"},
+	} {
+		if err := os.Remove(header); err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		if tc.meta != "" {
+			if err := os.WriteFile(header, []byte(tc.meta), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, _, err := LoadRun(dir); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: LoadRun err = %v, want one mentioning %q", tc.name, err, tc.want)
+		}
+		if _, err := OpenStreamArchive(dir); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: OpenStreamArchive err = %v, want one mentioning %q", tc.name, err, tc.want)
+		}
 	}
 }
 
-// TestLoadRunSortsCoresNumerically guards the lexical-glob bug: trace.core10
-// sorted before trace.core2 would violate Analyze's ascending-core check.
+// TestLoadRunSortsCoresNumerically: a 12-core archive loads with one trace
+// per core in ascending core order — the order Analyze requires — not in
+// a lexical order that would put core 10 before core 2.
 func TestLoadRunSortsCoresNumerically(t *testing.T) {
 	s := workload.MustLoad("fop", 0.15)
 	rcfg := DefaultRunConfig()
 	rcfg.CollectOracle = false
 	rcfg.VM.Cores = 12
-	run, err := Run(s.Program, s.Threads, rcfg)
+	dir := filepath.Join(t.TempDir(), "arch")
+	sealArchive(t, s.Program, s.Threads, rcfg, dir)
+	_, run, err := LoadRun(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(run.Traces) < 11 {
+	if len(run.Traces) != 12 {
 		t.Fatalf("expected 12 core traces, got %d", len(run.Traces))
 	}
-	dir := filepath.Join(t.TempDir(), "arch")
-	if err := SaveRun(dir, s.Program, run); err != nil {
-		t.Fatal(err)
-	}
-	_, run2, err := LoadRun(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range run2.Traces {
-		if run2.Traces[i].Core != i {
-			t.Fatalf("trace %d has core %d: not sorted numerically", i, run2.Traces[i].Core)
+	for i := range run.Traces {
+		if run.Traces[i].Core != i {
+			t.Fatalf("trace %d has core %d: not sorted numerically", i, run.Traces[i].Core)
 		}
 	}
 }
