@@ -89,17 +89,7 @@ func cmdChaos(args []string) error {
 // table reports outcome invariants only, so it is byte-identical per
 // seed — the same property the decode-fault table gives CI.
 func chaosFleet(subjects string, scale float64, seed uint64, src string, rates []float64, sessions int) error {
-	for _, name := range strings.Split(subjects, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		archive, subj, cleanup, err := collectChaosArchive(name, scale, src)
-		if err != nil {
-			return err
-		}
-		defer cleanup()
-
+	return eachChaosArchive(subjects, scale, src, func(archive, subj string) error {
 		rows, err := fleet.ChaosSweep(fleet.SweepConfig{
 			ArchiveDir: archive,
 			SourceID:   src,
@@ -120,8 +110,8 @@ func chaosFleet(subjects string, scale float64, seed uint64, src string, rates [
 					subj, r.Identical, r.Sessions, r.Rate)
 			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // chaosDisk is `jportal chaos -disk`: collect a chunked archive per
@@ -130,17 +120,7 @@ func chaosFleet(subjects string, scale float64, seed uint64, src string, rates [
 // casualty, scrub-and-repair, resume the victim, and report outcome
 // invariants only — byte-identical per seed, like the other two tables.
 func chaosDisk(subjects string, scale float64, seed uint64, src string, rates []float64, sessions int) error {
-	for _, name := range strings.Split(subjects, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		archive, subj, cleanup, err := collectChaosArchive(name, scale, src)
-		if err != nil {
-			return err
-		}
-		defer cleanup()
-
+	return eachChaosArchive(subjects, scale, src, func(archive, subj string) error {
 		rows, err := scrub.DiskSweep(scrub.DiskSweepConfig{
 			ArchiveDir: archive,
 			SourceID:   src,
@@ -168,31 +148,46 @@ func chaosDisk(subjects string, scale float64, seed uint64, src string, rates []
 					subj, r.Completed, r.Sessions, r.Identical, r.Sessions)
 			}
 		}
+		return nil
+	})
+}
+
+// eachChaosArchive runs each named subject, seals its chunked archive into
+// a temp dir and hands it to fn. Each subject's archive is removed when
+// its fn returns, not when the whole sweep does.
+func eachChaosArchive(subjects string, scale float64, src string, fn func(archive, subj string) error) error {
+	for _, name := range strings.Split(subjects, ",") {
+		name = strings.TrimSpace(name)
+		if name == "" {
+			continue
+		}
+		if err := withChaosArchive(name, scale, src, fn); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// collectChaosArchive runs one subject and seals its chunked archive into
-// a temp dir, returning the archive path and a cleanup func.
-func collectChaosArchive(name string, scale float64, src string) (archive, subj string, cleanup func(), err error) {
+// withChaosArchive collects one subject's archive, runs fn over it, and
+// removes it.
+func withChaosArchive(name string, scale float64, src string, fn func(archive, subj string) error) error {
 	prog, threads, subj, err := loadTarget(name, scale)
 	if err != nil {
-		return "", "", nil, err
+		return err
 	}
 	tmp, err := os.MkdirTemp("", "jportal-chaos-archive-")
 	if err != nil {
-		return "", "", nil, err
+		return err
 	}
-	cleanup = func() { os.RemoveAll(tmp) }
-	archive = filepath.Join(tmp, subj)
+	defer os.RemoveAll(tmp)
+	archive := filepath.Join(tmp, subj)
 	cfg := jportal.DefaultRunConfig()
 	cfg.CollectOracle = false
 	cfg.Source = src
 	if _, err := collectArchive(archive, prog, threads, cfg); err != nil {
-		cleanup()
-		return "", "", nil, err
+		return err
 	}
-	return archive, subj, cleanup, nil
+	return fn(archive, subj)
 }
 
 func parseRates(s string) ([]float64, error) {

@@ -38,11 +38,9 @@ import (
 	"time"
 
 	"jportal"
-	"jportal/internal/bench"
 	"jportal/internal/bytecode"
 	"jportal/internal/core"
 	"jportal/internal/experiments"
-	"jportal/internal/fleet"
 	"jportal/internal/meta"
 	"jportal/internal/metrics"
 	"jportal/internal/profile"
@@ -87,8 +85,6 @@ func main() {
 		err = cmdDisasm(args)
 	case "chaos":
 		err = cmdChaos(args)
-	case "bench":
-		err = cmdBench(args)
 	case "exp":
 		err = cmdExp(args)
 	case "help", "-h", "--help":
@@ -151,10 +147,6 @@ commands:
                                 fleet instead, -disk through storage-faulted
                                 ingest plus scrub-and-repair, -sessions per
                                 rate)
-  bench                        hot-path performance snapshot: steady-state
-                               kernels, streaming throughput, per-subject
-                               wall-clock (-out BENCH_n.json, -pr, -quick,
-                                -base baseline.json -tol 0.2 guard band)
   exp     <experiment>         regenerate a paper table/figure
                                (table1 table2 table3 table4 table5 figure7 paths all)
 
@@ -565,76 +557,4 @@ func cmdExp(args []string) error {
 		return nil
 	}
 	return runOne(which)
-}
-
-// cmdBench measures the hot-path kernels and (full mode) the end-to-end
-// streaming throughput, writing a BENCH_<n>.json snapshot (DESIGN.md §12).
-// With -base it also enforces the allocation guard band against a
-// committed snapshot, so CI catches steady-state allocation regressions.
-func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	pr := fs.Int("pr", 0, "PR number stamped into the snapshot")
-	out := fs.String("out", "", "write the snapshot JSON to FILE")
-	quick := fs.Bool("quick", false, "kernels only (same inputs, comparable allocs/op)")
-	scale := fs.Float64("scale", 1.0, "streaming subject scale")
-	workers := fs.Int("workers", 8, "streaming replay worker count")
-	reps := fs.Int("reps", 3, "wall-clock repetitions (minimum is recorded)")
-	base := fs.String("base", "", "baseline snapshot to guard against")
-	tol := fs.Float64("tol", 0.2, "guard-band tolerance on allocs/op")
-	fs.Parse(args)
-
-	rep, err := jportal.RunBenchSuite(jportal.BenchOptions{
-		PR: *pr, Quick: *quick, Scale: *scale, Workers: *workers, Reps: *reps,
-	})
-	if err != nil {
-		return err
-	}
-	if !*quick {
-		// Sharded-ingest throughput: the same sessions through a
-		// coordinator onto 1 node (baseline) and onto 2. Full mode only, so
-		// `bench -quick` guard runs stay comparable with old snapshots.
-		rep.Fleet, err = fleet.BenchIngest("h2", *scale, []int{1, 2}, 4, *reps)
-		if err != nil {
-			return err
-		}
-	}
-	for _, k := range rep.Kernels {
-		fmt.Printf("kernel %-18s %12.0f ns/op %8.0f B/op %6.0f allocs/op",
-			k.Name, k.NsPerOp, k.BytesPerOp, k.AllocsPerOp)
-		if k.UnitsPerSec > 0 {
-			fmt.Printf("  %10.2fM units/s", k.UnitsPerSec/1e6)
-		}
-		fmt.Println()
-	}
-	for _, s := range rep.Streaming {
-		fmt.Printf("stream  %s x%.2g workers=%d %8.1f ms  %6.2f MB/s  %8.2fM bytecodes/s\n",
-			s.Subject, s.Scale, s.Workers, s.WallMs, s.TraceMBPerSec, s.BytecodesPerSec/1e6)
-	}
-	for _, s := range rep.Subjects {
-		fmt.Printf("subject %-12s x%.2g %10.1f ms\n", s.Name, s.Scale, s.WallMs)
-	}
-	for _, f := range rep.Fleet {
-		fmt.Printf("fleet   %d node(s) %d sessions %10.1f ms  %6.2f MB/s\n",
-			f.Nodes, f.Sessions, f.WallMs, f.TraceMBPerSec)
-	}
-	if *out != "" {
-		if err := bench.Write(*out, rep); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", *out)
-	}
-	if *base != "" {
-		baseRep, err := bench.Load(*base)
-		if err != nil {
-			return err
-		}
-		if bad := bench.Guard(baseRep, rep, *tol); len(bad) > 0 {
-			for _, v := range bad {
-				fmt.Fprintln(os.Stderr, v)
-			}
-			return fmt.Errorf("%d guard-band violation(s) vs %s", len(bad), *base)
-		}
-		fmt.Printf("guard band ok vs %s (tol %.0f%%)\n", *base, *tol*100)
-	}
-	return nil
 }

@@ -135,23 +135,13 @@ func DefaultMatrix(seed uint64) Matrix {
 // Scale multiplies every probability (and the skew bound) by f, clamping
 // probabilities to 1. Scale(0) is the identity matrix: no faults.
 func (m Matrix) Scale(f float64) Matrix {
-	p := func(v float64) float64 {
-		v *= f
-		if v > 1 {
-			return 1
-		}
-		if v < 0 {
-			return 0
-		}
-		return v
-	}
-	m.BitFlip = p(m.BitFlip)
-	m.Truncate = p(m.Truncate)
-	m.ChunkDrop = p(m.ChunkDrop)
-	m.ChunkDup = p(m.ChunkDup)
-	m.SidebandTear = p(m.SidebandTear)
-	m.SidebandReorder = p(m.SidebandReorder)
-	m.StaleJIT = p(m.StaleJIT)
+	m.BitFlip = faultrng.ScaleProb(m.BitFlip, f)
+	m.Truncate = faultrng.ScaleProb(m.Truncate, f)
+	m.ChunkDrop = faultrng.ScaleProb(m.ChunkDrop, f)
+	m.ChunkDup = faultrng.ScaleProb(m.ChunkDup, f)
+	m.SidebandTear = faultrng.ScaleProb(m.SidebandTear, f)
+	m.SidebandReorder = faultrng.ScaleProb(m.SidebandReorder, f)
+	m.StaleJIT = faultrng.ScaleProb(m.StaleJIT, f)
 	m.ClockSkewMax = uint64(float64(m.ClockSkewMax) * f)
 	return m
 }

@@ -1,10 +1,17 @@
-// Package faultrng is the seeded random stream every fault injector draws
-// from: internal/fault (trace contents), internal/netfault (network paths)
-// and internal/iofault (storage media). One splitmix64 generator and one
+// Package faultrng is the plumbing every fault injector shares:
+// internal/fault (trace contents), internal/netfault (network paths) and
+// internal/iofault (storage media). One splitmix64 generator and one
 // scope-seeding rule keep the three injectors' determinism contracts the
 // same by construction: a fixed seed places every fault identically on
-// every run.
+// every run. One probability scaler and one per-class injection tally
+// keep their Matrix.Scale and metrics counters alike too.
 package faultrng
+
+import (
+	"sync/atomic"
+
+	"jportal/internal/metrics"
+)
 
 // Stream is a splitmix64 generator: tiny, seedable, and good enough to make
 // fault placement look arbitrary while staying fully reproducible.
@@ -54,3 +61,60 @@ func (s *Stream) Chance(p float64) bool {
 
 // Intn returns a value in [0, n).
 func (s *Stream) Intn(n int) int { return int(s.Next() % uint64(n)) }
+
+// ScaleProb returns probability p scaled by f, clamped to [0, 1]: the
+// per-probability step of every injector's Matrix.Scale.
+func ScaleProb(p, f float64) float64 {
+	p *= f
+	if p > 1 {
+		return 1
+	}
+	if p < 0 {
+		return 0
+	}
+	return p
+}
+
+// Class is what a Tally needs of an injector's fault-class enum: classes
+// numbered from 0, each with a stable slug and its own metrics counter.
+type Class interface {
+	~uint8
+	Slug() string
+	InjectCounterName() string
+}
+
+// Tally counts an injector's injections per class and mirrors each one
+// into a metrics registry: the injector's total counter plus the class's
+// own. Safe for concurrent use.
+type Tally[C Class] struct {
+	reg    *metrics.Registry
+	total  string
+	counts []atomic.Int64
+}
+
+// NewTally returns a tally over classes [0, n), mirroring into reg (nil:
+// counts are still kept internally). The total and per-class counters are
+// registered at zero, so they are present — and zero — on rate-0 runs.
+func NewTally[C Class](reg *metrics.Registry, total string, n C) *Tally[C] {
+	reg.Add(total, 0)
+	for c := C(0); c < n; c++ {
+		reg.Add(c.InjectCounterName(), 0)
+	}
+	return &Tally[C]{reg: reg, total: total, counts: make([]atomic.Int64, n)}
+}
+
+// Count records one injection of class c.
+func (t *Tally[C]) Count(c C) {
+	t.counts[c].Add(1)
+	t.reg.Add(t.total, 1)
+	t.reg.Add(c.InjectCounterName(), 1)
+}
+
+// Counts returns per-class injection counts keyed by slug, zeros included.
+func (t *Tally[C]) Counts() map[string]int64 {
+	out := make(map[string]int64, len(t.counts))
+	for i := range t.counts {
+		out[C(i).Slug()] = t.counts[i].Load()
+	}
+	return out
+}

@@ -143,22 +143,12 @@ func DefaultMatrix(seed uint64) Matrix {
 // Scale multiplies every probability by f (clamped to 1) and scales the
 // delay bound. Scale(0) is the pass-through matrix.
 func (m Matrix) Scale(f float64) Matrix {
-	clamp := func(p float64) float64 {
-		p *= f
-		if p > 1 {
-			return 1
-		}
-		if p < 0 {
-			return 0
-		}
-		return p
-	}
-	m.ENOSPC = clamp(m.ENOSPC)
-	m.ReadErr = clamp(m.ReadErr)
-	m.WriteErr = clamp(m.WriteErr)
-	m.SyncErr = clamp(m.SyncErr)
-	m.TornWrite = clamp(m.TornWrite)
-	m.Slow = clamp(m.Slow)
+	m.ENOSPC = faultrng.ScaleProb(m.ENOSPC, f)
+	m.ReadErr = faultrng.ScaleProb(m.ReadErr, f)
+	m.WriteErr = faultrng.ScaleProb(m.WriteErr, f)
+	m.SyncErr = faultrng.ScaleProb(m.SyncErr, f)
+	m.TornWrite = faultrng.ScaleProb(m.TornWrite, f)
+	m.Slow = faultrng.ScaleProb(m.Slow, f)
 	m.SlowMax = time.Duration(float64(m.SlowMax) * f)
 	return m
 }
@@ -256,39 +246,30 @@ type action struct {
 // Injector hands out per-operation verdicts and wraps filesystems.
 // Nil-safe: a nil *Injector injects nothing. Safe for concurrent use.
 type Injector struct {
-	m   Matrix
-	reg *metrics.Registry
+	m     Matrix
+	tally *faultrng.Tally[Class]
 
 	mu     sync.Mutex
 	scopes map[string]*faultrng.Stream
-	counts [numClasses]int64
 }
 
 // NewInjector builds an injector over m, mirroring injection counts into
-// reg (nil: counts are still kept internally). The total and per-class
-// counters are pre-registered at zero so they are present — and zero — on
-// rate-0 runs.
+// reg (nil: counts are still kept internally). The counters are registered
+// at zero, so rate-0 runs report them too.
 func NewInjector(m Matrix, reg *metrics.Registry) *Injector {
-	in := &Injector{m: m, reg: reg, scopes: make(map[string]*faultrng.Stream)}
-	reg.Add(metrics.CounterIofaultInjected, 0)
-	for c := Class(0); c < numClasses; c++ {
-		reg.Add(c.InjectCounterName(), 0)
+	return &Injector{
+		m:      m,
+		tally:  faultrng.NewTally(reg, metrics.CounterIofaultInjected, numClasses),
+		scopes: make(map[string]*faultrng.Stream),
 	}
-	return in
 }
 
 // Counts returns per-class injection counts keyed by slug.
 func (in *Injector) Counts() map[string]int64 {
-	out := make(map[string]int64, numClasses)
 	if in == nil {
-		return out
+		return map[string]int64{}
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for c := Class(0); c < numClasses; c++ {
-		out[c.Slug()] = in.counts[c]
-	}
-	return out
+	return in.tally.Counts()
 }
 
 func (in *Injector) scope(name string) *faultrng.Stream {
@@ -299,12 +280,6 @@ func (in *Injector) scope(name string) *faultrng.Stream {
 		in.scopes[name] = sc
 	}
 	return sc
-}
-
-func (in *Injector) count(c Class) {
-	in.counts[c]++
-	in.reg.Add(metrics.CounterIofaultInjected, 1)
-	in.reg.Add(c.InjectCounterName(), 1)
 }
 
 // next draws one operation's fate from the scope's stream. Every draw is
@@ -329,34 +304,34 @@ func (in *Injector) next(scope string, kind op, size int) action {
 	switch kind {
 	case opCreate:
 		if enospc {
-			in.count(ClassENOSPC)
+			in.tally.Count(ClassENOSPC)
 			return action{err: ErrNoSpace}
 		}
 	case opRead:
 		if readErr {
-			in.count(ClassReadErr)
+			in.tally.Count(ClassReadErr)
 			return action{err: ErrIO}
 		}
 	case opWrite:
 		switch {
 		case enospc:
-			in.count(ClassENOSPC)
+			in.tally.Count(ClassENOSPC)
 			return action{err: ErrNoSpace}
 		case torn && size > 1:
-			in.count(ClassTornWrite)
+			in.tally.Count(ClassTornWrite)
 			return action{err: ErrIO, torn: 1 + int(tornDraw%uint64(size-1))}
 		case writeErr || torn: // a 0/1-byte torn write degenerates to EIO
-			in.count(ClassWriteErr)
+			in.tally.Count(ClassWriteErr)
 			return action{err: ErrIO}
 		}
 	case opSync:
 		if syncErr {
-			in.count(ClassSyncErr)
+			in.tally.Count(ClassSyncErr)
 			return action{err: ErrIO}
 		}
 	}
 	if slow && in.m.SlowMax > 0 {
-		in.count(ClassSlow)
+		in.tally.Count(ClassSlow)
 		return action{slow: time.Duration(slowDraw % uint64(in.m.SlowMax))}
 	}
 	return action{}

@@ -171,13 +171,24 @@ func TestSyncAndReadFaults(t *testing.T) {
 
 // TestScaleClampsAndDisables pins Scale's clamping semantics.
 func TestScaleClampsAndDisables(t *testing.T) {
-	m := DefaultMatrix(1).Scale(1000)
-	if m.ENOSPC != 1 || m.TornWrite != 1 {
-		t.Fatalf("Scale(1000) did not clamp: %+v", m)
-	}
-	z := DefaultMatrix(1).Scale(0)
-	if z.active() {
-		t.Fatalf("Scale(0) is still active: %+v", z)
+	for _, tc := range []struct {
+		f      float64
+		p      float64
+		active bool
+	}{
+		{f: 1000, p: 1, active: true},
+		{f: 1e6, p: 1, active: true},
+		{f: 0, p: 0, active: false},
+	} {
+		m := DefaultMatrix(1).Scale(tc.f)
+		for _, p := range []float64{m.ENOSPC, m.ReadErr, m.WriteErr, m.SyncErr, m.TornWrite, m.Slow} {
+			if p != tc.p {
+				t.Fatalf("Scale(%g): probability %v, want %v: %+v", tc.f, p, tc.p, m)
+			}
+		}
+		if m.active() != tc.active {
+			t.Fatalf("Scale(%g): active = %v, want %v", tc.f, m.active(), tc.active)
+		}
 	}
 	if d := DefaultMatrix(1); d.SlowMax != time.Millisecond {
 		t.Fatalf("unexpected default SlowMax %v", d.SlowMax)

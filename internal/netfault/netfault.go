@@ -110,19 +110,9 @@ func DefaultMatrix(seed uint64) Matrix {
 // Scale multiplies every probability by f (clamped to 1) and scales the
 // delay bound. Scale(0) is the pass-through matrix.
 func (m Matrix) Scale(f float64) Matrix {
-	clamp := func(p float64) float64 {
-		p *= f
-		if p > 1 {
-			return 1
-		}
-		if p < 0 {
-			return 0
-		}
-		return p
-	}
-	m.ConnDrop = clamp(m.ConnDrop)
-	m.Tear = clamp(m.Tear)
-	m.Partition = clamp(m.Partition)
+	m.ConnDrop = faultrng.ScaleProb(m.ConnDrop, f)
+	m.Tear = faultrng.ScaleProb(m.Tear, f)
+	m.Partition = faultrng.ScaleProb(m.Partition, f)
 	m.DelayMax = time.Duration(float64(m.DelayMax) * f)
 	return m
 }
@@ -151,39 +141,30 @@ type verdict struct {
 // Injector hands out per-connection verdicts and wraps listeners/dialers.
 // Nil-safe: a nil *Injector injects nothing. Safe for concurrent use.
 type Injector struct {
-	m   Matrix
-	reg *metrics.Registry
+	m     Matrix
+	tally *faultrng.Tally[Class]
 
 	mu     sync.Mutex
 	scopes map[string]*scopeState
-	counts [numClasses]int64
 }
 
 // NewInjector builds an injector over m, mirroring injection counts into
-// reg (nil: counts are still kept internally). The total and per-class
-// counters are pre-registered at zero so they are present — and zero — on
-// rate-0 runs.
+// reg (nil: counts are still kept internally). The counters are registered
+// at zero, so rate-0 runs report them too.
 func NewInjector(m Matrix, reg *metrics.Registry) *Injector {
-	in := &Injector{m: m, reg: reg, scopes: make(map[string]*scopeState)}
-	reg.Add(metrics.CounterNetfaultInjected, 0)
-	for c := Class(0); c < numClasses; c++ {
-		reg.Add(c.InjectCounterName(), 0)
+	return &Injector{
+		m:      m,
+		tally:  faultrng.NewTally(reg, metrics.CounterNetfaultInjected, numClasses),
+		scopes: make(map[string]*scopeState),
 	}
-	return in
 }
 
-// Counts returns per-class injection counts (indexed by Class).
+// Counts returns per-class injection counts keyed by slug.
 func (in *Injector) Counts() map[string]int64 {
-	out := make(map[string]int64, numClasses)
 	if in == nil {
-		return out
+		return map[string]int64{}
 	}
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	for c := Class(0); c < numClasses; c++ {
-		out[c.Slug()] = in.counts[c]
-	}
-	return out
+	return in.tally.Counts()
 }
 
 func (in *Injector) scope(name string) *scopeState {
@@ -193,12 +174,6 @@ func (in *Injector) scope(name string) *scopeState {
 		in.scopes[name] = sc
 	}
 	return sc
-}
-
-func (in *Injector) count(c Class) {
-	in.counts[c]++
-	in.reg.Add(metrics.CounterNetfaultInjected, 1)
-	in.reg.Add(c.InjectCounterName(), 1)
 }
 
 // next draws one connection's verdict from the scope's stream.
@@ -211,7 +186,7 @@ func (in *Injector) next(scope string) verdict {
 	sc := in.scope(scope)
 	if sc.partitionLeft > 0 {
 		sc.partitionLeft--
-		in.count(ClassPartition)
+		in.tally.Count(ClassPartition)
 		return verdict{refuse: true, class: ClassPartition}
 	}
 	// Fixed draw order, every draw made: the stream advances identically
@@ -232,16 +207,16 @@ func (in *Injector) next(scope string) verdict {
 			span = 3
 		}
 		sc.partitionLeft = span - 1
-		in.count(ClassPartition)
+		in.tally.Count(ClassPartition)
 		return verdict{refuse: true, class: ClassPartition}
 	case drop:
-		in.count(ClassDrop)
+		in.tally.Count(ClassDrop)
 		return verdict{refuse: true, class: ClassDrop}
 	case tear:
-		in.count(ClassTear)
+		in.tally.Count(ClassTear)
 		return verdict{tearAfter: tearAfter, class: ClassTear}
 	case in.m.DelayMax > 0:
-		in.count(ClassDelay)
+		in.tally.Count(ClassDelay)
 		return verdict{delay: time.Duration(delayDraw % uint64(in.m.DelayMax)), class: ClassDelay}
 	}
 	return verdict{}

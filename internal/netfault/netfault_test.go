@@ -87,9 +87,25 @@ func TestZeroMatrixIsPassthrough(t *testing.T) {
 	if v := nilInj.next("s"); v != (verdict{}) {
 		t.Fatalf("nil injector verdict = %+v, want zero", v)
 	}
-	// Scale(0) deactivates everything.
-	if DefaultMatrix(9).Scale(0).active() {
-		t.Fatal("Scale(0) matrix still active")
+	// Scale clamps every probability into [0, 1]; Scale(0) deactivates
+	// everything.
+	for _, tc := range []struct {
+		f      float64
+		p      float64
+		active bool
+	}{
+		{f: 1e6, p: 1, active: true},
+		{f: 0, p: 0, active: false},
+	} {
+		m := DefaultMatrix(9).Scale(tc.f)
+		for _, p := range []float64{m.ConnDrop, m.Tear, m.Partition} {
+			if p != tc.p {
+				t.Fatalf("Scale(%g): probability %v, want %v: %+v", tc.f, p, tc.p, m)
+			}
+		}
+		if m.active() != tc.active {
+			t.Fatalf("Scale(%g): active = %v, want %v", tc.f, m.active(), tc.active)
+		}
 	}
 }
 

@@ -1,0 +1,124 @@
+//go:build !race
+
+package jportal_test
+
+// TestKernelAllocs is the steady-state allocation guard of the offline
+// hot path. Allocs/op is a property of the code alone, not of the machine
+// or its load, so unlike wall-clock it can gate every `go test` run. Time
+// is measured by the benchmark/ module instead (DESIGN.md §12). The race
+// detector adds its own allocations, hence the build tag.
+
+import (
+	"math"
+	"testing"
+
+	"jportal"
+	"jportal/internal/bytecode"
+	"jportal/internal/cfg"
+	"jportal/internal/core"
+	"jportal/internal/source"
+	"jportal/internal/trace"
+	"jportal/internal/workload"
+)
+
+// Per-kernel allocs/op bounds: the band the retired `jportal bench -base`
+// guard applied, baseline × 1.2 + 1, to the last kernel snapshot it
+// recorded (0, 0, 0 and 218 allocs/op on go1.24, linux/amd64).
+const (
+	maxAllocsMatchFromScratch = 1
+	maxAllocsTokenize         = 1
+	maxAllocsWalkerDecode     = 1
+	maxAllocsCarveStitch      = 262
+)
+
+func TestKernelAllocs(t *testing.T) {
+	check := func(name string, bound float64, runs int, fn func()) {
+		t.Helper()
+		got := testing.AllocsPerRun(runs, fn)
+		t.Logf("kernel %s: %.0f allocs/op (bound %.0f)", name, got, bound)
+		if got > bound {
+			t.Errorf("kernel %s: %.0f allocs/op exceeds bound %.0f", name, got, bound)
+		}
+	}
+
+	// MatchFromScratch: the NFA over a genuine ICFG cycle, caller-held
+	// scratch (§4).
+	prog := bytecode.MustAssemble(nfaLoopSrc)
+	m := core.NewMatcher(cfg.BuildICFG(prog, cfg.DefaultOptions()))
+	toks := nfaLoopTokens()
+	starts := m.NodesWithOp(toks[0].Op)
+	sc := m.NewScratch()
+	check("MatchFromScratch", maxAllocsMatchFromScratch, 100, func() {
+		if r := m.MatchFromScratch(sc, starts, toks); !r.Complete {
+			t.Fatalf("rejected at %d of %d", r.Matched, len(toks))
+		}
+	})
+
+	// The remaining kernels run over a real trace: h2 at scale 0.25.
+	s := workload.MustLoad("h2", 0.25)
+	rcfg := jportal.DefaultRunConfig()
+	rcfg.CollectOracle = false
+	run, err := jportal.Run(s.Program, s.Threads, rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.Snapshot.Seal()
+	src, err := run.Source()
+	if err != nil {
+		t.Fatal(err)
+	}
+	threads := trace.SplitByThread(run.Traces, run.Sideband, src.Traits())
+	var busiest int
+	for i := range threads {
+		if len(threads[i].Items) > len(threads[busiest].Items) {
+			busiest = i
+		}
+	}
+	if len(threads) == 0 || len(threads[busiest].Items) == 0 {
+		t.Fatal("h2 produced no stitched items")
+	}
+	items := threads[busiest].Items
+
+	// Tokenize: a persistent tokenizer lowering the busiest thread's
+	// events one 512-event chunk per op; Finish closes the open segment
+	// so the token arena advances instead of growing one segment.
+	events := append([]source.Event(nil), src.NewDecoder(run.Snapshot).Decode(items)...)
+	var chunks [][]source.Event
+	for off := 0; off < len(events); off += 512 {
+		chunks = append(chunks, events[off:min(off+512, len(events))])
+	}
+	tk := core.NewStreamTokenizer(s.Program)
+	op := 0
+	check("Tokenize", maxAllocsTokenize, 200, func() {
+		tk.Feed(chunks[op%len(chunks)])
+		tk.Finish()
+		op++
+	})
+
+	// WalkerDecode: one full packet-stream decode of the busiest thread
+	// per op; the persistent decoder reuses its event buffer.
+	dec := src.NewDecoder(run.Snapshot)
+	check("WalkerDecode", maxAllocsWalkerDecode, 50, func() {
+		dec.Decode(items)
+	})
+
+	// CarveStitch: one full incremental stitch per op — sideband,
+	// infinite watermarks, per-core feeds, finish.
+	ncores := 1
+	for i := range run.Traces {
+		ncores = max(ncores, run.Traces[i].Core+1)
+	}
+	check("CarveStitch", maxAllocsCarveStitch, 20, func() {
+		st := trace.NewStreamStitcher(ncores, src.Traits())
+		st.AddSideband(run.Sideband)
+		for c := 0; c < ncores; c++ {
+			st.Watermark(c, math.MaxUint64)
+		}
+		for j := range run.Traces {
+			if err := st.Feed(run.Traces[j].Core, run.Traces[j].Items); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st.Finish()
+	})
+}
