@@ -232,8 +232,9 @@ func BenchmarkAblationReconstruction(b *testing.B) {
 		}
 	})
 	b.Run("Batched-SubsetSim", func(b *testing.B) {
+		sc := m.NewScratch()
 		for i := 0; i < b.N; i++ {
-			r := m.MatchFrom(m.NodesWithOp(toks[0].Op), toks)
+			r := m.MatchFromScratch(sc, m.NodesWithOp(toks[0].Op), toks)
 			if !r.Complete {
 				b.Fatal("trace rejected")
 			}
@@ -260,14 +261,15 @@ func recoverySegments(b *testing.B) (*core.Matcher, []*core.SegmentFlow) {
 		}
 		return out
 	}
+	sc := m.NewScratch()
 	var flows []*core.SegmentFlow
-	flows = append(flows, m.ReconstructSegment(&core.Segment{Tokens: mkRep(20, 0)}))
+	flows = append(flows, m.ReconstructSegmentScratch(sc, &core.Segment{Tokens: mkRep(20, 0)}))
 	for i := 0; i < 6; i++ {
 		seg := &core.Segment{
 			Tokens:    mkRep(40, uint64(100_000*(i+1))),
 			GapBefore: &core.GapInfo{Start: uint64(100_000*(i+1)) - 500, End: uint64(100_000 * (i + 1)), LostBytes: 400},
 		}
-		flows = append(flows, m.ReconstructSegment(seg))
+		flows = append(flows, m.ReconstructSegmentScratch(sc, seg))
 	}
 	return m, flows
 }
@@ -313,8 +315,9 @@ func BenchmarkAblationNFAvsPDA(b *testing.B) {
 		toks = append(toks, inter...)
 	}
 	b.Run("NFA", func(b *testing.B) {
+		sc := m.NewScratch()
 		for i := 0; i < b.N; i++ {
-			r := m.MatchFrom(m.NodesWithOp(toks[0].Op), toks[:len(inter)])
+			r := m.MatchFromScratch(sc, m.NodesWithOp(toks[0].Op), toks[:len(inter)])
 			if !r.Complete {
 				b.Fatal("rejected")
 			}
@@ -466,26 +469,11 @@ func nfaLoopTokens() []core.Token {
 	return toks
 }
 
+// BenchmarkNFAMatch matches the loop trace on one caller-held scratch:
+// with -benchmem it shows that steady-state matching allocates nothing —
+// the per-layer frontier sets, dedup marks and witness path all live in
+// the reused scratch.
 func BenchmarkNFAMatch(b *testing.B) {
-	prog := bytecode.MustAssemble(nfaLoopSrc)
-	m := core.NewMatcher(cfg.BuildICFG(prog, cfg.DefaultOptions()))
-	toks := nfaLoopTokens()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := m.MatchFrom(m.NodesWithOp(toks[0].Op), toks)
-		if !r.Complete {
-			b.Fatalf("rejected at %d of %d", r.Matched, len(toks))
-		}
-		b.SetBytes(int64(len(toks)))
-	}
-}
-
-// BenchmarkNFAMatchScratch is BenchmarkNFAMatch on a caller-held scratch:
-// together with -benchmem on both, it shows what the per-worker scratch
-// buys — steady-state matching allocates only the result path, not the
-// per-layer frontier sets and dedup maps of the old implementation.
-func BenchmarkNFAMatchScratch(b *testing.B) {
 	prog := bytecode.MustAssemble(nfaLoopSrc)
 	m := core.NewMatcher(cfg.BuildICFG(prog, cfg.DefaultOptions()))
 	toks := nfaLoopTokens()

@@ -1,6 +1,7 @@
 package jportal
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -84,7 +85,7 @@ func analyzeFaulted(prog *bytecode.Program, run *RunResult, pcfg core.PipelineCo
 			ncores = n
 		}
 	}
-	s, err := OpenSession(prog, inj.Snapshot(run.Snapshot), ncores, pcfg)
+	s, err := OpenSession(context.Background(), prog, inj.Snapshot(run.Snapshot), ncores, pcfg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,7 +1,7 @@
 #!/bin/sh
 # ci.sh - the repository's check gauntlet. Run before sending a PR.
 #
-#   ./ci.sh          vet + build + full tests (the allocs/op guard,
+#   ./ci.sh          vet + gofmt + build + full tests (the allocs/op guard,
 #                    TestKernelAllocs, included) + race-detector pass over
 #                    the concurrent packages (core, trace, conc, pt, source,
 #                    etrace, ingest, fleet) and the root streaming tests +
@@ -20,6 +20,9 @@ cd "$(dirname "$0")"
 
 echo "==> go vet ./..."
 go vet ./...
+
+echo "==> gofmt -l ."
+test -z "$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 echo "==> go build ./..."
 go build ./...

@@ -114,11 +114,13 @@ commands:
   decode  <dir>                offline phase only: analyze a collected archive
   stream  <dir>                incremental analysis of an archive
                                (-follow tails an archive still being written,
-                                -poll sets the follow-mode poll interval,
-                                -workers sets the analyzer worker count)
+                                and SIGINT then prints the full analysis of
+                                every record read so far; -poll sets the
+                                follow-mode poll interval, -workers sets the
+                                analyzer worker count)
   serve                        trace-ingest server: agents push archives over TCP
                                (-listen, -http metrics sidecar, -data, -queue,
-                                -policy block|nack, -drain shutdown budget;
+                                -drain shutdown budget;
                                 -coordinator/-node/-advertise join a fleet)
   push    <dir>                upload an archive to a jportal serve
                                (-addr list rotated on failure, -id session,
@@ -446,8 +448,9 @@ func cmdStream(args []string) error {
 	} else if *resume || *ckptEvery > 0 {
 		opts.CheckpointPath = filepath.Join(fs.Arg(0), jportal.CheckpointFileName)
 	}
-	// In follow mode a SIGINT stops the tail cleanly: the analysis of
-	// everything read so far is flushed below instead of being discarded.
+	// In follow mode a SIGINT stops the tail cleanly: ctx stops the
+	// reading only, so the analysis of everything read so far is complete
+	// and flushed below instead of being discarded.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	prog, an, err := jportal.AnalyzeStreamArchiveOpts(ctx, fs.Arg(0), pcfg, opts)

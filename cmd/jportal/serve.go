@@ -45,8 +45,7 @@ func cmdServe(args []string) error {
 	listen := fs.String("listen", "127.0.0.1:7071", "ingest listen address")
 	httpAddr := fs.String("http", "", "observability sidecar address (/healthz, /metrics); empty = disabled")
 	data := fs.String("data", "ingest-data", "directory holding one chunked archive per session")
-	queue := fs.Int("queue", 64, "per-session inbound queue depth (frames)")
-	policy := fs.String("policy", "block", "backpressure policy when a session queue is full: block | nack")
+	queue := fs.Int("queue", 64, "per-session inbound queue depth (frames); a full queue blocks the sender")
 	drain := fs.Duration("drain", 30*time.Second, "graceful drain budget on SIGINT/SIGTERM")
 	maxSessions := fs.Int("max-sessions", 0, "concurrent attached sessions before HELLOs get BUSY (0 = unlimited)")
 	budget := fs.Int64("budget", 0, "global queued-payload memory budget in bytes (0 = unlimited)")
@@ -67,7 +66,6 @@ func cmdServe(args []string) error {
 	srv, err := ingest.NewServer(ingest.Config{
 		DataDir:           *data,
 		QueueDepth:        *queue,
-		Policy:            ingest.Policy(*policy),
 		MaxSessions:       *maxSessions,
 		MemoryBudgetBytes: *budget,
 		BreakerNacks:      *breaker,
@@ -83,8 +81,8 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("jportal serve: listening on %s (data %s, queue %d, policy %s)\n",
-		ln.Addr(), *data, *queue, *policy)
+	fmt.Printf("jportal serve: listening on %s (data %s, queue %d)\n",
+		ln.Addr(), *data, *queue)
 
 	// Background storage durability: scrub-and-repair each interval, then
 	// retention. Busy sessions (attached writers) are always skipped.

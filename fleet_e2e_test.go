@@ -148,24 +148,11 @@ func (h *fleetHarness) awaitRoute(id, addr string) {
 // fleetChunks batches a stream's records into CHUNK payloads.
 func fleetChunks(t *testing.T, stream []byte, maxBytes int) [][]byte {
 	t.Helper()
-	records := stream[streamfmt.HeaderLen:]
-	var out [][]byte
-	for off := 0; off < len(records); {
-		end := off
-		for end < len(records) {
-			n, err := streamfmt.Scan(records[end:])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if end > off && end+n-off > maxBytes {
-				break
-			}
-			end += n
-		}
-		out = append(out, records[off:end])
-		off = end
+	frames, err := client.ChunkFrames(stream[streamfmt.HeaderLen:], maxBytes)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	return frames
 }
 
 // TestFleetNodeLossResume is the fleet's crash-consistency pin: for three

@@ -33,14 +33,6 @@ func ParallelFor(workers, n int, fn func(i int)) {
 // thread scratch buffers (e.g. core.MatchScratch) through a fan-out without
 // per-item allocation.
 func ParallelWork[S any](workers, n int, newState func() S, fn func(s S, i int)) {
-	ParallelWorkRelease(workers, n, newState, nil, fn)
-}
-
-// ParallelWorkRelease is ParallelWork with a release hook: each worker
-// calls release on its state after finishing its share, so pooled state
-// (scratch buffers) can be recycled across fan-outs instead of being
-// reallocated — and re-zeroed — every call. release may be nil.
-func ParallelWorkRelease[S any](workers, n int, newState func() S, release func(S), fn func(s S, i int)) {
 	if n <= 0 {
 		return
 	}
@@ -52,9 +44,6 @@ func ParallelWorkRelease[S any](workers, n int, newState func() S, release func(
 		for i := 0; i < n; i++ {
 			fn(s, i)
 		}
-		if release != nil {
-			release(s)
-		}
 		return
 	}
 	var next atomic.Int64
@@ -64,9 +53,6 @@ func ParallelWorkRelease[S any](workers, n int, newState func() S, release func(
 		go func() {
 			defer wg.Done()
 			s := newState()
-			if release != nil {
-				defer release(s)
-			}
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {

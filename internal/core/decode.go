@@ -2,28 +2,8 @@ package core
 
 import (
 	"jportal/internal/bytecode"
-	"jportal/internal/meta"
 	"jportal/internal/source"
 )
-
-// DecodeThread runs the two-level decode for one thread's stitched packet
-// stream: the native-level walk (the default source's decoder — Intel PT's
-// role is played by libipt in the paper) followed by the bytecode-level
-// mapping of §3 — template-range lookup for interpreted dispatches (§3.1)
-// and debug-record lookup, through inline frames, for JITed ranges (§3.2).
-// The result is the segmented bytecode token stream that reconstruction
-// (§4) and recovery (§5) consume.
-func DecodeThread(prog *bytecode.Program, snap *meta.Snapshot, items []source.Item) ([]*Segment, *DecodeThreadStats) {
-	dec := source.Default().NewDecoder(snap)
-	events := dec.Decode(items)
-	segs, stats := TokenizeEvents(prog, events)
-	ds := dec.Stats()
-	stats.NativeDesyncs = ds.Desyncs
-	stats.MalformedPackets = ds.FaultCount
-	stats.SkippedPackets = ds.SkippedPackets
-	stats.QuarantinedBytes = ds.SkippedBytes
-	return segs, stats
-}
 
 // DecodeThreadStats summarises one thread's decode.
 type DecodeThreadStats struct {
@@ -249,7 +229,7 @@ func (t *tokenizer) feed(events []source.Event) {
 // take returns the segments completed so far and forgets them. The
 // returned slice aliases the tokenizer's reused harvest buffer — it is
 // valid only until the next feed, so callers must consume or copy it
-// first (the analyzer appends it straight into its pending wave). The
+// first (the analyzer appends it straight into its pending segments). The
 // Segment pointers themselves live in the header arena and stay valid.
 func (t *tokenizer) take() []*Segment {
 	segs := t.segs

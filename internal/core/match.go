@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"sync"
 
 	"jportal/internal/bytecode"
 	"jportal/internal/cfg"
@@ -44,10 +43,6 @@ type Matcher struct {
 	// reconstruction instead of the paper's NFA (an evaluated extension;
 	// see pda.go).
 	UseContext bool
-
-	// scratch recycles MatchScratch values for callers that use the
-	// scratch-free entry points (MatchFrom, ReconstructSegment).
-	scratch sync.Pool
 }
 
 // NewMatcher builds the matcher for g.
@@ -244,18 +239,14 @@ type MatchScratch struct {
 	gen  int32
 	// buf is the successor scratch buffer.
 	buf []cfg.NodeID
-	// layers recycles the per-token state layers of MatchFrom.
+	// layers recycles the per-token state layers of MatchFromScratch.
 	layers [][]layerEntry
-	// states/next recycle the abstract-state slices of IsAcceptedAbstract.
+	// states/next recycle the abstract-state slices of
+	// IsAcceptedAbstractScratch.
 	states, next []cfg.NodeID
 	// pathBuf recycles the witness-path slice MatchFromScratch returns
 	// (aliased by MatchResult.Path; see that method's contract).
 	pathBuf []cfg.NodeID
-	// poolable marks scratch owned by the matcher's pool: set while the
-	// scratch is checked out via getScratch, cleared by putScratch
-	// before the Put so a second Put of the same scratch is a no-op.
-	// Scratch from NewScratch is caller-owned and never poolable.
-	poolable bool
 }
 
 // NewScratch allocates a scratch sized for this matcher's ICFG.
@@ -287,30 +278,6 @@ func (sc *MatchScratch) layer(i int) []layerEntry {
 	return sc.layers[i][:0]
 }
 
-func (m *Matcher) getScratch() *MatchScratch {
-	var sc *MatchScratch
-	if v := m.scratch.Get(); v != nil {
-		sc = v.(*MatchScratch)
-	} else {
-		sc = m.NewScratch()
-	}
-	sc.poolable = true
-	return sc
-}
-
-// putScratch returns a pool-owned scratch to the pool. Caller-owned
-// scratch (from NewScratch) and scratch already returned are ignored:
-// the poolable flag is cleared before the Put, so no scratch can enter
-// the pool twice — a double Put would hand the same scratch to two
-// goroutines at once.
-func (m *Matcher) putScratch(sc *MatchScratch) {
-	if sc == nil || !sc.poolable {
-		return
-	}
-	sc.poolable = false
-	m.scratch.Put(sc)
-}
-
 // AbstractTokens returns the tier-2 (control-structure) abstraction of toks
 // (Definition 4.2).
 func AbstractTokens(toks []Token) []Token {
@@ -323,17 +290,10 @@ func AbstractTokens(toks []Token) []Token {
 	return out
 }
 
-// IsAcceptedAbstract checks whether the abstract token sequence can be
-// matched by the ANFA starting from concrete node start (Theorem 4.4's
-// necessary condition). atoks must already be abstracted.
-func (m *Matcher) IsAcceptedAbstract(start cfg.NodeID, atoks []Token) bool {
-	sc := m.getScratch()
-	defer m.putScratch(sc)
-	return m.IsAcceptedAbstractScratch(sc, start, atoks)
-}
-
-// IsAcceptedAbstractScratch is IsAcceptedAbstract using caller-provided
-// scratch buffers (one scratch per goroutine).
+// IsAcceptedAbstractScratch checks whether the abstract token sequence can
+// be matched by the ANFA starting from concrete node start (Theorem 4.4's
+// necessary condition). atoks must already be abstracted. sc is the
+// caller's scratch (one scratch per goroutine).
 func (m *Matcher) IsAcceptedAbstractScratch(sc *MatchScratch, start cfg.NodeID, atoks []Token) bool {
 	if len(atoks) == 0 {
 		return true
@@ -396,23 +356,10 @@ type layerEntry struct {
 	parent int32 // index into previous layer, -1 at the start
 }
 
-// MatchFrom runs the NFA subset simulation over toks beginning from the
-// given start states, returning the longest matched prefix and one witness
-// path (the disambiguated projection). It is the engine beneath both
-// Algorithm 1 and Algorithm 2 and the production pipeline.
-func (m *Matcher) MatchFrom(starts []cfg.NodeID, toks []Token) MatchResult {
-	sc := m.getScratch()
-	defer m.putScratch(sc)
-	r := m.MatchFromScratch(sc, starts, toks)
-	// The scratch goes back to the pool here, so detach the witness path
-	// from its recycled buffer.
-	if r.Path != nil {
-		r.Path = append([]cfg.NodeID(nil), r.Path...)
-	}
-	return r
-}
-
-// MatchFromScratch is MatchFrom using caller-provided scratch buffers. The
+// MatchFromScratch runs the NFA subset simulation over toks beginning from
+// the given start states, returning the longest matched prefix and one
+// witness path (the disambiguated projection). It is the engine beneath
+// both Algorithm 1 and Algorithm 2 and the production pipeline. The
 // matcher itself is read-only, so any number of goroutines may match
 // concurrently as long as each brings its own scratch. The returned
 // MatchResult.Path aliases the scratch's recycled path buffer: it is
@@ -538,10 +485,10 @@ func minParent(cur []layerEntry) int {
 // the quadratic baseline the abstraction-guided algorithm improves on; kept
 // for the ablation benchmarks.
 func (m *Matcher) EnumerateAndTest(toks []Token) (MatchResult, bool) {
+	sc := m.NewScratch()
 	for n := cfg.NodeID(0); int(n) < m.G.NumNodes(); n++ {
-		r := m.MatchFrom([]cfg.NodeID{n}, toks)
-		if r.Complete {
-			return r, true
+		if r := m.MatchFromScratch(sc, []cfg.NodeID{n}, toks); r.Complete {
+			return detach(r), true
 		}
 	}
 	return MatchResult{}, false
@@ -554,17 +501,23 @@ func (m *Matcher) AbstractionGuided(toks []Token) (MatchResult, bool) {
 	if len(toks) == 0 {
 		return MatchResult{Complete: true}, true
 	}
+	sc := m.NewScratch()
 	atoks := AbstractTokens(toks)
 	for _, n := range m.candidateStarts(&toks[0]) {
-		if !m.IsAcceptedAbstract(n, atoks) {
+		if !m.IsAcceptedAbstractScratch(sc, n, atoks) {
 			continue
 		}
-		r := m.MatchFrom([]cfg.NodeID{n}, toks)
-		if r.Complete {
-			return r, true
+		if r := m.MatchFromScratch(sc, []cfg.NodeID{n}, toks); r.Complete {
+			return detach(r), true
 		}
 	}
 	return MatchResult{}, false
+}
+
+// detach copies a kept witness path out of the scratch buffer it aliases.
+func detach(r MatchResult) MatchResult {
+	r.Path = append([]cfg.NodeID(nil), r.Path...)
+	return r
 }
 
 func (m *Matcher) candidateStarts(t *Token) []cfg.NodeID {

@@ -85,7 +85,7 @@ func TestMatchFromFig2(t *testing.T) {
 	p, m := fig2Matcher(t)
 	fun := p.MethodByName("Test.fun")
 	toks := fig2ElseTrace()
-	res := m.MatchFrom(m.NodesWithOp(toks[0].Op), toks)
+	res := m.MatchFromScratch(m.NewScratch(), m.NodesWithOp(toks[0].Op), toks)
 	if !res.Complete {
 		t.Fatalf("matched only %d of %d", res.Matched, len(toks))
 	}
@@ -104,7 +104,7 @@ func TestMatchRejectsImpossibleSequence(t *testing.T) {
 		tok(bytecode.ILOAD),
 		tok(bytecode.IADD), // no iload is followed by iadd in this program
 	}
-	res := m.MatchFrom(m.NodesWithOp(toks[0].Op), toks)
+	res := m.MatchFromScratch(m.NewScratch(), m.NodesWithOp(toks[0].Op), toks)
 	if res.Complete {
 		t.Fatal("impossible sequence accepted")
 	}
@@ -118,7 +118,7 @@ func TestMatchBranchDirectionSelectsSuccessor(t *testing.T) {
 	fun := p.MethodByName("Test.fun")
 	// Not-taken: ifeq falls through to iload@2.
 	toks := []Token{tok(bytecode.ILOAD), dtok(bytecode.IFEQ, false), tok(bytecode.ILOAD), tok(bytecode.ICONST), tok(bytecode.IADD)}
-	res := m.MatchFrom(m.NodesWithOp(bytecode.ILOAD), toks)
+	res := m.MatchFromScratch(m.NewScratch(), m.NodesWithOp(bytecode.ILOAD), toks)
 	if !res.Complete {
 		t.Fatalf("not-taken path rejected (matched %d)", res.Matched)
 	}
@@ -137,7 +137,7 @@ func TestLocatedTokensPinStates(t *testing.T) {
 		{Op: bytecode.ICONST, Method: fun.ID, PC: 16},
 		{Op: bytecode.IREM, Method: fun.ID, PC: 17},
 	}
-	res := m.MatchFrom(m.candidateStarts(&toks[0]), toks)
+	res := m.MatchFromScratch(m.NewScratch(), m.candidateStarts(&toks[0]), toks)
 	if !res.Complete {
 		t.Fatalf("located run rejected")
 	}
@@ -157,7 +157,7 @@ func TestReanchorOnLocatedGap(t *testing.T) {
 		{Op: bytecode.IREM, Method: fun.ID, PC: 17},
 		{Op: bytecode.IFNE, Method: fun.ID, PC: 18, HasDir: true, Taken: false},
 	}
-	res := m.MatchFrom(m.candidateStarts(&toks[0]), toks)
+	res := m.MatchFromScratch(m.NewScratch(), m.candidateStarts(&toks[0]), toks)
 	if !res.Complete {
 		t.Fatalf("elided run rejected (matched %d)", res.Matched)
 	}
@@ -180,8 +180,8 @@ func TestAbstractAcceptanceNecessaryCondition(t *testing.T) {
 			toks = traces[1]
 		}
 		n := cfg.NodeID(int(nRaw) % m.G.NumNodes())
-		concrete := m.MatchFrom([]cfg.NodeID{n}, toks).Complete
-		abstract := m.IsAcceptedAbstract(n, AbstractTokens(toks))
+		concrete := m.MatchFromScratch(m.NewScratch(), []cfg.NodeID{n}, toks).Complete
+		abstract := m.IsAcceptedAbstractScratch(m.NewScratch(), n, AbstractTokens(toks))
 		// concrete => abstract
 		return !concrete || abstract
 	}
@@ -233,7 +233,7 @@ func TestInterproceduralCallReturnMatch(t *testing.T) {
 		tok(bytecode.POP),          // main@3
 		tok(bytecode.RETURN),       // main@4
 	}
-	res := m.MatchFrom(m.NodesWithOp(toks[0].Op), toks)
+	res := m.MatchFromScratch(m.NewScratch(), m.NodesWithOp(toks[0].Op), toks)
 	if !res.Complete {
 		t.Fatalf("interprocedural trace rejected at %d", res.Matched)
 	}
@@ -281,7 +281,7 @@ entry T.main
 		tok(bytecode.POP),
 		tok(bytecode.RETURN),
 	}
-	res := m.MatchFrom(m.NodesWithOp(toks[0].Op), toks)
+	res := m.MatchFromScratch(m.NewScratch(), m.NodesWithOp(toks[0].Op), toks)
 	if !res.Complete {
 		t.Fatalf("callback fallback failed at %d", res.Matched)
 	}
@@ -329,7 +329,7 @@ entry T.main
 		tok(bytecode.IADD),
 		tok(bytecode.IRETURN),
 	}
-	res := m.MatchFrom(m.NodesWithOp(toks[0].Op), toks)
+	res := m.MatchFromScratch(m.NewScratch(), m.NodesWithOp(toks[0].Op), toks)
 	if !res.Complete {
 		t.Fatalf("exception path rejected at %d", res.Matched)
 	}
@@ -346,7 +346,7 @@ func TestReconstructSegmentSplitsOnHardMismatch(t *testing.T) {
 	toks := append(fig2ElseTrace(), tok(bytecode.SWAP)) // swap appears nowhere
 	toks = append(toks, tok(bytecode.ICONST), tok(bytecode.IRETURN))
 	seg := &Segment{Tokens: toks}
-	flow := m.ReconstructSegment(seg)
+	flow := m.ReconstructSegmentScratch(m.NewScratch(), seg)
 	if flow.Skipped == 0 {
 		t.Error("impossible token should be skipped")
 	}

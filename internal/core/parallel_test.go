@@ -11,7 +11,8 @@ import (
 
 // These tests are the race-regression suite for the read-only Matcher
 // contract: after NewMatcher returns, every query path (CtrlReach,
-// MatchFrom, IsAcceptedAbstract) must be safe for concurrent callers.
+// MatchFromScratch, IsAcceptedAbstractScratch) must be safe for concurrent
+// callers that each bring their own scratch.
 // Run them under -race (ci.sh does) — before ctrlReach was precomputed
 // eagerly, concurrent CtrlReach calls raced on the lazy memo map.
 
@@ -50,7 +51,7 @@ func TestMatchFromConcurrent(t *testing.T) {
 	toks := fig2ElseTrace()
 	starts := m.NodesWithOp(toks[0].Op)
 
-	want := m.MatchFrom(starts, toks)
+	want := m.MatchFromScratch(m.NewScratch(), starts, toks)
 	if !want.Complete {
 		t.Fatalf("baseline incomplete: %d/%d", want.Matched, len(toks))
 	}
@@ -61,8 +62,9 @@ func TestMatchFromConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			sc := m.NewScratch()
 			for rep := 0; rep < 50; rep++ {
-				got := m.MatchFrom(starts, toks)
+				got := m.MatchFromScratch(sc, starts, toks)
 				if got.Complete != want.Complete || got.Matched != want.Matched ||
 					!reflect.DeepEqual(got.Path, want.Path) {
 					t.Errorf("goroutine %d rep %d: diverged from serial result", g, rep)
@@ -92,7 +94,7 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 	for rep := 0; rep < 3; rep++ {
 		for ci, toks := range cases {
 			starts := m.NodesWithOp(toks[0].Op)
-			want := m.MatchFrom(starts, toks) // pooled, but independent scratch
+			want := m.MatchFromScratch(m.NewScratch(), starts, toks) // fresh scratch
 			got := m.MatchFromScratch(sc, starts, toks)
 			if got.Complete != want.Complete || got.Matched != want.Matched ||
 				!reflect.DeepEqual(got.Path, want.Path) {
@@ -122,7 +124,7 @@ func TestIsAcceptedAbstractConcurrent(t *testing.T) {
 
 	want := make([]bool, len(starts))
 	for i, s := range starts {
-		want[i] = m.IsAcceptedAbstract(s, atoks)
+		want[i] = m.IsAcceptedAbstractScratch(m.NewScratch(), s, atoks)
 	}
 
 	var wg sync.WaitGroup
@@ -130,10 +132,11 @@ func TestIsAcceptedAbstractConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			sc := m.NewScratch()
 			for rep := 0; rep < 50; rep++ {
 				for i, s := range starts {
-					if got := m.IsAcceptedAbstract(s, atoks); got != want[i] {
-						t.Errorf("goroutine %d: IsAcceptedAbstract(start %d) = %v, want %v", g, i, got, want[i])
+					if got := m.IsAcceptedAbstractScratch(sc, s, atoks); got != want[i] {
+						t.Errorf("goroutine %d: IsAcceptedAbstractScratch(start %d) = %v, want %v", g, i, got, want[i])
 						return
 					}
 				}

@@ -53,7 +53,7 @@ type pdaKey struct {
 // NFA's context-insensitive behaviour (the unknown-prefix rule).
 const MaxStackDepth = 64
 
-// MatchFromContext is MatchFrom with call-context tracking: calls push
+// MatchFromContext is MatchFromScratch with call-context tracking: calls push
 // their return site, returns pop and must go exactly there. It returns the
 // same MatchResult shape; Fallbacks additionally counts empty-stack
 // returns.

@@ -90,7 +90,7 @@ func TestPDARejectsCrossContextReturn(t *testing.T) {
 		// Then impossible: another IMUL continuation without a call.
 	}
 	// First confirm both engines accept the valid version.
-	if r := m.MatchFrom(m.NodesWithOp(toks[0].Op), toks); !r.Complete {
+	if r := m.MatchFromScratch(m.NewScratch(), m.NodesWithOp(toks[0].Op), toks); !r.Complete {
 		t.Fatal("NFA rejected the valid trace")
 	}
 	if r := m.MatchFromContext(m.NodesWithOp(toks[0].Op), toks); !r.Complete {
@@ -110,7 +110,7 @@ func TestPDARejectsCrossContextReturn(t *testing.T) {
 		tok(bytecode.POP), // and back in main after b? (main@3)
 		tok(bytecode.RETURN),
 	}
-	nfa := m.MatchFrom(m.NodesWithOp(crossed[0].Op), crossed)
+	nfa := m.MatchFromScratch(m.NewScratch(), m.NodesWithOp(crossed[0].Op), crossed)
 	pda := m.MatchFromContext(m.NodesWithOp(crossed[0].Op), crossed)
 	// The NFA accepts (it cannot distinguish the callers); the PDA must
 	// match strictly less. Note the crossed trace IS consistent with
@@ -149,7 +149,7 @@ func TestPDAEmptyStackFallsBackToNFA(t *testing.T) {
 func TestPDAAgreesWithNFAOnFig2(t *testing.T) {
 	_, m := fig2Matcher(t)
 	toks := fig2ElseTrace()
-	nfa := m.MatchFrom(m.NodesWithOp(toks[0].Op), toks)
+	nfa := m.MatchFromScratch(m.NewScratch(), m.NodesWithOp(toks[0].Op), toks)
 	pda := m.MatchFromContext(m.NodesWithOp(toks[0].Op), toks)
 	if !nfa.Complete || !pda.Complete {
 		t.Fatalf("engines disagree on acceptance: nfa=%v pda=%v", nfa.Complete, pda.Complete)

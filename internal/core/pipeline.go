@@ -8,7 +8,6 @@ import (
 	"jportal/internal/bytecode"
 	"jportal/internal/cfg"
 	"jportal/internal/conc"
-	"jportal/internal/meta"
 	"jportal/internal/source"
 
 	// Link in the reference Intel PT backend so the default trace source
@@ -36,12 +35,6 @@ type PipelineConfig struct {
 	// 0 means GOMAXPROCS. The reconstructed output is deterministic —
 	// identical for every worker count.
 	Workers int
-	// MaxPendingSegments caps how many decoded-but-unreconstructed
-	// segments a ThreadAnalyzer buffers before reconstructing them as a
-	// wave (0 = only at Finish, matching the batch pipeline). The cap
-	// bounds streaming memory without changing output: waves preserve
-	// segment order, and recovery always sees the complete flow sequence.
-	MaxPendingSegments int
 }
 
 // WorkerCount resolves the Workers knob (0 = GOMAXPROCS).
@@ -53,9 +46,6 @@ func (c PipelineConfig) WorkerCount() int { return conc.Workers(c.Workers) }
 func (c PipelineConfig) Validate() error {
 	if c.Workers < 0 {
 		return fmt.Errorf("core: Workers %d is negative (0 means GOMAXPROCS)", c.Workers)
-	}
-	if c.MaxPendingSegments < 0 {
-		return fmt.Errorf("core: MaxPendingSegments %d is negative (0 means unbounded)", c.MaxPendingSegments)
 	}
 	r := c.Recovery
 	if r.AnchorLen < 0 || r.ConfirmLen < 0 || r.TopN < 0 ||
@@ -139,16 +129,4 @@ type ThreadResult struct {
 	RecoveredSteps int
 	// DecodedSteps counts steps from captured data.
 	DecodedSteps int
-}
-
-// AnalyzeThread runs decode, reconstruction and recovery for one thread's
-// stitched packet stream. It is the batch form of ThreadAnalyzer — one Feed
-// of the whole stream — so segment reconstruction and hole recovery fan out
-// to the configured worker count with slot-addressed results, and the
-// output is byte-identical to the serial pipeline regardless of scheduling
-// or chunking.
-func (p *Pipeline) AnalyzeThread(thread int, snap *meta.Snapshot, items []source.Item) *ThreadResult {
-	a := p.NewThreadAnalyzer(thread, snap)
-	a.Feed(items)
-	return a.Finish()
 }

@@ -73,20 +73,13 @@ func (f *SegmentFlow) AppendSteps(dst []Step) []Step {
 	return dst
 }
 
-// ReconstructSegment projects one segment onto the ICFG (§4): it matches
-// maximal runs of tokens starting from the candidate states of the first
-// unmatched token, restarting after hard mismatches the way the paper's
-// reconstruction resumes from a fresh starting point.
-func (m *Matcher) ReconstructSegment(seg *Segment) *SegmentFlow {
-	sc := m.getScratch()
-	defer m.putScratch(sc)
-	return m.ReconstructSegmentScratch(sc, seg)
-}
-
-// ReconstructSegmentScratch is ReconstructSegment with caller-provided
-// scratch, the per-worker entry point of the parallel pipeline: segments
-// are independent, the matcher is read-only, so one worker per scratch can
-// reconstruct different segments of a thread concurrently.
+// ReconstructSegmentScratch projects one segment onto the ICFG (§4): it
+// matches maximal runs of tokens starting from the candidate states of the
+// first unmatched token, restarting after hard mismatches the way the
+// paper's reconstruction resumes from a fresh starting point. sc is the
+// caller's scratch: segments are independent and the matcher is read-only,
+// so one worker per scratch can reconstruct different segments of a thread
+// concurrently.
 func (m *Matcher) ReconstructSegmentScratch(sc *MatchScratch, seg *Segment) *SegmentFlow {
 	f := &SegmentFlow{Seg: seg, Nodes: make([]cfg.NodeID, len(seg.Tokens)), g: m.G}
 	for i := range f.Nodes {

@@ -11,7 +11,7 @@ import (
 // mkSeg builds a segment from tokens and reconstructs it.
 func mkFlow(m *Matcher, toks []Token, gap *GapInfo) *SegmentFlow {
 	seg := &Segment{Tokens: toks, GapBefore: gap}
-	return m.ReconstructSegment(seg)
+	return m.ReconstructSegmentScratch(m.NewScratch(), seg)
 }
 
 // loopTrace produces n iterations of the fun@15..18-ish control loop using

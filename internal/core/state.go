@@ -78,17 +78,14 @@ func (t *tokenizer) restoreState(st TokenizerState) {
 
 // ThreadAnalyzerState is one thread's checkpointable analysis state
 // (DESIGN.md §11): decoder walking state, tokenizer lowering state, the
-// decoded-but-unreconstructed backlog, the flows already reconstructed,
-// and the fault-harvest watermarks. Only valid at quiescence — between
-// Session drains, outside any wave — and only before Finish.
+// decoded segments awaiting Finish, and the fault-harvest watermarks. Only
+// valid at quiescence — between Session drains — and only before Finish.
 type ThreadAnalyzerState struct {
 	Thread     int
 	Decoder    source.WalkerState
 	Tokenizer  TokenizerState
 	Pend       []*Segment
-	Flows      []*SegmentFlow
 	DecodeTime time.Duration
-	SegsSeen   uint64
 
 	SeenFaults  int
 	SeenSkipped uint64
@@ -112,9 +109,7 @@ func (a *ThreadAnalyzer) ExportState() ThreadAnalyzerState {
 		Decoder:    a.dec.ExportState(),
 		Tokenizer:  a.tk.exportState(),
 		Pend:       append([]*Segment(nil), a.pend...),
-		Flows:      append([]*SegmentFlow(nil), a.res.Flows...),
 		DecodeTime: a.res.DecodeTime,
-		SegsSeen:   a.segsSeen,
 
 		SeenFaults:  a.seenFaults,
 		SeenSkipped: a.seenSkipped,
@@ -129,9 +124,7 @@ func (a *ThreadAnalyzer) ExportState() ThreadAnalyzerState {
 }
 
 // RestoreState rebuilds a freshly-constructed analyzer from a checkpointed
-// state. Flows crossed the checkpoint without their unexported ICFG
-// reference (gob skips it), so each one is reattached to this pipeline's
-// graph; segment abstraction caches rebuild lazily on first use.
+// state; segment abstraction caches rebuild lazily on first use.
 func (a *ThreadAnalyzer) RestoreState(st ThreadAnalyzerState) error {
 	if err := a.dec.RestoreState(st.Decoder); err != nil {
 		return err
@@ -139,14 +132,7 @@ func (a *ThreadAnalyzer) RestoreState(st ThreadAnalyzerState) error {
 	a.tk.restoreState(st.Tokenizer)
 	a.pend = append([]*Segment(nil), st.Pend...)
 	a.res.Thread = st.Thread
-	a.res.Flows = append([]*SegmentFlow(nil), st.Flows...)
-	for _, f := range a.res.Flows {
-		if f != nil {
-			f.g = a.p.Matcher.G
-		}
-	}
 	a.res.DecodeTime = st.DecodeTime
-	a.segsSeen = st.SegsSeen
 
 	a.seenFaults = st.SeenFaults
 	a.seenSkipped = st.SeenSkipped

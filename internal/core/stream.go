@@ -12,19 +12,15 @@ import (
 	"jportal/internal/source"
 )
 
-// ThreadAnalyzer is the resumable form of Pipeline.AnalyzeThread: one
-// thread's stitched packet stream is fed in chunks, decoded and tokenized
-// incrementally, and reconstructed in waves bounded by
-// PipelineConfig.MaxPendingSegments, so the decoded-but-unreconstructed
-// backlog — not the whole trace — is what stays in memory.
-//
-// Hole recovery deliberately runs only at Finish: the §5 recoverer indexes
-// every flow of the thread as a candidate continuation sequence for every
-// hole (an early segment can splice a late hole), so recovering before the
-// stream ends would change fills. Wave boundaries, by contrast, are
-// invisible: reconstruction is per-segment and order-preserving, so Finish
-// returns byte-identical results to the batch call for any chunking and any
-// cap.
+// ThreadAnalyzer is the per-thread offline pipeline: one thread's stitched
+// packet stream is fed in chunks and decoded and tokenized incrementally;
+// Finish reconstructs every decoded segment and then runs §5 hole
+// recovery. The decoded segments stay pending until Finish, so
+// reconstruction and recovery see the thread's complete segment sequence —
+// the §5 recoverer indexes every flow of the thread as a candidate
+// continuation for every hole (an early segment can splice a late hole).
+// Chunking is invisible: Finish returns byte-identical results for any
+// chunking and any worker count.
 type ThreadAnalyzer struct {
 	p        *Pipeline
 	snap     *meta.Snapshot
@@ -48,10 +44,6 @@ type ThreadAnalyzer struct {
 	carriedFaults   int
 	carriedSkipPkts int
 	carriedSkipByte uint64
-	// segsSeen counts segments consumed by reconstruction waves — the
-	// analyzer's watchdog heartbeat. Read via SegmentsSeen after a fan-out
-	// returns (same-goroutine visibility).
-	segsSeen uint64
 	// timedOut records that the caller's deadline cut this thread short.
 	// Atomic: reconstruction workers set it concurrently.
 	timedOut atomic.Bool
@@ -71,18 +63,12 @@ func (p *Pipeline) NewThreadAnalyzer(thread int, snap *meta.Snapshot) *ThreadAna
 // SetLedger attaches the quarantine ledger exclusions are reported to.
 func (a *ThreadAnalyzer) SetLedger(l *fault.Ledger) { a.ledger = l }
 
-// Feed analyses the next chunk of the thread's stitched stream. When the
-// completed-segment backlog reaches MaxPendingSegments, it is reconstructed
-// as a wave (fanning out to the configured workers) and released.
-func (a *ThreadAnalyzer) Feed(items []source.Item) {
-	a.FeedContext(context.Background(), items)
-}
-
-// FeedContext is Feed with deadline awareness: once ctx is cancelled the
+// Feed decodes and tokenizes the next chunk of the thread's stitched
+// stream; completed segments wait for Finish. Once ctx is cancelled the
 // chunk is quarantined under the deadline reason instead of decoded, so a
 // timed-out analysis stops consuming CPU but stays structurally valid —
 // Finish still returns a partial ThreadResult.
-func (a *ThreadAnalyzer) FeedContext(ctx context.Context, items []source.Item) {
+func (a *ThreadAnalyzer) Feed(ctx context.Context, items []source.Item) {
 	if a.finished {
 		panic("core: ThreadAnalyzer.Feed after Finish")
 	}
@@ -94,9 +80,6 @@ func (a *ThreadAnalyzer) FeedContext(ctx context.Context, items []source.Item) {
 	a.safeFeed(items)
 	a.harvestFaults()
 	a.pend = append(a.pend, a.tk.take()...)
-	if cap := a.p.Cfg.MaxPendingSegments; cap > 0 && len(a.pend) >= cap {
-		a.reconstructContext(ctx)
-	}
 	a.res.DecodeTime += time.Since(t0)
 }
 
@@ -109,11 +92,6 @@ func (a *ThreadAnalyzer) quarantineDeadline(items int, bytes uint64, detail stri
 		Items: items, Bytes: bytes, Detail: detail,
 	})
 }
-
-// SegmentsSeen returns how many segments reconstruction has consumed — a
-// monotone progress heartbeat for the watchdog. Read it from the goroutine
-// that drives the analyzer (or after a fan-out has returned).
-func (a *ThreadAnalyzer) SegmentsSeen() uint64 { return a.segsSeen }
 
 // TimedOut reports whether a deadline cut this thread's analysis short.
 func (a *ThreadAnalyzer) TimedOut() bool { return a.timedOut.Load() }
@@ -187,39 +165,29 @@ func chunkBytes(items []source.Item) uint64 {
 	return n
 }
 
-// PendingSegments returns the decoded-but-unreconstructed backlog.
-func (a *ThreadAnalyzer) PendingSegments() int { return len(a.pend) }
-
-// reconstruct projects the pending segments onto the ICFG, appending their
-// flows in segment order (slot-addressed, so identical for any worker
-// count), and drops the segment references.
-func (a *ThreadAnalyzer) reconstruct() { a.reconstructContext(context.Background()) }
-
-// reconstructContext is reconstruct under a deadline: segments whose turn
-// comes after ctx is cancelled are quarantined (an empty, Quarantined flow
-// — never nil, so slot addressing and hole bookkeeping stay intact) rather
-// than projected.
-func (a *ThreadAnalyzer) reconstructContext(ctx context.Context) {
+// reconstruct projects the pending segments onto the ICFG as the thread's
+// flows, in segment order (slot-addressed, so identical for any worker
+// count), and drops the segment references. Each worker brings its own
+// match scratch. Segments whose turn comes after ctx is cancelled are
+// quarantined (an empty, Quarantined flow — never nil, so slot addressing
+// and hole bookkeeping stay intact) rather than projected.
+func (a *ThreadAnalyzer) reconstruct(ctx context.Context) {
 	if len(a.pend) == 0 {
 		return
 	}
-	base := len(a.res.Flows)
-	a.res.Flows = append(a.res.Flows, make([]*SegmentFlow, len(a.pend))...)
 	pend := a.pend
+	a.pend = nil
+	a.res.Flows = make([]*SegmentFlow, len(pend))
 	var cancelled atomic.Int64
-	// Scratch comes from the matcher's pool (released after the wave),
-	// so repeated waves reuse warm buffers instead of reallocating and
-	// re-zeroing the NumNodes-sized seen[] each time.
-	conc.ParallelWorkRelease(a.p.Cfg.WorkerCount(), len(pend),
-		a.p.Matcher.getScratch, a.p.Matcher.putScratch,
+	conc.ParallelWork(a.p.Cfg.WorkerCount(), len(pend), a.p.Matcher.NewScratch,
 		func(sc *MatchScratch, i int) {
 			if ctx.Err() != nil {
 				a.timedOut.Store(true)
 				cancelled.Add(1)
-				a.res.Flows[base+i] = quarantinedFlow(pend[i], a.p.Matcher.G)
+				a.res.Flows[i] = quarantinedFlow(pend[i], a.p.Matcher.G)
 				return
 			}
-			a.res.Flows[base+i] = a.safeReconstruct(sc, pend[i])
+			a.res.Flows[i] = a.safeReconstruct(sc, pend[i])
 		})
 	if n := cancelled.Load(); n > 0 {
 		a.ledger.Add(fault.Entry{
@@ -227,11 +195,6 @@ func (a *ThreadAnalyzer) reconstructContext(ctx context.Context) {
 			Count: int(n), Items: int(n), Detail: "reconstruction cancelled",
 		})
 	}
-	a.segsSeen += uint64(len(pend))
-	for i := range a.pend {
-		a.pend[i] = nil
-	}
-	a.pend = a.pend[:0]
 }
 
 // safeReconstruct projects one segment with panic containment: a matcher
@@ -253,19 +216,14 @@ func (a *ThreadAnalyzer) safeReconstruct(sc *MatchScratch, seg *Segment) (f *Seg
 	return a.p.Matcher.ReconstructSegmentScratch(sc, seg)
 }
 
-// Finish flushes the decoder and tokenizer, reconstructs the remaining
-// segments, runs §5 hole recovery over the complete flow sequence, and
-// merges the end-to-end profile — exactly AnalyzeThread's tail. Repeated
-// calls return the same result.
-func (a *ThreadAnalyzer) Finish() *ThreadResult {
-	return a.FinishContext(context.Background())
-}
-
-// FinishContext is Finish under a deadline: once ctx is cancelled, pending
-// segments are quarantined instead of reconstructed and §5 recovery is
-// skipped (every hole stays a hole — degradation, not failure), so a
-// timed-out Close returns a partial-but-valid ThreadResult promptly.
-func (a *ThreadAnalyzer) FinishContext(ctx context.Context) *ThreadResult {
+// Finish flushes the decoder and tokenizer, reconstructs the segments,
+// runs §5 hole recovery over the complete flow sequence, and merges the
+// end-to-end profile. Repeated calls return the same result. Once ctx is
+// cancelled, pending segments are quarantined instead of reconstructed and
+// §5 recovery is skipped (every hole stays a hole — degradation, not
+// failure), so a timed-out Close returns a partial-but-valid ThreadResult
+// promptly.
+func (a *ThreadAnalyzer) Finish(ctx context.Context) *ThreadResult {
 	if a.finished {
 		return a.res
 	}
@@ -283,7 +241,7 @@ func (a *ThreadAnalyzer) FinishContext(ctx context.Context) *ThreadResult {
 	st.SkippedPackets = a.carriedSkipPkts + ds.SkippedPackets
 	st.QuarantinedBytes = a.carriedSkipByte + ds.SkippedBytes
 	res.Decode = st
-	a.reconstructContext(ctx)
+	a.reconstruct(ctx)
 	res.DecodeTime += time.Since(t0)
 
 	t1 := time.Now()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -55,9 +56,10 @@ func TestThreadAnalyzerFinishIdempotent(t *testing.T) {
 	prog, m := fig2Matcher(t)
 	p := &Pipeline{Prog: prog, Matcher: m, Cfg: DefaultPipelineConfig()}
 	a := p.NewThreadAnalyzer(0, nil)
-	a.Feed(nil)
-	res := a.Finish()
-	if res2 := a.Finish(); res2 != res {
+	ctx := context.Background()
+	a.Feed(ctx, nil)
+	res := a.Finish(ctx)
+	if res2 := a.Finish(ctx); res2 != res {
 		t.Fatal("second Finish returned a different result")
 	}
 	defer func() {
@@ -65,7 +67,7 @@ func TestThreadAnalyzerFinishIdempotent(t *testing.T) {
 			t.Fatal("Feed after Finish did not panic")
 		}
 	}()
-	a.Feed(nil)
+	a.Feed(ctx, nil)
 }
 
 func TestPipelineConfigValidate(t *testing.T) {
@@ -74,7 +76,6 @@ func TestPipelineConfigValidate(t *testing.T) {
 	}
 	bad := []func(*PipelineConfig){
 		func(c *PipelineConfig) { c.Workers = -1 },
-		func(c *PipelineConfig) { c.MaxPendingSegments = -4 },
 		func(c *PipelineConfig) { c.Recovery.AnchorLen = -1 },
 		func(c *PipelineConfig) { c.Recovery.TopN = -2 },
 		func(c *PipelineConfig) { c.Recovery.TimeBudgetSlack = -0.5 },

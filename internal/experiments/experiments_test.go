@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"os"
 	"testing"
 )
@@ -56,15 +57,68 @@ func TestTable2Shape(t *testing.T) {
 	}
 }
 
+// accuracyBand is one recorded accuracy point, in percent: the guard
+// fails if Overall, RA or DA drops by more than guardPoints, or if PMD or
+// PR moves by more than guardPoints either way.
+type accuracyBand struct {
+	Overall, RA, DA, PMD, PR float64
+}
+
+const guardPoints = 1.0
+
+// checkBand compares one row against its recorded band.
+func checkBand(t *testing.T, label string, r AccuracyRow, want accuracyBand) {
+	t.Helper()
+	got := accuracyBand{r.Overall * 100, r.RA * 100, r.DA * 100, r.PMD * 100, r.PR * 100}
+	t.Logf("%s: overall=%.4f RA=%.4f DA=%.4f PMD=%.4f PR=%.4f", label, got.Overall, got.RA, got.DA, got.PMD, got.PR)
+	for _, m := range []struct {
+		name      string
+		got, want float64
+		twoSided  bool
+	}{
+		{"overall", got.Overall, want.Overall, false},
+		{"RA", got.RA, want.RA, false},
+		{"DA", got.DA, want.DA, false},
+		{"PMD", got.PMD, want.PMD, true},
+		{"PR", got.PR, want.PR, true},
+	} {
+		d := m.got - m.want
+		if d < -guardPoints || m.twoSided && d > guardPoints {
+			t.Errorf("%s: %s %.2f%% vs recorded %.2f%% (guard ±%.0f point)", label, m.name, m.got, m.want, guardPoints)
+		}
+	}
+}
+
+// figure7Bands are the per-subject accuracies at small() scale and the
+// default buffer, recorded when the guard was introduced.
+var figure7Bands = map[string]accuracyBand{
+	"avrora":   {82.4834, 0, 82.4834, 0, 0},
+	"batik":    {80.7204, 59.0715, 88.5994, 26.6830, 15.7620},
+	"fop":      {95.0714, 59.9097, 97.0464, 5.3182, 3.1861},
+	"h2":       {89.9969, 0, 89.9969, 0, 0},
+	"jython":   {76.7965, 55.3703, 92.0062, 41.5158, 22.9874},
+	"luindex":  {83.5122, 0, 83.5122, 0, 0},
+	"lusearch": {98.0685, 0, 98.0685, 0, 0},
+	"pmd":      {80.8820, 0, 80.8820, 0, 0},
+	"sunflow":  {93.1793, 0, 93.1793, 0, 0},
+}
+
+// TestFigure7Shape guards every subject's reconstruction accuracy
+// (Figure 7) against its recorded band.
 func TestFigure7Shape(t *testing.T) {
-	o := small()
-	o.Subjects = []string{"fop", "sunflow"}
-	rows, err := Figure7(o)
+	rows, err := Figure7(small())
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(rows) != len(figure7Bands) {
+		t.Fatalf("got %d rows, want %d", len(rows), len(figure7Bands))
+	}
 	for _, r := range rows {
-		t.Logf("%s: overall=%.3f PMD=%.3f DA=%.3f RA=%.3f segments=%d", r.Subject, r.Overall, r.PMD, r.DA, r.RA, r.Segments)
+		want, ok := figure7Bands[r.Subject]
+		if !ok {
+			t.Fatalf("no recorded band for %s", r.Subject)
+		}
+		checkBand(t, r.Subject, r, want)
 		if r.Overall < 0.4 || r.Overall > 1.0 {
 			t.Errorf("%s: overall accuracy %.3f out of plausible range", r.Subject, r.Overall)
 		}
@@ -133,30 +187,50 @@ func TestPathAccuracySmoke(t *testing.T) {
 	}
 }
 
+// table3Bands are Table 3's rows at small() scale — subject × 256/128/64M
+// buffer labels, in Table3's order — recorded when the guard was
+// introduced.
+var table3Bands = []accuracyBand{
+	{89.0659, 0, 89.0659, 0, 0},                   // batik 256M
+	{80.7204, 59.0715, 88.5994, 26.6830, 15.7620}, // batik 128M
+	{81.7421, 67.7756, 89.6327, 36.1008, 24.4675}, // batik 64M
+	{89.9969, 0, 89.9969, 0, 0},                   // h2 256M
+	{89.9969, 0, 89.9969, 0, 0},                   // h2 128M
+	{77.6442, 0, 77.6442, 0, 0},                   // h2 64M
+	{93.1793, 0, 93.1793, 0, 0},                   // sunflow 256M
+	{93.1793, 0, 93.1793, 0, 0},                   // sunflow 128M
+	{43.6992, 32.6791, 44.6305, 7.7922, 2.5464},   // sunflow 64M
+}
+
+// TestTable3Rows guards Table 3's loss/recovery breakdown against its
+// recorded bands and checks the table's shape: buffer labels in order,
+// PMD non-decreasing as the buffer shrinks, and the PD/PR identities.
 func TestTable3Rows(t *testing.T) {
 	o := small()
-	o.Subjects = []string{"sunflow"}
+	o.Subjects = Table3Subjects
 	rows, err := Table3(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
-		t.Fatalf("rows: %d", len(rows))
+	if len(rows) != len(table3Bands) {
+		t.Fatalf("rows: %d, want %d", len(rows), len(table3Bands))
 	}
-	// Monotone buffer labels 256, 128, 64 and PMD non-decreasing as the
-	// buffer shrinks.
-	if rows[0].BufMB != 256 || rows[1].BufMB != 128 || rows[2].BufMB != 64 {
-		t.Errorf("buffer order: %d %d %d", rows[0].BufMB, rows[1].BufMB, rows[2].BufMB)
-	}
-	if rows[0].PMD > rows[1].PMD+0.05 || rows[1].PMD > rows[2].PMD+0.05 {
-		t.Errorf("PMD not monotone-ish: %.2f %.2f %.2f", rows[0].PMD, rows[1].PMD, rows[2].PMD)
-	}
-	for _, r := range rows {
+	for i, r := range rows {
+		checkBand(t, fmt.Sprintf("%s %dM", r.Subject, r.BufMB), r, table3Bands[i])
 		if d := r.PD - r.PDC*r.DA; d > 1e-9 || d < -1e-9 {
-			t.Errorf("PD != PDC*DA at %dM", r.BufMB)
+			t.Errorf("%s: PD != PDC*DA at %dM", r.Subject, r.BufMB)
 		}
 		if d := r.PR - r.PMD*r.RA; d > 1e-9 || d < -1e-9 {
-			t.Errorf("PR != PMD*RA at %dM", r.BufMB)
+			t.Errorf("%s: PR != PMD*RA at %dM", r.Subject, r.BufMB)
+		}
+	}
+	for i := 0; i < len(rows); i += 3 {
+		r := rows[i : i+3]
+		if r[0].BufMB != 256 || r[1].BufMB != 128 || r[2].BufMB != 64 {
+			t.Errorf("%s: buffer order: %d %d %d", r[0].Subject, r[0].BufMB, r[1].BufMB, r[2].BufMB)
+		}
+		if r[0].PMD > r[1].PMD+0.05 || r[1].PMD > r[2].PMD+0.05 {
+			t.Errorf("%s: PMD not monotone-ish: %.2f %.2f %.2f", r[0].Subject, r[0].PMD, r[1].PMD, r[2].PMD)
 		}
 	}
 }

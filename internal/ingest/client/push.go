@@ -92,23 +92,14 @@ func PushArchive(ctx context.Context, opts Options, dir string) (PushStats, erro
 	if err := send(ingest.FrameProgram, programGob); err != nil {
 		return st, err
 	}
-	// Batch whole records into chunks of at most MaxChunkBytes. The
-	// batching is deterministic for a given archive, so a resumed push
-	// reproduces the same frame sequence and the skip-below-frontier logic
-	// lines up exactly.
-	for off := 0; off < len(records); {
-		end := off
-		for end < len(records) {
-			n, _ := streamfmt.Scan(records[end:]) // pre-validated above
-			if end > off && end+n-off > p.opts.MaxChunkBytes {
-				break
-			}
-			end += n
-		}
-		if err := send(ingest.FrameChunk, records[off:end]); err != nil {
+	frames, err := ChunkFrames(records, p.opts.MaxChunkBytes)
+	if err != nil {
+		return st, err
+	}
+	for _, f := range frames {
+		if err := send(ingest.FrameChunk, f); err != nil {
 			return st, err
 		}
-		off = end
 	}
 	if err := p.Finish(); err != nil {
 		return st, err
@@ -116,4 +107,30 @@ func PushArchive(ctx context.Context, opts Options, dir string) (PushStats, erro
 	st.Reconnects = p.Reconnects()
 	st.Nacks = p.Nacks()
 	return st, nil
+}
+
+// ChunkFrames batches a stream's records (the bytes after its header) into
+// CHUNK payloads of whole records, each at most maxBytes unless a single
+// record is larger. The batching is deterministic for a given archive, so
+// a resumed push reproduces the same frame sequence and the server's
+// skip-below-frontier logic lines up exactly — and a frontier fabricated
+// from these frames lands where a resumed push expects it.
+func ChunkFrames(records []byte, maxBytes int) ([][]byte, error) {
+	var frames [][]byte
+	for off := 0; off < len(records); {
+		end := off
+		for end < len(records) {
+			n, err := streamfmt.Scan(records[end:])
+			if err != nil {
+				return nil, err
+			}
+			if end > off && end+n-off > maxBytes {
+				break
+			}
+			end += n
+		}
+		frames = append(frames, records[off:end])
+		off = end
+	}
+	return frames, nil
 }

@@ -1,8 +1,8 @@
 package ingest
 
-// White-box tests of the session sequencing rules and the two backpressure
-// policies, driven without a writer goroutine so the queue state is fully
-// under the test's control.
+// White-box tests of the session sequencing rules and the blocking
+// backpressure, driven without a writer goroutine so the queue state is
+// fully under the test's control.
 
 import (
 	"net"
@@ -158,40 +158,8 @@ func TestSubmitAfterWriterOvertakesRebind(t *testing.T) {
 	}
 }
 
-func TestPolicyNackOverflow(t *testing.T) {
-	srv, sess := newTestSession(t, Config{QueueDepth: 2, Policy: PolicyNack})
-	fc := newFakeConn(t)
-
-	// Fill the queue (no writer is draining it).
-	for seq := uint64(1); seq <= 2; seq++ {
-		if !sess.submit(msg{typ: FrameChunk, seq: seq}, fc.cw) {
-			t.Fatalf("seq %d rejected with room in the queue", seq)
-		}
-	}
-	// Overflow: frame is dropped with a NACK, connection stays open, and
-	// the enqueue frontier does not advance past the drop.
-	if !sess.submit(msg{typ: FrameChunk, seq: 3}, fc.cw) {
-		t.Fatal("overflow closed the connection")
-	}
-	fc.expect(t, FrameNack, 3)
-	if got := srv.Metrics().Nacks.Load(); got != 1 {
-		t.Fatalf("Nacks = %d, want 1", got)
-	}
-	if sess.nextEnqueue != 3 {
-		t.Fatalf("nextEnqueue = %d after NACKed frame, want 3", sess.nextEnqueue)
-	}
-	// After the queue drains, the retransmission is accepted.
-	<-sess.queue
-	if !sess.submit(msg{typ: FrameChunk, seq: 3}, fc.cw) {
-		t.Fatal("retransmission rejected")
-	}
-	if sess.nextEnqueue != 4 {
-		t.Fatalf("nextEnqueue = %d after retransmission, want 4", sess.nextEnqueue)
-	}
-}
-
 func TestPolicyBlockBackpressure(t *testing.T) {
-	_, sess := newTestSession(t, Config{QueueDepth: 1, Policy: PolicyBlock})
+	_, sess := newTestSession(t, Config{QueueDepth: 1})
 	fc := newFakeConn(t)
 
 	if !sess.submit(msg{typ: FrameChunk, seq: 1}, fc.cw) {
@@ -203,7 +171,7 @@ func TestPolicyBlockBackpressure(t *testing.T) {
 	go func() { done <- sess.submit(msg{typ: FrameChunk, seq: 2}, fc.cw) }()
 	select {
 	case <-done:
-		t.Fatal("submit returned with a full queue under PolicyBlock")
+		t.Fatal("submit returned with a full queue")
 	case <-time.After(100 * time.Millisecond):
 	}
 	// Draining one message unblocks it.
@@ -219,7 +187,7 @@ func TestPolicyBlockBackpressure(t *testing.T) {
 }
 
 func TestPolicyBlockForceRelease(t *testing.T) {
-	srv, sess := newTestSession(t, Config{QueueDepth: 1, Policy: PolicyBlock})
+	srv, sess := newTestSession(t, Config{QueueDepth: 1})
 	fc := newFakeConn(t)
 
 	if !sess.submit(msg{typ: FrameChunk, seq: 1}, fc.cw) {

@@ -22,9 +22,9 @@
 // Sequence numbers make re-delivery idempotent: a frame at or below the
 // acknowledged sequence is dropped (and re-ACKed), so a client that
 // reconnects after losing ACKs can blindly resend its unacknowledged tail.
-// A gap — or a frame rejected because the session's bounded queue is full
-// under the NACK backpressure policy — earns a NACK carrying the sequence
-// the server wants next; the client backs off and resends from there.
+// A gap — or a frame shed because the server's memory budget is exhausted
+// — earns a NACK carrying the sequence the server wants next; the client
+// backs off and resends from there.
 // ERR is terminal for the connection and carries a human-readable reason.
 // BUSY answers a HELLO the server refuses for load reasons — the
 // concurrent-session cap or the global memory budget — and carries a

@@ -34,34 +34,16 @@ type Router interface {
 	Route(sessionID string) (owner string, local bool)
 }
 
-// Policy selects what the server does when a session's bounded inbound
-// queue is full.
-type Policy string
-
-const (
-	// PolicyBlock stops reading the connection until the archiver catches
-	// up: backpressure propagates to the client through TCP flow control.
-	// Nothing is dropped; a slow disk simply slows the sender.
-	PolicyBlock Policy = "block"
-
-	// PolicyNack rejects the frame with a NACK carrying the sequence the
-	// server wants next. The client backs off and retransmits; the server
-	// keeps reading, so control frames (FIN, retransmits after the queue
-	// drains) are never stuck behind a full queue.
-	PolicyNack Policy = "nack"
-)
-
 // Config configures a Server.
 type Config struct {
 	// DataDir is where per-session archives are written: one chunked-layout
 	// run archive per session id, loadable by jportal decode/stream.
 	DataDir string
 	// QueueDepth bounds each session's inbound queue (frames accepted but
-	// not yet archived). 0 means 64.
+	// not yet archived). 0 means 64. A full queue stops the connection's
+	// reader until the archiver catches up: backpressure propagates to the
+	// client through TCP flow control, and nothing is dropped.
 	QueueDepth int
-	// Policy is the backpressure policy when a queue is full; default
-	// PolicyBlock.
-	Policy Policy
 	// IdleTimeout closes a connection with no complete frame for this
 	// long, so vanished agents do not hold their session attached forever.
 	// 0 means 2 minutes.
@@ -77,9 +59,8 @@ type Config struct {
 	// backoff. 0 means unlimited.
 	MemoryBudgetBytes int64
 	// BreakerNacks is the per-session circuit breaker: a session whose
-	// connection earns this many NACKs (queue overflow, budget sheds,
-	// sequence gaps) is poisoned before it burns more budget. 0 disables
-	// the breaker.
+	// connection earns this many NACKs (budget sheds, sequence gaps) is
+	// poisoned before it burns more budget. 0 disables the breaker.
 	BreakerNacks int
 	// StallAfter poisons a session whose writer makes no progress for this
 	// long while frames are queued — a wedged disk or a hung archive write
@@ -113,13 +94,6 @@ func (c *Config) fill() error {
 	}
 	if c.QueueDepth < 1 {
 		return fmt.Errorf("ingest: QueueDepth %d is not positive", c.QueueDepth)
-	}
-	switch c.Policy {
-	case "":
-		c.Policy = PolicyBlock
-	case PolicyBlock, PolicyNack:
-	default:
-		return fmt.Errorf("ingest: unknown backpressure policy %q", c.Policy)
 	}
 	if c.IdleTimeout == 0 {
 		c.IdleTimeout = 2 * time.Minute
@@ -1013,7 +987,7 @@ func (sess *session) submit(m msg, cw *connWriter) bool {
 			sess.srv.metrics.Duplicates.Add(1)
 			return true
 		case m.seq > sess.nextEnqueue:
-			// Gap: frames were dropped (NACK policy) or reordered.
+			// Gap: frames were shed (memory budget) or reordered.
 			want := sess.nextEnqueue
 			sess.mu.Unlock()
 			return sess.shed(cw, want)
@@ -1022,30 +996,21 @@ func (sess *session) submit(m msg, cw *connWriter) bool {
 	sess.mu.Unlock()
 
 	// Global memory budget: a frame that would push the queued-but-unarchived
-	// payload past the budget is shed with a NACK regardless of policy —
-	// blocking here would hold the budget overrun in the TCP buffers instead.
+	// payload past the budget is shed with a NACK — blocking here would hold
+	// the budget overrun in the TCP buffers instead.
 	if b := sess.srv.cfg.MemoryBudgetBytes; m.typ != FrameFin && b > 0 &&
 		sess.srv.queuedBytes.Load()+int64(len(m.data)) > b {
 		sess.srv.metrics.FramesShed.Add(1)
 		return sess.shed(cw, m.seq)
 	}
 
-	if m.typ != FrameFin && sess.srv.cfg.Policy == PolicyNack {
-		select {
-		case sess.queue <- m:
-			sess.srv.queuedBytes.Add(int64(len(m.data)))
-		default:
-			return sess.shed(cw, m.seq)
-		}
-	} else {
-		// PolicyBlock (and FIN under either policy): stop reading until
-		// there is room — TCP pushes the backpressure to the client.
-		select {
-		case sess.queue <- m:
-			sess.srv.queuedBytes.Add(int64(len(m.data)))
-		case <-sess.srv.force:
-			return false
-		}
+	// Stop reading until there is room — TCP pushes the backpressure to
+	// the client.
+	select {
+	case sess.queue <- m:
+		sess.srv.queuedBytes.Add(int64(len(m.data)))
+	case <-sess.srv.force:
+		return false
 	}
 	if m.typ != FrameFin {
 		sess.mu.Lock()
@@ -1291,8 +1256,8 @@ func (sess *session) finish(finSeq uint64) {
 		// stream without sealing — a protocol violation, not a retry.
 		conn.sendErr("FIN before the stream's seal record")
 	default:
-		// Frames are missing (dropped under NACK policy, or the client
-		// ran ahead): ask for a resend from the frontier.
+		// Frames are missing (shed under the memory budget, or the
+		// client ran ahead): ask for a resend from the frontier.
 		sess.srv.metrics.Nacks.Add(1)
 		conn.send(FrameNack, AppendSeq(nil, acked+1))
 	}
@@ -1316,7 +1281,7 @@ func (s *Server) quarantineErr(err error) {
 // rejectAndPoison NACKs the frame that failed validation — telling the
 // client the sequence was not accepted — then poisons the session. The
 // blast radius is exactly this session id: sibling sessions on the same
-// server (even the same connection policy and queue) keep archiving.
+// server keep archiving.
 func (sess *session) rejectAndPoison(m msg, err error) {
 	sess.mu.Lock()
 	conn := sess.conn

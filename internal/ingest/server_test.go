@@ -3,7 +3,7 @@ package ingest_test
 // Loopback tests of the ingest server + client pair: every test starts a
 // real TCP server and asserts the server-side archive comes out
 // byte-identical to the stream the client pushed — including under injected
-// disconnects, duplicate delivery, server restarts, tiny queues and
+// disconnects, duplicate delivery, a dropped frame, server restarts and
 // concurrent sessions. The streams are synthetic (the server validates
 // structure, not run semantics); end-to-end runs against real workloads
 // live in the repo root's ingest e2e tests.
@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http/httptest"
 	"os"
@@ -77,26 +78,15 @@ func buildStream(t *testing.T, ncores, nchunks int) []byte {
 	return buf.Bytes()
 }
 
-// chunksOf batches whole records into payloads of at most maxBytes.
+// chunksOf batches whole records into payloads of at most maxBytes, the
+// way the client's PushArchive does.
 func chunksOf(t *testing.T, records []byte, maxBytes int) [][]byte {
 	t.Helper()
-	var out [][]byte
-	for off := 0; off < len(records); {
-		end := off
-		for end < len(records) {
-			n, err := streamfmt.Scan(records[end:])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if end > off && end+n-off > maxBytes {
-				break
-			}
-			end += n
-		}
-		out = append(out, records[off:end])
-		off = end
+	frames, err := client.ChunkFrames(records, maxBytes)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	return frames
 }
 
 func startServer(t *testing.T, cfg ingest.Config) (*ingest.Server, string) {
@@ -380,6 +370,62 @@ func TestSequenceGapEarnsNack(t *testing.T) {
 	}
 }
 
+// TestClientResendsAfterGapNack drops one CHUNK frame between a real
+// client and server: the server NACKs the gap, and the client must resend
+// from the named sequence so the archive still comes out byte-identical.
+func TestClientResendsAfterGapNack(t *testing.T) {
+	dataDir := t.TempDir()
+	_, srvAddr := startServer(t, ingest.Config{DataDir: dataDir})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		dropped := false
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			up, err := net.Dial("tcp", srvAddr)
+			if err != nil {
+				c.Close()
+				return
+			}
+			go func() { io.Copy(c, up); c.Close() }()
+			for {
+				typ, payload, err := ingest.ReadFrame(c)
+				if err != nil {
+					up.Close()
+					break
+				}
+				if seq, _, _ := ingest.ParseSeq(payload); typ == ingest.FrameChunk && seq == 3 && !dropped {
+					dropped = true
+					continue
+				}
+				if ingest.WriteFrame(up, typ, payload) != nil {
+					c.Close()
+					break
+				}
+			}
+		}
+	}()
+
+	gob := testProgramGob(t)
+	stream := buildStream(t, 2, 20)
+	opts := client.Options{
+		Addr: ln.Addr().String(), SessionID: "gap", MaxChunkBytes: 128,
+		Backoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond,
+	}
+	p := pushStream(t, opts, gob, stream)
+	defer p.Close()
+	if p.Nacks() == 0 {
+		t.Fatal("the dropped frame earned no NACK")
+	}
+	assertArchived(t, dataDir, "gap", gob, stream)
+}
+
 func TestFinBeforeSealIsAnError(t *testing.T) {
 	_, addr := startServer(t, ingest.Config{DataDir: t.TempDir()})
 	stream := buildStream(t, 2, 2)
@@ -616,24 +662,6 @@ func TestServerRestartResumesFromState(t *testing.T) {
 	}
 	p2.Close()
 	assertArchived(t, dataDir, "restart", gob, stream)
-}
-
-func TestTinyQueueNackPolicyStillByteIdentical(t *testing.T) {
-	// A deliberately slow consumer: depth-1 queue under the NACK policy.
-	// Overflow NACKs (if the writer falls behind) must heal transparently.
-	dataDir := t.TempDir()
-	_, addr := startServer(t, ingest.Config{
-		DataDir: dataDir, QueueDepth: 1, Policy: ingest.PolicyNack,
-	})
-	gob := testProgramGob(t)
-	stream := buildStream(t, 2, 40)
-	opts := client.Options{
-		Addr: addr, SessionID: "tiny", MaxChunkBytes: 128,
-		Backoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond,
-	}
-	p := pushStream(t, opts, gob, stream)
-	defer p.Close()
-	assertArchived(t, dataDir, "tiny", gob, stream)
 }
 
 func TestConcurrentSessions(t *testing.T) {

@@ -221,28 +221,6 @@ func pushSweepSession(cfg DiskSweepConfig, addr, id string) bool {
 	return true
 }
 
-// sweepFrames replicates the client's deterministic record batching, so
-// a fabricated frontier lands exactly where a resumed push expects it.
-func sweepFrames(records []byte) ([][]byte, error) {
-	var frames [][]byte
-	for off := 0; off < len(records); {
-		end := off
-		for end < len(records) {
-			n, err := streamfmt.Scan(records[end:])
-			if err != nil {
-				return nil, err
-			}
-			if end > off && end+n-off > sweepChunkBytes {
-				break
-			}
-			end += n
-		}
-		frames = append(frames, records[off:end])
-		off = end
-	}
-	return frames, nil
-}
-
 // craftTornVictim fabricates the on-disk shape of a session whose server
 // died mid-record: archive.meta and program.gob verbatim from the source
 // archive, a stream holding the first half of the client's frames plus a
@@ -253,7 +231,7 @@ func craftTornVictim(dataDir, id, archiveDir string) error {
 	if err != nil {
 		return err
 	}
-	frames, err := sweepFrames(stream[streamfmt.HeaderLen:])
+	frames, err := client.ChunkFrames(stream[streamfmt.HeaderLen:], sweepChunkBytes)
 	if err != nil {
 		return err
 	}

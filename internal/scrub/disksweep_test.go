@@ -3,6 +3,7 @@ package scrub
 import (
 	"testing"
 
+	"jportal/internal/ingest/client"
 	"jportal/internal/streamfmt"
 )
 
@@ -17,7 +18,7 @@ func TestDiskSweepDeterministic(t *testing.T) {
 	srcData := t.TempDir()
 	stream := buildStream(t, 2, 200)
 	archiveDir := writeSession(t, srcData, "src", testProgramGob(t), stream, 0, 0, false)
-	if frames, err := sweepFrames(stream[streamfmt.HeaderLen:]); err != nil || len(frames) < 2 {
+	if frames, err := client.ChunkFrames(stream[streamfmt.HeaderLen:], sweepChunkBytes); err != nil || len(frames) < 2 {
 		t.Fatalf("sweep archive too small: %d frames, %v", len(frames), err)
 	}
 

@@ -491,9 +491,8 @@ func (s *StreamStitcher) Finish() []ThreadStream {
 }
 
 // FinishWorkers is Finish with the final per-core carve fanned out on up
-// to workers goroutines (cores are independent, mirroring the batch
-// split's parallel carve). The emitted deltas are identical for any
-// worker count.
+// to workers goroutines (cores are independent). The emitted deltas are
+// identical for any worker count.
 func (s *StreamStitcher) FinishWorkers(workers int) []ThreadStream {
 	if s.finished {
 		return nil

@@ -19,7 +19,6 @@ package trace
 import (
 	"sort"
 
-	"jportal/internal/conc"
 	"jportal/internal/source"
 	"jportal/internal/vm"
 )
@@ -53,9 +52,40 @@ func collapseRuns(recs []vm.SwitchRecord) []vm.SwitchRecord {
 // the scheduler sideband. For a single-threaded program this degenerates to
 // concatenating the (single) core windows in time order. tr identifies the
 // time-bearing packet kinds of the trace's source (the only per-source
-// knowledge the carve needs).
+// knowledge the carve needs). It is the batch reference the incremental
+// StreamStitcher is tested against, so it carves the cores serially.
 func SplitByThread(cores []source.CoreTrace, sideband []vm.SwitchRecord, tr *source.Traits) []ThreadStream {
-	return SplitByThreadWorkers(cores, sideband, tr, 0)
+	perCore := make(map[int][]vm.SwitchRecord)
+	maxThread := 0
+	for _, r := range sideband {
+		perCore[r.Core] = append(perCore[r.Core], r)
+		if r.Thread > maxThread {
+			maxThread = r.Thread
+		}
+	}
+
+	var windows []window
+	for ci := range cores {
+		recs := perCore[cores[ci].Core]
+		if len(recs) == 0 {
+			continue
+		}
+		// Collapse consecutive records with the same owner (including
+		// idle runs) so windowAt stays cheap.
+		windows = append(windows, carveCore(&cores[ci], collapseRuns(recs), tr)...)
+	}
+
+	// Stitch each thread's windows in time order.
+	sort.SliceStable(windows, func(i, j int) bool { return windows[i].start < windows[j].start })
+	streams := make([]ThreadStream, maxThread+1)
+	for i := range streams {
+		streams[i].Thread = i
+	}
+	for _, w := range windows {
+		s := &streams[w.thread]
+		s.Items = append(s.Items, w.items...)
+	}
+	return streams
 }
 
 // carveCore slices one core's trace into scheduling windows owned by
@@ -119,46 +149,4 @@ func carveCore(ct *source.CoreTrace, recs []vm.SwitchRecord, tr *source.Traits) 
 		}
 	}
 	return out
-}
-
-// SplitByThreadWorkers is SplitByThread with an explicit worker bound
-// (0 = GOMAXPROCS): cores carve their windows concurrently — each core's
-// trace is independent — and the merge walks the per-core results in core
-// order, so the stitched streams are identical for any worker count.
-func SplitByThreadWorkers(cores []source.CoreTrace, sideband []vm.SwitchRecord, tr *source.Traits, workers int) []ThreadStream {
-	perCore := make(map[int][]vm.SwitchRecord)
-	maxThread := 0
-	for _, r := range sideband {
-		perCore[r.Core] = append(perCore[r.Core], r)
-		if r.Thread > maxThread {
-			maxThread = r.Thread
-		}
-	}
-
-	coreWins := make([][]window, len(cores))
-	conc.ParallelFor(conc.Workers(workers), len(cores), func(ci int) {
-		recs := perCore[cores[ci].Core]
-		if len(recs) == 0 {
-			return
-		}
-		// Collapse consecutive records with the same owner (including
-		// idle runs) so windowAt stays cheap.
-		coreWins[ci] = carveCore(&cores[ci], collapseRuns(recs), tr)
-	})
-	var windows []window
-	for _, ws := range coreWins {
-		windows = append(windows, ws...)
-	}
-
-	// Stitch each thread's windows in time order.
-	sort.SliceStable(windows, func(i, j int) bool { return windows[i].start < windows[j].start })
-	streams := make([]ThreadStream, maxThread+1)
-	for i := range streams {
-		streams[i].Thread = i
-	}
-	for _, w := range windows {
-		s := &streams[w.thread]
-		s.Items = append(s.Items, w.items...)
-	}
-	return streams
 }

@@ -18,6 +18,7 @@
 package jportal
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
@@ -194,7 +195,7 @@ func Analyze(prog *bytecode.Program, run *RunResult, cfg core.PipelineConfig) (*
 			ncores = n
 		}
 	}
-	s, err := OpenSession(prog, run.Snapshot, ncores, cfg)
+	s, err := OpenSession(context.Background(), prog, run.Snapshot, ncores, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package jportal
 
 import (
-	"context"
 	"sync"
 
 	"jportal/internal/core"
@@ -62,7 +61,6 @@ type stageMsg struct {
 	items  []source.Item
 	recs   []vm.SwitchRecord
 	blobs  []*meta.CompiledMethod
-	ctx    context.Context
 	wg     *sync.WaitGroup // msgSync: Done once the receiver has drained
 }
 
@@ -85,7 +83,7 @@ func (s *Session) startStages(snap *meta.Snapshot) {
 
 // stitchLoop is the stitcher goroutine: it owns s.st between quiescence
 // points. When the input channel closes it runs the final carve, routes the
-// last deltas under s.closeCtx, and releases the workers.
+// last deltas, and releases the workers.
 func (s *Session) stitchLoop() {
 	defer s.stages.Done()
 	for m := range s.in {
@@ -98,7 +96,7 @@ func (s *Session) stitchLoop() {
 		case msgWatermark:
 			s.st.Watermark(m.core, m.mark)
 		case msgDrain:
-			s.route(s.st.Drain(), m.ctx)
+			s.route(s.st.Drain())
 			s.noteBuffered()
 		case msgBlobs:
 			for _, w := range s.work {
@@ -114,7 +112,7 @@ func (s *Session) stitchLoop() {
 			m.wg.Done()
 		}
 	}
-	s.route(s.st.FinishWorkers(s.pipe.Cfg.Workers), s.closeCtx)
+	s.route(s.st.FinishWorkers(s.pipe.Cfg.Workers))
 	for _, w := range s.work {
 		close(w)
 	}
@@ -132,9 +130,9 @@ func (s *Session) noteBuffered() {
 
 // route sends emitted thread deltas to their workers. Delta item slices are
 // freshly built by the stitcher and never reused, so ownership transfers.
-func (s *Session) route(deltas []trace.ThreadStream, ctx context.Context) {
+func (s *Session) route(deltas []trace.ThreadStream) {
 	for _, d := range deltas {
-		s.work[d.Thread%len(s.work)] <- stageMsg{kind: msgDelta, thread: d.Thread, items: d.Items, ctx: ctx}
+		s.work[d.Thread%len(s.work)] <- stageMsg{kind: msgDelta, thread: d.Thread, items: d.Items}
 	}
 }
 
@@ -155,11 +153,8 @@ func (s *Session) analyzeLoop(w int) {
 				}
 			}
 		case msgDelta:
-			a := s.analyzer(m.thread)
-			before := a.SegmentsSeen()
-			a.FeedContext(m.ctx, m.items)
+			s.analyzer(m.thread).Feed(s.ctx, m.items)
 			s.hbEmitted.Add(1)
-			s.hbSegments.Add(a.SegmentsSeen() - before)
 		case msgSync:
 			m.wg.Done()
 		}
@@ -204,10 +199,9 @@ func (s *Session) merge(n int) {
 	s.analyzers = as
 }
 
-// stopStages closes the input, lets the stitcher finish the stitch under
-// ctx, and joins every stage goroutine.
-func (s *Session) stopStages(ctx context.Context) {
-	s.closeCtx = ctx
+// stopStages closes the input, lets the stitcher finish the stitch, and
+// joins every stage goroutine.
+func (s *Session) stopStages() {
 	close(s.in)
 	s.stages.Wait()
 }

@@ -170,10 +170,12 @@ func TestResumePastArchiveEndIsAnError(t *testing.T) {
 	}
 }
 
-// openSubjectSession runs a subject and opens a Session over its traces.
-func openSubjectSession(t *testing.T, name string, scale workload.Scale) (*Session, *RunResult, int) {
-	t.Helper()
-	s := workload.MustLoad(name, scale)
+// TestDeadlineYieldsPartialAnalysis: cancelling the session's context
+// before Close must return promptly with a structurally valid partial
+// Analysis tagged TimedOut, the un-reconstructed remainder quarantined
+// under the deadline reason — never a hang, never a panic, never an error.
+func TestDeadlineYieldsPartialAnalysis(t *testing.T) {
+	s := workload.MustLoad("h2", 0.4)
 	rcfg := DefaultRunConfig()
 	rcfg.CollectOracle = false
 	rcfg.PT.BufBytes = 16 << 10
@@ -187,21 +189,12 @@ func openSubjectSession(t *testing.T, name string, scale workload.Scale) (*Sessi
 			ncores = n
 		}
 	}
-	cfg := core.DefaultPipelineConfig()
-	cfg.MaxPendingSegments = 0 // unbounded waves: everything pends until Close
-	sess, err := OpenSession(s.Program, run.Snapshot, ncores, cfg)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sess, err := OpenSession(ctx, s.Program, run.Snapshot, ncores, core.DefaultPipelineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sess, run, ncores
-}
-
-// TestDeadlineYieldsPartialAnalysis: cancelling the context before Close
-// must return promptly with a structurally valid partial Analysis tagged
-// TimedOut, the un-reconstructed remainder quarantined under the deadline
-// reason — never a hang, never a panic, never an error.
-func TestDeadlineYieldsPartialAnalysis(t *testing.T) {
-	sess, run, ncores := openSubjectSession(t, "h2", 0.4)
 	sess.AddSideband(run.Sideband)
 	for c := 0; c < ncores; c++ {
 		sess.Watermark(c, math.MaxUint64)
@@ -211,17 +204,20 @@ func TestDeadlineYieldsPartialAnalysis(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A clean Drain decodes and tokenizes: with reconstruction deferred
-	// (MaxPendingSegments = 0) every segment is still pending when the
-	// cancelled Close arrives, so the deadline cuts at the segment level.
+	// A clean Drain decodes and tokenizes; reconstruction waits for Close,
+	// so every segment is still pending when the context is cancelled and
+	// the deadline cuts at the segment level. Drain is asynchronous: a
+	// checkpoint waits for it to be applied before the cancel.
 	if err := sess.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
+	if _, err := sess.ExportCheckpoint(0); err != nil {
+		t.Fatal(err)
+	}
 	cancel()
-	an, err := sess.CloseContext(ctx)
+	an, err := sess.Close()
 	if err != nil {
-		t.Fatalf("CloseContext under a dead deadline: %v", err)
+		t.Fatalf("Close under a dead deadline: %v", err)
 	}
 	if an == nil || an.Report == nil {
 		t.Fatal("no analysis returned")
@@ -250,103 +246,15 @@ func TestDeadlineYieldsPartialAnalysis(t *testing.T) {
 	_ = an.Steps()
 }
 
-// TestDeadlineMidDrainStillCompletes: a deadline hit during one Drain wave
-// quarantines that wave only; the earlier clean wave keeps its decoded
-// segments and a clean Close still returns a valid Analysis. Partial means
-// partial, not poisoned. The waves are split by watermark — the first Drain
-// may only emit scheduling windows finalized below the mid-run watermark.
-// Drain is asynchronous, so the first wave is read after a checkpoint has
-// waited for it, and the cancelled wave is judged from the Analysis after
-// Close: each emitted delta carries its wave's context.
-func TestDeadlineMidDrainStillCompletes(t *testing.T) {
-	s := workload.MustLoad("fop", 0.3)
-	rcfg := DefaultRunConfig()
-	rcfg.CollectOracle = false
-	rcfg.PT.BufBytes = 16 << 10
-	run, err := Run(s.Program, s.Threads, rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ncores := 1
-	for i := range run.Traces {
-		if n := run.Traces[i].Core + 1; n > ncores {
-			ncores = n
-		}
-	}
-	cfg := core.DefaultPipelineConfig()
-	cfg.MaxPendingSegments = 1 // reconstruct eagerly, wave by wave
-	sess, err := OpenSession(s.Program, run.Snapshot, ncores, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess.AddSideband(run.Sideband)
-	for i := range run.Traces {
-		if err := sess.Feed(run.Traces[i].Core, run.Traces[i].Items); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// First wave cleanly: watermark at the sideband midpoint finalizes the
-	// early scheduling windows only.
-	mid := run.Sideband[len(run.Sideband)/2].TSC
-	for c := 0; c < ncores; c++ {
-		sess.Watermark(c, mid)
-	}
-	if err := sess.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	// Drain is asynchronous; a checkpoint waits for the stages to finish
-	// the first wave before its heartbeat is read.
-	if _, err := sess.ExportCheckpoint(0); err != nil {
-		t.Fatal(err)
-	}
-	decodedEarly := sess.DeltasApplied()
-
-	// Second wave under a cancelled context: its deltas quarantine at the
-	// feed level, but the session itself stays usable.
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	for c := 0; c < ncores; c++ {
-		sess.Watermark(c, math.MaxUint64)
-	}
-	if err := sess.DrainContext(ctx); err != nil {
-		t.Fatal(err)
-	}
-	an, err := sess.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !an.Report.TimedOut {
-		t.Error("TimedOut not set although one wave was cancelled")
-	}
-	if an.Report.Quarantined["deadline"] == 0 {
-		t.Errorf("the cancelled wave left no deadline ledger entries: %v", an.Report.Quarantined)
-	}
-	if decodedEarly == 0 {
-		t.Error("the clean first wave emitted no deltas")
-	}
-	if an.Report.SegmentsDecoded == 0 {
-		t.Error("nothing decoded: the clean wave's segments should survive")
-	}
-	for _, th := range an.Threads {
-		for i, f := range th.Flows {
-			if f == nil {
-				t.Fatalf("thread %d flow %d is nil", th.Thread, i)
-			}
-		}
-	}
-}
-
 // TestSessionLifecycleEdges covers the remaining lifecycle satellite cases:
 // double Close (idempotent, same result), Drain on an empty run, Close on a
-// never-fed session, and Feed/Drain after Close (already covered in
-// TestSessionValidation, re-checked here against the context variants).
+// never-fed session, and Feed/Drain after Close.
 func TestSessionLifecycleEdges(t *testing.T) {
 	s := workload.MustLoad("fop", 0.1)
 	snap := meta.NewSnapshot(meta.NewTemplateTable())
 
 	// Empty run: Drain and Close on a session that never saw input.
-	sess, err := OpenSession(s.Program, snap, 2, core.DefaultPipelineConfig())
+	sess, err := OpenSession(context.Background(), s.Program, snap, 2, core.DefaultPipelineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,9 +286,8 @@ func TestSessionLifecycleEdges(t *testing.T) {
 		t.Error("second Close returned a different Analysis")
 	}
 
-	// Context variants after Close fail like the plain ones.
-	if err := sess.DrainContext(context.Background()); err == nil {
-		t.Error("DrainContext succeeded on a closed session")
+	if err := sess.Drain(); err == nil {
+		t.Error("Drain succeeded on a closed session")
 	}
 	if err := sess.Feed(0, nil); err == nil {
 		t.Error("Feed succeeded on a closed session")
@@ -395,7 +302,7 @@ func TestSessionLifecycleEdges(t *testing.T) {
 	}
 
 	// Restoring into a session that already analysed input is refused.
-	sess2, err := OpenSession(s.Program, meta.NewSnapshot(meta.NewTemplateTable()), 3, core.DefaultPipelineConfig())
+	sess2, err := OpenSession(context.Background(), s.Program, meta.NewSnapshot(meta.NewTemplateTable()), 3, core.DefaultPipelineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

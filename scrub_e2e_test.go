@@ -22,30 +22,6 @@ import (
 
 const scrubChunkBytes = 4096
 
-// batchRecords replicates the push client's deterministic batching, so a
-// partial upload followed by a resumed PushArchive (same MaxChunkBytes)
-// reproduces the same frame sequence.
-func batchRecords(t *testing.T, records []byte) [][]byte {
-	t.Helper()
-	var out [][]byte
-	for off := 0; off < len(records); {
-		end := off
-		for end < len(records) {
-			n, err := streamfmt.Scan(records[end:])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if end > off && end+n-off > scrubChunkBytes {
-				break
-			}
-			end += n
-		}
-		out = append(out, records[off:end])
-		off = end
-	}
-	return out
-}
-
 func TestScrubRepairTornTailThenResume(t *testing.T) {
 	localDir := filepath.Join(t.TempDir(), "local")
 	collectArchive(t, "fop", localDir)
@@ -64,7 +40,13 @@ func TestScrubRepairTornTailThenResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batches := batchRecords(t, stream[streamfmt.HeaderLen:])
+	// The push client's own batching, so a partial upload followed by a
+	// resumed PushArchive (same MaxChunkBytes) reproduces the same frame
+	// sequence.
+	batches, err := client.ChunkFrames(stream[streamfmt.HeaderLen:], scrubChunkBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(batches) < 4 {
 		t.Fatalf("archive too small to interrupt meaningfully: %d batches", len(batches))
 	}

@@ -29,16 +29,21 @@ import (
 // The stages run on their own goroutines (pipeline_session.go): Feed,
 // AddSideband, Watermark, AddBlobs and Drain only enqueue, and Close joins
 // the stages. Every Session owns goroutines until it is closed, so close
-// abandoned sessions too. Calls must all come from one goroutine; the
-// heartbeats, BufferedItems and PeakBufferedItems alone are safe to sample
-// from others.
+// abandoned sessions too. Calls must all come from one goroutine;
+// DeltasApplied, BufferedItems and PeakBufferedItems alone are safe to
+// sample from others.
 //
-// Memory stays bounded by the stages: the stitcher holds only windows that
-// are not yet globally safe to emit (PeakBufferedItems reports the high
-// water mark), and each thread's analyzer reconstructs its decoded
-// segments in waves capped by PipelineConfig.MaxPendingSegments. Hole
-// recovery alone waits for Close: §5's recoverer matches holes against
-// every segment of the thread, so recovering earlier would change fills.
+// The stitcher holds only windows that are not yet globally safe to emit
+// (PeakBufferedItems reports the high water mark). Each thread's analyzer
+// decodes and tokenizes its deltas as they arrive, but keeps the decoded
+// segments until Close, which reconstructs them and runs §5 hole recovery:
+// the recoverer matches holes against every segment of the thread, so
+// recovering earlier would change fills.
+//
+// One context governs the whole session: the one passed to OpenSession.
+// Once it is cancelled, deltas still to be analysed are quarantined under
+// the deadline reason and Close returns a partial Analysis tagged
+// TimedOut (DESIGN.md §11).
 type Session struct {
 	prog   *bytecode.Program
 	pipe   *core.Pipeline
@@ -53,11 +58,15 @@ type Session struct {
 	// hardened stage reports what it excluded and why, and Close folds the
 	// totals into the Analysis's DegradationReport.
 	ledger *fault.Ledger
-	// hbEmitted and hbSegments are watchdog heartbeats (DESIGN.md §11):
-	// thread deltas applied and segments reconstructed so far. Atomics so a
-	// supervisor goroutine can sample them while the workers update them.
-	hbEmitted  atomic.Uint64
-	hbSegments atomic.Uint64
+	// ctx is the session's context, derived from OpenSession's. Close
+	// calls cancel to release it; abandon calls it first, so the remaining
+	// work quarantines.
+	ctx    context.Context
+	cancel context.CancelFunc
+	// hbEmitted is the watchdog heartbeat (DESIGN.md §11): thread deltas
+	// applied so far. Atomic so a supervisor goroutine can sample it while
+	// the workers update it.
+	hbEmitted atomic.Uint64
 	// buffered and peak mirror the stitcher's BufferedItems and its
 	// high-water mark for concurrent readers.
 	buffered atomic.Int64
@@ -66,21 +75,21 @@ type Session struct {
 	// Stage machinery (pipeline_session.go). in carries the caller's
 	// messages to the stitcher; work[w] carries deltas to analyzer worker
 	// w, which alone touches wsnap[w] and byThread[w] between quiescence
-	// points. closeCtx is the context the final carve runs under.
+	// points.
 	in       chan stageMsg
 	work     []chan stageMsg
 	wsnap    []*meta.Snapshot
 	byThread [][]*core.ThreadAnalyzer
 	stages   sync.WaitGroup
-	closeCtx context.Context
 }
 
 // OpenSession starts an incremental analysis over ncores per-core trace
 // streams, decoding against snap. snap may still be growing — the online
 // phase exports method metadata before the trace bytes that reference it —
 // but each analyzer worker decodes against its own copy taken here, so
-// metadata exported later must arrive through AddBlobs.
-func OpenSession(prog *bytecode.Program, snap *meta.Snapshot, ncores int, cfg core.PipelineConfig) (*Session, error) {
+// metadata exported later must arrive through AddBlobs. ctx governs the
+// whole session, Drain and Close included.
+func OpenSession(ctx context.Context, prog *bytecode.Program, snap *meta.Snapshot, ncores int, cfg core.PipelineConfig) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -98,6 +107,7 @@ func OpenSession(prog *bytecode.Program, snap *meta.Snapshot, ncores int, cfg co
 		ncores: ncores,
 		ledger: fault.NewLedger(metrics.Default),
 	}
+	s.ctx, s.cancel = context.WithCancel(ctx)
 	s.st.SetLedger(s.ledger)
 	s.startStages(snap)
 	return s, nil
@@ -160,46 +170,22 @@ func (s *Session) Feed(core int, items []source.Item) error {
 
 // Drain advances the analysis over every scheduling window that is final
 // under the current watermarks: finalized per-thread deltas are stitched
-// out and pushed through the per-thread analyzers (decode, tokenize, and
-// reconstruction waves). Drain is asynchronous: it enqueues the request
-// and returns, and the stages do the work; Close (or a checkpoint) waits
-// for it.
+// out and pushed through the per-thread analyzers (decode and tokenize;
+// reconstruction waits for Close). Drain is asynchronous: it enqueues the
+// request and returns, and the stages do the work; Close (or a checkpoint)
+// waits for it. Deltas analysed after the session's context is cancelled
+// are quarantined instead of decoded.
 func (s *Session) Drain() error {
-	return s.DrainContext(context.Background())
-}
-
-// DrainContext is Drain with deadline propagation: once ctx is cancelled,
-// stitched-out deltas are quarantined under the deadline reason instead of
-// decoded, so a timed-out caller regains control without losing the
-// session's structural validity. The emitted deltas carry ctx, so a
-// cancellation that lands after DrainContext returns still quarantines.
-func (s *Session) DrainContext(ctx context.Context) error {
 	if s.closed {
 		return errors.New("jportal: Drain on closed session")
 	}
-	s.in <- stageMsg{kind: msgDrain, ctx: ctx}
+	s.in <- stageMsg{kind: msgDrain}
 	return nil
-}
-
-// updateSegmentHeartbeat republishes the total segments reconstructed so
-// far. Called only while the workers are idle (quiescence or after the
-// stages exit), so reading each analyzer is race-free.
-func (s *Session) updateSegmentHeartbeat() {
-	var total uint64
-	for _, a := range s.analyzers {
-		total += a.SegmentsSeen()
-	}
-	s.hbSegments.Store(total)
 }
 
 // DeltasApplied returns the number of thread deltas pushed through the
 // analyzers — a monotone watchdog heartbeat, safe to sample concurrently.
 func (s *Session) DeltasApplied() uint64 { return s.hbEmitted.Load() }
-
-// SegmentsReconstructed returns the total segments consumed by
-// reconstruction waves — a monotone watchdog heartbeat, safe to sample
-// concurrently.
-func (s *Session) SegmentsReconstructed() uint64 { return s.hbSegments.Load() }
 
 // BufferedItems returns the trace items currently buffered in the stitcher
 // (fed but not yet emitted to an analyzer), as of the last chunk or drain
@@ -212,27 +198,23 @@ func (s *Session) PeakBufferedItems() int { return int(s.peak.Load()) }
 
 // Close declares the input complete, runs the remaining decode,
 // reconstruction and recovery, and returns the Analysis. Close is
-// idempotent; after it, Feed and Drain fail.
+// idempotent; after it, Feed and Drain fail. If the session's context is
+// cancelled, the remaining reconstruction quarantines instead of computing
+// and §5 recovery is skipped: Close returns promptly with a partial
+// Analysis whose Report is tagged TimedOut — never an error, never a hang
+// (DESIGN.md §11).
 func (s *Session) Close() (*Analysis, error) {
-	return s.CloseContext(context.Background())
-}
-
-// CloseContext is Close under a deadline: a cancelled ctx makes the
-// remaining reconstruction quarantine instead of compute and skips §5
-// recovery, returning promptly with a partial Analysis whose Report is
-// tagged TimedOut — never an error, never a hang (DESIGN.md §11).
-func (s *Session) CloseContext(ctx context.Context) (*Analysis, error) {
 	if s.closed {
 		return s.result, nil
 	}
 	s.closed = true
-	s.stopStages(ctx)
+	s.stopStages()
 	s.merge(0)
 	threads := make([]*core.ThreadResult, len(s.analyzers))
 	conc.ParallelFor(s.pipe.Cfg.WorkerCount(), len(s.analyzers), func(i int) {
-		threads[i] = s.analyzers[i].FinishContext(ctx)
+		threads[i] = s.analyzers[i].Finish(s.ctx)
 	})
-	s.updateSegmentHeartbeat()
+	s.cancel()
 	s.result = &Analysis{Threads: threads, Pipeline: s.pipe}
 	s.result.Report = s.degradationReport()
 	for _, a := range s.analyzers {
@@ -244,13 +226,12 @@ func (s *Session) CloseContext(ctx context.Context) (*Analysis, error) {
 	return s.result, nil
 }
 
-// abandon releases an unfinished session's goroutines on an error path. The
-// pre-cancelled context makes the remaining work quarantine instead of
-// compute.
+// abandon releases an unfinished session's goroutines on an error path.
+// Cancelling the session's context makes the remaining work quarantine
+// instead of compute.
 func (s *Session) abandon() {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	s.CloseContext(ctx)
+	s.cancel()
+	s.Close()
 }
 
 // degradationReport folds the ledger and per-thread results into the
@@ -426,7 +407,7 @@ func AnalyzeStreamed(prog *bytecode.Program, threads []vm.ThreadSpec, rcfg RunCo
 	run, err := RunWithSink(prog, threads, rcfg,
 		func(p *bytecode.Program, snap *meta.Snapshot, ncores int) (TraceSink, error) {
 			var err error
-			sess, err = OpenSession(p, snap, ncores, pcfg)
+			sess, err = OpenSession(context.Background(), p, snap, ncores, pcfg)
 			return sess, err
 		})
 	if err != nil {

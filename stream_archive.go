@@ -411,10 +411,9 @@ type StreamOptions struct {
 	// recomputation.
 	Resume bool
 	// StallAfter, when positive, runs a watchdog supervisor over the
-	// replay's progress heartbeats (records consumed, deltas applied,
-	// segments reconstructed): a stall longer than this is reported to the
-	// session ledger under the stall reason and counted on the
-	// "watchdog_stalls" metric.
+	// replay's progress heartbeats (records consumed, deltas applied): a
+	// stall longer than this is reported to the session ledger under the
+	// stall reason and counted on the "watchdog_stalls" metric.
 	StallAfter time.Duration
 	// Logf receives resume, checkpoint and watchdog notices (nil = silent).
 	Logf func(format string, args ...any)
@@ -439,11 +438,12 @@ func (o *StreamOptions) logf(format string, args ...any) {
 // partial results, crash-safe checkpointing, resume, and watchdog
 // supervision. Output is byte-identical to the plain replay (and to batch
 // Analyze) for every option combination — checkpointing and resume change
-// when work happens, never what it computes. When ctx is cancelled
-// mid-follow, the session is closed over everything consumed so far and
-// the partial Analysis is returned alongside ctx's error — the caller can
-// flush partial output (jportal stream -follow does, on SIGINT) while still
-// seeing that the tail was never reached.
+// when work happens, never what it computes. ctx stops the reading only:
+// when it is cancelled, the session — which runs under
+// context.WithoutCancel(ctx) — is closed over everything consumed so far,
+// and that complete partial Analysis is returned alongside ctx's error.
+// The caller can flush partial output (jportal stream -follow does, on
+// SIGINT) while still seeing that the tail was never reached.
 func AnalyzeStreamArchiveOpts(ctx context.Context, dir string, cfg core.PipelineConfig, opts StreamOptions) (*bytecode.Program, *Analysis, error) {
 	r, err := OpenStreamArchive(dir)
 	if err != nil {
@@ -503,7 +503,7 @@ func AnalyzeStreamArchiveOpts(ctx context.Context, dir string, cfg core.Pipeline
 			Progress: func() uint64 {
 				n := recordsHB.Load()
 				if s := sessPtr.Load(); s != nil {
-					n += s.DeltasApplied() + s.SegmentsReconstructed()
+					n += s.DeltasApplied()
 				}
 				return n
 			},
@@ -543,7 +543,7 @@ func AnalyzeStreamArchiveOpts(ctx context.Context, dir string, cfg core.Pipeline
 		if sess == nil {
 			return nil, nil, cause
 		}
-		an, cerr := sess.CloseContext(ctx)
+		an, cerr := sess.Close()
 		if cerr != nil {
 			return nil, nil, errors.Join(cause, cerr)
 		}
@@ -583,7 +583,7 @@ func AnalyzeStreamArchiveOpts(ctx context.Context, dir string, cfg core.Pipeline
 				busy.Store(false)
 				return nil, nil, fmt.Errorf("jportal: %s: duplicate snapshot record", dir)
 			}
-			sess, err = OpenSession(r.Program(), ev.Snapshot, r.NumCores(), cfg)
+			sess, err = OpenSession(context.WithoutCancel(ctx), r.Program(), ev.Snapshot, r.NumCores(), cfg)
 			if err != nil {
 				busy.Store(false)
 				return nil, nil, err
@@ -624,7 +624,7 @@ func AnalyzeStreamArchiveOpts(ctx context.Context, dir string, cfg core.Pipeline
 					busy.Store(false)
 					return nil, nil, err
 				}
-				if err := sess.DrainContext(ctx); err != nil {
+				if err := sess.Drain(); err != nil {
 					busy.Store(false)
 					return nil, nil, err
 				}
@@ -657,7 +657,7 @@ func AnalyzeStreamArchiveOpts(ctx context.Context, dir string, cfg core.Pipeline
 	if resume != nil {
 		return nil, nil, fmt.Errorf("jportal: checkpoint covers %d records but the archive has only %d", resume.Records, records)
 	}
-	an, err := sess.CloseContext(ctx)
+	an, err := sess.Close()
 	if err != nil {
 		return nil, nil, err
 	}

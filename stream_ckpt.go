@@ -87,7 +87,6 @@ func (s *Session) RestoreCheckpoint(ck *SessionCheckpoint) error {
 	}
 	s.ledger.RestoreState(ck.Ledger)
 	s.peak.Store(int64(ck.Peak))
-	s.updateSegmentHeartbeat()
 	return nil
 }
 

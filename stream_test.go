@@ -1,12 +1,14 @@
 package jportal
 
 import (
+	"context"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -68,7 +70,7 @@ func sessionAnalyze(t *testing.T, s *workload.Subject, run *RunResult, cfg core.
 			ncores = n
 		}
 	}
-	sess, err := OpenSession(s.Program, run.Snapshot, ncores, cfg)
+	sess, err := OpenSession(context.Background(), s.Program, run.Snapshot, ncores, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,19 +123,18 @@ func sessionAnalyze(t *testing.T, s *workload.Subject, run *RunResult, cfg core.
 // TestStreamingMatchesBatchAllSubjects is the golden equivalence check of
 // the streaming refactor: for every benchmark subject, the incremental
 // Session must reproduce the batch Analyze byte-for-byte at several chunk
-// sizes, worker counts and reconstruction-wave caps. The buffer is small
+// sizes and worker counts. The buffer is small
 // enough that runs lose data, so the §5 recovery path is covered too.
 func TestStreamingMatchesBatchAllSubjects(t *testing.T) {
 	variants := []struct {
 		name    string
 		chunk   int
 		workers int
-		pending int
 	}{
-		{"chunk7-serial", 7, 1, 0},
-		{"chunk256-parallel", 256, 3, 0},
-		{"chunk64-waves", 64, 3, 4},
-		{"chunk1M-serial", 1 << 20, 1, 0},
+		{"chunk7-serial", 7, 1},
+		{"chunk256-parallel", 256, 3},
+		{"chunk64-parallel", 64, 3},
+		{"chunk1M-serial", 1 << 20, 1},
 	}
 	for _, name := range workload.Names() {
 		s := workload.MustLoad(name, 0.25)
@@ -151,7 +152,6 @@ func TestStreamingMatchesBatchAllSubjects(t *testing.T) {
 		for _, v := range variants {
 			cfg := core.DefaultPipelineConfig()
 			cfg.Workers = v.workers
-			cfg.MaxPendingSegments = v.pending
 			got := sessionAnalyze(t, s, run, cfg, v.chunk)
 			equalAnalyses(t, name+"/"+v.name, batch, got)
 		}
@@ -297,6 +297,86 @@ func TestStreamArchiveFollow(t *testing.T) {
 	equalAnalyses(t, "follow", batch, r.an)
 }
 
+// TestStreamFollowInterruptKeepsAnalysis cancels a follower that is
+// tailing an unsealed archive (as SIGINT does to jportal stream -follow):
+// the replay returns the context's error, but the session it built still
+// runs to completion, so the partial Analysis covers every record read —
+// here all of them but the seal — and equals the sealed archive's.
+func TestStreamFollowInterruptKeepsAnalysis(t *testing.T) {
+	sealed := filepath.Join(t.TempDir(), "sealed")
+	buildChunkedArchive(t, "h2", 0.3, sealed)
+	_, want, err := AnalyzeStreamArchive(sealed, core.DefaultPipelineConfig(), false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// An unsealed copy: the same records without the 5-byte seal record.
+	dir := filepath.Join(t.TempDir(), "unsealed")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	ents, err := os.ReadDir(sealed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(sealed, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Name() == StreamFileName {
+			data = data[:len(data)-5]
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	tctx := &tailingCtx{Context: ctx, tailing: make(chan struct{})}
+	type result struct {
+		an  *Analysis
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		_, an, err := AnalyzeStreamArchiveOpts(tctx, dir, core.DefaultPipelineConfig(),
+			StreamOptions{Follow: true, Poll: time.Millisecond})
+		done <- result{an, err}
+	}()
+	select {
+	case <-tctx.tailing:
+	case r := <-done:
+		t.Fatalf("follower returned before tailing: %v", r.err)
+	}
+	cancel()
+	r := <-done
+	if !errors.Is(r.err, context.Canceled) {
+		t.Fatalf("interrupted follow returned %v, want context.Canceled", r.err)
+	}
+	if r.an == nil {
+		t.Fatal("interrupted follow returned no partial analysis")
+	}
+	equalAnalyses(t, "interrupted follow", want, r.an)
+	if r.an.Report.TimedOut {
+		t.Error("partial analysis tagged TimedOut: the interrupt reached the session")
+	}
+}
+
+// tailingCtx closes tailing the first time Done is called: the archive
+// replay waits on Done only while it tails a pending archive.
+type tailingCtx struct {
+	context.Context
+	once    sync.Once
+	tailing chan struct{}
+}
+
+func (c *tailingCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.tailing) })
+	return c.Context.Done()
+}
+
 // TestArchiveVersioning pins the header gate: a sealed archive loads, and
 // a directory with no header, a batch-layout header, the retired version
 // 1, a future version or a malformed header fails in both readers with an
@@ -359,19 +439,19 @@ func TestLoadRunSortsCoresNumerically(t *testing.T) {
 func TestSessionValidation(t *testing.T) {
 	s := workload.MustLoad("fop", 0.1)
 	snap := meta.NewSnapshot(meta.NewTemplateTable())
-	if _, err := OpenSession(s.Program, nil, 1, core.DefaultPipelineConfig()); err == nil {
+	if _, err := OpenSession(context.Background(), s.Program, nil, 1, core.DefaultPipelineConfig()); err == nil {
 		t.Error("opened a session without a snapshot")
 	}
-	if _, err := OpenSession(s.Program, snap, 0, core.DefaultPipelineConfig()); err == nil {
+	if _, err := OpenSession(context.Background(), s.Program, snap, 0, core.DefaultPipelineConfig()); err == nil {
 		t.Error("opened a session with zero cores")
 	}
 	bad := core.DefaultPipelineConfig()
 	bad.Workers = -1
-	if _, err := OpenSession(s.Program, snap, 1, bad); err == nil {
+	if _, err := OpenSession(context.Background(), s.Program, snap, 1, bad); err == nil {
 		t.Error("opened a session with an invalid pipeline config")
 	}
 
-	sess, err := OpenSession(s.Program, snap, 2, core.DefaultPipelineConfig())
+	sess, err := OpenSession(context.Background(), s.Program, snap, 2, core.DefaultPipelineConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +503,6 @@ func BenchmarkStreamingMemory(b *testing.B) {
 	rcfg.PT.BufBytes = 16 << 10
 	rcfg.SinkChunkItems = 128
 	pcfg := core.DefaultPipelineConfig()
-	pcfg.MaxPendingSegments = 8
 
 	var peak, total float64
 	for i := 0; i < b.N; i++ {
@@ -432,7 +511,7 @@ func BenchmarkStreamingMemory(b *testing.B) {
 		_, err := RunWithSink(s.Program, s.Threads, rcfg,
 			func(p *bytecode.Program, snap *meta.Snapshot, ncores int) (TraceSink, error) {
 				var err error
-				sess, err = OpenSession(p, snap, ncores, pcfg)
+				sess, err = OpenSession(context.Background(), p, snap, ncores, pcfg)
 				if err != nil {
 					return nil, err
 				}
