@@ -6,28 +6,16 @@ import (
 
 	"jportal/internal/bytecode"
 	"jportal/internal/core"
-	"jportal/internal/meta"
 	"jportal/internal/metrics"
 	"jportal/internal/vm"
 	"jportal/internal/workload"
 )
 
-// sealArchive runs prog under rcfg straight into a sealed archive at dir,
-// as jportal collect does, and returns the run's result (with its oracle
-// when rcfg collects one).
+// sealArchive is CollectArchive that fails the test on error.
 func sealArchive(t testing.TB, prog *bytecode.Program, threads []vm.ThreadSpec, rcfg RunConfig, dir string) *RunResult {
 	t.Helper()
-	var w *StreamArchiveWriter
-	run, err := RunWithSink(prog, threads, rcfg,
-		func(p *bytecode.Program, snap *meta.Snapshot, ncores int) (TraceSink, error) {
-			var err error
-			w, err = CreateStreamArchiveSource(dir, p, snap, ncores, rcfg.Source)
-			return w, err
-		})
+	run, err := CollectArchive(dir, prog, threads, rcfg)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	return run

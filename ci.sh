@@ -60,6 +60,32 @@ cmp "$SMOKE/local/stream.jpt" "$SMOKE/ingest/smoke/stream.jpt"
 cmp "$SMOKE/local/program.gob" "$SMOKE/ingest/smoke/program.gob"
 echo "    loopback archive byte-identical"
 
+echo "==> damaged-push smoke (one byte flipped, refused before upload)"
+# Any single-byte flip past the header breaks record framing or the seal
+# CRC, so the exact offset does not matter. push verifies the seal before
+# it dials: it must exit nonzero and the server must never see the session.
+# The deterministic variant is pinned by TestIngestPushRefusesDamagedArchive.
+cp -r "$SMOKE/local" "$SMOKE/damaged"
+DMG="$SMOKE/damaged/stream.jpt"
+DMG_OFF=$(( $(wc -c <"$DMG") / 2 ))
+DMG_BYTE=$(od -An -tu1 -j "$DMG_OFF" -N1 "$DMG" | tr -d ' ')
+printf "\\$(printf '%03o' $((DMG_BYTE ^ 255)))" | dd of="$DMG" bs=1 seek="$DMG_OFF" conv=notrunc 2>/dev/null
+cmp -s "$SMOKE/local/stream.jpt" "$DMG" && { echo "byte flip did not land"; exit 1; }
+"$SMOKE/jportal" serve -listen 127.0.0.1:7903 -data "$SMOKE/dmg-ingest" >"$SMOKE/dmg-serve.log" 2>&1 &
+DMG_SERVE_PID=$!
+for i in $(seq 1 50); do
+    grep -q 'listening on' "$SMOKE/dmg-serve.log" && break
+    sleep 0.1
+done
+if "$SMOKE/jportal" push -addr 127.0.0.1:7903 -id damaged "$SMOKE/damaged" >/dev/null 2>&1; then
+    echo "push of a damaged archive succeeded"
+    exit 1
+fi
+kill -TERM "$DMG_SERVE_PID"
+wait "$DMG_SERVE_PID"
+test ! -e "$SMOKE/dmg-ingest/damaged"
+echo "    damaged archive refused, no server session"
+
 echo "==> fleet smoke (primary+standby coordinators, SIGKILL node and primary mid-fleet)"
 # A real multi-process fleet over one shared data dir, with a durable
 # control plane: a primary and a standby coordinator share a state dir and

@@ -184,7 +184,7 @@ func withChaosArchive(name string, scale float64, src string, fn func(archive, s
 	cfg := jportal.DefaultRunConfig()
 	cfg.CollectOracle = false
 	cfg.Source = src
-	if _, err := collectArchive(archive, prog, threads, cfg); err != nil {
+	if _, err := jportal.CollectArchive(archive, prog, threads, cfg); err != nil {
 		return err
 	}
 	return fn(archive, subj)

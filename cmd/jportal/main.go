@@ -41,7 +41,6 @@ import (
 	"jportal/internal/bytecode"
 	"jportal/internal/core"
 	"jportal/internal/experiments"
-	"jportal/internal/meta"
 	"jportal/internal/metrics"
 	"jportal/internal/profile"
 	"jportal/internal/source"
@@ -131,7 +130,7 @@ commands:
                                repair what fails: truncate torn tails to the
                                acknowledged frontier, re-fetch from -peers,
                                quarantine the rest (-data, -repair, -rate
-                               pacing, -compact, -retain-age/-retain-bytes)
+                               pacing, -retain-age/-retain-bytes)
   coordinate                   fleet control plane: nodes register under
                                heartbeat leases, sessions consistent-hash onto
                                them, clients are redirected to their owner
@@ -360,28 +359,12 @@ func cmdCollect(args []string) error {
 	cfg.PT.BufBytes = uint64(*buf) << (20 - experiments.BufScaleShift)
 	cfg.Source = *src
 	cfg.SinkChunkItems = *chunk
-	run, err := collectArchive(*out, prog, threads, cfg)
+	run, err := jportal.CollectArchive(*out, prog, threads, cfg)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("%s: archive sealed (%dKB generated) at %s\n", name, run.GenBytes/1024, *out)
 	return nil
-}
-
-// collectArchive runs prog under cfg, streaming every drained trace chunk
-// into a run archive at dir, and seals the archive.
-func collectArchive(dir string, prog *bytecode.Program, threads []vm.ThreadSpec, cfg jportal.RunConfig) (*jportal.RunResult, error) {
-	var w *jportal.StreamArchiveWriter
-	run, err := jportal.RunWithSink(prog, threads, cfg,
-		func(p *bytecode.Program, snap *meta.Snapshot, ncores int) (jportal.TraceSink, error) {
-			var err error
-			w, err = jportal.CreateStreamArchiveSource(dir, p, snap, ncores, cfg.Source)
-			return w, err
-		})
-	if err != nil {
-		return nil, err
-	}
-	return run, w.Seal()
 }
 
 func cmdDecode(args []string) error {

@@ -3,20 +3,15 @@
 // frontiers), and in -repair mode fix what verification finds — truncate
 // torn tails back to the acknowledged frontier, re-fetch corrupt sealed
 // archives from fleet peers, reset corrupt in-flight uploads, and
-// quarantine what cannot be repaired. -compact additionally rewrites
-// sealed archives dropping redundant records (a clean archive is left
-// byte-identical, untouched).
+// quarantine what cannot be repaired.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"time"
 
-	"jportal/internal/metrics"
 	"jportal/internal/scrub"
 )
 
@@ -27,7 +22,6 @@ func cmdScrub(args []string) error {
 	rate := fs.Int64("rate", 0, "verification I/O budget in bytes/sec (0 = unpaced)")
 	minIdle := fs.Duration("min-idle", 0, "skip sessions modified more recently than this (0 = scrub everything)")
 	peers := fs.String("peers", "", "comma-separated peer data directories to re-fetch corrupt sealed archives from")
-	compact := fs.Bool("compact", false, "also compact clean sealed archives (drop duplicate blobs, stale watermarks)")
 	retainAge := fs.Duration("retain-age", 0, "after scrubbing, delete finished sessions older than this (0 = keep)")
 	retainBytes := fs.Int64("retain-bytes", 0, "after scrubbing, cap the data dir's bytes (0 = unlimited)")
 	fs.Parse(args)
@@ -49,32 +43,6 @@ func cmdScrub(args []string) error {
 		return err
 	}
 	fmt.Fprint(os.Stdout, scrub.FormatReport(rep))
-
-	if *compact {
-		var rewritten, dropped int
-		var reclaimed int64
-		for _, sr := range rep.Sessions {
-			if sr.Outcome != scrub.OutcomeClean {
-				continue
-			}
-			cs, err := scrub.CompactArchive(filepath.Join(*data, sr.ID), metrics.Default)
-			if err != nil {
-				// Unsealed archives are simply not compactable; anything
-				// else deserves a line.
-				if !errors.Is(err, scrub.ErrNotSealed) {
-					fmt.Fprintf(os.Stderr, "scrub: compact %s: %v\n", sr.ID, err)
-				}
-				continue
-			}
-			if cs.Rewritten {
-				rewritten++
-				dropped += cs.DroppedRecords
-				reclaimed += cs.BytesBefore - cs.BytesAfter
-			}
-		}
-		fmt.Printf("compaction: %d archive(s) rewritten, %d record(s) dropped, %d bytes reclaimed\n",
-			rewritten, dropped, reclaimed)
-	}
 
 	if *retainAge > 0 || *retainBytes > 0 {
 		if !*repair {

@@ -19,11 +19,9 @@ import (
 	"time"
 
 	"jportal"
-	"jportal/internal/bytecode"
 	"jportal/internal/fleet"
 	"jportal/internal/ingest"
 	"jportal/internal/ingest/client"
-	"jportal/internal/meta"
 	"jportal/internal/streamfmt"
 	"jportal/internal/workload"
 )
@@ -35,17 +33,7 @@ func collectArchiveSource(t *testing.T, subject, dir, srcID string) {
 	s := workload.MustLoad(subject, 0.3)
 	rcfg := collectRcfg()
 	rcfg.Source = srcID
-	var w *jportal.StreamArchiveWriter
-	_, err := jportal.RunWithSink(s.Program, s.Threads, rcfg,
-		func(p *bytecode.Program, snap *meta.Snapshot, ncores int) (jportal.TraceSink, error) {
-			var err error
-			w, err = jportal.CreateStreamArchiveSource(dir, p, snap, ncores, srcID)
-			return w, err
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Seal(); err != nil {
+	if _, err := jportal.CollectArchive(dir, s.Program, s.Threads, rcfg); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"jportal/internal/ingest"
 	"jportal/internal/ingest/client"
 	"jportal/internal/meta"
+	"jportal/internal/streamfmt"
 	"jportal/internal/workload"
 )
 
@@ -137,6 +138,51 @@ func TestIngestPushRefusesUnsealedArchive(t *testing.T) {
 	if _, err := client.PushArchive(context.Background(),
 		client.Options{Addr: "127.0.0.1:1", SessionID: "x"}, dir); err == nil {
 		t.Fatal("pushed an unsealed archive")
+	}
+}
+
+// TestIngestPushRefusesDamagedArchive: an archive whose seal CRC no longer
+// matches its records (one payload byte of a chunk flipped, framing
+// intact) must be refused client-side before anything is sent — never
+// relayed for the server to poison and quarantine the session.
+func TestIngestPushRefusesDamagedArchive(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "damaged")
+	collectArchive(t, "fop", dir)
+	path := filepath.Join(dir, jportal.StreamFileName)
+	stream, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := false
+	for off := streamfmt.HeaderLen; off < len(stream) && !flipped; {
+		n, err := streamfmt.Scan(stream[off:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stream[off] == streamfmt.TagChunk && n > 9 {
+			stream[off+9+(n-9)/2] ^= 0x01
+			flipped = true
+		}
+		off += n
+	}
+	if !flipped {
+		t.Fatal("archive has no chunk record with a payload")
+	}
+	if err := os.WriteFile(path, stream, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	dataDir := t.TempDir()
+	srv, addr := startIngestServer(t, ingest.Config{DataDir: dataDir})
+	_, err = client.PushArchive(context.Background(), client.Options{Addr: addr, SessionID: "dmg"}, dir)
+	if !errors.Is(err, streamfmt.ErrCorrupt) {
+		t.Fatalf("push of a damaged archive: err = %v, want ErrCorrupt", err)
+	}
+	if _, err := os.Stat(filepath.Join(dataDir, "dmg")); !os.IsNotExist(err) {
+		t.Fatalf("server created a session dir for the refused push (stat err = %v)", err)
+	}
+	if q := srv.Metrics().SessionsQuarantined.Load(); q != 0 {
+		t.Fatalf("SessionsQuarantined = %d, want 0", q)
 	}
 }
 

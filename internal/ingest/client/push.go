@@ -49,28 +49,17 @@ func PushArchive(ctx context.Context, opts Options, dir string) (PushStats, erro
 		opts.SourceID = src
 	}
 
-	// Pre-scan the records: the whole stream must be well-formed and end
-	// with a seal — pushing an unsealed (still-being-written) archive
-	// would leave the server waiting for a seal that never comes.
-	records := stream[streamfmt.HeaderLen:]
-	sealed := false
-	for off := 0; off < len(records); {
-		if sealed {
-			return st, fmt.Errorf("ingest client: %s: records after the seal", dir)
-		}
-		n, err := streamfmt.Scan(records[off:])
-		if err != nil {
-			if errors.Is(err, streamfmt.ErrShort) {
-				return st, fmt.Errorf("ingest client: %s has an incomplete record tail (writer still running?)", dir)
-			}
-			return st, fmt.Errorf("ingest client: %s: %w", dir, err)
-		}
-		if _, ok := streamfmt.SealCRC(records[off : off+n]); ok {
-			sealed = true
-		}
-		off += n
-	}
-	if !sealed {
+	// Pre-scan the stream: it must pass the seal check end to end before
+	// anything is sent. An unsealed (still-being-written) archive would
+	// leave the server waiting for a seal that never comes, and a damaged
+	// one would be relayed only for the server to poison the session.
+	cur, err := streamfmt.Walk(stream)
+	switch {
+	case errors.Is(err, streamfmt.ErrShort):
+		return st, fmt.Errorf("ingest client: %s has an incomplete record tail (writer still running?)", dir)
+	case err != nil:
+		return st, fmt.Errorf("ingest client: %s: %w", dir, err)
+	case !cur.Sealed:
 		return st, fmt.Errorf("ingest client: %s is unsealed; finish the collection before pushing", dir)
 	}
 
@@ -92,7 +81,7 @@ func PushArchive(ctx context.Context, opts Options, dir string) (PushStats, erro
 	if err := send(ingest.FrameProgram, programGob); err != nil {
 		return st, err
 	}
-	frames, err := ChunkFrames(records, p.opts.MaxChunkBytes)
+	frames, err := ChunkFrames(stream[streamfmt.HeaderLen:], p.opts.MaxChunkBytes)
 	if err != nil {
 		return st, err
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"net"
 	"os"
 	"path/filepath"
@@ -193,7 +192,6 @@ func NewServer(cfg Config) (*Server, error) {
 		metrics.CounterScrubTornTails, metrics.CounterScrubRefetched,
 		metrics.CounterScrubQuarantined, metrics.CounterScrubReset,
 		metrics.CounterRetentionDeleted, metrics.CounterRetentionBytes,
-		metrics.CounterCompactionRewritten, metrics.CounterCompactionDropped,
 	} {
 		cfg.Registry.Add(name, 0)
 	}
@@ -647,11 +645,10 @@ type session struct {
 	mu           sync.Mutex
 	conn         *connWriter
 	f            iofault.File
-	lastAcked    uint64 // highest sequence archived and flushed
-	nextEnqueue  uint64 // next sequence the reader will accept
-	size         int64  // stream.jpt length covered by lastAcked
-	crc          uint32 // running checksum (header + records, pre-seal)
-	sealed       bool
+	lastAcked    uint64           // highest sequence archived and flushed
+	nextEnqueue  uint64           // next sequence the reader will accept
+	size         int64            // stream.jpt length covered by lastAcked
+	cur          streamfmt.Cursor // seal check over the archived records
 	haveProgram  bool
 	done         bool // FIN acknowledged
 	strikes      int  // circuit-breaker NACK count
@@ -744,7 +741,7 @@ func (s *Server) openSession(id string, ncores int, src string) (*session, error
 		return fresh(err)
 	}
 	sess.f = f
-	sess.crc = crc32.Update(0, crc32.IEEETable, hdr)
+	sess.cur = streamfmt.NewCursor(ncores)
 	sess.size = int64(len(hdr))
 	sess.nextEnqueue = 1
 	if err := sess.persistState(); err != nil {
@@ -799,8 +796,7 @@ func (sess *session) restore() (bool, error) {
 	sess.lastAcked = st.Seq
 	sess.nextEnqueue = st.Seq + 1
 	sess.size = st.Size
-	sess.crc = st.CRC
-	sess.sealed = st.Sealed
+	sess.cur = streamfmt.Cursor{CRC: st.CRC, Sealed: st.Sealed}
 	_, perr := os.Stat(filepath.Join(sess.dir, "program.gob"))
 	sess.haveProgram = perr == nil
 	// The archive header is the durable source of truth for the backend:
@@ -903,7 +899,7 @@ func WriteSessionState(dir string, st SessionState) error {
 // never a torn one. Called with sess.mu held (or before the session is
 // shared). A restarted server resumes from here.
 func (sess *session) persistState() error {
-	st := SessionState{Seq: sess.lastAcked, Size: sess.size, CRC: sess.crc, Sealed: sess.sealed}
+	st := SessionState{Seq: sess.lastAcked, Size: sess.size, CRC: sess.cur.CRC, Sealed: sess.cur.Sealed}
 	return fsatomic.WriteFileFS(sess.fsys, filepath.Join(sess.dir, stateFileName), []byte(stateBody(st)), 0o644)
 }
 
@@ -1124,7 +1120,7 @@ func (sess *session) archive(m msg) error {
 	}
 	// Pre-frame frontier, for rolling the frame back if its state persist
 	// fails after the bytes were appended.
-	pre := SessionState{Seq: sess.lastAcked, Size: sess.size, CRC: sess.crc, Sealed: sess.sealed}
+	preSeq, preSize, preCur := sess.lastAcked, sess.size, sess.cur
 	sess.mu.Unlock()
 
 	switch m.typ {
@@ -1140,29 +1136,12 @@ func (sess *session) archive(m msg) error {
 		sess.mu.Unlock()
 	case FrameChunk:
 		// Validate before touching the file: the payload must be whole
-		// records, never extend past a verified seal, and keep the running
-		// CRC consistent so the seal check is end-to-end.
-		sess.mu.Lock()
-		crc, sealed := sess.crc, sess.sealed
-		sess.mu.Unlock()
-		rem := m.data
-		for len(rem) > 0 {
-			if sealed {
-				return fmt.Errorf("%w: records after the seal", streamfmt.ErrCorrupt)
-			}
-			n, err := streamfmt.Scan(rem)
+		// records that pass the session's seal check end to end.
+		cur := preCur
+		for rem := m.data; len(rem) > 0; {
+			n, err := cur.Step(rem)
 			if err != nil {
 				return fmt.Errorf("chunk seq %d: %w", m.seq, err)
-			}
-			rec := rem[:n]
-			if sealCRC, ok := streamfmt.SealCRC(rec); ok {
-				if sealCRC != crc {
-					return fmt.Errorf("%w: seal CRC %#08x does not match relayed stream (%#08x)",
-						streamfmt.ErrCorrupt, sealCRC, crc)
-				}
-				sealed = true
-			} else {
-				crc = crc32.Update(crc, crc32.IEEETable, rec)
 			}
 			rem = rem[n:]
 		}
@@ -1186,9 +1165,8 @@ func (sess *session) archive(m msg) error {
 		}
 		sess.mu.Lock()
 		sess.size += int64(len(m.data))
-		sess.crc = crc
-		if sealed && !sess.sealed {
-			sess.sealed = true
+		sess.cur = cur
+		if cur.Sealed && !preCur.Sealed {
 			sess.srv.metrics.SessionsSealed.Add(1)
 		}
 		sess.mu.Unlock()
@@ -1204,10 +1182,10 @@ func (sess *session) archive(m msg) error {
 		// never landed would be lost by the next restore. Roll the whole
 		// frame back — frontier and, for a chunk, the appended bytes — and
 		// shed it instead; the client's resend replays it cleanly.
-		sess.lastAcked, sess.size, sess.crc, sess.sealed = pre.Seq, pre.Size, pre.CRC, pre.Sealed
+		sess.lastAcked, sess.size, sess.cur = preSeq, preSize, preCur
 		var rerr error
 		if m.typ == FrameChunk {
-			rerr = sess.rollback(sess.f, pre.Size)
+			rerr = sess.rollback(sess.f, preSize)
 		}
 		sess.persistFails++
 		fails := sess.persistFails
@@ -1238,9 +1216,9 @@ func (sess *session) archive(m msg) error {
 func (sess *session) finish(finSeq uint64) {
 	sess.mu.Lock()
 	conn := sess.conn
-	complete := sess.lastAcked == finSeq && sess.sealed && sess.haveProgram
+	complete := sess.lastAcked == finSeq && sess.cur.Sealed && sess.haveProgram
 	acked := sess.lastAcked
-	sealed := sess.sealed
+	sealed := sess.cur.Sealed
 	if complete {
 		sess.done = true
 	}

@@ -945,14 +945,13 @@ func TestMetricsExposeFaultCounters(t *testing.T) {
 		"netfault_injected_total", "client_retry_budget_exhausted",
 		// Storage-durability counters (DESIGN.md §16): injected disk
 		// faults, the graceful-degradation write path, and the scrubber
-		// and retention/compaction outcomes.
+		// and retention outcomes.
 		"iofault_injected_total", "storage_sheds", "enospc_sheds",
 		"state_persist_errors", "disk_full_rejections",
 		"scrub_sessions_scanned", "scrub_bytes_verified",
 		"scrub_torn_tails_repaired", "scrub_sessions_refetched",
 		"scrub_sessions_quarantined", "scrub_sessions_reset",
 		"retention_sessions_deleted", "retention_bytes_reclaimed",
-		"compaction_archives_rewritten", "compaction_records_dropped",
 	} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("metrics missing %q", key)

@@ -10,7 +10,6 @@ package ingest
 import (
 	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"net"
 	"os"
 	"path/filepath"
@@ -73,7 +72,7 @@ func TestStatePersistFailureRollsBackThenPoisons(t *testing.T) {
 	fsys := &failTempFS{FS: iofault.OS}
 	sess := &session{
 		srv: srv, id: "s", dir: dir, ncores: 1, fsys: fsys, f: f,
-		size: int64(len(hdr)), crc: crc32.Update(0, crc32.IEEETable, hdr),
+		size: int64(len(hdr)), cur: streamfmt.NewCursor(1),
 	}
 	if err := sess.persistState(); err != nil {
 		t.Fatal(err)
@@ -147,7 +146,7 @@ func TestWriterDropsStaleFrames(t *testing.T) {
 	f.Seek(int64(len(hdr)), 0)
 	sess := &session{
 		srv: srv, id: "s", dir: dir, ncores: 1, fsys: iofault.OS, f: f,
-		size: int64(len(hdr)), crc: crc32.Update(0, crc32.IEEETable, hdr),
+		size: int64(len(hdr)), cur: streamfmt.NewCursor(1),
 	}
 
 	// seq 2 with frontier at 0: ahead of the hole, silently dropped.

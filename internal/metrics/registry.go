@@ -49,7 +49,7 @@ const (
 )
 
 // Storage-durability counter names (DESIGN.md §16): the scrubber's scan
-// and repair outcomes and the retention/compaction reclaim accounting.
+// and repair outcomes and the retention reclaim accounting.
 const (
 	// CounterScrubSessionsScanned counts sessions the scrubber examined.
 	CounterScrubSessionsScanned = "scrub_sessions_scanned"
@@ -73,12 +73,6 @@ const (
 	CounterRetentionDeleted = "retention_sessions_deleted"
 	// CounterRetentionBytes counts bytes reclaimed by retention deletes.
 	CounterRetentionBytes = "retention_bytes_reclaimed"
-	// CounterCompactionRewritten counts sealed archives rewritten by
-	// compaction.
-	CounterCompactionRewritten = "compaction_archives_rewritten"
-	// CounterCompactionDropped counts records compaction dropped
-	// (duplicates, undecodable spans, post-seal trailing garbage).
-	CounterCompactionDropped = "compaction_records_dropped"
 )
 
 // Add increments the named counter by delta (registering it at zero first

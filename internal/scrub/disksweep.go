@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"net"
 	"os"
 	"path/filepath"
@@ -254,7 +253,10 @@ func craftTornVictim(dataDir, id, archiveDir string) error {
 		img = append(img, f...)
 	}
 	frontier := int64(len(img))
-	crc := crc32.Update(0, crc32.IEEETable, img)
+	cur, err := streamfmt.Walk(img)
+	if err != nil {
+		return err
+	}
 	// The torn tail: the next frame's first record, missing its last byte
 	// (every record is at least 5 bytes, so the cut is always mid-record).
 	next := frames[c]
@@ -269,7 +271,7 @@ func craftTornVictim(dataDir, id, archiveDir string) error {
 	// Frame seq 1 is the program; chunk frames follow, so c acknowledged
 	// chunk frames put the frontier at seq 1+c.
 	return ingest.WriteSessionState(dir, ingest.SessionState{
-		Seq: uint64(1 + c), Size: frontier, CRC: crc, Sealed: false,
+		Seq: uint64(1 + c), Size: frontier, CRC: cur.CRC, Sealed: false,
 	})
 }
 
@@ -290,14 +292,17 @@ func craftMangled(dataDir, id, archiveDir string) error {
 	if err := os.WriteFile(filepath.Join(dir, "program.gob"), program, 0o644); err != nil {
 		return err
 	}
+	cur, err := streamfmt.Walk(stream)
+	if err != nil {
+		return err
+	}
 	img := append([]byte(nil), stream...)
 	img[streamfmt.HeaderLen] ^= 0xFF // first record's tag byte
 	if err := os.WriteFile(filepath.Join(dir, jportal.StreamFileName), img, 0o644); err != nil {
 		return err
 	}
 	return ingest.WriteSessionState(dir, ingest.SessionState{
-		Seq: 1, Size: int64(len(img)),
-		CRC: crc32.ChecksumIEEE(stream[:len(stream)-5]), Sealed: true,
+		Seq: 1, Size: int64(len(img)), CRC: cur.CRC, Sealed: true,
 	})
 }
 

@@ -4,10 +4,10 @@
 // tail, mid-file corruption, missing header — and, in repair mode, fixes
 // what can be fixed (truncate-to-last-acknowledged for torn tails,
 // re-fetch over the ingest protocol when a fleet peer holds a sealed
-// copy) and quarantines what cannot. The package also owns the
-// retention/compaction pass (retention.go, compact.go), the background
-// sweeper jportal serve runs (sweeper.go), and the deterministic
-// disk-fault sweep behind jportal chaos -disk (disksweep.go).
+// copy) and quarantines what cannot. The package also owns the retention
+// pass (retention.go), the background sweeper jportal serve runs
+// (sweeper.go), and the deterministic disk-fault sweep behind jportal
+// chaos -disk (disksweep.go).
 //
 // The scrubber's repair actions deliberately reuse the semantics the
 // ingest server already has: truncating a session to its durable
@@ -22,7 +22,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"os"
@@ -363,7 +362,8 @@ func (v *streamVerdict) damageOffsetPastFrontier(st ingest.SessionState) bool {
 // frontier names a boundary whose running checksum matches.
 func walkStream(data []byte, haveState bool, st ingest.SessionState) streamVerdict {
 	v := streamVerdict{size: int64(len(data))}
-	if _, err := streamfmt.ParseHeader(data); err != nil {
+	ncores, err := streamfmt.ParseHeader(data)
+	if err != nil {
 		if errors.Is(err, streamfmt.ErrShort) {
 			v.damage, v.detail = damageTornTail, "stream shorter than its header"
 			return v
@@ -371,48 +371,44 @@ func walkStream(data []byte, haveState bool, st ingest.SessionState) streamVerdi
 		v.damage, v.detail = damageCorrupt, err.Error()
 		return v
 	}
-	crc := crc32.Update(0, crc32.IEEETable, data[:streamfmt.HeaderLen])
+	cur := streamfmt.NewCursor(ncores)
 	off := int64(streamfmt.HeaderLen)
-	v.lastGood = off
-	if haveState && off == st.Size && crc == st.CRC {
-		v.stateOK = true
-	}
-	for off < v.size {
-		n, err := streamfmt.Scan(data[off:])
-		if errors.Is(err, streamfmt.ErrShort) {
+	for {
+		v.lastGood = off
+		if haveState && off == st.Size && cur.CRC == st.CRC {
+			v.stateOK = true
+		}
+		if off == v.size {
+			break
+		}
+		if cur.Sealed {
+			v.damage = damageTrailing
+			v.detail = fmt.Sprintf("%d bytes after the seal", v.size-off)
+			return v
+		}
+		n, err := cur.Step(data[off:])
+		var seal *streamfmt.SealError
+		switch {
+		case errors.Is(err, streamfmt.ErrShort):
 			v.damage = damageTornTail
 			v.detail = fmt.Sprintf("file ends mid-record at byte %d of %d", off, v.size)
 			return v
-		}
-		if err != nil {
+		case errors.As(err, &seal):
+			v.damage = damageCorrupt
+			v.detail = fmt.Sprintf("seal CRC %#08x does not match stream contents (%#08x)", seal.Want, seal.Got)
+			return v
+		case err != nil:
 			v.damage = damageCorrupt
 			v.detail = fmt.Sprintf("at byte %d: %v", off, err)
 			return v
 		}
-		rec := data[off : off+int64(n)]
-		if sealCRC, ok := streamfmt.SealCRC(rec); ok {
-			if sealCRC != crc {
-				v.damage = damageCorrupt
-				v.detail = fmt.Sprintf("seal CRC %#08x does not match stream contents (%#08x)", sealCRC, crc)
-				return v
-			}
-			off += int64(n)
-			v.lastGood, v.sealEnd = off, off
-			if haveState && off == st.Size && crc == st.CRC {
-				v.stateOK = true
-			}
-			if off < v.size {
-				v.damage = damageTrailing
-				v.detail = fmt.Sprintf("%d bytes after the seal", v.size-off)
-			}
-			return v
-		}
-		crc = crc32.Update(crc, crc32.IEEETable, rec)
 		off += int64(n)
-		v.lastGood = off
-		if haveState && off == st.Size && crc == st.CRC {
-			v.stateOK = true
+		if cur.Sealed {
+			v.sealEnd = off
 		}
+	}
+	if cur.Sealed {
+		return v
 	}
 	// Every record framed, no seal: an in-flight upload — unless the
 	// durable frontier claims bytes the file does not have, or names a

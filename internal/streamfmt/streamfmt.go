@@ -18,7 +18,8 @@
 // ingest server relaying records off a socket) accumulates the checksum as
 // bytes arrive and compares at the seal, so truncation-to-an-early-seal and
 // payload corruption surface as ErrCorrupt instead of silently shortening
-// the run.
+// the run. Cursor is the one place that rule is written down; every reader,
+// relay, verifier and the Encoder step a Cursor over the records.
 //
 // Scan and Decode operate on byte slices and never panic on hostile input:
 // every structural failure wraps ErrCorrupt, and a buffer that simply ends
@@ -102,9 +103,7 @@ func ParseHeader(buf []byte) (ncores int, err error) {
 // Scan returns the length in bytes of the record at the front of buf
 // without decoding its payload. It returns ErrShort when buf ends before
 // the record does and an ErrCorrupt-wrapped error for unknown tags or
-// implausible lengths. Scan is what the ingest server uses to validate that
-// a network chunk carries whole records before appending them to an
-// archive.
+// implausible lengths. Cursor.Step builds on it.
 func Scan(buf []byte) (n int, err error) {
 	if len(buf) == 0 {
 		return 0, ErrShort
@@ -141,6 +140,76 @@ func Scan(buf []byte) (n int, err error) {
 		return 0, ErrShort
 	}
 	return n, nil
+}
+
+// Cursor walks a stream's records and enforces the seal rule: the seal
+// carries the CRC-32 of the header and every record before it, and nothing
+// follows the seal. The caller owns the bytes and the offsets (off += n), so
+// a file read-ahead, a network frame and a whole-file image all step the
+// same way. A resumed walk rebuilds its Cursor from the CRC and Sealed it
+// stopped at.
+type Cursor struct {
+	// CRC is the running checksum of the header and every non-seal record
+	// stepped over — at the seal, the value the seal carries.
+	CRC uint32
+	// Sealed reports that a seal with a matching checksum was stepped over.
+	Sealed bool
+}
+
+// NewCursor returns the cursor state just past an ncores stream header.
+func NewCursor(ncores int) Cursor {
+	return Cursor{CRC: crc32.Update(0, crc32.IEEETable, AppendHeader(nil, ncores))}
+}
+
+// Step steps over the record at the front of buf and returns its length. A
+// non-seal record is folded into CRC; a seal is verified against CRC and
+// sets Sealed. ErrShort (buf ends mid-record) and every error leave the
+// cursor unchanged. A record after the seal wraps ErrCorrupt, and a seal
+// mismatch is a *SealError (which also wraps ErrCorrupt).
+func (c *Cursor) Step(buf []byte) (n int, err error) {
+	if c.Sealed {
+		return 0, corruptf("records after the seal")
+	}
+	if n, err = Scan(buf); err != nil {
+		return 0, err
+	}
+	if want, ok := SealCRC(buf[:n]); ok {
+		if want != c.CRC {
+			return 0, &SealError{Want: want, Got: c.CRC}
+		}
+		c.Sealed = true
+		return n, nil
+	}
+	c.CRC = crc32.Update(c.CRC, crc32.IEEETable, buf[:n])
+	return n, nil
+}
+
+// SealError reports a seal whose checksum (Want) does not match the stream
+// before it (Got): the stream was damaged or truncated to an early seal.
+type SealError struct{ Want, Got uint32 }
+
+func (e *SealError) Error() string {
+	return fmt.Sprintf("%v: seal CRC %#08x does not match stream contents (%#08x)", ErrCorrupt, e.Want, e.Got)
+}
+
+func (e *SealError) Unwrap() error { return ErrCorrupt }
+
+// Walk steps a Cursor over a whole stream image, header included, and
+// returns it as it stood at the end of the image or at the first error.
+func Walk(stream []byte) (Cursor, error) {
+	ncores, err := ParseHeader(stream)
+	if err != nil {
+		return Cursor{}, err
+	}
+	cur := NewCursor(ncores)
+	for rest := stream[HeaderLen:]; len(rest) > 0; {
+		n, err := cur.Step(rest)
+		if err != nil {
+			return cur, err
+		}
+		rest = rest[n:]
+	}
+	return cur, nil
 }
 
 // Kind discriminates Record.
@@ -245,17 +314,16 @@ func SealCRC(rec []byte) (crc uint32, ok bool) {
 // call (the ingest client's live sink) sees record boundaries without
 // re-scanning; a buffered file writer just concatenates them.
 //
-// The encoder accumulates the seal checksum over everything it emits and
-// suppresses watermark records that do not move a core's mark forward, so
-// an archive written locally and a stream sent over the wire by the same
-// run are byte-identical.
+// The encoder steps a Cursor over everything it emits (so its seal carries
+// the checksum every reader verifies) and suppresses watermark records that
+// do not move a core's mark forward, so an archive written locally and a
+// stream sent over the wire by the same run are byte-identical.
 type Encoder struct {
-	w      io.Writer
-	crc    uint32
-	marks  []uint64
-	tmp    []byte
-	sealed bool
-	err    error
+	w     io.Writer
+	cur   Cursor
+	marks []uint64
+	tmp   []byte
+	err   error
 }
 
 // NewEncoder writes the stream header to w and returns an encoder for
@@ -278,29 +346,26 @@ func NewRawEncoder(w io.Writer, ncores int) *Encoder {
 }
 
 func newEncoder(w io.Writer, ncores int) (*Encoder, []byte) {
-	hdr := AppendHeader(nil, ncores)
 	return &Encoder{
 		w:     w,
-		crc:   crc32.Update(0, crc32.IEEETable, hdr),
+		cur:   NewCursor(ncores),
 		marks: make([]uint64, ncores),
-	}, hdr
+	}, AppendHeader(nil, ncores)
 }
 
 // CRC returns the checksum accumulated so far (header plus every record
 // emitted). After Seal it is the value the seal record carries.
-func (e *Encoder) CRC() uint32 { return e.crc }
+func (e *Encoder) CRC() uint32 { return e.cur.CRC }
 
-// emit writes one whole record, updating the checksum. The first error
-// sticks.
+// emit steps the cursor over one whole record and writes it. The first
+// error sticks.
 func (e *Encoder) emit(rec []byte) error {
 	if e.err != nil {
 		return e.err
 	}
-	if e.sealed {
-		e.err = fmt.Errorf("streamfmt: record after seal")
+	if _, e.err = e.cur.Step(rec); e.err != nil {
 		return e.err
 	}
-	e.crc = crc32.Update(e.crc, crc32.IEEETable, rec)
 	if _, err := e.w.Write(rec); err != nil {
 		e.err = err
 	}
@@ -390,15 +455,9 @@ func (e *Encoder) Seal() error {
 	if e.err != nil {
 		return e.err
 	}
-	sealCRC := e.crc
 	e.tmp = append(e.tmp[:0], TagSeal)
-	e.tmp = binary.LittleEndian.AppendUint32(e.tmp, sealCRC)
-	if err := e.emit(e.tmp); err != nil {
-		return err
-	}
-	e.crc = sealCRC // CRC() keeps reporting the checksum the seal carries
-	e.sealed = true
-	return nil
+	e.tmp = binary.LittleEndian.AppendUint32(e.tmp, e.cur.CRC)
+	return e.emit(e.tmp)
 }
 
 // Err returns the encoder's sticky error: nil until a write fails or a

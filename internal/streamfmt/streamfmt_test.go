@@ -7,14 +7,16 @@ import (
 	"hash/crc32"
 	"testing"
 
+	"jportal/internal/isa"
 	"jportal/internal/meta"
 	"jportal/internal/pt"
 	"jportal/internal/vm"
 )
 
-// encodeSample builds a small but complete stream exercising every record
-// kind, returning the full byte stream (header included).
-func encodeSample(t *testing.T) []byte {
+// encodeSample builds a small but complete 2-core stream exercising every
+// record kind, returning the full byte stream (header included) and the
+// checksum the encoder sealed it with.
+func encodeSample(t *testing.T) ([]byte, uint32) {
 	t.Helper()
 	var buf bytes.Buffer
 	e, err := NewEncoder(&buf, 2)
@@ -41,17 +43,32 @@ func encodeSample(t *testing.T) []byte {
 	if err := e.Watermark(1, 500); err != nil {
 		t.Fatal(err)
 	}
+	if err := e.Blob(sampleBlob()); err != nil {
+		t.Fatal(err)
+	}
 	if err := e.Seal(); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return buf.Bytes(), e.CRC()
+}
+
+// sampleBlob is a minimal valid compiled method: two instructions, one
+// debug record each.
+func sampleBlob() *meta.CompiledMethod {
+	a := isa.NewAssembler("m", 0x1000)
+	a.Emit(isa.Linear, 4, 0, "")
+	a.Emit(isa.Ret, 1, 0, "")
+	return &meta.CompiledMethod{Root: 0, Tier: 1, Code: a.Finish(), Debug: []meta.DebugRecord{
+		{Addr: 0x1000, Frames: []meta.Frame{{Method: 0, PC: 0}}},
+		{Addr: 0x1004, Frames: []meta.Frame{{Method: 0, PC: 1}}},
+	}}
 }
 
 func TestRoundTrip(t *testing.T) {
-	stream := encodeSample(t)
+	stream, _ := encodeSample(t)
 	ncores, err := ParseHeader(stream)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +88,7 @@ func TestRoundTrip(t *testing.T) {
 		recs = append(recs, rec)
 		rest = rest[n:]
 	}
-	want := []Kind{KindSnapshot, KindSideband, KindSideband, KindChunk, KindWatermark, KindSeal}
+	want := []Kind{KindSnapshot, KindSideband, KindSideband, KindChunk, KindWatermark, KindBlob, KindSeal}
 	if len(kinds) != len(want) {
 		t.Fatalf("decoded %d records, want %d", len(kinds), len(want))
 	}
@@ -101,13 +118,16 @@ func TestRoundTrip(t *testing.T) {
 	}
 	// The seal carries the CRC of everything before it.
 	wantCRC := crc32.ChecksumIEEE(stream[:len(stream)-5])
-	if recs[5].CRC != wantCRC {
-		t.Errorf("seal CRC %#08x, want %#08x", recs[5].CRC, wantCRC)
+	if r := recs[5]; r.Blob == nil || len(r.Blob.Debug) != 2 {
+		t.Errorf("blob = %+v", r.Blob)
+	}
+	if recs[6].CRC != wantCRC {
+		t.Errorf("seal CRC %#08x, want %#08x", recs[6].CRC, wantCRC)
 	}
 }
 
 func TestRawEncoderMatchesEncoder(t *testing.T) {
-	full := encodeSample(t)
+	full, _ := encodeSample(t)
 
 	var raw bytes.Buffer
 	e := NewRawEncoder(&raw, 2)
@@ -122,6 +142,7 @@ func TestRawEncoderMatchesEncoder(t *testing.T) {
 		{Gap: true, LostBytes: 64, GapStart: 10, GapEnd: 20},
 	})
 	e.Watermark(1, 500)
+	e.Blob(sampleBlob())
 	if err := e.Seal(); err != nil {
 		t.Fatal(err)
 	}
@@ -206,9 +227,10 @@ func TestParseHeaderErrors(t *testing.T) {
 
 // TestScanTruncation slices every record of a valid stream at every length
 // short of its true one: all must report ErrShort, never ErrCorrupt, never
-// a wrong length.
+// a wrong length — and a Cursor stepping the cut must stay where it was.
 func TestScanTruncation(t *testing.T) {
-	stream := encodeSample(t)
+	stream, _ := encodeSample(t)
+	cur := NewCursor(2)
 	rest := stream[HeaderLen:]
 	for len(rest) > 0 {
 		n, err := Scan(rest)
@@ -222,6 +244,13 @@ func TestScanTruncation(t *testing.T) {
 			if _, _, err := Decode(rest[:cut], pt.Traits()); !errors.Is(err, ErrShort) {
 				t.Fatalf("Decode of %d/%d bytes of tag %#x: %v, want ErrShort", cut, n, rest[0], err)
 			}
+			c := cur
+			if _, err := c.Step(rest[:cut]); !errors.Is(err, ErrShort) || c != cur {
+				t.Fatalf("Step of %d/%d bytes of tag %#x: %v, cursor %+v -> %+v", cut, n, rest[0], err, cur, c)
+			}
+		}
+		if _, err := cur.Step(rest); err != nil {
+			t.Fatal(err)
 		}
 		rest = rest[n:]
 	}
@@ -260,7 +289,7 @@ func TestScanCorruption(t *testing.T) {
 }
 
 func TestSealCRCHelper(t *testing.T) {
-	stream := encodeSample(t)
+	stream, _ := encodeSample(t)
 	seal := stream[len(stream)-5:]
 	if _, ok := SealCRC(seal); !ok {
 		t.Fatal("SealCRC rejected a real seal record")
@@ -273,9 +302,80 @@ func TestSealCRCHelper(t *testing.T) {
 	}
 }
 
+// TestCursorWalk steps a Cursor over the sample stream: each record steps
+// exactly its Scan length, only the seal sets Sealed (without being folded
+// into the CRC), and the verified checksum is the one the encoder sealed.
+func TestCursorWalk(t *testing.T) {
+	stream, sealCRC := encodeSample(t)
+	steps := []struct {
+		tag    byte
+		sealed bool
+	}{
+		{TagSnapshot, false},
+		{TagSideband, false},
+		{TagSideband, false},
+		{TagChunk, false},
+		{TagWatermark, false},
+		{TagBlob, false},
+		{TagSeal, true},
+	}
+	cur := NewCursor(2)
+	if want := crc32.ChecksumIEEE(stream[:HeaderLen]); cur.CRC != want {
+		t.Fatalf("NewCursor CRC %#08x, want the header's %#08x", cur.CRC, want)
+	}
+	off := HeaderLen
+	for i, want := range steps {
+		rec := stream[off:]
+		scanned, _ := Scan(rec)
+		n, err := cur.Step(rec)
+		if rec[0] != want.tag || err != nil || n != scanned || cur.Sealed != want.sealed {
+			t.Fatalf("step %d: tag %#x n=%d err=%v sealed=%v; want tag %#x n=%d sealed=%v",
+				i, rec[0], n, err, cur.Sealed, want.tag, scanned, want.sealed)
+		}
+		off += n
+	}
+	if off != len(stream) || cur.CRC != sealCRC {
+		t.Fatalf("walk ended at byte %d of %d with CRC %#08x; the encoder sealed %#08x", off, len(stream), cur.CRC, sealCRC)
+	}
+	if _, err := cur.Step(stream[HeaderLen:]); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("record after the seal: %v, want ErrCorrupt", err)
+	}
+	if got, err := Walk(stream); err != nil || got != cur {
+		t.Fatalf("Walk = %+v, %v; want %+v", got, err, cur)
+	}
+	// A walk resumed from a frontier's CRC and Sealed ends the same way.
+	mid, _ := Walk(stream[:len(stream)-5])
+	resumed := Cursor{CRC: mid.CRC, Sealed: mid.Sealed}
+	if _, err := resumed.Step(stream[len(stream)-5:]); err != nil || resumed != cur {
+		t.Fatalf("resumed cursor = %+v, %v; want %+v", resumed, err, cur)
+	}
+}
+
+// TestCursorRejectsEveryByteFlip flips every byte past the header of a
+// sealed stream, one at a time: the walk must end in ErrCorrupt or without
+// a seal, and never verify a seal over the damaged bytes.
+func TestCursorRejectsEveryByteFlip(t *testing.T) {
+	stream, _ := encodeSample(t)
+	bad := make([]byte, len(stream))
+	for i := HeaderLen; i < len(stream); i++ {
+		for _, mask := range []byte{0x01, 0xFF} {
+			copy(bad, stream)
+			bad[i] ^= mask
+			cur, err := Walk(bad)
+			if cur.Sealed {
+				t.Fatalf("byte %d ^ %#x: seal verified over a damaged stream (err %v)", i, mask, err)
+			}
+			if err != nil && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrShort) {
+				t.Fatalf("byte %d ^ %#x: error %v is neither ErrCorrupt nor ErrShort", i, mask, err)
+			}
+		}
+	}
+}
+
 // FuzzDecode drives Scan/Decode with arbitrary bytes: they must never
 // panic, and their verdicts must be consistent (a scannable record either
-// decodes or reports corruption; lengths agree).
+// decodes or reports corruption; lengths agree). Input that parses as a
+// header is also walked with a Cursor, whose steps must agree with Scan.
 func FuzzDecode(f *testing.F) {
 	sample := []byte(nil)
 	func() {
@@ -292,7 +392,19 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{TagSideband})
 	f.Add([]byte{TagSnapshot, 0xFF, 0xFF, 0xFF, 0x7F})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		ParseHeader(data)
+		if ncores, err := ParseHeader(data); err == nil {
+			cur := NewCursor(ncores)
+			for rest := data[HeaderLen:]; len(rest) > 0; {
+				n, err := cur.Step(rest)
+				if err != nil {
+					break
+				}
+				if sn, _ := Scan(rest); n != sn {
+					t.Fatalf("Step length %d != Scan length %d", n, sn)
+				}
+				rest = rest[n:]
+			}
+		}
 		n, scanErr := Scan(data)
 		rec, dn, decErr := Decode(data, pt.Traits())
 		if scanErr != nil {

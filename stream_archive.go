@@ -7,7 +7,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -217,6 +216,24 @@ func (w *StreamArchiveWriter) Seal() error {
 	return w.err
 }
 
+// CollectArchive runs prog under cfg straight into a sealed archive at dir,
+// as jportal collect does: every drained trace chunk is appended to the
+// archive as it leaves the collector. The returned RunResult carries no
+// Traces (they went to disk).
+func CollectArchive(dir string, prog *bytecode.Program, threads []vm.ThreadSpec, cfg RunConfig) (*RunResult, error) {
+	var w *StreamArchiveWriter
+	run, err := RunWithSink(prog, threads, cfg,
+		func(p *bytecode.Program, snap *meta.Snapshot, ncores int) (TraceSink, error) {
+			var err error
+			w, err = CreateStreamArchiveSource(dir, p, snap, ncores, cfg.Source)
+			return w, err
+		})
+	if err != nil {
+		return nil, err
+	}
+	return run, w.Seal()
+}
+
 // StreamEventKind discriminates StreamEvent.
 type StreamEventKind = streamfmt.Kind
 
@@ -243,10 +260,9 @@ type StreamArchiveReader struct {
 	f      *os.File
 	prog   *bytecode.Program
 	ncores int
-	buf    []byte // read-ahead not yet consumed
-	off    int64  // file offset of the first byte past buf
-	crc    uint32 // checksum of all consumed bytes (header + records, pre-seal)
-	sealed bool
+	buf    []byte           // read-ahead not yet consumed
+	off    int64            // file offset of the first byte past buf
+	cur    streamfmt.Cursor // seal check over the records consumed so far
 	// src is the trace source the archive header names; its traits
 	// validate every decoded item.
 	src source.Source
@@ -288,6 +304,7 @@ func OpenStreamArchive(dir string) (*StreamArchiveReader, error) {
 		return nil, fmt.Errorf("jportal: %s: %w", dir, err)
 	}
 	r.consume(streamfmt.HeaderLen)
+	r.cur = streamfmt.NewCursor(r.ncores)
 	r.prog = &prog
 	return r, nil
 }
@@ -326,10 +343,8 @@ func (r *StreamArchiveReader) fill(n int) error {
 	return nil
 }
 
-// consume folds n bytes into the running checksum and drops them from the
-// front of the read-ahead.
+// consume drops n bytes from the front of the read-ahead.
 func (r *StreamArchiveReader) consume(n int) {
-	r.crc = crc32.Update(r.crc, crc32.IEEETable, r.buf[:n])
 	r.buf = r.buf[:copy(r.buf, r.buf[n:])]
 }
 
@@ -340,13 +355,16 @@ func (r *StreamArchiveReader) consume(n int) {
 // only valid until the following Next call (the decode buffer is reused);
 // consumers that keep items copy them, as Session.Feed does.
 func (r *StreamArchiveReader) Next() (*StreamEvent, error) {
-	if r.sealed {
+	if r.cur.Sealed {
 		return nil, io.EOF
 	}
+	// Step a copy, committed only once the record decodes: a failed Next
+	// leaves the reader where it was.
+	cur := r.cur
 	var n int
 	for {
 		var err error
-		n, err = streamfmt.Scan(r.buf)
+		n, err = cur.Step(r.buf)
 		if err == nil {
 			break
 		}
@@ -365,13 +383,7 @@ func (r *StreamArchiveReader) Next() (*StreamEvent, error) {
 	if ev.Kind == EvChunk {
 		r.items = ev.Items
 	}
-	if ev.Kind == EvSeal {
-		if ev.CRC != r.crc {
-			return nil, fmt.Errorf("%w: seal CRC %#08x does not match stream contents (%#08x): archive damaged or truncated",
-				streamfmt.ErrCorrupt, ev.CRC, r.crc)
-		}
-		r.sealed = true
-	}
+	r.cur = cur
 	r.consume(n)
 	return &ev, nil
 }

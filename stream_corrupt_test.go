@@ -16,9 +16,7 @@ import (
 	"time"
 
 	"jportal"
-	"jportal/internal/bytecode"
 	"jportal/internal/core"
-	"jportal/internal/meta"
 	"jportal/internal/source"
 	"jportal/internal/streamfmt"
 	"jportal/internal/vm"
@@ -33,17 +31,7 @@ func collectSmallArchive(t *testing.T, dir string) {
 	rcfg.CollectOracle = false
 	rcfg.PT.BufBytes = 16 << 10
 	rcfg.SinkChunkItems = 64
-	var w *jportal.StreamArchiveWriter
-	_, err := jportal.RunWithSink(s.Program, s.Threads, rcfg,
-		func(p *bytecode.Program, snap *meta.Snapshot, ncores int) (jportal.TraceSink, error) {
-			var err error
-			w, err = jportal.CreateStreamArchive(dir, p, snap, ncores)
-			return w, err
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Seal(); err != nil {
+	if _, err := jportal.CollectArchive(dir, s.Program, s.Threads, rcfg); err != nil {
 		t.Fatal(err)
 	}
 }
