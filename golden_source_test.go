@@ -11,16 +11,19 @@ import (
 	"testing"
 
 	"jportal/internal/core"
+	"jportal/internal/source"
 	"jportal/internal/workload"
 )
 
-// goldenFixtureFile pins the PT path across the TraceSource refactor: the
-// hashes in it were generated BEFORE internal/source existed, so a passing
-// run proves the refactored pipeline writes byte-identical archives and
-// the exact same analysis for every subject. Regenerate (only when
+// goldenFixtureFile pins both trace sources byte for byte. The PT entries
+// (keyed "<subject>/...") were generated before internal/source existed;
+// the E-Trace entries (keyed "riscv-etrace/<subject>/...") before the two
+// backends shared one collector and one decoder. A passing run proves the
+// pipeline still writes byte-identical archives and the exact same
+// analysis for every subject on every source. Regenerate (only when
 // intentionally changing the formats) with
 //
-//	GOLDEN_UPDATE=1 go test -run TestPTGoldenByteIdentity .
+//	GOLDEN_UPDATE=1 go test -run TestGoldenByteIdentity .
 const goldenFixtureFile = "testdata/golden_pt.json"
 
 // goldenRunConfig is the deterministic configuration the fixture was
@@ -87,29 +90,36 @@ func hashAnalysis(an *Analysis) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// TestPTGoldenByteIdentity runs every subject through the archive and the
-// analysis pipeline and compares the resulting hashes against the
-// pre-refactor fixture.
-func TestPTGoldenByteIdentity(t *testing.T) {
+// TestGoldenByteIdentity runs every subject on every registered trace
+// source through the archive and the analysis pipeline and compares the
+// resulting hashes against the fixture.
+func TestGoldenByteIdentity(t *testing.T) {
 	got := make(map[string]string)
-	for _, name := range workload.Names() {
-		s := workload.MustLoad(name, 0.2)
-		rcfg := goldenRunConfig()
-		run, err := Run(s.Program, s.Threads, rcfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	for _, id := range source.Registered() {
+		prefix := id + "/"
+		if id == source.DefaultID {
+			prefix = "" // the PT entries predate the source layer
 		}
+		for _, name := range workload.Names() {
+			s := workload.MustLoad(name, 0.2)
+			rcfg := goldenRunConfig()
+			rcfg.Source = id
+			run, err := Run(s.Program, s.Threads, rcfg)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", id, name, err)
+			}
 
-		s2 := workload.MustLoad(name, 0.2)
-		chunkDir := filepath.Join(t.TempDir(), "chunked")
-		sealArchive(t, s2.Program, s2.Threads, rcfg, chunkDir)
-		got[name+"/chunked"] = hashDir(t, chunkDir)
+			s2 := workload.MustLoad(name, 0.2)
+			chunkDir := filepath.Join(t.TempDir(), "chunked")
+			sealArchive(t, s2.Program, s2.Threads, rcfg, chunkDir)
+			got[prefix+name+"/chunked"] = hashDir(t, chunkDir)
 
-		an, err := Analyze(s.Program, run, core.DefaultPipelineConfig())
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			an, err := Analyze(s.Program, run, core.DefaultPipelineConfig())
+			if err != nil {
+				t.Fatalf("%s/%s: %v", id, name, err)
+			}
+			got[prefix+name+"/analysis"] = hashAnalysis(an)
 		}
-		got[name+"/analysis"] = hashAnalysis(an)
 	}
 
 	if os.Getenv("GOLDEN_UPDATE") != "" {
@@ -142,7 +152,7 @@ func TestPTGoldenByteIdentity(t *testing.T) {
 	sort.Strings(keys)
 	for _, k := range keys {
 		if got[k] != want[k] {
-			t.Errorf("%s: hash diverged from pre-refactor fixture\n  want %s\n  got  %s", k, want[k], got[k])
+			t.Errorf("%s: hash diverged from the fixture\n  want %s\n  got  %s", k, want[k], got[k])
 		}
 	}
 	for k := range got {
