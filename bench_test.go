@@ -27,6 +27,7 @@ import (
 	"jportal/internal/experiments"
 	"jportal/internal/metrics"
 	"jportal/internal/pt"
+	"jportal/internal/source"
 	"jportal/internal/vm"
 	"jportal/internal/workload"
 )
@@ -394,7 +395,7 @@ func BenchmarkPTCollection(b *testing.B) {
 	s := workload.MustLoad("sunflow", 0.5)
 	for i := 0; i < b.N; i++ {
 		m := vm.New(s.Program, vm.DefaultConfig())
-		col := pt.NewCollector(pt.DefaultConfig(), vm.DefaultConfig().Cores)
+		col := pt.Traits().NewCollector(source.DefaultCollectorConfig(), vm.DefaultConfig().Cores)
 		m.Tracer = col
 		if _, err := m.Run(s.Threads); err != nil {
 			b.Fatal(err)

@@ -5,8 +5,9 @@
 #                    TestKernelAllocs, included) + race-detector pass over
 #                    the concurrent packages (core, trace, conc, pt, source,
 #                    etrace, ingest, fleet) and the root streaming tests +
-#                    end-to-end smokes + a vet/test pass over the benchmark/
-#                    module, which builds against the root package
+#                    end-to-end smokes (PT and E-Trace) + a vet/test pass
+#                    over the benchmark/ module, which builds against the
+#                    root package
 #
 # The race pass covers the offline-phase parallelism introduced with the
 # worker pool — the read-only Matcher contract, the per-core trace carve and
@@ -47,6 +48,9 @@ SMOKE=$(mktemp -d)
 trap 'rm -rf "$SMOKE"' EXIT
 go build -o "$SMOKE/jportal" ./cmd/jportal
 "$SMOKE/jportal" collect -scale 0.5 -out "$SMOKE/local" fop >/dev/null
+# A lossy E-Trace archive (16M-label buffers), so the second backend's
+# resync path reaches the archive, the replay and the ingest path too.
+"$SMOKE/jportal" collect -source riscv-etrace -scale 0.3 -buf 16 -out "$SMOKE/etrace" fop >/dev/null
 "$SMOKE/jportal" serve -listen 127.0.0.1:7901 -data "$SMOKE/ingest" >"$SMOKE/serve.log" 2>&1 &
 SERVE_PID=$!
 for i in $(seq 1 50); do
@@ -54,11 +58,24 @@ for i in $(seq 1 50); do
     sleep 0.1
 done
 "$SMOKE/jportal" push -addr 127.0.0.1:7901 -id smoke "$SMOKE/local" >/dev/null
+"$SMOKE/jportal" push -addr 127.0.0.1:7901 -id etrace "$SMOKE/etrace" >/dev/null
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 cmp "$SMOKE/local/stream.jpt" "$SMOKE/ingest/smoke/stream.jpt"
 cmp "$SMOKE/local/program.gob" "$SMOKE/ingest/smoke/program.gob"
-echo "    loopback archive byte-identical"
+cmp "$SMOKE/etrace/stream.jpt" "$SMOKE/ingest/etrace/stream.jpt"
+echo "    loopback archives (PT and E-Trace) byte-identical"
+
+echo "==> E-Trace smoke (lossy archive: stream, stream -workers 1 and decode agree)"
+# decode prints the same thread lines as stream plus its wall-clock
+# decode=/recover= times, which are stripped before the comparison.
+"$SMOKE/jportal" stream "$SMOKE/etrace" >"$SMOKE/etrace-stream.txt"
+"$SMOKE/jportal" stream -workers 1 "$SMOKE/etrace" >"$SMOKE/etrace-stream1.txt"
+cmp "$SMOKE/etrace-stream.txt" "$SMOKE/etrace-stream1.txt"
+"$SMOKE/jportal" decode "$SMOKE/etrace" | sed 's/ decode=[^ ]* recover=[^ ]*//' >"$SMOKE/etrace-decode.txt"
+cmp "$SMOKE/etrace-stream.txt" "$SMOKE/etrace-decode.txt"
+grep -q 'recovered [1-9]' "$SMOKE/etrace-stream.txt"
+echo "    E-Trace replay identical across workers and against decode"
 
 echo "==> damaged-push smoke (one byte flipped, refused before upload)"
 # Any single-byte flip past the header breaks record framing or the seal

@@ -6,10 +6,10 @@ import (
 	"jportal/internal/bytecode"
 	"jportal/internal/isa"
 	"jportal/internal/meta"
-	"jportal/internal/ptdecode"
+	"jportal/internal/source"
 )
 
-func mkEvents() ([]ptdecode.Event, *bytecode.Program, *meta.CompiledMethod) {
+func mkEvents() ([]source.Event, *bytecode.Program, *meta.CompiledMethod) {
 	prog := bytecode.MustAssemble(fig2Src)
 	fun := prog.MethodByName("Test.fun")
 	// A small fake blob covering fun's first three instructions, with the
@@ -27,15 +27,15 @@ func mkEvents() ([]ptdecode.Event, *bytecode.Program, *meta.CompiledMethod) {
 			{Addr: blob.Instrs[2].Addr, Frames: []meta.Frame{{Method: fun.ID, PC: 1}}, Approximate: true},
 		},
 	}
-	events := []ptdecode.Event{
-		{Kind: ptdecode.EvTime, TSC: 100},
-		{Kind: ptdecode.EvTemplate, Op: bytecode.ILOAD},
-		{Kind: ptdecode.EvTemplate, Op: bytecode.IFEQ},
-		{Kind: ptdecode.EvTemplateTNT, Op: bytecode.IFEQ, Taken: true},
-		{Kind: ptdecode.EvGap, LostBytes: 64, GapStart: 150, GapEnd: 400},
-		{Kind: ptdecode.EvJITRange, Blob: cm, First: 0, Last: 3},
-		{Kind: ptdecode.EvDesync},
-		{Kind: ptdecode.EvTemplate, Op: bytecode.IRETURN},
+	events := []source.Event{
+		{Kind: source.EvTime, TSC: 100},
+		{Kind: source.EvTemplate, Op: bytecode.ILOAD},
+		{Kind: source.EvTemplate, Op: bytecode.IFEQ},
+		{Kind: source.EvTemplateTNT, Op: bytecode.IFEQ, Taken: true},
+		{Kind: source.EvGap, LostBytes: 64, GapStart: 150, GapEnd: 400},
+		{Kind: source.EvJITRange, Blob: cm, First: 0, Last: 3},
+		{Kind: source.EvDesync},
+		{Kind: source.EvTemplate, Op: bytecode.IRETURN},
 	}
 	return events, prog, cm
 }
@@ -85,10 +85,10 @@ func TestTokenizeEvents(t *testing.T) {
 
 func TestTokenizeSynthesisesOrphanTNT(t *testing.T) {
 	prog := bytecode.MustAssemble(fig2Src)
-	events := []ptdecode.Event{
+	events := []source.Event{
 		// A TNT whose dispatch was lost (post-gap FUP anchor): the branch
 		// token is synthesised.
-		{Kind: ptdecode.EvTemplateTNT, Op: bytecode.IFNE, Taken: false},
+		{Kind: source.EvTemplateTNT, Op: bytecode.IFNE, Taken: false},
 	}
 	segs, _ := TokenizeEvents(prog, events)
 	if len(segs) != 1 || len(segs[0].Tokens) != 1 {
@@ -102,11 +102,11 @@ func TestTokenizeSynthesisesOrphanTNT(t *testing.T) {
 
 func TestTokenizeMergesAdjacentGaps(t *testing.T) {
 	prog := bytecode.MustAssemble(fig2Src)
-	events := []ptdecode.Event{
-		{Kind: ptdecode.EvTemplate, Op: bytecode.ILOAD},
-		{Kind: ptdecode.EvGap, LostBytes: 10, GapStart: 100, GapEnd: 200},
-		{Kind: ptdecode.EvGap, LostBytes: 20, GapStart: 200, GapEnd: 300},
-		{Kind: ptdecode.EvTemplate, Op: bytecode.ICONST},
+	events := []source.Event{
+		{Kind: source.EvTemplate, Op: bytecode.ILOAD},
+		{Kind: source.EvGap, LostBytes: 10, GapStart: 100, GapEnd: 200},
+		{Kind: source.EvGap, LostBytes: 20, GapStart: 200, GapEnd: 300},
+		{Kind: source.EvTemplate, Op: bytecode.ICONST},
 	}
 	segs, st := TokenizeEvents(prog, events)
 	if len(segs) != 2 {

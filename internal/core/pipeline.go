@@ -13,7 +13,7 @@ import (
 	// Link in the reference Intel PT backend so the default trace source
 	// resolves for every existing caller; alternate backends are selected
 	// explicitly via PipelineConfig.Source.
-	_ "jportal/internal/ptdecode"
+	_ "jportal/internal/pt"
 )
 
 // PipelineConfig configures the offline analysis.

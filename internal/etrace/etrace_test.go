@@ -8,13 +8,12 @@ import (
 	"jportal/internal/isa"
 	"jportal/internal/meta"
 	"jportal/internal/pt"
-	"jportal/internal/ptdecode"
 	"jportal/internal/source"
 )
 
-// buildWorld mirrors ptdecode's test world: a template table entry per
-// opcode and two tiny compiled blobs (A: linear, jcc over A2, ret; B:
-// linear, call A, linear, ret).
+// buildWorld mirrors internal/pt's walker-test world: a template table
+// entry per opcode and two tiny compiled blobs (A: linear, jcc over A2,
+// ret; B: linear, call A, linear, ret).
 func buildWorld(t testing.TB) *meta.Snapshot {
 	t.Helper()
 	tt := meta.NewTemplateTable()
@@ -61,23 +60,23 @@ func buildWorld(t testing.TB) *meta.Snapshot {
 	return snap
 }
 
-func pkt(kind Kind, ip uint64) Item {
-	return Item{Packet: Packet{Kind: kind, IP: ip, WireLen: 4}}
+func pkt(kind Kind, ip uint64) source.Item {
+	return source.Item{Packet: source.Packet{Kind: kind, IP: ip, WireLen: 4}}
 }
 
-func bmap(bits ...bool) Item {
-	p := Packet{Kind: KBranch, NBits: uint8(len(bits)), WireLen: 2}
+func bmap(bits ...bool) source.Item {
+	p := source.Packet{Kind: KBranch, NBits: uint8(len(bits)), WireLen: 2}
 	for i, b := range bits {
 		if b {
 			p.Bits |= 1 << uint(i)
 		}
 	}
-	return Item{Packet: p}
+	return source.Item{Packet: p}
 }
 
 // TestWalkBranchMap checks the decoder walks a compiled blob consuming
-// branch-map bits, mirroring ptdecode's walk tests: not-taken visits every
-// instruction (4), taken skips A2 (3 walked, index 2 never appears).
+// branch-map bits, mirroring internal/pt's walk tests: not-taken visits
+// every instruction (4), taken skips A2 (3 walked, index 2 never appears).
 func TestWalkBranchMap(t *testing.T) {
 	snap := buildWorld(t)
 	base := meta.CodeCacheBase
@@ -89,8 +88,8 @@ func TestWalkBranchMap(t *testing.T) {
 		{false, 4}, // falls through: A0,A1,A2,A3
 		{true, 3},  // jcc taken: A0,A1,A3
 	} {
-		d := New(snap)
-		ev := d.Decode([]Item{pkt(KAddr, base), bmap(tc.taken), pkt(KAddr, retStub)})
+		d := source.NewWalker(traits, snap)
+		ev := d.Decode([]source.Item{pkt(KAddr, base), bmap(tc.taken), pkt(KAddr, retStub)})
 		total := 0
 		for _, e := range ev {
 			if e.Kind == source.EvJITRange {
@@ -117,8 +116,8 @@ func TestWalkBranchMap(t *testing.T) {
 func TestTemplateDispatch(t *testing.T) {
 	snap := buildWorld(t)
 	tmpl := snap.Templates
-	d := New(snap)
-	ev := d.Decode([]Item{
+	d := source.NewWalker(traits, snap)
+	ev := d.Decode([]source.Item{
 		pkt(KAddr, tmpl.Entry(bytecode.ILOAD)),
 		pkt(KAddr, tmpl.Entry(bytecode.IFEQ)),
 		bmap(true),
@@ -150,8 +149,8 @@ func TestTemplateDispatch(t *testing.T) {
 func TestTrapAddrPairDoesNotDesync(t *testing.T) {
 	snap := buildWorld(t)
 	base := meta.CodeCacheBase
-	d := New(snap)
-	d.Decode([]Item{
+	d := source.NewWalker(traits, snap)
+	d.Decode([]source.Item{
 		pkt(KStart, base),
 		pkt(KTrap, base+4),
 		pkt(KAddr, base+0x1000),
@@ -168,12 +167,12 @@ func TestTrapAddrPairDoesNotDesync(t *testing.T) {
 func TestMalformedPacketSkipsToSync(t *testing.T) {
 	snap := buildWorld(t)
 	base := meta.CodeCacheBase
-	d := New(snap)
-	d.Decode([]Item{
+	d := source.NewWalker(traits, snap)
+	d.Decode([]source.Item{
 		pkt(KStart, base),
-		{Packet: Packet{Kind: Kind(0x7f), WireLen: 4}}, // malformed
-		pkt(KAddr, base+0x1000),                        // must be skipped
-		{Packet: Packet{Kind: KSync, TSC: 99, WireLen: syncWireLen}},
+		{Packet: source.Packet{Kind: Kind(0x7f), WireLen: 4}}, // malformed
+		pkt(KAddr, base+0x1000),                               // must be skipped
+		{Packet: source.Packet{Kind: KSync, TSC: 99, WireLen: traits.Wire.SyncLen}},
 		pkt(KStart, base),
 	})
 	if d.FaultCount != 1 {
@@ -182,8 +181,8 @@ func TestMalformedPacketSkipsToSync(t *testing.T) {
 	if d.SkippedPackets == 0 {
 		t.Fatalf("no packets skipped before resync")
 	}
-	if d.TSC() != 99 {
-		t.Fatalf("TSC after sync = %d, want 99 (sync carries time)", d.TSC())
+	if tsc := d.ExportState().TSC; tsc != 99 {
+		t.Fatalf("TSC after sync = %d, want 99 (sync carries time)", tsc)
 	}
 }
 
@@ -210,7 +209,7 @@ func TestLosslessDecodeMatchesPT(t *testing.T) {
 	base := meta.CodeCacheBase
 
 	cfg := source.DefaultCollectorConfig()
-	drive := func(col source.Collector) []source.CoreTrace {
+	drive := func(col *source.Collector) []source.CoreTrace {
 		tsc := uint64(100)
 		col.PGE(0, base, tsc)
 		for i := 0; i < 200; i++ {
@@ -232,16 +231,16 @@ func TestLosslessDecodeMatchesPT(t *testing.T) {
 		return col.Finish(tsc + 10)
 	}
 
-	ptTr := drive(pt.NewCollector(cfg, 1))
-	etTr := drive(NewCollector(cfg, 1))
+	ptTr := drive(pt.Traits().NewCollector(cfg, 1))
+	etTr := drive(traits.NewCollector(cfg, 1))
 	for _, tr := range [][]source.CoreTrace{ptTr, etTr} {
 		if tr[0].LostBytes() != 0 {
 			t.Fatalf("expected lossless run, lost %d bytes", tr[0].LostBytes())
 		}
 	}
 
-	ptEv := controlFlow(ptdecode.New(snap).Decode(ptTr[0].Items))
-	etEv := controlFlow(New(snap).Decode(etTr[0].Items))
+	ptEv := controlFlow(source.NewWalker(pt.Traits(), snap).Decode(ptTr[0].Items))
+	etEv := controlFlow(source.NewWalker(traits, snap).Decode(etTr[0].Items))
 	if len(ptEv) != len(etEv) {
 		t.Fatalf("event counts differ: pt %d, etrace %d", len(ptEv), len(etEv))
 	}
@@ -270,7 +269,7 @@ func TestLosslessDecodeMatchesPT(t *testing.T) {
 // traces under this source's traits.
 func TestWireRoundTrip(t *testing.T) {
 	cfg := source.DefaultCollectorConfig()
-	col := NewCollector(cfg, 1)
+	col := traits.NewCollector(cfg, 1)
 	col.PGE(0, meta.CodeCacheBase, 1)
 	for i := 0; i < 64; i++ {
 		col.TNT(0, meta.CodeCacheBase+4, i%2 == 0, uint64(10+i*9))
@@ -293,7 +292,7 @@ func TestWireRoundTrip(t *testing.T) {
 
 // encodeRecords frames items as one run of item records, the payload a
 // chunk record carries.
-func encodeRecords(items []Item) []byte {
+func encodeRecords(items []source.Item) []byte {
 	var rec []byte
 	for i := range items {
 		rec = source.AppendItem(rec, &items[i])
@@ -303,8 +302,8 @@ func encodeRecords(items []Item) []byte {
 
 // decodeRecords reads a run of item records back with source.DecodeItem,
 // validating each against this source's traits.
-func decodeRecords(rec []byte) ([]Item, error) {
-	var items []Item
+func decodeRecords(rec []byte) ([]source.Item, error) {
+	var items []source.Item
 	for len(rec) > 0 {
 		it, n, err := source.DecodeItem(rec, Traits())
 		if err != nil {
@@ -320,14 +319,14 @@ func decodeRecords(rec []byte) ([]Item, error) {
 // MaxBranchBits and unknown kinds are malformed.
 func TestTraitsValidation(t *testing.T) {
 	cases := []struct {
-		it  Item
+		it  source.Item
 		bad bool
 	}{
-		{Item{Packet: Packet{Kind: KBranch, NBits: MaxBranchBits}}, false},
-		{Item{Packet: Packet{Kind: KBranch, NBits: MaxBranchBits + 1}}, true},
-		{Item{Packet: Packet{Kind: KTrap}}, false},
-		{Item{Packet: Packet{Kind: Kind(0x40)}}, true},
-		{Item{Gap: true, GapStart: 5, GapEnd: 3}, true},
+		{source.Item{Packet: source.Packet{Kind: KBranch, NBits: MaxBranchBits}}, false},
+		{source.Item{Packet: source.Packet{Kind: KBranch, NBits: MaxBranchBits + 1}}, true},
+		{source.Item{Packet: source.Packet{Kind: KTrap}}, false},
+		{source.Item{Packet: source.Packet{Kind: Kind(0x40)}}, true},
+		{source.Item{Gap: true, GapStart: 5, GapEnd: 3}, true},
 	}
 	for i, tc := range cases {
 		err := Traits().ValidateItem(&tc.it)
@@ -337,14 +336,14 @@ func TestTraitsValidation(t *testing.T) {
 	}
 }
 
-// FuzzDecode mirrors ptdecode's hardening contract for the E-Trace
+// FuzzDecode mirrors the PT hardening contract for the E-Trace
 // backend: arbitrary item-record bytes must never panic the record reader
 // or the decoder, and every accepted run of records must hold only valid
 // items and re-encode to the same bytes (faults and desyncs are the
 // contract for garbage, panics are not).
 func FuzzDecode(f *testing.F) {
 	cfg := source.DefaultCollectorConfig()
-	col := NewCollector(cfg, 1)
+	col := traits.NewCollector(cfg, 1)
 	col.PGE(0, meta.CodeCacheBase, 1)
 	for i := 0; i < 40; i++ {
 		col.TNT(0, meta.CodeCacheBase+4, i%2 == 0, uint64(10+i*9))
@@ -357,9 +356,9 @@ func FuzzDecode(f *testing.F) {
 	f.Add(encodeRecords(tr.Items))
 	f.Add([]byte{})
 	f.Add([]byte("garbage"))
-	f.Add(encodeRecords([]Item{{Packet: Packet{Kind: KBranch, NBits: 255, Bits: ^uint64(0)}}}))
-	f.Add(encodeRecords([]Item{{Packet: Packet{Kind: Kind(0x7f), IP: 0xdead}}}))
-	f.Add(encodeRecords([]Item{{Gap: true, LostBytes: 1 << 60, GapStart: 100, GapEnd: 1}}))
+	f.Add(encodeRecords([]source.Item{{Packet: source.Packet{Kind: KBranch, NBits: 255, Bits: ^uint64(0)}}}))
+	f.Add(encodeRecords([]source.Item{{Packet: source.Packet{Kind: Kind(0x7f), IP: 0xdead}}}))
+	f.Add(encodeRecords([]source.Item{{Gap: true, LostBytes: 1 << 60, GapStart: 100, GapEnd: 1}}))
 
 	snap := buildWorld(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -372,7 +371,7 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("accepted records hold invalid item %d: %v", i, err)
 			}
 		}
-		d := New(snap)
+		d := source.NewWalker(traits, snap)
 		d.Decode(got) // must not panic
 		if !bytes.Equal(encodeRecords(got), data) {
 			t.Fatal("accepted records do not re-encode to the same bytes")

@@ -1,7 +1,8 @@
-// Package etrace is a RISC-V E-Trace-style trace source: the second
-// backend behind the TraceSource abstraction (internal/source), proving the
-// neutral layers — stitching, decoding, reconstruction, recovery, archives
-// — are ISA-agnostic.
+// Package etrace is the "riscv-etrace" trace source: a RISC-V
+// E-Trace-style packet vocabulary expressed as a source.Traits value. It
+// is the second backend behind the shared collector and decoder in
+// internal/source, proving the neutral layers — stitching, decoding,
+// reconstruction, recovery, archives — are ISA-agnostic.
 //
 // The model follows the E-Trace (Efficient Trace for RISC-V) encoder's
 // shape rather than Intel PT's:
@@ -11,20 +12,23 @@
 //     payload byte per 8 branches.
 //   - Uninferable (indirect) targets are reported differentially: the wire
 //     carries only the bytes in which the address differs from the last one
-//     reported, at byte granularity. The neutral Packet keeps the absolute
-//     address — differential reporting is a wire-size model, exactly like
-//     PT's suffix compression in internal/pt.
+//     reported, at byte granularity (PT's suffix compression snaps to
+//     2/4/6/8 bytes). The neutral Packet keeps the absolute address.
 //   - Periodic synchronisation packets carry the full timestamp and reset
 //     the address compression, so a decoder (or a chunk boundary) can
-//     resynchronise without history.
+//     resynchronise without history, and one SYNC is the whole resync
+//     preamble after a loss.
 //
-// The collector mirrors internal/pt's structure — bounded per-core ring,
-// paced exporter, loss episodes with hysteresis and resync preambles — so
-// the two backends differ only where the ISAs do: packet vocabulary and
+// Everything else — bounded per-core ring, paced exporter, loss episodes
+// with hysteresis, the decoder's walk — is shared with internal/pt, so the
+// two backends differ only where the ISAs do: packet vocabulary and
 // wire-size model.
 package etrace
 
 import "jportal/internal/source"
+
+// ID is this source's registry name.
+const ID = "riscv-etrace"
 
 // Kind is this source's packet-kind space.
 type Kind = source.Kind
@@ -58,16 +62,29 @@ const (
 // branches per packet.
 const MaxBranchBits = 31
 
+// traits is the E-Trace backend.
 var traits = &source.Traits{
-	Name:    ID,
-	MaxKind: KTrap,
+	Name:      ID,
+	MaxKind:   KTrap,
+	KindNames: []string{"TIME", "SYNC", "START", "STOP", "BMAP", "ADDR", "TRAP"},
+	Roles: source.Roles{
+		Enable: KStart, Disable: KStop, Target: KAddr, Anchor: KTrap,
+		Branches: KBranch, Time: KTime, Sync: KSync,
+	},
 	// Sync packets carry the full timestamp, so they are time-bearing too.
 	TimeMask:   1<<KTime | 1<<KSync,
-	SyncMask:   1 << KSync,
-	TNTMask:    1 << KBranch,
 	MaxTNTBits: MaxBranchBits,
-	KindNames:  []string{"TIME", "SYNC", "START", "STOP", "BMAP", "ADDR", "TRAP"},
+	Wire: source.WireModel{
+		AddrGranule: 1,
+		BranchLen:   func(n uint8) uint8 { return 1 + (n+7)/8 },
+		// A (compressed) full-width timestamp report.
+		TimeLen: 6,
+		// Header, full timestamp and context fields.
+		SyncLen: 14,
+	},
 }
 
-// Traits describes this source's packet vocabulary for the neutral layers.
+// Traits returns the E-Trace backend's Traits.
 func Traits() *source.Traits { return traits }
+
+func init() { source.Register(traits) }

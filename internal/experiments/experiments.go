@@ -23,7 +23,7 @@ import (
 	"jportal/internal/conc"
 	"jportal/internal/core"
 	"jportal/internal/metrics"
-	"jportal/internal/pt"
+	"jportal/internal/source"
 	"jportal/internal/vm"
 	"jportal/internal/workload"
 )
@@ -101,8 +101,8 @@ func vmConfig(o Options) vm.Config {
 	return cfg
 }
 
-func ptConfig(o Options) pt.Config {
-	cfg := pt.DefaultConfig()
+func ptConfig(o Options) source.CollectorConfig {
+	cfg := source.DefaultCollectorConfig()
 	cfg.BufBytes = bufBytes(o.BufMBLabel)
 	return cfg
 }

@@ -5,22 +5,23 @@ import (
 
 	"jportal/internal/metrics"
 	"jportal/internal/pt"
+	"jportal/internal/source"
 	"jportal/internal/vm"
 )
 
 // syntheticItems builds n plausible packets for core-stream injection tests.
-func syntheticItems(n int) []pt.Item {
-	items := make([]pt.Item, n)
+func syntheticItems(n int) []source.Item {
+	items := make([]source.Item, n)
 	for i := range items {
 		switch i % 4 {
 		case 0:
-			items[i] = pt.Item{Packet: pt.Packet{Kind: pt.KTSC, TSC: uint64(1000 + i)}}
+			items[i] = source.Item{Packet: source.Packet{Kind: pt.KTSC, TSC: uint64(1000 + i)}}
 		case 1:
-			items[i] = pt.Item{Packet: pt.Packet{Kind: pt.KTIP, IP: uint64(0x40000 + i*16)}}
+			items[i] = source.Item{Packet: source.Packet{Kind: pt.KTIP, IP: uint64(0x40000 + i*16)}}
 		case 2:
-			items[i] = pt.Item{Packet: pt.Packet{Kind: pt.KTNT, Bits: uint64(i), NBits: 8}}
+			items[i] = source.Item{Packet: source.Packet{Kind: pt.KTNT, Bits: uint64(i), NBits: 8}}
 		default:
-			items[i] = pt.Item{Packet: pt.Packet{Kind: pt.KFUP, IP: uint64(0x50000 + i*16)}}
+			items[i] = source.Item{Packet: source.Packet{Kind: pt.KFUP, IP: uint64(0x50000 + i*16)}}
 		}
 		items[i].Packet.WireLen = 8
 	}
@@ -72,11 +73,11 @@ func TestScaleClamps(t *testing.T) {
 // each core draws from its own seed-derived RNG stream.
 func TestDeterministicAcrossCoreOrder(t *testing.T) {
 	m := DefaultMatrix(7)
-	perCore := map[int][]pt.Item{0: syntheticItems(1024), 1: syntheticItems(1024), 2: syntheticItems(1024)}
+	perCore := map[int][]source.Item{0: syntheticItems(1024), 1: syntheticItems(1024), 2: syntheticItems(1024)}
 
-	run := func(order []int) map[int][]pt.Item {
+	run := func(order []int) map[int][]source.Item {
 		in := NewInjector(m, pt.Traits(), nil)
-		out := make(map[int][]pt.Item)
+		out := make(map[int][]source.Item)
 		for _, core := range order {
 			out[core] = in.Items(core, perCore[core])
 		}
@@ -105,7 +106,7 @@ func TestDeterministicAcrossChunking(t *testing.T) {
 	whole := NewInjector(m, pt.Traits(), nil).Items(0, items)
 
 	in := NewInjector(m, pt.Traits(), nil)
-	var pieces []pt.Item
+	var pieces []source.Item
 	for off := 0; off < len(items); off += chunkItems {
 		pieces = append(pieces, in.Items(0, items[off:off+chunkItems])...)
 	}

@@ -32,7 +32,7 @@ import (
 	"jportal/internal/ingest"
 	"jportal/internal/ingest/client"
 	"jportal/internal/iofault"
-	"jportal/internal/pt"
+	"jportal/internal/source"
 	"jportal/internal/streamfmt"
 	"jportal/internal/vm"
 )
@@ -63,9 +63,9 @@ func buildStream(t *testing.T, ncores, nchunks int) []byte {
 	}
 	e.Sideband(vm.SwitchRecord{TSC: 1, Core: 0, Thread: 1})
 	for i := 0; i < nchunks; i++ {
-		items := []pt.Item{
-			{Packet: pt.Packet{Kind: 1, IP: uint64(0x4000 + i), NBits: 5, Bits: uint64(i)}},
-			{Packet: pt.Packet{Kind: 2, IP: uint64(0x5000 + i)}},
+		items := []source.Item{
+			{Packet: source.Packet{Kind: 1, IP: uint64(0x4000 + i), NBits: 5, Bits: uint64(i)}},
+			{Packet: source.Packet{Kind: 2, IP: uint64(0x5000 + i)}},
 		}
 		if err := e.Chunk(i%ncores, items); err != nil {
 			t.Fatal(err)

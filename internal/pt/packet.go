@@ -1,21 +1,20 @@
-// Package pt is a software model of the Intel Processor Trace packet
-// protocol (paper §2): the packet kinds JPortal consumes (PGE, PGD, TNT,
-// TIP, FUP, TSC, PSB), the compression PT applies (TNT bit packing, TIP
-// instruction-pointer suffix compression), per-core ring buffers whose
-// bounded export bandwidth loses data exactly the way the paper describes
-// (22-54% under small buffers), and a binary wire format used to measure
-// trace sizes.
+// Package pt is the "intel-pt" trace source: a software model of the
+// Intel Processor Trace packet protocol (paper §2), expressed as a
+// source.Traits value. It names the packet kinds JPortal consumes (PGE,
+// PGD, TNT, TIP, FUP, TSC, PSB), says which role each plays, and gives
+// PT's wire-size model: TNT bits packed up to 6 per 2-byte short packet
+// and up to 47 per 8-byte long one, TIP/FUP addresses suffix-compressed
+// against the last IP in 2-byte steps (2, 4, 6 or 8 bytes), an 8-byte TSC
+// and a 16-byte PSB that carries no timestamp, so a resync after loss is
+// PSB+TSC.
 //
-// The paper's algorithms never touch silicon; they consume packets. This
-// model reproduces the packet-level properties those algorithms must cope
-// with, which is what makes the reproduction meaningful on machines without
-// PT hardware.
-//
-// pt is the collector-side half of the "intel-pt" trace source: the
-// neutral packet/item/trace types live in internal/source (pt's names are
-// aliases kept for the package's vocabulary), and internal/ptdecode
-// registers the full Source. pt deliberately does not import ptdecode, so
-// the decode-side can depend on these types freely.
+// The collector (per-core ring buffers whose bounded export bandwidth
+// loses data exactly the way the paper describes, 22-54% under small
+// buffers) and the decoder (the libipt-style walk) are the shared ones in
+// internal/source. The paper's algorithms never touch silicon; they
+// consume packets. This model reproduces the packet-level properties
+// those algorithms must cope with, which is what makes the reproduction
+// meaningful on machines without PT hardware.
 package pt
 
 import "jportal/internal/source"
@@ -44,34 +43,31 @@ const (
 // MaxTNTBits is the capacity of a long TNT packet.
 const MaxTNTBits = 47
 
-// Packet is one decoded trace packet.
-type Packet = source.Packet
-
-// Item is one element of an exported trace: either a packet or a gap marker
-// recording a data-loss episode (the model of a perf_record_aux record with
-// the truncated flag, paper §4).
-type Item = source.Item
-
-// CoreTrace is everything exported from one core's trace buffer, in order.
-type CoreTrace = source.CoreTrace
-
-// traits is the PT packet vocabulary as the neutral layers see it.
+// traits is the PT backend.
 var traits = &source.Traits{
-	Name:       source.DefaultID,
-	MaxKind:    KPSB,
+	Name:      source.DefaultID,
+	MaxKind:   KPSB,
+	KindNames: []string{"PGE", "PGD", "TIP", "FUP", "TNT", "TSC", "PSB"},
+	Roles: source.Roles{
+		Enable: KPGE, Disable: KPGD, Target: KTIP, Anchor: KFUP,
+		Branches: KTNT, Time: KTSC, Sync: KPSB,
+	},
 	TimeMask:   1 << KTSC,
-	SyncMask:   1 << KPSB,
-	TNTMask:    1 << KTNT,
 	MaxTNTBits: MaxTNTBits,
-	KindNames:  []string{"PGE", "PGD", "TIP", "FUP", "TNT", "TSC", "PSB"},
+	Wire: source.WireModel{
+		AddrGranule: 2,
+		BranchLen: func(n uint8) uint8 {
+			if n <= 6 {
+				return 1 + 1 // short TNT
+			}
+			return 8 // long TNT
+		},
+		TimeLen: 8,
+		SyncLen: 16,
+	},
 }
 
-// Traits describes the PT packet vocabulary (which kinds carry time, which
-// synchronise, what validates) to the source-independent layers.
+// Traits returns the PT backend's Traits.
 func Traits() *source.Traits { return traits }
 
-// KindString names a PT packet kind ("PGE", "TNT", ...).
-func KindString(k Kind) string { return traits.KindString(k) }
-
-// PacketString renders a PT packet for diagnostics.
-func PacketString(p *Packet) string { return traits.PacketString(p) }
+func init() { source.Register(traits) }

@@ -3,18 +3,50 @@ package pt
 import (
 	"testing"
 	"testing/quick"
+
+	"jportal/internal/etrace"
+	"jportal/internal/source"
 )
 
-func TestTNTPacking(t *testing.T) {
-	var e encoder
-	// 5 bits: short TNT.
-	for i := 0; i < 5; i++ {
-		if p, full := e.tnt(i%2 == 0); full {
-			t.Fatalf("premature flush at bit %d: %v", i, p)
+// backends are the registered sources the collector tests run over, each
+// with the resync preamble it emits after a loss: PSB+TSC for PT, one
+// SYNC (which carries the timestamp) for E-Trace.
+var backends = []struct {
+	tr       *source.Traits
+	preamble []source.Kind
+}{
+	{traits, []source.Kind{KPSB, KTSC}},
+	{etrace.Traits(), []source.Kind{etrace.KSync}},
+}
+
+// collectPackets drives a fresh one-core PT collector through fn and
+// returns every exported packet.
+func collectPackets(t *testing.T, cfg source.CollectorConfig, fn func(c *source.Collector)) []source.Packet {
+	t.Helper()
+	c := traits.NewCollector(cfg, 1)
+	fn(c)
+	var out []source.Packet
+	for _, it := range c.Finish(0)[0].Items {
+		if it.Gap {
+			t.Fatalf("unexpected gap %+v", it)
 		}
+		out = append(out, it.Packet)
 	}
-	p, ok := e.flushTNT()
-	if !ok || p.NBits != 5 || p.WireLen != 2 {
+	return out
+}
+
+func TestTNTPacking(t *testing.T) {
+	// 5 bits: short TNT.
+	ps := collectPackets(t, source.DefaultCollectorConfig(), func(c *source.Collector) {
+		for i := 0; i < 5; i++ {
+			c.TNT(0, 0x1000, i%2 == 0, 0)
+		}
+	})
+	if len(ps) != 1 {
+		t.Fatalf("got %d packets, want one short TNT: %+v", len(ps), ps)
+	}
+	p := ps[0]
+	if p.Kind != KTNT || p.NBits != 5 || p.WireLen != 2 {
 		t.Fatalf("short TNT: %+v", p)
 	}
 	for i := 0; i < 5; i++ {
@@ -25,73 +57,67 @@ func TestTNTPacking(t *testing.T) {
 }
 
 func TestTNTLongPacketAutoFlush(t *testing.T) {
-	var e encoder
-	var flushed *Packet
-	for i := 0; i < MaxTNTBits; i++ {
-		if p, full := e.tnt(true); full {
-			flushed = &p
-			if i != MaxTNTBits-1 {
-				t.Fatalf("flush at bit %d", i)
-			}
+	// Exactly two full packets' worth of bits: the encoder must flush at
+	// each 47th bit and leave nothing for Finish.
+	ps := collectPackets(t, source.DefaultCollectorConfig(), func(c *source.Collector) {
+		for i := 0; i < 2*MaxTNTBits; i++ {
+			c.TNT(0, 0x1000, true, 0)
 		}
+	})
+	if len(ps) != 2 {
+		t.Fatalf("got %d packets, want two long TNTs: %+v", len(ps), ps)
 	}
-	if flushed == nil {
-		t.Fatal("long TNT never flushed")
-	}
-	if flushed.NBits != MaxTNTBits || flushed.WireLen != 8 {
-		t.Errorf("long TNT: %+v", flushed)
-	}
-	if _, ok := e.flushTNT(); ok {
-		t.Error("encoder should be empty after auto flush")
+	for _, p := range ps {
+		if p.Kind != KTNT || p.NBits != MaxTNTBits || p.WireLen != 8 {
+			t.Errorf("long TNT: %+v", p)
+		}
 	}
 }
 
 func TestIPCompression(t *testing.T) {
-	var e encoder
-	p1 := e.ip(KTIP, 0x7f40_0000_1000)
-	if p1.WireLen != 9 {
-		t.Errorf("first IP should be full width, got %d", p1.WireLen)
+	// A PSB falls due once the first four TIPs' 24 bytes are out; it
+	// must reset compression.
+	cfg := source.DefaultCollectorConfig()
+	cfg.PSBPeriodBytes = 9 + 3 + 5 + 7
+	ps := collectPackets(t, cfg, func(c *source.Collector) {
+		c.TIP(0, 0x7f40_0000_1000, 0) // first IP: full width
+		c.TIP(0, 0x7f40_0000_1040, 0) // same upper 6 bytes
+		c.TIP(0, 0x7f40_0100_0000, 0) // upper 4 bytes match
+		c.TIP(0, 0x0000_0000_2000, 0) // only the top two bytes match
+		c.TIP(0, 0x0000_0000_2000, 0) // after the PSB: full width again
+	})
+	wantKinds := []Kind{KTIP, KTIP, KTIP, KTIP, KPSB, KTIP}
+	wantLens := []uint8{9, 3, 5, 7, 16, 9}
+	if len(ps) != len(wantKinds) {
+		t.Fatalf("got %d packets, want %d: %+v", len(ps), len(wantKinds), ps)
 	}
-	p2 := e.ip(KTIP, 0x7f40_0000_1040) // same upper 6 bytes
-	if p2.WireLen != 3 {
-		t.Errorf("near IP should compress to 3 bytes, got %d", p2.WireLen)
-	}
-	p3 := e.ip(KTIP, 0x7f40_0100_0000) // upper 4 bytes match
-	if p3.WireLen != 5 {
-		t.Errorf("mid-range IP should compress to 5, got %d", p3.WireLen)
-	}
-	p4 := e.ip(KTIP, 0x0000_0000_2000) // only the top two bytes match
-	if p4.WireLen != 7 {
-		t.Errorf("far IP should take a 6-byte suffix, got %d", p4.WireLen)
-	}
-	e.psb()
-	p5 := e.ip(KTIP, 0x0000_0000_2000)
-	if p5.WireLen != 9 {
-		t.Errorf("after PSB compression must reset, got %d", p5.WireLen)
+	for i, p := range ps {
+		if p.Kind != wantKinds[i] || p.WireLen != wantLens[i] {
+			t.Errorf("packet %d: %s len %d, want %s len %d", i,
+				traits.KindString(p.Kind), p.WireLen, traits.KindString(wantKinds[i]), wantLens[i])
+		}
 	}
 }
 
 func TestTNTBitsQuickRoundTrip(t *testing.T) {
-	// Property: bits fed to the encoder come back in order.
+	// Property: bits fed to the collector come back in order.
 	f := func(bits []bool) bool {
 		if len(bits) > MaxTNTBits-1 {
 			bits = bits[:MaxTNTBits-1]
 		}
-		var e encoder
-		for _, b := range bits {
-			if _, full := e.tnt(b); full {
-				return false
+		ps := collectPackets(t, source.DefaultCollectorConfig(), func(c *source.Collector) {
+			for _, b := range bits {
+				c.TNT(0, 0x1000, b, 0)
 			}
-		}
-		p, ok := e.flushTNT()
+		})
 		if len(bits) == 0 {
-			return !ok
+			return len(ps) == 0
 		}
-		if !ok || int(p.NBits) != len(bits) {
+		if len(ps) != 1 || ps[0].Kind != KTNT || int(ps[0].NBits) != len(bits) {
 			return false
 		}
 		for i, b := range bits {
-			if p.TNTBit(i) != b {
+			if ps[0].TNTBit(i) != b {
 				return false
 			}
 		}
@@ -103,155 +129,189 @@ func TestTNTBitsQuickRoundTrip(t *testing.T) {
 }
 
 func TestCollectorLosslessExportsEverything(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.BufBytes = 1 << 20
-	c := NewCollector(cfg, 1)
-	c.PGE(0, 0x1000, 0)
-	for i := 0; i < 1000; i++ {
-		tsc := uint64(i * 10)
-		c.TIP(0, 0x7f40_0000_0000+uint64(i)*64, tsc)
-		c.TNT(0, 0x7f40_0000_0040, i%3 == 0, tsc+1)
-	}
-	c.PGD(0, 0x1000, 10010)
-	traces := c.Finish(10020)
-	tr := traces[0]
-	if tr.LostBytes() != 0 {
-		t.Fatalf("lost %d bytes in a huge buffer", tr.LostBytes())
-	}
-	var tips, bits int
-	for _, it := range tr.Items {
-		if it.Gap {
-			t.Fatal("unexpected gap")
-		}
-		switch it.Packet.Kind {
-		case KTIP:
-			tips++
-		case KTNT:
-			bits += int(it.Packet.NBits)
-		}
-	}
-	if tips != 1000 || bits != 1000 {
-		t.Errorf("tips=%d bits=%d, want 1000 each", tips, bits)
-	}
-	if tr.Bytes() != c.GenBytes {
-		t.Errorf("exported %d != generated %d without loss", tr.Bytes(), c.GenBytes)
+	for _, b := range backends {
+		t.Run(b.tr.Name, func(t *testing.T) {
+			cfg := source.DefaultCollectorConfig()
+			cfg.BufBytes = 1 << 20
+			c := b.tr.NewCollector(cfg, 1)
+			c.PGE(0, 0x1000, 0)
+			for i := 0; i < 1000; i++ {
+				tsc := uint64(i * 10)
+				c.TIP(0, 0x7f40_0000_0000+uint64(i)*64, tsc)
+				c.TNT(0, 0x7f40_0000_0040, i%3 == 0, tsc+1)
+			}
+			c.PGD(0, 0x1000, 10010)
+			tr := c.Finish(10020)[0]
+			if tr.LostBytes() != 0 {
+				t.Fatalf("lost %d bytes in a huge buffer", tr.LostBytes())
+			}
+			var tips, bits int
+			for _, it := range tr.Items {
+				if it.Gap {
+					t.Fatal("unexpected gap")
+				}
+				switch {
+				case it.Packet.Kind == b.tr.Roles.Target:
+					tips++
+				case b.tr.IsTNT(it.Packet.Kind):
+					bits += int(it.Packet.NBits)
+				}
+			}
+			if tips != 1000 || bits != 1000 {
+				t.Errorf("tips=%d bits=%d, want 1000 each", tips, bits)
+			}
+			if tr.Bytes() != c.GeneratedBytes() {
+				t.Errorf("exported %d != generated %d without loss", tr.Bytes(), c.GeneratedBytes())
+			}
+		})
 	}
 }
 
 func TestCollectorOverflowCreatesGap(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.BufBytes = 256 // tiny
-	cfg.DrainBytesPerKCycle = 1
-	c := NewCollector(cfg, 1)
-	c.PGE(0, 0x1000, 0)
-	for i := 0; i < 2000; i++ {
-		// Far-apart IPs defeat compression: ~9 bytes per packet.
-		c.TIP(0, uint64(i)<<33, uint64(i)*3)
-	}
-	traces := c.Finish(6000)
-	tr := traces[0]
-	if tr.LostBytes() == 0 {
-		t.Fatal("expected loss with a 256-byte buffer")
-	}
-	gaps := 0
-	var prevEnd uint64
-	for _, it := range tr.Items {
-		if !it.Gap {
-			continue
-		}
-		gaps++
-		if it.GapEnd <= it.GapStart {
-			t.Errorf("gap has non-positive span: %+v", it)
-		}
-		if it.GapStart < prevEnd {
-			t.Errorf("gap overlaps previous: start %d < prev end %d", it.GapStart, prevEnd)
-		}
-		prevEnd = it.GapEnd
-	}
-	if gaps == 0 {
-		t.Fatal("loss without gap markers")
-	}
-	if tr.Bytes()+tr.LostBytes() != c.GenBytes {
-		t.Errorf("accounting: exported %d + lost %d != generated %d",
-			tr.Bytes(), tr.LostBytes(), c.GenBytes)
+	for _, b := range backends {
+		t.Run(b.tr.Name, func(t *testing.T) {
+			cfg := source.DefaultCollectorConfig()
+			cfg.BufBytes = 256 // tiny
+			cfg.DrainBytesPerKCycle = 1
+			c := b.tr.NewCollector(cfg, 1)
+			c.PGE(0, 0x1000, 0)
+			for i := 0; i < 2000; i++ {
+				// Far-apart IPs defeat compression: ~9 bytes per packet.
+				c.TIP(0, uint64(i)<<33, uint64(i)*3)
+			}
+			tr := c.Finish(6000)[0]
+			if tr.LostBytes() == 0 {
+				t.Fatal("expected loss with a 256-byte buffer")
+			}
+			gaps := 0
+			var prevEnd uint64
+			for _, it := range tr.Items {
+				if !it.Gap {
+					continue
+				}
+				gaps++
+				if it.GapEnd <= it.GapStart {
+					t.Errorf("gap has non-positive span: %+v", it)
+				}
+				if it.GapStart < prevEnd {
+					t.Errorf("gap overlaps previous: start %d < prev end %d", it.GapStart, prevEnd)
+				}
+				prevEnd = it.GapEnd
+			}
+			if gaps == 0 {
+				t.Fatal("loss without gap markers")
+			}
+			if tr.Bytes()+tr.LostBytes() != c.GeneratedBytes() {
+				t.Errorf("accounting: exported %d + lost %d != generated %d",
+					tr.Bytes(), tr.LostBytes(), c.GeneratedBytes())
+			}
+		})
 	}
 }
 
 func TestCollectorStreamInGenerationOrder(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.BufBytes = 512
-	cfg.DrainBytesPerKCycle = 20
-	c := NewCollector(cfg, 1)
-	c.PGE(0, 0x1000, 0)
-	for i := 0; i < 3000; i++ {
-		c.TIP(0, uint64(i)<<33, uint64(i)*5)
-	}
-	tr := c.Finish(20000)[0]
-	// Timestamps along the stream (TSC packets and gap bounds) must be
-	// non-decreasing: gaps travel the FIFO with the packets.
-	var last uint64
-	for _, it := range tr.Items {
-		var ts uint64
-		switch {
-		case it.Gap:
-			ts = it.GapStart
-		case it.Packet.Kind == KTSC:
-			ts = it.Packet.TSC
-		default:
-			continue
-		}
-		if ts < last {
-			t.Fatalf("stream out of order: %d after %d", ts, last)
-		}
-		if it.Gap {
-			last = it.GapEnd
-		} else {
-			last = ts
-		}
+	for _, b := range backends {
+		t.Run(b.tr.Name, func(t *testing.T) {
+			cfg := source.DefaultCollectorConfig()
+			cfg.BufBytes = 512
+			cfg.DrainBytesPerKCycle = 20
+			c := b.tr.NewCollector(cfg, 1)
+			c.PGE(0, 0x1000, 0)
+			for i := 0; i < 3000; i++ {
+				c.TIP(0, uint64(i)<<33, uint64(i)*5)
+			}
+			tr := c.Finish(20000)[0]
+			// Timestamps along the stream (time-bearing packets and gap
+			// bounds) must be non-decreasing: gaps travel the FIFO with
+			// the packets.
+			var last uint64
+			for _, it := range tr.Items {
+				var ts uint64
+				switch {
+				case it.Gap:
+					ts = it.GapStart
+				case b.tr.IsTime(it.Packet.Kind):
+					ts = it.Packet.TSC
+				default:
+					continue
+				}
+				if ts < last {
+					t.Fatalf("stream out of order: %d after %d", ts, last)
+				}
+				if it.Gap {
+					last = it.GapEnd
+				} else {
+					last = ts
+				}
+			}
+		})
 	}
 }
 
 func TestCollectorResyncAfterGap(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.BufBytes = 300
-	cfg.DrainBytesPerKCycle = 5
-	c := NewCollector(cfg, 1)
-	c.PGE(0, 0x1000, 0)
-	for i := 0; i < 500; i++ {
-		c.TIP(0, uint64(i)<<33, uint64(i)*4)
-	}
-	// Let the buffer drain, then send more: the episode must close and a
-	// PSB+TSC preamble must precede the next packet.
-	c.Advance(0, 1_000_000)
-	c.TIP(0, 0xdead<<33, 1_000_001)
-	tr := c.Finish(2_000_000)[0]
-	sawGap := false
-	for i, it := range tr.Items {
-		if it.Gap {
-			sawGap = true
-			// Find the next packet after the gap: PSB expected.
-			for j := i + 1; j < len(tr.Items); j++ {
-				if tr.Items[j].Gap {
-					continue
-				}
-				if tr.Items[j].Packet.Kind != KPSB {
-					t.Errorf("packet after gap is %v, want PSB", tr.Items[j].Packet.Kind)
-				}
-				break
+	for _, b := range backends {
+		t.Run(b.tr.Name, func(t *testing.T) {
+			cfg := source.DefaultCollectorConfig()
+			cfg.BufBytes = 300
+			cfg.DrainBytesPerKCycle = 5
+			c := b.tr.NewCollector(cfg, 1)
+			c.PGE(0, 0x1000, 0)
+			for i := 0; i < 500; i++ {
+				c.TIP(0, uint64(i)<<33, uint64(i)*4)
 			}
-			break
-		}
-	}
-	if !sawGap {
-		t.Fatal("no gap recorded")
+			// Let the buffer drain, then send more: the episode must
+			// close and the source's resync preamble must precede the
+			// next packet.
+			c.Advance(0, 1_000_000)
+			c.TIP(0, 0xdead<<33, 1_000_001)
+			tr := c.Finish(2_000_000)[0]
+			gap := -1
+			for i, it := range tr.Items {
+				if it.Gap {
+					gap = i
+					break
+				}
+			}
+			if gap < 0 {
+				t.Fatal("no gap recorded")
+			}
+			var after []source.Packet
+			for _, it := range tr.Items[gap+1:] {
+				if !it.Gap {
+					after = append(after, it.Packet)
+				}
+			}
+			if len(after) <= len(b.preamble) {
+				t.Fatalf("%d packets after the gap, want the preamble and more", len(after))
+			}
+			for i, k := range b.preamble {
+				p := after[i]
+				if p.Kind != k {
+					t.Fatalf("packet %d after gap is %s, want %s", i, b.tr.KindString(p.Kind), b.tr.KindString(k))
+				}
+				if b.tr.IsTime(k) && p.TSC < tr.Items[gap].GapEnd {
+					t.Errorf("preamble time %d before the gap's end %d", p.TSC, tr.Items[gap].GapEnd)
+				}
+			}
+			// Compression was reset: the first address after the gap is
+			// sent in full.
+			for _, p := range after {
+				if p.IP != 0 {
+					if p.WireLen != 9 {
+						t.Errorf("first address after the gap takes %d bytes, want 9", p.WireLen)
+					}
+					break
+				}
+			}
+		})
 	}
 }
 
 func TestWireRoundTrip(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg := source.DefaultCollectorConfig()
 	cfg.BufBytes = 400
 	cfg.DrainBytesPerKCycle = 3
-	c := NewCollector(cfg, 1)
+	c := traits.NewCollector(cfg, 1)
 	c.PGE(0, 0x7f40_0000_0000, 0)
 	for i := 0; i < 300; i++ {
 		c.TIP(0, uint64(i+1)<<33, uint64(i)*7)
@@ -261,10 +321,10 @@ func TestWireRoundTrip(t *testing.T) {
 
 	var rec []byte
 	for i := range tr.Items {
-		rec = AppendItem(rec, &tr.Items[i])
+		rec = source.AppendItem(rec, &tr.Items[i])
 	}
 	for i := range tr.Items {
-		got, n, err := DecodeItem(rec)
+		got, n, err := source.DecodeItem(rec, traits)
 		if err != nil {
 			t.Fatalf("item %d: %v", i, err)
 		}
@@ -279,7 +339,7 @@ func TestWireRoundTrip(t *testing.T) {
 }
 
 func TestWireRejectsGarbage(t *testing.T) {
-	if _, _, err := DecodeItem([]byte("not a trace at all........")); err == nil {
+	if _, _, err := source.DecodeItem([]byte("not a trace at all........"), traits); err == nil {
 		t.Fatal("garbage accepted")
 	}
 }

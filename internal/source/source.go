@@ -1,21 +1,18 @@
 // Package source is the ISA-agnostic trace-source layer: the neutral
-// packet/item/event vocabulary the reconstruction core consumes, plus the
-// TraceSource abstraction — packets in, branch events out — that concrete
-// backends (Intel PT in internal/pt + internal/ptdecode, RISC-V E-Trace in
-// internal/etrace) implement. A source owns three things:
+// packet/item/event vocabulary the reconstruction core consumes, the one
+// collector that encodes the VM's branch events into packets, and the one
+// decoder (the Walker) that turns packets plus the machine-code metadata
+// snapshot back into the neutral event stream (EvTemplate, EvJITRange,
+// EvGap, ...).
 //
-//   - its packet model and wire framing (this package's Item records are a
-//     neutral struct dump, validated per source via Traits),
-//   - a collector-side encoder the VM's NativeTracer hooks drive, and
-//   - a decoder that consumes packets plus the machine-code metadata
-//     snapshot and yields the neutral event stream (EvTemplate, EvJITRange,
-//     EvGap, ...).
-//
-// Everything above this layer — carving, stitching, tokenizing,
-// reconstruction, recovery, archives, sessions — is source-independent:
-// the only per-source knowledge those layers need (which packet kinds
-// carry timestamps, which are sync boundaries, what validates) travels as
-// a Traits value.
+// A backend is pure data: a Traits value holding its packet vocabulary,
+// a role table (which kind is the enable, disable, target, anchor,
+// branch, time and sync packet) and a wire-size model. Intel PT
+// (internal/pt) and RISC-V E-Trace (internal/etrace) are two such values,
+// each registering itself. Everything above this layer — carving,
+// stitching, tokenizing, reconstruction, recovery, archives, sessions —
+// consults the same Traits for the little it needs to know (which kinds
+// carry timestamps, which are sync boundaries, what validates).
 package source
 
 import (
@@ -159,53 +156,10 @@ func (c CollectorConfig) Validate() error {
 	return nil
 }
 
-// ChunkSink receives items drained from one core's trace buffer, in export
-// order. The slice is freshly allocated per call and may be retained. A
-// collector invokes the sink synchronously from whatever goroutine drives
-// it (the VM's execution loop), so a sink must be fast or hand off.
-type ChunkSink func(core int, items []Item)
-
-// DefaultSinkFlushItems is the per-core chunk size used when SetSink is
-// given a non-positive flush bound.
-const DefaultSinkFlushItems = 256
-
-// Collector is the collector-side half of a source: it accepts logical
-// branch events from the VM (the method set embeds vm.NativeTracer
-// structurally, so any Collector can be installed as the machine's
-// tracer), encodes them into the source's packets, buffers them in a
-// bounded per-core ring, and drains the ring at a bounded rate.
-type Collector interface {
-	PGE(core int, ip, tsc uint64)
-	PGD(core int, ip, tsc uint64)
-	TNT(core int, branchAddr uint64, taken bool, tsc uint64)
-	TIP(core int, target, tsc uint64)
-	FUP(core int, ip, tsc uint64)
-	SwitchMark(core int, tsc uint64)
-	Advance(core int, tsc uint64)
-
-	// SetSink switches the collector to streaming export: drained items
-	// are delivered to sink in chunks of at most flushItems items (<= 0
-	// means DefaultSinkFlushItems) instead of accumulating in memory until
-	// Finish. Set the sink before the run starts.
-	SetSink(flushItems int, sink ChunkSink)
-	// Finish flushes everything (the exporter catches up after the run)
-	// and returns the per-core traces. In sink mode the remainder is
-	// delivered through the sink and the returned traces carry only core
-	// numbers.
-	Finish(tsc uint64) []CoreTrace
-	// NumCores returns the core count.
-	NumCores() int
-	// GeneratedBytes returns the total bytes generated (exported + lost).
-	GeneratedBytes() uint64
-	// ExportedBytes returns total payload bytes drained so far.
-	ExportedBytes() uint64
-}
-
-// Decoder is the decode-side half of a source: it consumes the source's
-// packet stream (typically one thread's stitched stream) plus the
-// metadata snapshot and yields the neutral event stream. Both built-in
-// decoders are thin packet dispatchers over the shared Walker, so the
-// stats and checkpoint surface is uniform.
+// Decoder is the decode side of a source: it consumes the source's packet
+// stream (typically one thread's stitched stream) plus the metadata
+// snapshot and yields the neutral event stream. Its one implementation is
+// the Walker, which dispatches packets by their role.
 type Decoder interface {
 	// Decode processes a whole item stream and returns the events. The
 	// returned slice aliases the decoder's reused output buffer: it is
@@ -230,17 +184,34 @@ type Decoder interface {
 	RestoreState(WalkerState) error
 }
 
-// Source is one trace ISA backend: packet format, collector and decoder.
+// Source is one registered trace backend. Its one implementation is
+// *Traits: the collector and the decoder it builds are the shared ones,
+// parameterised by the backend's Traits.
 type Source interface {
 	// ID is the stable archive identity (e.g. "intel-pt", "riscv-etrace").
 	ID() string
 	// Traits describes the packet vocabulary to the neutral layers.
 	Traits() *Traits
-	// NewCollector creates the collector-side encoder for ncores cores.
-	NewCollector(cfg CollectorConfig, ncores int) Collector
+	// NewCollector creates the collector for ncores cores.
+	NewCollector(cfg CollectorConfig, ncores int) *Collector
 	// NewDecoder creates a decoder over the given metadata snapshot.
 	NewDecoder(snap *meta.Snapshot) Decoder
 }
+
+// ID returns the source's registry name.
+func (t *Traits) ID() string { return t.Name }
+
+// Traits returns t itself: a backend is its Traits.
+func (t *Traits) Traits() *Traits { return t }
+
+// NewCollector creates a collector for ncores cores encoding in t's
+// vocabulary.
+func (t *Traits) NewCollector(cfg CollectorConfig, ncores int) *Collector {
+	return NewCollector(t, cfg, ncores)
+}
+
+// NewDecoder creates a decoder for t's vocabulary over snap.
+func (t *Traits) NewDecoder(snap *meta.Snapshot) Decoder { return NewWalker(t, snap) }
 
 // DefaultID is the source archives without a source field default to: the
 // Intel PT reference implementation predates the source layer, so every
@@ -278,7 +249,7 @@ func Lookup(id string) (Source, error) {
 }
 
 // Default returns the reference source. It panics if the PT backend has
-// not been linked in — import jportal/internal/ptdecode.
+// not been linked in — import jportal/internal/pt.
 func Default() Source {
 	s, err := Lookup(DefaultID)
 	if err != nil {

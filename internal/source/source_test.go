@@ -4,18 +4,15 @@ import (
 	"errors"
 	"strings"
 	"testing"
-
-	"jportal/internal/meta"
 )
 
 var testTraits = &Traits{
 	Name:       "test",
 	MaxKind:    3,
-	TimeMask:   1<<0 | 1<<1,
-	SyncMask:   1 << 1,
-	TNTMask:    1 << 2,
-	MaxTNTBits: 7,
 	KindNames:  []string{"TIME", "SYNC", "TNT", "IP"},
+	Roles:      Roles{Time: 0, Sync: 1, Branches: 2, Target: 3},
+	TimeMask:   1<<0 | 1<<1,
+	MaxTNTBits: 7,
 }
 
 func TestTraitsProbes(t *testing.T) {
@@ -113,16 +110,8 @@ func TestWireRejectsMalformed(t *testing.T) {
 	}
 }
 
-// fakeSource is registry-test scaffolding; only ID matters.
-type fakeSource struct{ id string }
-
-func (f fakeSource) ID() string                                  { return f.id }
-func (f fakeSource) Traits() *Traits                             { return testTraits }
-func (f fakeSource) NewCollector(CollectorConfig, int) Collector { return nil }
-func (f fakeSource) NewDecoder(*meta.Snapshot) Decoder           { return nil }
-
 func TestRegistry(t *testing.T) {
-	Register(fakeSource{id: "test-only"})
+	Register(&Traits{Name: "test-only"})
 	s, err := Lookup("test-only")
 	if err != nil || s.ID() != "test-only" {
 		t.Fatalf("Lookup(test-only) = %v, %v", s, err)
@@ -144,5 +133,5 @@ func TestRegistry(t *testing.T) {
 			t.Fatal("duplicate Register did not panic")
 		}
 	}()
-	Register(fakeSource{id: "test-only"})
+	Register(&Traits{Name: "test-only"})
 }

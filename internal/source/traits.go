@@ -5,37 +5,91 @@ import (
 	"fmt"
 )
 
-// Traits is the per-source packet vocabulary the neutral layers consult:
-// which kinds exist, which carry timestamps, which are synchronisation
-// boundaries, and what validates. All checks are branch-free bit-mask
-// probes so they are safe on the carve/stitch hot path.
+// Traits is a trace backend, as pure data: its packet vocabulary (which
+// kinds exist and what each is called), its role table (which kind plays
+// each part the collector and the decoder know about), which kinds carry
+// timestamps, and its wire-size model. The one Collector and the one
+// decoder (Walker) read everything source-specific from here, so two
+// backends differ only in their Traits values. *Traits is the Source the
+// registry hands out.
 type Traits struct {
 	// Name is the source's registry ID ("intel-pt", "riscv-etrace").
 	Name string
 	// MaxKind is the highest valid packet kind.
 	MaxKind Kind
-	// TimeMask marks kinds whose TSC field carries a timestamp update.
-	TimeMask uint64
-	// SyncMask marks kinds that are synchronisation boundaries (the
-	// decoder may resume after a fault at one, and chunk cuts prefer one).
-	SyncMask uint64
-	// TNTMask marks kinds carrying packed branch bits.
-	TNTMask uint64
-	// MaxTNTBits caps NBits for TNT-class packets: a hostile length field
-	// must never drive downstream loops or allocation.
-	MaxTNTBits uint8
 	// KindNames names each kind for diagnostics, indexed by Kind.
 	KindNames []string
+	// Roles is the role table.
+	Roles Roles
+	// TimeMask marks kinds whose TSC field carries a timestamp: always
+	// Roles.Time, and Roles.Sync too when the source's sync packet carries
+	// the full timestamp. That one bit is every behavioural difference
+	// between the built-in backends: the resync preamble after a loss
+	// (PSB+TSC versus one SYNC), whether a periodic sync restarts the time
+	// period, and whether decoding a sync packet updates the stream time.
+	TimeMask uint64
+	// MaxTNTBits is the branch-packet capacity. It also caps NBits at
+	// validation: a hostile length field must never drive downstream loops
+	// or allocation.
+	MaxTNTBits uint8
+	// Wire is the wire-size model.
+	Wire WireModel
+}
+
+// Roles is a source's role table: the kind of each packet the collector
+// emits and the decoder dispatches on.
+type Roles struct {
+	// Enable and Disable delimit tracing and carry the address where it
+	// starts or stops (PT TIP.PGE/TIP.PGD, E-Trace START/STOP).
+	Enable, Disable Kind
+	// Target carries the target of an indirect transfer (TIP, ADDR).
+	Target Kind
+	// Anchor carries the address of an asynchronous transfer's source, or
+	// of the resume point after a loss; it arms the decoder so the next
+	// Target is taken as that transfer's destination (FUP, TRAP).
+	Anchor Kind
+	// Branches carries packed conditional-branch outcomes (TNT, BMAP).
+	Branches Kind
+	// Time carries a timestamp (TSC, TIME).
+	Time Kind
+	// Sync is the periodic synchronisation packet (PSB, SYNC): it resets
+	// address compression, the decoder may resume after a fault there, and
+	// chunk cuts are placed just before one.
+	Sync Kind
+}
+
+// WireModel is a source's wire-size model: what each packet costs in the
+// trace buffer. Packets keep absolute addresses in memory; compression
+// shows up only in WireLen.
+type WireModel struct {
+	// AddrGranule is the address-compression granule in bytes. An
+	// address-bearing packet is one header byte plus the low-order bytes
+	// in which the address differs from the last one reported, rounded up
+	// to a multiple of the granule (at least one granule). The first
+	// address after a sync or a loss is sent in full, 8 bytes.
+	AddrGranule uint8
+	// BranchLen is the size of a branch packet carrying n bits, 1 <= n <=
+	// MaxTNTBits.
+	BranchLen func(n uint8) uint8
+	// TimeLen and SyncLen are the sizes of the time and sync packets.
+	TimeLen, SyncLen uint8
 }
 
 // IsTime reports whether kind k carries a timestamp payload.
 func (t *Traits) IsTime(k Kind) bool { return k < 64 && t.TimeMask>>k&1 == 1 }
 
 // IsSync reports whether kind k is a synchronisation boundary.
-func (t *Traits) IsSync(k Kind) bool { return k < 64 && t.SyncMask>>k&1 == 1 }
+func (t *Traits) IsSync(k Kind) bool { return k == t.Roles.Sync }
 
 // IsTNT reports whether kind k carries packed branch bits.
-func (t *Traits) IsTNT(k Kind) bool { return k < 64 && t.TNTMask>>k&1 == 1 }
+func (t *Traits) IsTNT(k Kind) bool { return k == t.Roles.Branches }
+
+// isAddr reports whether kind k carries an address (and so is subject to
+// address compression).
+func (t *Traits) isAddr(k Kind) bool {
+	r := &t.Roles
+	return k == r.Enable || k == r.Disable || k == r.Target || k == r.Anchor
+}
 
 // ErrMalformed tags wire records whose decoded fields fail validation —
 // hostile lengths and impossible gaps are rejected at the trust boundary

@@ -8,22 +8,26 @@ import (
 	"jportal/internal/meta"
 )
 
-// Walker is the source-independent half of a decoder: given the
-// machine-code metadata snapshot, it reconstructs the native-level control
-// flow — walking compiled blobs along linear code, direct jumps and calls,
-// consuming one branch bit per conditional and one indirect target per
-// indirect transfer, and classifying interpreter-template dispatches
-// (paper Fig 2e / Fig 3d). A concrete decoder (internal/ptdecode,
-// internal/etrace) embeds a Walker and reduces its packet vocabulary to
-// the driver methods: Time, Enable, Disable, TNTBits, Anchor/ArmAnchor,
-// Tip, Sync, Gap, Fault. Everything those methods share — desync and
-// fault bookkeeping, the reused output buffer, checkpointing — lives
-// here, so both backends degrade and checkpoint identically.
+// Walker is the one decoder (the role libipt plays in the paper, §2/§3.2):
+// given a source's Traits and the machine-code metadata snapshot, it
+// reconstructs the native-level control flow from a packet stream. For
+// addresses in the code cache it walks the compiled blobs — following
+// linear code, direct jumps and calls, consuming one branch bit per
+// conditional and one indirect target per indirect transfer — and yields
+// the executed instruction ranges (paper Fig 3d). For addresses in the
+// interpreter's template area it yields dispatch events identifying the
+// interpreted opcode (paper Fig 2e). Data-loss gaps, desynchronisation and
+// malformed packets are surfaced as events so the bytecode-level layers
+// (package core) can segment the trace. Packets are dispatched by their
+// role in the Traits' role table, so every source decodes, degrades and
+// checkpoints identically.
 type Walker struct {
+	tr   *Traits
 	snap *meta.Snapshot
 
-	// out is the reused output buffer: truncated (not reallocated) at
-	// Begin, so the steady state emits into warm memory. undelivered
+	// out is the reused output buffer: truncated (not reallocated) at the
+	// start of every Decode/DecodeChunk/Flush, so the steady state emits
+	// into warm memory. undelivered
 	// tracks events emitted but not yet returned to the caller — the
 	// checkpoint quiescence signal.
 	out         []Event
@@ -41,7 +45,7 @@ type Walker struct {
 
 	tsc uint64
 
-	// armed is set by ArmAnchor (a FUP-class packet): the next indirect
+	// armed is set by an Anchor-role packet (FUP, TRAP): the next indirect
 	// target is an asynchronous transfer (exception, OSR) and must not be
 	// matched against a pending indirect instruction.
 	armed bool
@@ -89,28 +93,51 @@ type DecodeStats struct {
 	SkippedBytes   uint64
 }
 
-// Init prepares the walker over the given metadata snapshot. A concrete
-// decoder calls it once at construction.
-func (w *Walker) Init(snap *meta.Snapshot) {
-	w.snap = snap
-	w.rangeStart = -1
+// NewWalker creates a decoder for tr's packet vocabulary over snap.
+func NewWalker(tr *Traits, snap *meta.Snapshot) *Walker {
+	return &Walker{tr: tr, snap: snap, rangeStart: -1}
 }
 
-// Begin truncates the output buffer; call at the start of every decode
-// batch (Decode/DecodeChunk/Flush).
-func (w *Walker) Begin() { w.out = w.out[:0] }
+// Decode processes a whole item stream and returns the events. The
+// returned slice aliases the walker's reused output buffer: it is valid
+// until the next Decode/DecodeChunk/Flush call.
+func (w *Walker) Decode(items []Item) []Event {
+	w.DecodeChunk(items)
+	w.flushRange()
+	return w.deliver()
+}
 
-// Deliver returns the batch's events and marks them delivered (the
-// checkpoint quiescence signal). The slice aliases the reused output
-// buffer: it is valid until the next Begin.
-func (w *Walker) Deliver() []Event {
+// DecodeChunk processes one chunk of an item stream and returns the events
+// decoded so far. The walker keeps its state (mode, pending branch bits,
+// pending JIT range) across calls, so feeding a stream in chunks of any
+// size yields, concatenated with the final Flush, exactly the events
+// Decode yields for the whole stream at once: already-emitted events are
+// final and never revised. The returned slice aliases the reused output
+// buffer (zero-alloc steady state, DESIGN.md §12): consume it before the
+// next Decode/DecodeChunk/Flush call.
+func (w *Walker) DecodeChunk(items []Item) []Event {
+	w.out = w.out[:0]
+	for i := range items {
+		w.feed(&items[i])
+	}
+	return w.deliver()
+}
+
+// Flush terminates the stream: the pending JIT instruction range (if any)
+// is emitted. Call once after the last DecodeChunk. The returned slice
+// aliases the reused output buffer, like DecodeChunk's.
+func (w *Walker) Flush() []Event {
+	w.out = w.out[:0]
+	w.flushRange()
+	return w.deliver()
+}
+
+// deliver returns the batch's events and marks them delivered (the
+// checkpoint quiescence signal).
+func (w *Walker) deliver() []Event {
 	w.undelivered = false
 	return w.out
 }
-
-// FlushEnd emits the pending JIT instruction range; call when a stream (or
-// the final chunk) ends.
-func (w *Walker) FlushEnd() { w.flushRange() }
 
 // Stats returns the walker's degradation counters.
 func (w *Walker) Stats() DecodeStats {
@@ -126,29 +153,78 @@ func (w *Walker) Stats() DecodeStats {
 // FaultLog returns the retained typed fault records.
 func (w *Walker) FaultLog() []DecodeFault { return w.Faults }
 
-// Skipping reports whether the walker is discarding packets while seeking
-// a synchronisation boundary after a fault. The concrete decoder consults
-// it per packet and either calls Sync (on a sync packet) or SkipPacket.
-func (w *Walker) Skipping() bool { return w.skipSync }
-
-// SkipPacket accounts one packet discarded during fault recovery.
-func (w *Walker) SkipPacket(wireLen uint8) {
-	w.SkippedPackets++
-	w.SkippedBytes += uint64(wireLen)
+// feed processes one trace item, dispatching a packet by its role. The
+// branch-length check happens before any bit consumption, so a hostile
+// length field never drives the bit loop.
+func (w *Walker) feed(it *Item) {
+	if it.Gap {
+		w.gap(it)
+		return
+	}
+	p := &it.Packet
+	if k, bad := w.tr.ClassifyPacket(p); bad {
+		w.fault(k, p)
+		return
+	}
+	r := &w.tr.Roles
+	if w.skipSync {
+		if p.Kind != r.Sync {
+			// Discarded while seeking a synchronisation boundary after a
+			// fault.
+			w.SkippedPackets++
+			w.SkippedBytes += uint64(p.WireLen)
+			return
+		}
+		w.skipSync = false
+	}
+	switch p.Kind {
+	case r.Sync:
+		// Synchronisation point: safe to resume after a malformed packet.
+		// Some sources' sync packets carry the full timestamp too.
+		if w.tr.IsTime(p.Kind) {
+			w.time(p.TSC)
+		}
+		return
+	case r.Time:
+		w.time(p.TSC)
+		return
+	case r.Enable:
+		// The enable packet carries the resume IP: re-anchor there
+		// (tracing often resumes mid-compiled-loop where no indirect
+		// target would otherwise occur).
+		w.emit(Event{Kind: EvEnable, TSC: w.tsc})
+		w.anchor(p.IP)
+	case r.Disable:
+		w.flushRange()
+		w.emit(Event{Kind: EvDisable, TSC: w.tsc})
+		w.mode = modeIdle
+		w.bits, w.nbits = 0, 0
+	case r.Branches:
+		w.tntBits(p.Bits, int(p.NBits))
+	case r.Anchor:
+		// FUP semantics: the IP is where execution currently is, and the
+		// next indirect target — if the pairing packet follows — was
+		// reached by runtime intervention (exception, OSR), not by an
+		// indirect instruction. After a loss it anchors the branch bits
+		// that follow.
+		w.anchor(p.IP)
+		w.armed = true
+		return
+	case r.Target:
+		w.tip(p.IP, w.armed)
+	}
+	// Anything but time and sync packets breaks a pending anchor pairing.
+	w.armed = false
 }
 
-// Sync marks a synchronisation boundary: safe to resume after a malformed
-// packet.
-func (w *Walker) Sync() { w.skipSync = false }
-
-// Gap processes a data-loss episode. Loss is a resync point: the
+// gap processes a data-loss episode. Loss is a resync point: the
 // collector re-emits a preamble after a gap, so fault recovery stops too.
-func (w *Walker) Gap(it *Item) {
+func (w *Walker) gap(it *Item) {
 	g := *it
 	if g.GapEnd < g.GapStart {
 		// Inverted loss marker: record the fault but keep the gap —
 		// clamped, it still tells the upper layers bytes were lost.
-		w.Fault(FaultBadGap, &Packet{})
+		w.fault(FaultBadGap, &Packet{})
 		g.GapEnd = g.GapStart
 	}
 	w.flushRange()
@@ -158,34 +234,15 @@ func (w *Walker) Gap(it *Item) {
 	w.skipSync = false
 }
 
-// Time processes a timestamp update.
-func (w *Walker) Time(tsc uint64) {
+// time processes a timestamp update.
+func (w *Walker) time(tsc uint64) {
 	w.tsc = tsc
 	w.emit(Event{Kind: EvTime, TSC: tsc})
 }
 
-// TSC returns the walker's current stream time.
-func (w *Walker) TSC() uint64 { return w.tsc }
-
-// Enable processes a tracing-enabled packet carrying the resume IP:
-// re-anchor there (tracing often resumes mid-compiled-loop where no
-// indirect target would otherwise occur).
-func (w *Walker) Enable(ip uint64) {
-	w.emit(Event{Kind: EvEnable, TSC: w.tsc})
-	w.anchor(ip)
-}
-
-// Disable processes a tracing-disabled packet.
-func (w *Walker) Disable() {
-	w.flushRange()
-	w.emit(Event{Kind: EvDisable, TSC: w.tsc})
-	w.mode = modeIdle
-	w.bits, w.nbits = 0, 0
-}
-
-// TNTBits queues n packed branch bits (oldest in bit 0) and consumes as
+// tntBits queues n packed branch bits (oldest in bit 0) and consumes as
 // many as the current mode allows.
-func (w *Walker) TNTBits(bits uint64, n int) {
+func (w *Walker) tntBits(bits uint64, n int) {
 	for i := 0; i < n; i++ {
 		if w.nbits >= 64 {
 			// Overflow means severe desync; drop oldest.
@@ -200,34 +257,10 @@ func (w *Walker) TNTBits(bits uint64, n int) {
 	w.drainBits()
 }
 
-// Anchor re-positions the walker at ip without consuming a transfer.
-func (w *Walker) Anchor(ip uint64) { w.anchor(ip) }
-
-// ArmAnchor re-positions the walker at ip and arms the
-// asynchronous-transfer flag (FUP semantics: the IP is where execution
-// currently is, and the next indirect target — if the pairing packet
-// follows — was reached by runtime intervention, not by an indirect
-// instruction).
-func (w *Walker) ArmAnchor(ip uint64) {
-	w.anchor(ip)
-	w.armed = true
-}
-
-// Unarm clears the asynchronous-transfer flag; the concrete decoder calls
-// it for packets that break a pending FUP-class pairing.
-func (w *Walker) Unarm() { w.armed = false }
-
-// Tip processes an indirect-transfer target, consuming the armed flag.
-func (w *Walker) Tip(target uint64) {
-	async := w.armed
-	w.armed = false
-	w.tip(target, async)
-}
-
-// Fault records a typed malformed-packet fault, abandons the walking state
+// fault records a typed malformed-packet fault, abandons the walking state
 // (whatever was pending can no longer be trusted) and skips forward to the
 // next synchronisation boundary.
-func (w *Walker) Fault(kind FaultKind, p *Packet) {
+func (w *Walker) fault(kind FaultKind, p *Packet) {
 	w.FaultCount++
 	if len(w.Faults) < maxFaultRecords {
 		w.Faults = append(w.Faults, DecodeFault{Kind: kind, TSC: w.tsc, Packet: *p})

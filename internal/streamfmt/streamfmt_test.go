@@ -10,6 +10,7 @@ import (
 	"jportal/internal/isa"
 	"jportal/internal/meta"
 	"jportal/internal/pt"
+	"jportal/internal/source"
 	"jportal/internal/vm"
 )
 
@@ -33,8 +34,8 @@ func encodeSample(t *testing.T) ([]byte, uint32) {
 	if err := e.Sideband(vm.SwitchRecord{TSC: 200, Core: 1, Thread: -1}); err != nil {
 		t.Fatal(err)
 	}
-	items := []pt.Item{
-		{Packet: pt.Packet{Kind: 1, IP: 0x4000, NBits: 3, Bits: 5, WireLen: 8}},
+	items := []source.Item{
+		{Packet: source.Packet{Kind: 1, IP: 0x4000, NBits: 3, Bits: 5, WireLen: 8}},
 		{Gap: true, LostBytes: 64, GapStart: 10, GapEnd: 20},
 	}
 	if err := e.Chunk(0, items); err != nil {
@@ -137,8 +138,8 @@ func TestRawEncoderMatchesEncoder(t *testing.T) {
 	}
 	e.Sideband(vm.SwitchRecord{TSC: 100, Core: 0, Thread: 3})
 	e.Sideband(vm.SwitchRecord{TSC: 200, Core: 1, Thread: -1})
-	e.Chunk(0, []pt.Item{
-		{Packet: pt.Packet{Kind: 1, IP: 0x4000, NBits: 3, Bits: 5, WireLen: 8}},
+	e.Chunk(0, []source.Item{
+		{Packet: source.Packet{Kind: 1, IP: 0x4000, NBits: 3, Bits: 5, WireLen: 8}},
 		{Gap: true, LostBytes: 64, GapStart: 10, GapEnd: 20},
 	})
 	e.Watermark(1, 500)
@@ -382,7 +383,7 @@ func FuzzDecode(f *testing.F) {
 		var buf bytes.Buffer
 		e, _ := NewEncoder(&buf, 2)
 		e.Sideband(vm.SwitchRecord{TSC: 1, Core: 0, Thread: 1})
-		e.Chunk(0, []pt.Item{{Packet: pt.Packet{Kind: 1, IP: 0x40}}})
+		e.Chunk(0, []source.Item{{Packet: source.Packet{Kind: 1, IP: 0x40}}})
 		e.Watermark(0, 7)
 		e.Seal()
 		sample = buf.Bytes()

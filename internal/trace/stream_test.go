@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"jportal/internal/pt"
+	"jportal/internal/source"
 	"jportal/internal/vm"
 )
 
@@ -29,7 +30,7 @@ func streamsOf(nthreads int, deltas [][]ThreadStream) []ThreadStream {
 // size: sideband is delivered record by record in global order, per-core
 // watermarks track the next undelivered record, and every core's trace is
 // fed in chunks of at most chunk items with a Drain after each step.
-func runStream(t *testing.T, cores []pt.CoreTrace, sideband []vm.SwitchRecord, chunk, workers int) []ThreadStream {
+func runStream(t *testing.T, cores []source.CoreTrace, sideband []vm.SwitchRecord, chunk, workers int) []ThreadStream {
 	t.Helper()
 	s := NewStreamStitcher(len(cores), pt.Traits())
 	var deltas [][]ThreadStream
@@ -89,18 +90,18 @@ func runStream(t *testing.T, cores []pt.CoreTrace, sideband []vm.SwitchRecord, c
 // TestStreamMatchesBatchFixture sweeps chunk sizes over the migration/gap
 // fixture from the parallel test and demands byte-identical streams.
 func TestStreamMatchesBatchFixture(t *testing.T) {
-	gap := pt.Item{Gap: true, GapStart: 150, GapEnd: 320, LostBytes: 1700}
-	cores := []pt.CoreTrace{
-		{Core: 0, Items: []pt.Item{
+	gap := source.Item{Gap: true, GapStart: 150, GapEnd: 320, LostBytes: 1700}
+	cores := []source.CoreTrace{
+		{Core: 0, Items: []source.Item{
 			tscItem(0), tipItem(1), tipItem(2),
 			tscItem(100), tipItem(3), gap,
 			tscItem(330), tipItem(4),
 		}},
-		{Core: 1, Items: []pt.Item{
+		{Core: 1, Items: []source.Item{
 			tscItem(50), tipItem(10),
 			tscItem(210), tipItem(11), tipItem(12),
 		}},
-		{Core: 2, Items: []pt.Item{tscItem(5), tipItem(20)}},
+		{Core: 2, Items: []source.Item{tscItem(5), tipItem(20)}},
 	}
 	sideband := []vm.SwitchRecord{
 		{Core: 0, TSC: 0, Thread: 0},
@@ -127,8 +128,8 @@ func TestStreamMatchesBatchFixture(t *testing.T) {
 // packet, and sideband records are time-monotone per core. Packet and
 // sideband timestamps are independent, so switch boundaries routinely fall
 // mid-stream — the §6 timestamp inconsistency in miniature.
-func genFixture(r *rand.Rand, ncores, nthreads, events int) ([]pt.CoreTrace, []vm.SwitchRecord) {
-	cores := make([]pt.CoreTrace, ncores)
+func genFixture(r *rand.Rand, ncores, nthreads, events int) ([]source.CoreTrace, []vm.SwitchRecord) {
+	cores := make([]source.CoreTrace, ncores)
 	ip := uint64(0)
 	for ci := range cores {
 		cores[ci].Core = ci
@@ -144,7 +145,7 @@ func genFixture(r *rand.Rand, ncores, nthreads, events int) ([]pt.CoreTrace, []v
 			default:
 				start := clock
 				clock += uint64(1 + r.Intn(120))
-				cores[ci].Items = append(cores[ci].Items, pt.Item{
+				cores[ci].Items = append(cores[ci].Items, source.Item{
 					Gap: true, GapStart: start, GapEnd: clock,
 					LostBytes: uint64(1 + r.Intn(4000)),
 				})
@@ -200,7 +201,7 @@ func TestStreamMatchesBatchRandom(t *testing.T) {
 // the chunk boundary falls between the stale TSC packet and the switch
 // record's delivery.
 func TestStreamTimestampInconsistencyAcrossChunks(t *testing.T) {
-	cores := []pt.CoreTrace{{Core: 0, Items: []pt.Item{
+	cores := []source.CoreTrace{{Core: 0, Items: []source.Item{
 		tscItem(10), tipItem(1),
 		tscItem(96),            // jittered: read just before the switch
 		tipItem(2), tipItem(3), // executed by thread 1, attributed to 0
@@ -260,7 +261,7 @@ func TestStreamEmitsIncrementally(t *testing.T) {
 		{Core: 0, TSC: 100, Thread: 1},
 	})
 	s.Watermark(0, 500)
-	if err := s.Feed(0, []pt.Item{tscItem(0), tipItem(1), tscItem(120), tipItem(2)}); err != nil {
+	if err := s.Feed(0, []source.Item{tscItem(0), tipItem(1), tscItem(120), tipItem(2)}); err != nil {
 		t.Fatal(err)
 	}
 	if n := s.BufferedItems(); n != 4 {
@@ -292,7 +293,7 @@ func TestStreamIdleCoreDoesNotStall(t *testing.T) {
 	})
 	s.Watermark(0, 400)
 	s.Watermark(1, 400)
-	if err := s.Feed(0, []pt.Item{tscItem(0), tipItem(1), tscItem(120), tipItem(2)}); err != nil {
+	if err := s.Feed(0, []source.Item{tscItem(0), tipItem(1), tscItem(120), tipItem(2)}); err != nil {
 		t.Fatal(err)
 	}
 	d := s.Drain()

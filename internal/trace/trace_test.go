@@ -4,21 +4,22 @@ import (
 	"testing"
 
 	"jportal/internal/pt"
+	"jportal/internal/source"
 	"jportal/internal/vm"
 )
 
-func tscItem(ts uint64) pt.Item {
-	return pt.Item{Packet: pt.Packet{Kind: pt.KTSC, TSC: ts, WireLen: 8}}
+func tscItem(ts uint64) source.Item {
+	return source.Item{Packet: source.Packet{Kind: pt.KTSC, TSC: ts, WireLen: 8}}
 }
 
-func tipItem(ip uint64) pt.Item {
-	return pt.Item{Packet: pt.Packet{Kind: pt.KTIP, IP: ip, WireLen: 4}}
+func tipItem(ip uint64) source.Item {
+	return source.Item{Packet: source.Packet{Kind: pt.KTIP, IP: ip, WireLen: 4}}
 }
 
 func TestSplitSingleThread(t *testing.T) {
-	cores := []pt.CoreTrace{{
+	cores := []source.CoreTrace{{
 		Core: 0,
-		Items: []pt.Item{
+		Items: []source.Item{
 			tscItem(0), tipItem(1), tipItem(2),
 			tscItem(100), tipItem(3),
 		},
@@ -34,9 +35,9 @@ func TestSplitSingleThread(t *testing.T) {
 }
 
 func TestSplitTwoThreadsOneCore(t *testing.T) {
-	cores := []pt.CoreTrace{{
+	cores := []source.CoreTrace{{
 		Core: 0,
-		Items: []pt.Item{
+		Items: []source.Item{
 			tscItem(0), tipItem(1), tipItem(2),
 			tscItem(100), tipItem(3), // thread 1's window begins at 100
 			tscItem(220), tipItem(4),
@@ -65,9 +66,9 @@ func TestSplitTwoThreadsOneCore(t *testing.T) {
 }
 
 func TestSplitStitchesAcrossCores(t *testing.T) {
-	cores := []pt.CoreTrace{
-		{Core: 0, Items: []pt.Item{tscItem(0), tipItem(1)}},
-		{Core: 1, Items: []pt.Item{tscItem(100), tipItem(2)}},
+	cores := []source.CoreTrace{
+		{Core: 0, Items: []source.Item{tscItem(0), tipItem(1)}},
+		{Core: 1, Items: []source.Item{tscItem(100), tipItem(2)}},
 	}
 	sideband := []vm.SwitchRecord{
 		{Core: 0, TSC: 0, Thread: 0},
@@ -86,9 +87,9 @@ func TestSplitStitchesAcrossCores(t *testing.T) {
 func TestSplitClipsGapsToWindows(t *testing.T) {
 	// A gap on core 0 spans two scheduling windows (threads 0 then 1):
 	// each thread receives only its share.
-	cores := []pt.CoreTrace{{
+	cores := []source.CoreTrace{{
 		Core: 0,
-		Items: []pt.Item{
+		Items: []source.Item{
 			tscItem(0), tipItem(1),
 			{Gap: true, LostBytes: 1000, GapStart: 50, GapEnd: 250},
 			tscItem(260), tipItem(2),
@@ -100,7 +101,7 @@ func TestSplitClipsGapsToWindows(t *testing.T) {
 		{Core: 0, TSC: 200, Thread: 1},
 	}
 	streams := SplitByThread(cores, sideband, pt.Traits())
-	var g0, g1 []pt.Item
+	var g0, g1 []source.Item
 	for _, it := range streams[0].Items {
 		if it.Gap {
 			g0 = append(g0, it)
@@ -133,9 +134,9 @@ func TestSplitClipsGapsToWindows(t *testing.T) {
 }
 
 func TestSplitNoSidebandForCore(t *testing.T) {
-	cores := []pt.CoreTrace{
-		{Core: 0, Items: []pt.Item{tscItem(0), tipItem(1)}},
-		{Core: 7, Items: []pt.Item{tscItem(0), tipItem(9)}}, // never scheduled
+	cores := []source.CoreTrace{
+		{Core: 0, Items: []source.Item{tscItem(0), tipItem(1)}},
+		{Core: 7, Items: []source.Item{tscItem(0), tipItem(9)}}, // never scheduled
 	}
 	sideband := []vm.SwitchRecord{{Core: 0, TSC: 0, Thread: 0}}
 	streams := SplitByThread(cores, sideband, pt.Traits())
@@ -148,9 +149,9 @@ func TestSplitIdleWindowsBoundGaps(t *testing.T) {
 	// Thread 0 runs on core 0 until t=100, then the core goes idle
 	// (Thread -1). A loss episode spanning [50, 400] must be clipped at
 	// the idle boundary: thread 0 only lost data while it was running.
-	cores := []pt.CoreTrace{{
+	cores := []source.CoreTrace{{
 		Core: 0,
-		Items: []pt.Item{
+		Items: []source.Item{
 			tscItem(0), tipItem(1),
 			{Gap: true, LostBytes: 700, GapStart: 50, GapEnd: 400},
 			tscItem(410), tipItem(2),
@@ -162,7 +163,7 @@ func TestSplitIdleWindowsBoundGaps(t *testing.T) {
 		{Core: 0, TSC: 405, Thread: 0},
 	}
 	streams := SplitByThread(cores, sideband, pt.Traits())
-	var gaps []pt.Item
+	var gaps []source.Item
 	for _, it := range streams[0].Items {
 		if it.Gap {
 			gaps = append(gaps, it)

@@ -24,8 +24,8 @@ import (
 	"jportal/internal/meta"
 )
 
-// NativeTracer receives native-level trace events; *pt.Collector implements
-// it. A nil tracer disables tracing (baseline runs).
+// NativeTracer receives native-level trace events; *source.Collector
+// implements it. A nil tracer disables tracing (baseline runs).
 type NativeTracer interface {
 	PGE(core int, ip, tsc uint64)
 	PGD(core int, ip, tsc uint64)

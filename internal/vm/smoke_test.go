@@ -5,6 +5,7 @@ import (
 
 	"jportal/internal/bytecode"
 	"jportal/internal/pt"
+	"jportal/internal/source"
 )
 
 const fibSrc = `
@@ -40,7 +41,7 @@ entry Test.main
 func TestSmokeFib(t *testing.T) {
 	prog := bytecode.MustAssemble(fibSrc)
 	m := New(prog, DefaultConfig())
-	col := pt.NewCollector(pt.DefaultConfig(), m.Cfg.Cores)
+	col := pt.Traits().NewCollector(source.DefaultCollectorConfig(), m.Cfg.Cores)
 	m.Tracer = col
 	stats, err := m.Run([]ThreadSpec{{Method: prog.Entry}})
 	if err != nil {
@@ -62,7 +63,7 @@ func TestSmokeFib(t *testing.T) {
 	}
 	t.Logf("bytecodes=%d (interp=%d jit=%d) cycles=%d compilations=%d packets=%d genBytes=%d",
 		stats.ExecutedBytecodes, stats.InterpBytecodes, stats.JITBytecodes,
-		stats.Cycles, stats.Compilations, packets, col.GenBytes)
+		stats.Cycles, stats.Compilations, packets, col.GeneratedBytes())
 }
 
 func TestSmokeSemantics(t *testing.T) {

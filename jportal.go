@@ -26,12 +26,11 @@ import (
 	"jportal/internal/core"
 	"jportal/internal/fault"
 	"jportal/internal/meta"
-	"jportal/internal/pt"
 	"jportal/internal/source"
 	"jportal/internal/vm"
 
 	// Link in the RISC-V E-Trace backend alongside the reference Intel PT
-	// one (registered via core's ptdecode import), so archives and
+	// one (registered via core's pt import), so archives and
 	// RunConfig.Source resolve either by ID.
 	_ "jportal/internal/etrace"
 )
@@ -46,7 +45,7 @@ type RunConfig struct {
 	Source string
 	// PT configures the collector (buffer sizes, drain cadence); the knobs
 	// are source-independent, the name is historical.
-	PT pt.Config
+	PT source.CollectorConfig
 	// CollectOracle attaches the ground-truth oracle (simulation-only
 	// affordance used to measure accuracy; it does not exist on real
 	// hardware).
@@ -54,7 +53,7 @@ type RunConfig struct {
 	// DisableTracing runs without PT (baseline timing runs).
 	DisableTracing bool
 	// SinkChunkItems is the per-core chunk size of streaming export
-	// (RunWithSink); 0 means pt.DefaultSinkFlushItems. Ignored by Run.
+	// (RunWithSink); 0 means source.DefaultSinkFlushItems. Ignored by Run.
 	SinkChunkItems int
 }
 
@@ -82,7 +81,7 @@ func (c RunConfig) Validate() error {
 // DefaultRunConfig mirrors the paper's defaults (128MB-class buffers,
 // scaled to simulation size).
 func DefaultRunConfig() RunConfig {
-	return RunConfig{VM: vm.DefaultConfig(), PT: pt.DefaultConfig(), CollectOracle: true}
+	return RunConfig{VM: vm.DefaultConfig(), PT: source.DefaultCollectorConfig(), CollectOracle: true}
 }
 
 // RunResult is everything the online phase produces.
@@ -122,7 +121,7 @@ func Run(prog *bytecode.Program, threads []vm.ThreadSpec, cfg RunConfig) (*RunRe
 	}
 	m := vm.New(prog, cfg.VM)
 	var src source.Source
-	var col source.Collector
+	var col *source.Collector
 	if !cfg.DisableTracing {
 		var err error
 		if src, err = source.Lookup(cfg.Source); err != nil {

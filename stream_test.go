@@ -15,7 +15,7 @@ import (
 	"jportal/internal/bytecode"
 	"jportal/internal/core"
 	"jportal/internal/meta"
-	"jportal/internal/pt"
+	"jportal/internal/source"
 	"jportal/internal/vm"
 	"jportal/internal/workload"
 )
@@ -461,7 +461,7 @@ func TestSessionValidation(t *testing.T) {
 	if _, err := sess.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := sess.Feed(0, []pt.Item{{}}); err == nil {
+	if err := sess.Feed(0, []source.Item{{}}); err == nil {
 		t.Error("fed a closed session")
 	}
 	if err := sess.Drain(); err == nil {
@@ -544,7 +544,7 @@ func (c countingSink) AddBlobs(blobs []*meta.CompiledMethod) error { return c.s.
 
 func (c countingSink) AddSideband(recs []vm.SwitchRecord) { c.s.AddSideband(recs) }
 func (c countingSink) Watermark(core int, w uint64)       { c.s.Watermark(core, w) }
-func (c countingSink) Feed(core int, items []pt.Item) error {
+func (c countingSink) Feed(core int, items []source.Item) error {
 	*c.fed += len(items)
 	return c.s.Feed(core, items)
 }
