@@ -245,8 +245,8 @@ func BenchmarkAblationReconstruction(b *testing.B) {
 
 // ---- Ablation B: Algorithm 3 vs Algorithm 4 (recovery search) ----
 
-func recoverySegments(b *testing.B) (*core.Matcher, []*core.SegmentFlow) {
-	b.Helper()
+func recoverySegments(tb testing.TB) (*core.Matcher, []*core.SegmentFlow) {
+	tb.Helper()
 	prog := bytecode.MustAssemble(ablationSrc)
 	m := core.NewMatcher(cfg.BuildICFG(prog, cfg.DefaultOptions()))
 	mkRep := func(n int, start uint64) []core.Token {

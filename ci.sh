@@ -5,9 +5,9 @@
 #                    TestKernelAllocs, included) + race-detector pass over
 #                    the concurrent packages (core, trace, conc, pt, source,
 #                    etrace, ingest, fleet) and the root streaming tests +
-#                    end-to-end smokes (PT and E-Trace) + a vet/test pass
-#                    over the benchmark/ module, which builds against the
-#                    root package
+#                    end-to-end smokes (PT, lossy PT and E-Trace) + a
+#                    vet/test pass over the benchmark/ module, which
+#                    builds against the root package
 #
 # The race pass covers the offline-phase parallelism introduced with the
 # worker pool — the read-only Matcher contract, the per-core trace carve and
@@ -76,6 +76,18 @@ cmp "$SMOKE/etrace-stream.txt" "$SMOKE/etrace-stream1.txt"
 cmp "$SMOKE/etrace-stream.txt" "$SMOKE/etrace-decode.txt"
 grep -q 'recovered [1-9]' "$SMOKE/etrace-stream.txt"
 echo "    E-Trace replay identical across workers and against decode"
+
+echo "==> lossy PT recovery smoke (stream, stream -workers 1 and decode agree)"
+# batik at 16M-label buffers: one thread whose 9 segments leave 8 holes, so
+# every replay runs the §5 recoverer's candidate search and chained fills.
+"$SMOKE/jportal" collect -scale 0.3 -buf 16 -out "$SMOKE/lossy" batik >/dev/null
+"$SMOKE/jportal" stream "$SMOKE/lossy" >"$SMOKE/lossy-stream.txt"
+"$SMOKE/jportal" stream -workers 1 "$SMOKE/lossy" >"$SMOKE/lossy-stream1.txt"
+cmp "$SMOKE/lossy-stream.txt" "$SMOKE/lossy-stream1.txt"
+"$SMOKE/jportal" decode "$SMOKE/lossy" | sed 's/ decode=[^ ]* recover=[^ ]*//' >"$SMOKE/lossy-decode.txt"
+cmp "$SMOKE/lossy-stream.txt" "$SMOKE/lossy-decode.txt"
+grep -q 'recovered [1-9]' "$SMOKE/lossy-stream.txt"
+echo "    lossy PT replay identical across workers and against decode"
 
 echo "==> damaged-push smoke (one byte flipped, refused before upload)"
 # Any single-byte flip past the header breaks record framing or the seal

@@ -149,7 +149,14 @@ func (ix *anchorIndex) visit(h uint64, fn func(anchorPos)) {
 // caches: after NewRecoverer returns, the recoverer, its index and all
 // segments are strictly read-only, so RecoverHole may be called for
 // different holes from concurrent goroutines.
+//
+// A thread with fewer than two segments has no hole, and a disabled
+// recoverer fills none: for either, NewRecoverer builds nothing, so a
+// lossless thread pays nothing for recovery.
 func NewRecoverer(m *Matcher, flows []*SegmentFlow, cfg RecoveryConfig) *Recoverer {
+	if cfg.Disable || len(flows) < 2 {
+		return &Recoverer{m: m, cfg: cfg, flows: flows}
+	}
 	// Size the flat index to its exact entry count: one entry per
 	// indexable token position.
 	positions := 0
@@ -178,12 +185,8 @@ func NewRecoverer(m *Matcher, flows []*SegmentFlow, cfg RecoveryConfig) *Recover
 		if len(toks) < cfg.AnchorLen {
 			continue
 		}
-		h := uint64(0)
-		for i := 0; i < len(toks); i++ {
-			h = anchorHash(h, toks[i].MatchKey(), i, cfg.AnchorLen, toks)
-			if i+1 >= cfg.AnchorLen {
-				r.index.add(h, int32(si), int32(i+1))
-			}
+		for i := max(cfg.AnchorLen-1, 0); i < len(toks); i++ {
+			r.index.add(anchorHash(i, cfg.AnchorLen, toks), int32(si), int32(i+1))
 		}
 	}
 	if activeSpan > 0 && tokens > 0 {
@@ -197,7 +200,7 @@ func NewRecoverer(m *Matcher, flows []*SegmentFlow, cfg RecoveryConfig) *Recover
 // anchorHash computes the hash of the window of AnchorLen keys ending at
 // index i. A simple recompute keeps it obviously correct; the window is
 // tiny.
-func anchorHash(_ uint64, _ uint64, i, x int, toks []Token) uint64 {
+func anchorHash(i, x int, toks []Token) uint64 {
 	if i+1 < x {
 		return 0
 	}
@@ -210,7 +213,7 @@ func anchorHash(_ uint64, _ uint64, i, x int, toks []Token) uint64 {
 	return h
 }
 
-// suffixMatch compares keys backwards and returns the common-suffix length.
+// suffixKeys compares keys backwards and returns the common-suffix length.
 // a ends at ai (exclusive), b ends at bi (exclusive).
 func suffixKeys(a []Token, ai int, b []Token, bi int) int {
 	n := 0
@@ -253,7 +256,7 @@ func (r *Recoverer) searchCS(isIdx int) ([]candidate, int, int) {
 	if n < r.cfg.AnchorLen {
 		return nil, 0, 0
 	}
-	h := anchorHash(0, 0, n-1, r.cfg.AnchorLen, is.Tokens)
+	h := anchorHash(n-1, r.cfg.AnchorLen, is.Tokens)
 	var cands []candidate
 	tried, pruned := 0, 0
 	m1, m2, m3 := 0, 0, 0
@@ -413,24 +416,26 @@ func (r *Recoverer) RecoverHole(isIdx int) Fill {
 	if nextFlow.Quarantined {
 		post = nil // untrusted tokens cannot confirm a splice
 	}
-	var bestPartial []Step
-	for _, c := range cands {
-		steps, connected := r.chainFill(&c, kMin, budget, gap, post)
-		if connected {
+	// Candidates are scored by plan alone; only the kept one's steps are
+	// built.
+	var bestPartial fillPlan
+	for i := range cands {
+		p := r.chainFill(&cands[i], kMin, budget, post)
+		if p.connected {
 			fill.Method = FillCS
-			fill.Steps = steps
+			fill.Steps = r.planSteps(&p, gap)
 			return fill
 		}
-		if len(steps) > len(bestPartial) {
-			bestPartial = steps
+		if p.steps > bestPartial.steps {
+			bestPartial = p
 		}
 	}
 	// No candidate reconnected within the budget. Keep the longest
 	// splice when the hole is substantial, rather than dropping to a
 	// blind walk.
-	if expected > r.cfg.ConfirmLen*4 && len(bestPartial) >= r.cfg.ConfirmLen*4 {
+	if expected > r.cfg.ConfirmLen*4 && bestPartial.steps >= r.cfg.ConfirmLen*4 {
 		fill.Method = FillPartial
-		fill.Steps = bestPartial
+		fill.Steps = r.planSteps(&bestPartial, gap)
 		return fill
 	}
 	// Fallback: walk the ICFG from the last projected node of the IS to
@@ -442,84 +447,144 @@ func (r *Recoverer) RecoverHole(isIdx int) Fill {
 	return fill
 }
 
-// chainFill splices the CS continuation starting at candidate c; when the
-// CS runs out before the hole is covered, it re-anchors from the splice's
-// own tail and continues from the next best matching position (holes can be
-// longer than any single complete segment). It reports whether the splice
+const (
+	// maxChainHops bounds the segments one chained fill splices from.
+	maxChainHops = 8
+	// chainWindow caps the context a re-anchor compares: continueFrom
+	// ranks positions by their common suffix with the splice, up to this
+	// many tokens, so the splice's last chainWindow tokens decide a hop.
+	chainWindow = 64
+)
+
+// fillHop is one stretch of a chained fill: tokens [from, to) of flow seg.
+type fillHop struct {
+	seg      int32
+	from, to int32
+}
+
+// fillPlan is a chained fill before any step is built: its hops, how many
+// steps they project (tokens with a node) and whether the splice
 // reconnected with the post-hole tokens.
-func (r *Recoverer) chainFill(c *candidate, kMin, budget int, gap *GapInfo, post []Token) ([]Step, bool) {
-	y := r.cfg.ConfirmLen
-	if y > len(post) {
-		y = len(post)
-	}
+type fillPlan struct {
+	hops      [maxChainHops]fillHop
+	nhops     int
+	steps     int
+	connected bool
+}
+
+// chainFill plans the splice of the CS continuation starting at candidate
+// c; when the CS runs out before the hole is covered, it re-anchors from
+// the splice's own tail and continues from the next best matching position
+// (holes can be longer than any single complete segment).
+func (r *Recoverer) chainFill(c *candidate, kMin, budget int, post []Token) fillPlan {
+	var p fillPlan
+	y := min(r.cfg.ConfirmLen, len(post))
 	if y == 0 {
-		return nil, false
+		return p
 	}
-	var toks []Token
-	var steps []Step
-	finish := func(connected bool) ([]Step, bool) {
-		for i := range steps {
-			steps[i].TSC = fillTSC(gap, i, len(steps))
-		}
-		return steps, connected
+	var buf [chainWindow]Token
+	window := buf[:]
+	if r.cfg.AnchorLen > chainWindow {
+		window = make([]Token, r.cfg.AnchorLen) // the anchor itself must fit
 	}
+	consumed := 0
 	seg, pos := c.seg, int(c.pos)
-	for hops := 0; hops < 8; hops++ {
+	for {
 		csFlow := r.flows[seg]
 		cst := csFlow.Seg.Tokens
-		for i := pos; i < len(cst); i++ {
+		i, done := pos, false
+		for ; i < len(cst); i++ {
 			// Does the continuation here line up with the post-hole
 			// tokens (and have we consumed enough of the budget for the
 			// hole's duration)?
-			if len(toks) >= kMin && i+y <= len(cst) {
-				match := true
-				for j := 0; j < y; j++ {
-					if cst[i+j].MatchKey() != post[j].MatchKey() {
-						match = false
-						break
-					}
-				}
-				if match {
-					return finish(true)
-				}
+			if consumed >= kMin && i+y <= len(cst) && sameKeys(cst[i:i+y], post[:y]) {
+				p.connected, done = true, true
+				break
 			}
-			if len(toks) >= budget {
-				return finish(false)
+			if consumed >= budget {
+				done = true
+				break
 			}
-			toks = append(toks, cst[i])
-			if n := csFlow.Nodes[i]; n != cfg.NoNode {
-				mid, pc := r.m.G.Location(n)
-				steps = append(steps, Step{Method: mid, PC: pc, Recovered: true})
+			consumed++
+			if csFlow.Nodes[i] != cfg.NoNode {
+				p.steps++
 			}
 		}
-		np, ok := r.continueFrom(toks)
+		p.hops[p.nhops] = fillHop{seg: seg, from: int32(pos), to: int32(i)}
+		p.nhops++
+		if done || p.nhops == maxChainHops {
+			return p
+		}
+		np, ok := r.continueFrom(r.spliceTail(&p, window))
 		if !ok {
-			break
+			return p
 		}
 		seg, pos = np.seg, int(np.pos)
 	}
-	return finish(false)
+}
+
+func sameKeys(a, b []Token) bool {
+	for j := range a {
+		if a[j].MatchKey() != b[j].MatchKey() {
+			return false
+		}
+	}
+	return true
+}
+
+// spliceTail copies the last len(buf) tokens of p's splice (all of them
+// when the splice is shorter) into buf and returns them.
+func (r *Recoverer) spliceTail(p *fillPlan, buf []Token) []Token {
+	k := len(buf)
+	for h := p.nhops - 1; h >= 0 && k > 0; h-- {
+		hop := p.hops[h]
+		src := r.flows[hop.seg].Seg.Tokens[hop.from:hop.to]
+		n := min(k, len(src))
+		k -= n
+		copy(buf[k:], src[len(src)-n:])
+	}
+	return buf[k:]
+}
+
+// planSteps builds the steps of plan p, timestamps interpolated across
+// the hole.
+func (r *Recoverer) planSteps(p *fillPlan, gap *GapInfo) []Step {
+	if p.steps == 0 {
+		return nil
+	}
+	steps := make([]Step, 0, p.steps)
+	for _, hop := range p.hops[:p.nhops] {
+		nodes := r.flows[hop.seg].Nodes
+		for i := hop.from; i < hop.to; i++ {
+			if n := nodes[i]; n != cfg.NoNode {
+				mid, pc := r.m.G.Location(n)
+				steps = append(steps, Step{Method: mid, PC: pc, TSC: fillTSC(gap, len(steps), p.steps), Recovered: true})
+			}
+		}
+	}
+	return steps
 }
 
 // continueFrom locates the position whose context best matches the tail of
-// the splice so far (the chained re-anchor).
+// the splice so far (the chained re-anchor). Matches count up to
+// chainWindow tokens, so tail need hold no more than that, or than the
+// anchor when it is longer.
 func (r *Recoverer) continueFrom(tail []Token) (anchorPos, bool) {
 	x := r.cfg.AnchorLen
 	if len(tail) < x {
 		return anchorPos{}, false
 	}
-	h := anchorHash(0, 0, len(tail)-1, x, tail)
+	h := anchorHash(len(tail)-1, x, tail)
 	var best anchorPos
 	bestLen := -1
-	const window = 64
 	r.index.visit(h, func(ap anchorPos) {
 		cs := r.flows[ap.seg].Seg
 		n := suffixKeys(tail, len(tail), cs.Tokens, int(ap.pos))
 		if n < x {
 			return // hash collision
 		}
-		if n > window {
-			n = window
+		if n > chainWindow {
+			n = chainWindow
 		}
 		// Prefer positions with actual continuation left.
 		if int(ap.pos) >= len(cs.Tokens) {

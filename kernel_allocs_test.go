@@ -26,13 +26,19 @@ import (
 // recorded (0, 0, 0 and 218 allocs/op on go1.24, linux/amd64). The Collect
 // bound is the same band over 67 allocs/op, measured for both sources when
 // each had its own collector copy (go1.24, linux/amd64); the E-Trace
-// WalkerDecode measured 0 then, like PT's.
+// WalkerDecode measured 0 then, like PT's. The Recover and
+// RecovererNoBoundary bounds are the same band over 68 and 1 allocs/op,
+// measured once chainFill planned its hops and NewRecoverer skipped
+// threads without a boundary; before, they measured 146 and 6 (go1.24,
+// linux/amd64).
 const (
-	maxAllocsMatchFromScratch = 1
-	maxAllocsTokenize         = 1
-	maxAllocsWalkerDecode     = 1
-	maxAllocsCarveStitch      = 262
-	maxAllocsCollect          = 81
+	maxAllocsMatchFromScratch    = 1
+	maxAllocsTokenize            = 1
+	maxAllocsWalkerDecode        = 1
+	maxAllocsCarveStitch         = 262
+	maxAllocsCollect             = 81
+	maxAllocsRecover             = 82
+	maxAllocsRecovererNoBoundary = 2
 )
 
 func TestKernelAllocs(t *testing.T) {
@@ -121,6 +127,31 @@ func TestKernelAllocs(t *testing.T) {
 			col.Finish(tsc + 10)
 		})
 	}
+
+	// Recover: one RecoverHole per hole per op over the ablation's
+	// recovery segments (7 flows, 6 timestamped holes, each filled from a
+	// CS: 216 recovered steps), with the recoverer built once.
+	rm, rflows := recoverySegments(t)
+	rec := core.NewRecoverer(rm, rflows, core.DefaultRecoveryConfig())
+	check("Recover", maxAllocsRecover, 50, func() {
+		steps := 0
+		for i := 0; i < len(rflows)-1; i++ {
+			f := rec.RecoverHole(i)
+			if f.Method != core.FillCS {
+				t.Fatalf("hole %d: fill method %v, want FillCS", i, f.Method)
+			}
+			steps += len(f.Steps)
+		}
+		if steps != 216 {
+			t.Fatalf("recovered %d steps, want 216", steps)
+		}
+	})
+
+	// RecovererNoBoundary: NewRecoverer over a single flow, which has no
+	// hole to fill.
+	check("RecovererNoBoundary", maxAllocsRecovererNoBoundary, 100, func() {
+		core.NewRecoverer(rm, rflows[:1], core.DefaultRecoveryConfig())
+	})
 
 	// CarveStitch: one full incremental stitch per op — sideband,
 	// infinite watermarks, per-core feeds, finish.
