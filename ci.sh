@@ -75,6 +75,7 @@ cmp "$SMOKE/etrace-stream.txt" "$SMOKE/etrace-stream1.txt"
 "$SMOKE/jportal" decode "$SMOKE/etrace" | sed 's/ decode=[^ ]* recover=[^ ]*//' >"$SMOKE/etrace-decode.txt"
 cmp "$SMOKE/etrace-stream.txt" "$SMOKE/etrace-decode.txt"
 grep -q 'recovered [1-9]' "$SMOKE/etrace-stream.txt"
+grep -qx 'thread 0: segments=2 tokens=70633 steps=112699 (recovered 42066)' "$SMOKE/etrace-stream.txt"
 echo "    E-Trace replay identical across workers and against decode"
 
 echo "==> lossy PT recovery smoke (stream, stream -workers 1 and decode agree)"
@@ -87,6 +88,7 @@ cmp "$SMOKE/lossy-stream.txt" "$SMOKE/lossy-stream1.txt"
 "$SMOKE/jportal" decode "$SMOKE/lossy" | sed 's/ decode=[^ ]* recover=[^ ]*//' >"$SMOKE/lossy-decode.txt"
 cmp "$SMOKE/lossy-stream.txt" "$SMOKE/lossy-decode.txt"
 grep -q 'recovered [1-9]' "$SMOKE/lossy-stream.txt"
+grep -qx 'thread 0: segments=9 tokens=74070 steps=130239 (recovered 56169)' "$SMOKE/lossy-stream.txt"
 echo "    lossy PT replay identical across workers and against decode"
 
 echo "==> damaged-push smoke (one byte flipped, refused before upload)"

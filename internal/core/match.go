@@ -228,10 +228,10 @@ func (m *Matcher) CtrlReach(n cfg.NodeID) []cfg.NodeID {
 }
 
 // MatchScratch holds the per-call working state of the subset simulation:
-// the dedup marks, the successor buffer and the layer backing store. One
-// scratch serves one goroutine at a time; a worker reuses its scratch
-// across calls so the hot path stops allocating per token layer. Obtain one
-// with Matcher.NewScratch and pass it to the *Scratch entry points.
+// the dedup marks, the successor buffer, the layer arena and the path
+// buffer. One scratch serves one goroutine at a time; a worker reuses its
+// scratch across calls so the hot path stops allocating. Obtain one with
+// Matcher.NewScratch and pass it to the *Scratch entry points.
 type MatchScratch struct {
 	// seen is a generation-marked dense set over NodeIDs: seen[n] == gen
 	// means n is a member. Bumping gen clears the set in O(1).
@@ -239,8 +239,10 @@ type MatchScratch struct {
 	gen  int32
 	// buf is the successor scratch buffer.
 	buf []cfg.NodeID
-	// layers recycles the per-token state layers of MatchFromScratch.
-	layers [][]layerEntry
+	// ents and starts are MatchFromScratch's layer arena: the per-token
+	// state layers, back to back, layer i being ents[starts[i]:starts[i+1]].
+	ents   []layerEntry
+	starts []int32
 	// states/next recycle the abstract-state slices of
 	// IsAcceptedAbstractScratch.
 	states, next []cfg.NodeID
@@ -268,14 +270,6 @@ func (sc *MatchScratch) reset() {
 func (sc *MatchScratch) mark(n cfg.NodeID) { sc.seen[n] = sc.gen }
 func (sc *MatchScratch) has(n cfg.NodeID) bool {
 	return sc.seen[n] == sc.gen
-}
-
-// layer returns the recycled backing slice for layer i, emptied.
-func (sc *MatchScratch) layer(i int) []layerEntry {
-	for len(sc.layers) <= i {
-		sc.layers = append(sc.layers, nil)
-	}
-	return sc.layers[i][:0]
 }
 
 // AbstractTokens returns the tier-2 (control-structure) abstraction of toks
@@ -352,8 +346,10 @@ type MatchResult struct {
 
 // layerEntry is one NFA state with its predecessor for path recovery.
 type layerEntry struct {
-	node   cfg.NodeID
-	parent int32 // index into previous layer, -1 at the start
+	node cfg.NodeID
+	// parent is the predecessor's index in the arena (MatchScratch.ents),
+	// -1 in the first layer and at a re-anchor.
+	parent int32
 }
 
 // MatchFromScratch runs the NFA subset simulation over toks beginning from
@@ -370,29 +366,36 @@ func (m *Matcher) MatchFromScratch(sc *MatchScratch, starts []cfg.NodeID, toks [
 		return MatchResult{Complete: true}
 	}
 	var res MatchResult
-	layer := sc.layer(0)
+	// Every layer holds at least one state: size the arena for one per
+	// token up front rather than regrow it layer by layer.
+	if cap(sc.ents) < len(toks) {
+		sc.ents = make([]layerEntry, 0, len(toks))
+	}
+	if cap(sc.starts) <= len(toks) {
+		sc.starts = make([]int32, 0, len(toks)+1)
+	}
+	ents, bounds := sc.ents[:0], append(sc.starts[:0], 0)
 	for _, s := range starts {
 		if m.tokenMatchesNode(&toks[0], s) {
-			layer = append(layer, layerEntry{node: s, parent: -1})
+			ents = append(ents, layerEntry{node: s, parent: -1})
 		}
-		if len(layer) >= m.MaxStates {
+		if len(ents) >= m.MaxStates {
 			break
 		}
 	}
-	sc.layers[0] = layer
-	if len(layer) == 0 {
+	if len(ents) == 0 {
+		sc.ents, sc.starts = ents, bounds
 		return res
 	}
-	nLayers := 1
+	bounds = append(bounds, int32(len(ents)))
 
 	for i := 0; i+1 < len(toks); i++ {
-		cur := sc.layers[i]
-		next := sc.layer(i + 1)
+		lo, hi := bounds[i], bounds[i+1]
 		sc.reset()
 		tok := &toks[i]
 		ntok := &toks[i+1]
-		for pi := range cur {
-			succs, fb := m.successors(cur[pi].node, tok, sc.buf[:0])
+		for pi := lo; pi < hi; pi++ {
+			succs, fb := m.successors(ents[pi].node, tok, sc.buf[:0])
 			sc.buf = succs
 			if fb {
 				res.Fallbacks++
@@ -400,65 +403,52 @@ func (m *Matcher) MatchFromScratch(sc *MatchScratch, starts []cfg.NodeID, toks [
 			for _, s := range succs {
 				if !sc.has(s) && m.tokenMatchesNode(ntok, s) {
 					sc.mark(s)
-					next = append(next, layerEntry{node: s, parent: int32(pi)})
-					if len(next) >= m.MaxStates {
+					ents = append(ents, layerEntry{node: s, parent: pi})
+					if len(ents)-int(hi) >= m.MaxStates {
 						break
 					}
 				}
 			}
-			if len(next) >= m.MaxStates {
+			if len(ents)-int(hi) >= m.MaxStates {
 				break
 			}
 		}
-		if len(next) == 0 {
-			if ntok.Located() {
-				// Debug-info imprecision (elided instructions,
-				// approximate records) broke the chain; re-anchor at
-				// the known location rather than splitting the run.
-				res.Reanchors++
-				next = append(next, layerEntry{
-					node:   m.G.Node(ntok.Method, ntok.PC),
-					parent: int32(minParent(cur)),
-				})
-			} else {
-				sc.layers[i+1] = next
+		if len(ents) == int(hi) {
+			if !ntok.Located() {
 				break
 			}
+			// Debug-info imprecision (elided instructions, approximate
+			// records) broke the chain; re-anchor at the known location
+			// rather than splitting the run.
+			res.Reanchors++
+			ents = append(ents, layerEntry{node: m.G.Node(ntok.Method, ntok.PC), parent: -1})
 		}
-		sc.layers[i+1] = next
-		nLayers++
+		bounds = append(bounds, int32(len(ents)))
 	}
-
-	layers := sc.layers[:nLayers]
+	sc.ents, sc.starts = ents, bounds
+	nLayers := len(bounds) - 1
 
 	// Walk back from the lexicographically smallest final state.
-	final := layers[len(layers)-1]
-	best := 0
-	for i := 1; i < len(final); i++ {
-		if final[i].node < final[best].node {
-			best = i
-		}
+	idx := bounds[nLayers-1] + int32(smallest(ents[bounds[nLayers-1]:]))
+	if cap(sc.pathBuf) < nLayers {
+		sc.pathBuf = make([]cfg.NodeID, nLayers*2)
 	}
-	if cap(sc.pathBuf) < len(layers) {
-		sc.pathBuf = make([]cfg.NodeID, len(layers)*2)
-	}
-	path := sc.pathBuf[:len(layers)]
-	idx := int32(best)
-	for li := len(layers) - 1; li >= 0; li-- {
-		e := layers[li][idx]
+	path := sc.pathBuf[:nLayers]
+	for li := nLayers - 1; li >= 0; li-- {
+		e := ents[idx]
 		path[li] = e.node
 		idx = e.parent
 		if idx < 0 && li > 0 {
 			// Re-anchor boundary: earlier layers keep their smallest
 			// state as the witness.
 			for lj := li - 1; lj >= 0; lj-- {
-				path[lj] = layers[lj][smallest(layers[lj])].node
+				path[lj] = ents[bounds[lj]+int32(smallest(ents[bounds[lj]:bounds[lj+1]]))].node
 			}
 			break
 		}
 	}
 	res.Path = path
-	res.Matched = len(layers)
+	res.Matched = nLayers
 	res.Complete = res.Matched == len(toks)
 	return res
 }
@@ -471,13 +461,6 @@ func smallest(l []layerEntry) int {
 		}
 	}
 	return b
-}
-
-func minParent(cur []layerEntry) int {
-	if len(cur) == 0 {
-		return -1
-	}
-	return -1
 }
 
 // EnumerateAndTest is Algorithm 1: try every node of the ICFG as the start

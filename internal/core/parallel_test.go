@@ -77,27 +77,56 @@ func TestMatchFromConcurrent(t *testing.T) {
 }
 
 // TestScratchReuseMatchesFresh drives one scratch through dissimilar
-// queries back to back: the generation-marked seen sets and recycled
-// layer buffers must not leak state between calls.
+// queries back to back: the generation-marked seen sets and the recycled
+// layer arena must not leak state between calls. Two cases pin the arena's
+// walk-back: a located token no state reaches forces a re-anchor, so the
+// layers before it take their smallest state; and a MaxStates cap cuts a
+// layer short after the first.
 func TestScratchReuseMatchesFresh(t *testing.T) {
-	_, m := fig2Matcher(t)
+	p, m := fig2Matcher(t)
+	fun := p.MethodByName("Test.fun")
 	full := fig2ElseTrace()
-	cases := [][]Token{
-		full,
-		{tok(bytecode.ILOAD), tok(bytecode.IADD)}, // rejected after 1
-		full[:4],
-		{tok(bytecode.ILOAD), dtok(bytecode.IFEQ, false), tok(bytecode.ILOAD)},
-		full,
+	cases := []struct {
+		toks      []Token
+		maxStates int     // 0 keeps the matcher's default
+		pcs       []int32 // when set, the witness path's pcs
+	}{
+		{toks: full},
+		{toks: []Token{tok(bytecode.ILOAD), tok(bytecode.IADD)}}, // rejected after 1
+		{toks: full[:4]},
+		{toks: []Token{tok(bytecode.ILOAD), dtok(bytecode.IFEQ, false), tok(bytecode.ILOAD)}},
+		// iconst@3, @8 and @12 all lead elsewhere than ireturn@16.
+		{toks: []Token{tok(bytecode.ILOAD), tok(bytecode.ICONST), {Op: bytecode.IRETURN, Method: fun.ID, PC: 16}},
+			pcs: []int32{0, 3, 16}},
+		// An undirected ifeq fans out to iload@7 and iload@2; the cap keeps
+		// the first (uncapped, the witness would be 0 1 2 3).
+		{toks: []Token{tok(bytecode.ILOAD), tok(bytecode.IFEQ), tok(bytecode.ILOAD), tok(bytecode.ICONST)},
+			maxStates: 1, pcs: []int32{0, 1, 7, 8}},
+		{toks: full},
 	}
 
 	sc := m.NewScratch()
 	for rep := 0; rep < 3; rep++ {
-		for ci, toks := range cases {
-			starts := m.NodesWithOp(toks[0].Op)
-			want := m.MatchFromScratch(m.NewScratch(), starts, toks) // fresh scratch
-			got := m.MatchFromScratch(sc, starts, toks)
+		for ci, c := range cases {
+			m.MaxStates = 4096
+			if c.maxStates > 0 {
+				m.MaxStates = c.maxStates
+			}
+			starts := m.NodesWithOp(c.toks[0].Op)
+			want := m.MatchFromScratch(m.NewScratch(), starts, c.toks) // fresh scratch
+			got := m.MatchFromScratch(sc, starts, c.toks)
+			if c.pcs != nil {
+				var pcs []int32
+				for _, n := range want.Path {
+					_, pc := m.G.Location(n)
+					pcs = append(pcs, pc)
+				}
+				if !reflect.DeepEqual(pcs, c.pcs) {
+					t.Fatalf("case %d: witness pcs %v, want %v", ci, pcs, c.pcs)
+				}
+			}
 			if got.Complete != want.Complete || got.Matched != want.Matched ||
-				!reflect.DeepEqual(got.Path, want.Path) {
+				got.Reanchors != want.Reanchors || !reflect.DeepEqual(got.Path, want.Path) {
 				t.Fatalf("rep %d case %d: reused scratch diverged (got %d/%v, want %d/%v)",
 					rep, ci, got.Matched, got.Complete, want.Matched, want.Complete)
 			}

@@ -73,6 +73,11 @@ type Recoverer struct {
 	cfg   RecoveryConfig
 	flows []*SegmentFlow
 
+	// keys[si] holds flow si's MatchKeys, computed once at construction
+	// (nil for a nil or quarantined flow): every comparison recovery makes
+	// reads these instead of re-deriving keys from tokens.
+	keys [][]uint64
+
 	// anchor index: hash of AnchorLen consecutive MatchKeys -> positions
 	// (the position is the index just past the anchor).
 	index anchorIndex
@@ -86,58 +91,29 @@ type anchorPos struct {
 	pos int32
 }
 
-// anchorIndex is a multi-map from anchor hash to anchor positions. All
-// positions live in one flat preallocated entry array, chained per hash
-// through next indices, with the map holding only a compact head/tail
-// pair per distinct hash — no per-hash slice allocations (those
-// dominated the recovery path's allocations as a map[uint64][]anchorPos)
-// and O(1) insertion even for the highly duplicated hashes repetitive
-// code produces. visit walks a hash's chain in insertion order, which
-// keeps candidate ranking deterministic.
+// anchorIndex is a bucketed multi-map from anchor hash to anchor
+// positions, laid out flat (compressed sparse rows): bucket b, the low
+// bits of the hash, owns pos[start[b]:start[b+1]]. It is built by one
+// counting sort, so each bucket lists its positions in (segment,
+// position) order. A bucket may also hold other hashes' positions; every
+// caller verifies an anchor by suffix compare anyway (hash collisions),
+// which rejects them, so the verified positions are exactly the anchor's,
+// in the same order.
 type anchorIndex struct {
-	chains  map[uint64]anchorChain
-	entries []anchorEntry
+	mask  uint64
+	start []int32 // len = buckets + 1
+	pos   []anchorPos
 }
 
-// anchorChain is one hash's chain: indices of the first and last entry.
-type anchorChain struct {
-	head, tail int32
-}
-
-// anchorEntry is one position plus the index of the next entry with the
-// same hash (-1 terminates the chain).
-type anchorEntry struct {
-	pos  anchorPos
-	next int32
-}
-
-func newAnchorIndex(capacity int) anchorIndex {
-	return anchorIndex{
-		chains:  make(map[uint64]anchorChain, capacity/8+1),
-		entries: make([]anchorEntry, 0, capacity),
-	}
-}
-
-func (ix *anchorIndex) add(h uint64, seg, pos int32) {
-	i := int32(len(ix.entries))
-	ix.entries = append(ix.entries, anchorEntry{pos: anchorPos{seg: seg, pos: pos}, next: -1})
-	if c, ok := ix.chains[h]; ok {
-		ix.entries[c.tail].next = i
-		c.tail = i
-		ix.chains[h] = c
-	} else {
-		ix.chains[h] = anchorChain{head: i, tail: i}
-	}
-}
-
-// visit calls fn for every position recorded under h, insertion order.
+// visit calls fn for every position in h's bucket, (segment, position)
+// order.
 func (ix *anchorIndex) visit(h uint64, fn func(anchorPos)) {
-	c, ok := ix.chains[h]
-	if !ok {
+	if len(ix.start) == 0 {
 		return
 	}
-	for i := c.head; i >= 0; i = ix.entries[i].next {
-		fn(ix.entries[i].pos)
+	b := h & ix.mask
+	for _, ap := range ix.pos[ix.start[b]:ix.start[b+1]] {
+		fn(ap)
 	}
 }
 
@@ -154,19 +130,23 @@ func (ix *anchorIndex) visit(h uint64, fn func(anchorPos)) {
 // recoverer fills none: for either, NewRecoverer builds nothing, so a
 // lossless thread pays nothing for recovery.
 func NewRecoverer(m *Matcher, flows []*SegmentFlow, cfg RecoveryConfig) *Recoverer {
+	r := &Recoverer{m: m, cfg: cfg, flows: flows}
 	if cfg.Disable || len(flows) < 2 {
-		return &Recoverer{m: m, cfg: cfg, flows: flows}
+		return r
 	}
-	// Size the flat index to its exact entry count: one entry per
-	// indexable token position.
-	positions := 0
+	x := cfg.AnchorLen
+	// One key slab for all indexed flows, and the exact anchor count.
+	tokens, positions := 0, 0
 	for _, f := range flows {
-		if f != nil && !f.Quarantined && len(f.Seg.Tokens) >= cfg.AnchorLen {
-			positions += len(f.Seg.Tokens) - cfg.AnchorLen + 1
+		if f != nil && !f.Quarantined {
+			tokens += len(f.Seg.Tokens)
+			if n := len(f.Seg.Tokens); n >= x {
+				positions += n - max(x-1, 0)
+			}
 		}
 	}
-	r := &Recoverer{m: m, cfg: cfg, flows: flows, index: newAnchorIndex(positions)}
-	var tokens uint64
+	slab := make([]uint64, 0, tokens)
+	r.keys = make([][]uint64, len(flows))
 	var activeSpan uint64
 	for si, f := range flows {
 		if f == nil || f.Quarantined {
@@ -176,19 +156,16 @@ func NewRecoverer(m *Matcher, flows []*SegmentFlow, cfg RecoveryConfig) *Recover
 		}
 		f.Seg.ensureAbs() // lazily-built otherwise: a data race under concurrent recovery
 		toks := f.Seg.Tokens
-		tokens += uint64(len(toks))
+		off := len(slab)
+		slab = appendKeys(slab, toks)
+		r.keys[si] = slab[off:len(slab):len(slab)]
 		if n := len(toks); n > 1 && toks[n-1].TSC > toks[0].TSC {
 			// Sum only the spans the thread was actually captured in, so
 			// the rate is not diluted by idle or lost periods.
 			activeSpan += toks[n-1].TSC - toks[0].TSC
 		}
-		if len(toks) < cfg.AnchorLen {
-			continue
-		}
-		for i := max(cfg.AnchorLen-1, 0); i < len(toks); i++ {
-			r.index.add(anchorHash(i, cfg.AnchorLen, toks), int32(si), int32(i+1))
-		}
 	}
+	r.index = buildAnchorIndex(r.keys, x, positions)
 	if activeSpan > 0 && tokens > 0 {
 		r.tokenRate = float64(tokens) / float64(activeSpan)
 	} else {
@@ -197,40 +174,116 @@ func NewRecoverer(m *Matcher, flows []*SegmentFlow, cfg RecoveryConfig) *Recover
 	return r
 }
 
-// anchorHash computes the hash of the window of AnchorLen keys ending at
-// index i. A simple recompute keeps it obviously correct; the window is
-// tiny.
-func anchorHash(i, x int, toks []Token) uint64 {
+// buildAnchorIndex counting-sorts the positions of every x-key anchor in
+// keys (positions in all) by bucket, over a power-of-two bucket count no
+// smaller than positions. Both passes roll each flow's anchor hash along
+// its keys.
+func buildAnchorIndex(keys [][]uint64, x, positions int) anchorIndex {
+	nb := 1
+	for nb < positions {
+		nb <<= 1
+	}
+	ix := anchorIndex{
+		mask:  uint64(nb - 1),
+		start: make([]int32, nb+1),
+		pos:   make([]anchorPos, positions),
+	}
+	first := max(x-1, 0) // the index the first anchor ends at
+	out := uint64(1)     // a key's weight as it leaves the window
+	for range x {
+		out *= anchorPoly
+	}
+	// Count bucket b into start[b+1], then turn the counts into bucket
+	// starts, still one slot up.
+	for _, k := range keys {
+		h := uint64(0)
+		for i := range k {
+			h = rollAnchor(h, k, i, x, out)
+			if i >= first {
+				ix.start[mixAnchor(h)&ix.mask+1]++
+			}
+		}
+	}
+	sum := int32(0)
+	for b := 1; b <= nb; b++ {
+		sum, ix.start[b] = sum+ix.start[b], sum
+	}
+	// Place positions in (segment, position) order, advancing bucket b's
+	// cursor start[b+1] to its end, which is bucket b+1's start.
+	for si, k := range keys {
+		h := uint64(0)
+		for i := range k {
+			h = rollAnchor(h, k, i, x, out)
+			if i >= first {
+				b := mixAnchor(h)&ix.mask + 1
+				ix.pos[ix.start[b]] = anchorPos{seg: int32(si), pos: int32(i + 1)}
+				ix.start[b]++
+			}
+		}
+	}
+	return ix
+}
+
+// appendKeys appends the MatchKey of every token in toks to dst.
+func appendKeys(dst []uint64, toks []Token) []uint64 {
+	for i := range toks {
+		dst = append(dst, toks[i].MatchKey())
+	}
+	return dst
+}
+
+// anchorPoly is the base of the anchor hash: a window's raw hash is the
+// polynomial of its keys, so the index build rolls it along a flow at
+// O(1) per position instead of rehashing every window.
+const anchorPoly = 0x9e3779b97f4a7c15
+
+// anchorHash computes the hash of the window of x keys ending at index i.
+func anchorHash(keys []uint64, i, x int) uint64 {
 	if i+1 < x {
 		return 0
 	}
-	h := uint64(0x9e3779b97f4a7c15)
+	h := uint64(0)
 	for j := i + 1 - x; j <= i; j++ {
-		h ^= toks[j].MatchKey()
-		h *= 0xbf58476d1ce4e5b9
-		h ^= h >> 29
+		h = h*anchorPoly + keys[j]
+	}
+	return mixAnchor(h)
+}
+
+// rollAnchor moves raw window hash h from the window ending at i-1 to the
+// one ending at i; out is anchorPoly^x.
+func rollAnchor(h uint64, keys []uint64, i, x int, out uint64) uint64 {
+	h = h*anchorPoly + keys[i]
+	if i >= x {
+		h -= keys[i-x] * out
 	}
 	return h
 }
 
+// mixAnchor finishes a raw window hash so that its low bits, which pick
+// the bucket, depend on every key.
+func mixAnchor(h uint64) uint64 {
+	h ^= h >> 32
+	h *= 0xbf58476d1ce4e5b9
+	return h ^ h>>29
+}
+
 // suffixKeys compares keys backwards and returns the common-suffix length.
 // a ends at ai (exclusive), b ends at bi (exclusive).
-func suffixKeys(a []Token, ai int, b []Token, bi int) int {
+func suffixKeys(a []uint64, ai int, b []uint64, bi int) int {
 	n := 0
-	for ai-n > 0 && bi-n > 0 && a[ai-n-1].MatchKey() == b[bi-n-1].MatchKey() {
+	for ai-n > 0 && bi-n > 0 && a[ai-n-1] == b[bi-n-1] {
 		n++
 	}
 	return n
 }
 
-// suffixAbs compares tier-l abstracted sequences backwards. ia/ib are the
-// exclusive abstract end positions.
-func suffixAbs(sa *Segment, ia int32, sb *Segment, ib int32, l int) int {
+// suffixAbs compares tier-l abstracted sequences backwards: ka/kb are
+// the segments' keys, ia/ib the exclusive abstract end positions.
+func suffixAbs(sa *Segment, ka []uint64, ia int32, sb *Segment, kb []uint64, ib int32, l int) int {
 	aa := sa.Abstraction(l)
 	ab := sb.Abstraction(l)
 	n := int32(0)
-	for ia-n > 0 && ib-n > 0 &&
-		sa.Tokens[aa[ia-n-1]].MatchKey() == sb.Tokens[ab[ib-n-1]].MatchKey() {
+	for ia-n > 0 && ib-n > 0 && ka[aa[ia-n-1]] == kb[ab[ib-n-1]] {
 		n++
 	}
 	return int(n)
@@ -251,12 +304,12 @@ func (r *Recoverer) searchCS(isIdx int) ([]candidate, int, int) {
 	if f := r.flows[isIdx]; f == nil || f.Quarantined {
 		return nil, 0, 0 // no trustworthy anchor to search from
 	}
-	is := r.flows[isIdx].Seg
-	n := len(is.Tokens)
+	is, isK := r.flows[isIdx].Seg, r.keys[isIdx]
+	n := len(isK)
 	if n < r.cfg.AnchorLen {
 		return nil, 0, 0
 	}
-	h := anchorHash(n-1, r.cfg.AnchorLen, is.Tokens)
+	h := anchorHash(isK, n-1, r.cfg.AnchorLen)
 	var cands []candidate
 	tried, pruned := 0, 0
 	m1, m2, m3 := 0, 0, 0
@@ -264,26 +317,26 @@ func (r *Recoverer) searchCS(isIdx int) ([]candidate, int, int) {
 		if int(ap.seg) == isIdx && int(ap.pos) == n {
 			return // the IS's own tail
 		}
-		cs := r.flows[ap.seg].Seg
-		// Verify the anchor (hash collisions).
-		if suffixKeys(is.Tokens, n, cs.Tokens, int(ap.pos)) < r.cfg.AnchorLen {
+		cs, csK := r.flows[ap.seg].Seg, r.keys[ap.seg]
+		// Tier 3 (concrete), which also verifies the anchor: the bucket
+		// holds other anchors' positions too.
+		ml3 := suffixKeys(isK, n, csK, int(ap.pos))
+		if ml3 < r.cfg.AnchorLen {
 			return
 		}
 		tried++
 		// Tier 1 (call structure).
-		ml1 := suffixAbs(is, is.AbsPrefix(1, n), cs, cs.AbsPrefix(1, int(ap.pos)), 1)
+		ml1 := suffixAbs(is, isK, is.AbsPrefix(1, n), cs, csK, cs.AbsPrefix(1, int(ap.pos)), 1)
 		if ml1 < m1 {
 			pruned++
 			return
 		}
 		// Tier 2 (control structure).
-		ml2 := suffixAbs(is, is.AbsPrefix(2, n), cs, cs.AbsPrefix(2, int(ap.pos)), 2)
+		ml2 := suffixAbs(is, isK, is.AbsPrefix(2, n), cs, csK, cs.AbsPrefix(2, int(ap.pos)), 2)
 		if ml2 < m2 {
 			pruned++
 			return
 		}
-		// Tier 3 (concrete).
-		ml3 := suffixKeys(is.Tokens, n, cs.Tokens, int(ap.pos))
 		c := candidate{seg: ap.seg, pos: ap.pos, ml1: ml1, ml2: ml2, ml3: ml3}
 		cands = append(cands, c)
 		if ml3 >= m3 {
@@ -318,34 +371,26 @@ func (r *Recoverer) searchCSNaive(isIdx int) (candidate, bool) {
 	if f := r.flows[isIdx]; f == nil || f.Quarantined {
 		return candidate{}, false
 	}
-	is := r.flows[isIdx].Seg
-	n := len(is.Tokens)
+	isK := r.keys[isIdx]
+	n := len(isK)
 	if n < r.cfg.AnchorLen {
 		return candidate{}, false
 	}
-	anchor := is.Tokens[n-r.cfg.AnchorLen:]
+	anchor := isK[n-r.cfg.AnchorLen:]
 	best := candidate{ml3: -1}
 	found := false
-	for si, f := range r.flows {
-		if f == nil || f.Quarantined {
-			continue
+	for si, keys := range r.keys {
+		if keys == nil {
+			continue // nil or quarantined
 		}
-		toks := f.Seg.Tokens
-		for p := r.cfg.AnchorLen; p <= len(toks); p++ {
+		for p := r.cfg.AnchorLen; p <= len(keys); p++ {
 			if si == isIdx && p == n {
 				continue
 			}
-			ok := true
-			for j := 0; j < r.cfg.AnchorLen; j++ {
-				if toks[p-r.cfg.AnchorLen+j].MatchKey() != anchor[j].MatchKey() {
-					ok = false
-					break
-				}
-			}
-			if !ok {
+			if !sameKeys(keys[p-r.cfg.AnchorLen:p], anchor) {
 				continue
 			}
-			ml3 := suffixKeys(is.Tokens, n, toks, p)
+			ml3 := suffixKeys(isK, n, keys, p)
 			if ml3 > best.ml3 {
 				best = candidate{seg: int32(si), pos: int32(p), ml3: ml3}
 				found = true
@@ -412,10 +457,9 @@ func (r *Recoverer) RecoverHole(isIdx int) Fill {
 
 	cands, tried, pruned := r.searchCS(isIdx)
 	fill := Fill{CandidatesTried: tried, TierPrunes: pruned}
-	post := nextFlow.Seg.Tokens
-	if nextFlow.Quarantined {
-		post = nil // untrusted tokens cannot confirm a splice
-	}
+	// A quarantined flow has no keys: untrusted tokens cannot confirm a
+	// splice.
+	post := r.keys[isIdx+1]
 	// Candidates are scored by plan alone; only the kept one's steps are
 	// built.
 	var bestPartial fillPlan
@@ -476,28 +520,29 @@ type fillPlan struct {
 // c; when the CS runs out before the hole is covered, it re-anchors from
 // the splice's own tail and continues from the next best matching position
 // (holes can be longer than any single complete segment).
-func (r *Recoverer) chainFill(c *candidate, kMin, budget int, post []Token) fillPlan {
+func (r *Recoverer) chainFill(c *candidate, kMin, budget int, post []uint64) fillPlan {
 	var p fillPlan
 	y := min(r.cfg.ConfirmLen, len(post))
 	if y == 0 {
 		return p
 	}
-	var buf [chainWindow]Token
+	post = post[:y]
+	var buf [chainWindow]uint64
 	window := buf[:]
 	if r.cfg.AnchorLen > chainWindow {
-		window = make([]Token, r.cfg.AnchorLen) // the anchor itself must fit
+		window = make([]uint64, r.cfg.AnchorLen) // the anchor itself must fit
 	}
 	consumed := 0
 	seg, pos := c.seg, int(c.pos)
 	for {
 		csFlow := r.flows[seg]
-		cst := csFlow.Seg.Tokens
+		cst := r.keys[seg]
 		i, done := pos, false
 		for ; i < len(cst); i++ {
 			// Does the continuation here line up with the post-hole
 			// tokens (and have we consumed enough of the budget for the
 			// hole's duration)?
-			if consumed >= kMin && i+y <= len(cst) && sameKeys(cst[i:i+y], post[:y]) {
+			if consumed >= kMin && i+y <= len(cst) && sameKeys(cst[i:i+y], post) {
 				p.connected, done = true, true
 				break
 			}
@@ -523,22 +568,22 @@ func (r *Recoverer) chainFill(c *candidate, kMin, budget int, post []Token) fill
 	}
 }
 
-func sameKeys(a, b []Token) bool {
+func sameKeys(a, b []uint64) bool {
 	for j := range a {
-		if a[j].MatchKey() != b[j].MatchKey() {
+		if a[j] != b[j] {
 			return false
 		}
 	}
 	return true
 }
 
-// spliceTail copies the last len(buf) tokens of p's splice (all of them
-// when the splice is shorter) into buf and returns them.
-func (r *Recoverer) spliceTail(p *fillPlan, buf []Token) []Token {
+// spliceTail copies the keys of the last len(buf) tokens of p's splice
+// (all of them when the splice is shorter) into buf and returns them.
+func (r *Recoverer) spliceTail(p *fillPlan, buf []uint64) []uint64 {
 	k := len(buf)
 	for h := p.nhops - 1; h >= 0 && k > 0; h-- {
 		hop := p.hops[h]
-		src := r.flows[hop.seg].Seg.Tokens[hop.from:hop.to]
+		src := r.keys[hop.seg][hop.from:hop.to]
 		n := min(k, len(src))
 		k -= n
 		copy(buf[k:], src[len(src)-n:])
@@ -566,28 +611,28 @@ func (r *Recoverer) planSteps(p *fillPlan, gap *GapInfo) []Step {
 }
 
 // continueFrom locates the position whose context best matches the tail of
-// the splice so far (the chained re-anchor). Matches count up to
-// chainWindow tokens, so tail need hold no more than that, or than the
-// anchor when it is longer.
-func (r *Recoverer) continueFrom(tail []Token) (anchorPos, bool) {
+// the splice so far (the chained re-anchor), given the tail's keys.
+// Matches count up to chainWindow tokens, so tail need hold no more than
+// that, or than the anchor when it is longer.
+func (r *Recoverer) continueFrom(tail []uint64) (anchorPos, bool) {
 	x := r.cfg.AnchorLen
 	if len(tail) < x {
 		return anchorPos{}, false
 	}
-	h := anchorHash(len(tail)-1, x, tail)
+	h := anchorHash(tail, len(tail)-1, x)
 	var best anchorPos
 	bestLen := -1
 	r.index.visit(h, func(ap anchorPos) {
-		cs := r.flows[ap.seg].Seg
-		n := suffixKeys(tail, len(tail), cs.Tokens, int(ap.pos))
+		csK := r.keys[ap.seg]
+		n := suffixKeys(tail, len(tail), csK, int(ap.pos))
 		if n < x {
-			return // hash collision
+			return // another anchor sharing the bucket
 		}
 		if n > chainWindow {
 			n = chainWindow
 		}
 		// Prefer positions with actual continuation left.
-		if int(ap.pos) >= len(cs.Tokens) {
+		if int(ap.pos) >= len(csK) {
 			return
 		}
 		if n > bestLen {

@@ -158,8 +158,8 @@ func TestRecovererNoBoundaryBuildsNothing(t *testing.T) {
 			flows = append(flows, mkFlow(m, repTrace(3, uint64(10_000*i)), nil))
 		}
 		r := NewRecoverer(m, flows, tc.cfg)
-		if n := len(r.index.entries); n != 0 {
-			t.Errorf("%s: %d anchor index entries, want 0", tc.name, n)
+		if n := len(r.index.pos); n != 0 || r.keys != nil {
+			t.Errorf("%s: %d anchor index entries, keys %v; want none", tc.name, n, r.keys != nil)
 		}
 		for i, f := range flows {
 			if f.Seg.absIdx1 != nil {

@@ -91,12 +91,13 @@ func TestSuffixLemma53(t *testing.T) {
 		s0 := &Segment{Tokens: ta}
 		s1 := &Segment{Tokens: tb}
 		s2 := &Segment{Tokens: tc}
+		k0, k1, k2 := appendKeys(nil, ta), appendKeys(nil, tb), appendKeys(nil, tc)
 		// Concrete common suffixes.
-		c1 := suffixKeys(s0.Tokens, len(ta), s1.Tokens, len(tb))
-		c2 := suffixKeys(s0.Tokens, len(ta), s2.Tokens, len(tc))
+		c1 := suffixKeys(k0, len(ta), k1, len(tb))
+		c2 := suffixKeys(k0, len(ta), k2, len(tc))
 		// Abstract common suffixes (tier 2).
-		a1 := suffixAbs(s0, s0.AbsPrefix(2, len(ta)), s1, s1.AbsPrefix(2, len(tb)), 2)
-		a2 := suffixAbs(s0, s0.AbsPrefix(2, len(ta)), s2, s2.AbsPrefix(2, len(tc)), 2)
+		a1 := suffixAbs(s0, k0, s0.AbsPrefix(2, len(ta)), s1, k1, s1.AbsPrefix(2, len(tb)), 2)
+		a2 := suffixAbs(s0, k0, s0.AbsPrefix(2, len(ta)), s2, k2, s2.AbsPrefix(2, len(tc)), 2)
 		// Lemma 5.4: abstract suffix >= abstraction of concrete suffix.
 		absOfC1 := countControl(ta[len(ta)-c1:])
 		if a1 < absOfC1 {

@@ -30,6 +30,9 @@ import (
 // RecovererNoBoundary bounds are the same band over 68 and 1 allocs/op,
 // measured once chainFill planned its hops and NewRecoverer skipped
 // threads without a boundary; before, they measured 146 and 6 (go1.24,
+// linux/amd64). The MatchFreshScratch bound is the same band over 6
+// allocs/op, measured once the NFA layers shared one arena sized for the
+// token run; with one slice per layer it measured 4522 (go1.24,
 // linux/amd64).
 const (
 	maxAllocsMatchFromScratch    = 1
@@ -39,6 +42,7 @@ const (
 	maxAllocsCollect             = 81
 	maxAllocsRecover             = 82
 	maxAllocsRecovererNoBoundary = 2
+	maxAllocsMatchFreshScratch   = 8
 )
 
 func TestKernelAllocs(t *testing.T) {
@@ -60,6 +64,14 @@ func TestKernelAllocs(t *testing.T) {
 	sc := m.NewScratch()
 	check("MatchFromScratch", maxAllocsMatchFromScratch, 100, func() {
 		if r := m.MatchFromScratch(sc, starts, toks); !r.Complete {
+			t.Fatalf("rejected at %d of %d", r.Matched, len(toks))
+		}
+	})
+
+	// MatchFreshScratch: the same match on a new scratch per op, as a
+	// worker's first segment of a thread sees it.
+	check("MatchFreshScratch", maxAllocsMatchFreshScratch, 20, func() {
+		if r := m.MatchFromScratch(m.NewScratch(), starts, toks); !r.Complete {
 			t.Fatalf("rejected at %d of %d", r.Matched, len(toks))
 		}
 	})
