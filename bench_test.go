@@ -249,27 +249,23 @@ func recoverySegments(tb testing.TB) (*core.Matcher, []*core.SegmentFlow) {
 	tb.Helper()
 	prog := bytecode.MustAssemble(ablationSrc)
 	m := core.NewMatcher(cfg.BuildICFG(prog, cfg.DefaultOptions()))
-	mkRep := func(n int, start uint64) []core.Token {
-		base := ablationTrace()
-		var out []core.Token
-		ts := start
+	// mkRep stamps one token every 10 cycles from start.
+	mkRep := func(n int, start uint64) *core.Segment {
+		seg := new(core.Segment)
 		for i := 0; i < n; i++ {
-			for _, tk := range base {
-				tk.TSC = ts
-				ts += 10
-				out = append(out, tk)
+			for _, tk := range ablationTrace() {
+				seg.Clock = append(seg.Clock, core.TSCMark{At: int32(len(seg.Tokens)), TSC: start + 10*uint64(len(seg.Tokens))})
+				seg.Tokens = append(seg.Tokens, tk)
 			}
 		}
-		return out
+		return seg
 	}
 	sc := m.NewScratch()
 	var flows []*core.SegmentFlow
-	flows = append(flows, m.ReconstructSegmentScratch(sc, &core.Segment{Tokens: mkRep(20, 0)}))
+	flows = append(flows, m.ReconstructSegmentScratch(sc, mkRep(20, 0)))
 	for i := 0; i < 6; i++ {
-		seg := &core.Segment{
-			Tokens:    mkRep(40, uint64(100_000*(i+1))),
-			GapBefore: &core.GapInfo{Start: uint64(100_000*(i+1)) - 500, End: uint64(100_000 * (i + 1)), LostBytes: 400},
-		}
+		seg := mkRep(40, uint64(100_000*(i+1)))
+		seg.GapBefore = &core.GapInfo{Start: uint64(100_000*(i+1)) - 500, End: uint64(100_000 * (i + 1)), LostBytes: 400}
 		flows = append(flows, m.ReconstructSegmentScratch(sc, seg))
 	}
 	return m, flows

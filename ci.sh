@@ -4,7 +4,8 @@
 #   ./ci.sh          vet + gofmt + build + full tests (the allocs/op guard,
 #                    TestKernelAllocs, included) + race-detector pass over
 #                    the concurrent packages (core, trace, conc, pt, source,
-#                    etrace, ingest, fleet) and the root streaming tests +
+#                    etrace, ingest, fleet) and the root streaming and
+#                    kill-and-resume tests +
 #                    end-to-end smokes (PT, lossy PT and E-Trace) + a
 #                    vet/test pass over the benchmark/ module, which
 #                    builds against the root package
@@ -34,8 +35,10 @@ go test ./...
 echo "==> go test -race (concurrent packages)"
 go test -race ./internal/core/... ./internal/trace/... ./internal/conc/... ./internal/pt/... ./internal/source/... ./internal/etrace/...
 
-echo "==> go test -race (root streaming tests)"
-go test -race -run 'TestStream|TestAnalyzeStreamed|TestSession|TestAnalyzeDeterministicAcrossWorkers|TestDeadline' .
+echo "==> go test -race (root streaming tests + kill-and-resume)"
+# TestKillAndResume restores checkpointed tokenizer state (tokens and
+# their clock, adopted into the arenas) under the concurrent Session.
+go test -race -run 'TestStream|TestAnalyzeStreamed|TestSession|TestAnalyzeDeterministicAcrossWorkers|TestDeadline|TestKillAndResume' .
 
 echo "==> go test -race (ingest service + fleet + netfault + iofault + scrub)"
 go test -race ./internal/ingest/... ./internal/fleet/... ./internal/netfault/... ./internal/iofault/... ./internal/scrub/...

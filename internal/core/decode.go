@@ -92,6 +92,10 @@ type tokenizer struct {
 	// as a live capped view slab[segStart:len(slab):len(slab)].
 	slab     []Token
 	segStart int
+	// marks is the clock arena beside the token slab, run the same way:
+	// cur.Clock is the live capped view marks[markStart:len(marks)].
+	marks     []TSCMark
+	markStart int
 	// curLocated counts located tokens in the open segment (maintained
 	// by appendTok so flush doesn't rescan the segment).
 	curLocated int
@@ -101,10 +105,12 @@ type tokenizer struct {
 	segSlab []Segment
 }
 
-// tokenSlabSize is the token-arena block size (≈128KB of tokens) and
-// segSlabSize the header-arena block size.
+// tokenSlabSize is the smallest token-arena block (48KB of 12-byte
+// tokens), markSlabSize the smallest clock-arena block and segSlabSize
+// the header-arena block size.
 const (
 	tokenSlabSize = 4096
+	markSlabSize  = 256
 	segSlabSize   = 128
 )
 
@@ -123,22 +129,20 @@ func (t *tokenizer) newSeg() *Segment {
 	return &t.segSlab[len(t.segSlab)-1]
 }
 
-// growSlab starts a new token slab holding the open segment's tokens
-// plus room for at least need more, leaving flushed segments aliased to
-// the retired slab.
-func (t *tokenizer) growSlab(need int) {
-	open := len(t.slab) - t.segStart
-	size := tokenSlabSize
+// refill starts a new arena block holding the open span buf[start:]
+// plus room for at least need more: minSize elements, doubled until it
+// is at least twice the open span plus need, so a long open segment is
+// copied O(log n) times. Spans flushed before start keep aliasing the
+// retired block.
+func refill[T any](buf []T, start, need, minSize int) []T {
+	open := len(buf) - start
+	size := minSize
 	for size < (open+need)*2 {
 		size *= 2
 	}
-	ns := make([]Token, open, size)
-	copy(ns, t.slab[t.segStart:])
-	t.slab = ns
-	t.segStart = 0
-	if open > 0 {
-		t.cur.Tokens = t.slab[0:open:open]
-	}
+	nb := make([]T, open, size)
+	copy(nb, buf[start:])
+	return nb
 }
 
 func (t *tokenizer) flush(gapAfter *GapInfo) {
@@ -159,17 +163,29 @@ func (t *tokenizer) flush(gapAfter *GapInfo) {
 		gapAfter.Desync = gapAfter.Desync && t.pendingGap.Desync
 	}
 	t.segStart = len(t.slab)
+	t.markStart = len(t.marks)
 	t.curLocated = 0
 	t.pendingGap = gapAfter
 }
 
+// appendTok appends tok to the open segment, stamped with the current
+// TSC: a clock mark is appended only when the TSC differs from the open
+// segment's last mark.
 func (t *tokenizer) appendTok(tok Token) {
-	tok.TSC = t.tsc
 	if tok.Method != bytecode.NoMethod {
 		t.curLocated++
 	}
+	if c := t.cur.Clock; len(c) == 0 || c[len(c)-1].TSC != t.tsc {
+		if len(t.marks) == cap(t.marks) {
+			t.marks = refill(t.marks, t.markStart, 1, markSlabSize)
+			t.markStart = 0
+		}
+		t.marks = append(t.marks, TSCMark{At: int32(len(t.cur.Tokens)), TSC: t.tsc})
+		t.cur.Clock = t.marks[t.markStart:len(t.marks):len(t.marks)]
+	}
 	if len(t.slab) == cap(t.slab) {
-		t.growSlab(1)
+		t.slab = refill(t.slab, t.segStart, 1, tokenSlabSize)
+		t.segStart = 0
 	}
 	t.slab = append(t.slab, tok)
 	t.cur.Tokens = t.slab[t.segStart:len(t.slab):len(t.slab)]

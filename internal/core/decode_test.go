@@ -51,8 +51,11 @@ func TestTokenizeEvents(t *testing.T) {
 	if len(s0) != 2 || s0[0].Op != bytecode.ILOAD || !s0[1].HasDir || !s0[1].Taken {
 		t.Errorf("seg0: %v", s0)
 	}
-	if s0[0].TSC != 100 {
-		t.Errorf("seg0 tsc: %d", s0[0].TSC)
+	// One clock mark per segment: the TSC changes only at the gap.
+	for i, want := range []uint64{100, 400, 400} {
+		if c := segs[i].Clock; len(c) != 1 || c[0] != (TSCMark{At: 0, TSC: want}) {
+			t.Errorf("seg%d clock: %v, want [{0 %d}]", i, c, want)
+		}
 	}
 	// Segment 1: the JIT range collapsed to 2 located tokens; gap before.
 	s1 := segs[1]

@@ -63,12 +63,13 @@ func (f *SegmentFlow) Steps() []Step {
 // AppendSteps appends the segment's steps (matched tokens only) to dst —
 // the allocation-free form of Steps for callers assembling a profile.
 func (f *SegmentFlow) AppendSteps(dst []Step) []Step {
+	clock := f.Seg.clockWalk()
 	for i, n := range f.Nodes {
 		if n == cfg.NoNode {
 			continue
 		}
 		mid, pc := f.g.Location(n)
-		dst = append(dst, Step{Method: mid, PC: pc, TSC: f.Seg.Tokens[i].TSC})
+		dst = append(dst, Step{Method: mid, PC: pc, TSC: clock.tscAt(i)})
 	}
 	return dst
 }

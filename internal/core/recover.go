@@ -159,10 +159,10 @@ func NewRecoverer(m *Matcher, flows []*SegmentFlow, cfg RecoveryConfig) *Recover
 		off := len(slab)
 		slab = appendKeys(slab, toks)
 		r.keys[si] = slab[off:len(slab):len(slab)]
-		if n := len(toks); n > 1 && toks[n-1].TSC > toks[0].TSC {
+		if first, last := f.Seg.tscSpan(); len(toks) > 1 && last > first {
 			// Sum only the spans the thread was actually captured in, so
 			// the rate is not diluted by idle or lost periods.
-			activeSpan += toks[n-1].TSC - toks[0].TSC
+			activeSpan += last - first
 		}
 	}
 	r.index = buildAnchorIndex(r.keys, x, positions)

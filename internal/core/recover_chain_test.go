@@ -27,17 +27,12 @@ func fig2Iter(elseArm, ret0 bool) []Token {
 
 // iterSeq concatenates iterations, stamping one token every 10 cycles
 // from start.
-func iterSeq(start uint64, iters ...[]Token) []Token {
+func iterSeq(start uint64, iters ...[]Token) *Segment {
 	var out []Token
-	ts := start
 	for _, it := range iters {
-		for _, tk := range it {
-			tk.TSC = ts
-			ts += 10
-			out = append(out, tk)
-		}
+		out = append(out, it...)
 	}
-	return out
+	return stampEvery(out, start, 10)
 }
 
 func stepsHash(steps []Step) uint64 {

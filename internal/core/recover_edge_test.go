@@ -82,7 +82,8 @@ func TestRecoverAllCandidatesQuarantined(t *testing.T) {
 	post := mkFlow(m, repTrace(3, uint64(3*iter*10)+gapDur), &GapInfo{
 		Start: uint64(3 * iter * 10), End: uint64(3*iter*10) + gapDur, LostBytes: 300,
 	})
-	qseg := &Segment{Tokens: repTrace(12, 100_000), GapBefore: &GapInfo{Desync: true}}
+	qseg := repTrace(12, 100_000)
+	qseg.GapBefore = &GapInfo{Desync: true}
 	q := quarantinedFlow(qseg, m.G)
 
 	withQ := NewRecoverer(m, []*SegmentFlow{pre, post, q}, DefaultRecoveryConfig()).RecoverHole(0)

@@ -8,26 +8,31 @@ import (
 	"jportal/internal/cfg"
 )
 
-// mkSeg builds a segment from tokens and reconstructs it.
-func mkFlow(m *Matcher, toks []Token, gap *GapInfo) *SegmentFlow {
-	seg := &Segment{Tokens: toks, GapBefore: gap}
+// mkFlow reconstructs seg behind gap.
+func mkFlow(m *Matcher, seg *Segment, gap *GapInfo) *SegmentFlow {
+	seg.GapBefore = gap
 	return m.ReconstructSegmentScratch(m.NewScratch(), seg)
 }
 
-// loopTrace produces n iterations of the fun@15..18-ish control loop using
-// the fig2 program's else-path body as repetitive content, each iteration
-// stamped with increasing timestamps.
-func repTrace(n int, startTSC uint64) []Token {
-	var out []Token
-	ts := startTSC
-	for i := 0; i < n; i++ {
-		for _, tk := range fig2ElseTrace() {
-			tk.TSC = ts
-			ts += 10
-			out = append(out, tk)
-		}
+// stampEvery builds a segment from toks whose clock stamps token i with
+// start + i*every: one mark per token.
+func stampEvery(toks []Token, start, every uint64) *Segment {
+	seg := &Segment{Tokens: toks, Clock: make([]TSCMark, len(toks))}
+	for i := range toks {
+		seg.Clock[i] = TSCMark{At: int32(i), TSC: start + uint64(i)*every}
 	}
-	return out
+	return seg
+}
+
+// repTrace produces n iterations of the fun@15..18-ish control loop using
+// the fig2 program's else-path body as repetitive content, one token
+// every 10 cycles from startTSC.
+func repTrace(n int, startTSC uint64) *Segment {
+	var out []Token
+	for i := 0; i < n; i++ {
+		out = append(out, fig2ElseTrace()...)
+	}
+	return stampEvery(out, startTSC, 10)
 }
 
 func TestTierAbstractions(t *testing.T) {
@@ -205,14 +210,14 @@ func TestFallbackWalkConnects(t *testing.T) {
 	fun := p.MethodByName("Test.fun")
 	// IS ends at fun@1 (ifeq); next segment starts at fun@15 (iload of
 	// the join). No CS material exists, so the ICFG walk must connect.
-	pre := mkFlow(m, []Token{
+	pre := mkFlow(m, &Segment{Tokens: []Token{
 		{Op: bytecode.ILOAD, Method: fun.ID, PC: 0},
 		{Op: bytecode.IFEQ, Method: fun.ID, PC: 1, HasDir: true, Taken: false},
-	}, nil)
-	post := mkFlow(m, []Token{
+	}}, nil)
+	post := mkFlow(m, &Segment{Tokens: []Token{
 		{Op: bytecode.ILOAD, Method: fun.ID, PC: 11},
 		{Op: bytecode.ICONST, Method: fun.ID, PC: 12},
-	}, &GapInfo{Start: 100, End: 200, LostBytes: 40})
+	}}, &GapInfo{Start: 100, End: 200, LostBytes: 40})
 	r := NewRecoverer(m, []*SegmentFlow{pre, post}, DefaultRecoveryConfig())
 	fill := r.RecoverHole(0)
 	if fill.Method != FillWalk {

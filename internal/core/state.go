@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"jportal/internal/source"
@@ -33,6 +34,7 @@ func (t *tokenizer) exportState() TokenizerState {
 	if len(t.cur.Tokens) > 0 || t.cur.GapBefore != nil {
 		st.Cur = &Segment{
 			Tokens:    append([]Token(nil), t.cur.Tokens...),
+			Clock:     append([]TSCMark(nil), t.cur.Clock...),
 			GapBefore: t.cur.GapBefore,
 		}
 	}
@@ -49,18 +51,21 @@ func (t *tokenizer) exportState() TokenizerState {
 func (t *tokenizer) restoreState(st TokenizerState) {
 	t.st = st.Stats
 	t.segs = nil
-	// Adopt the checkpointed open segment into the token arena: the
-	// restored tokens are copied to the head of a fresh open span so the
-	// appendTok slab invariant (cur.Tokens == slab[segStart:len(slab)])
-	// holds again.
+	// Adopt the checkpointed open segment into the token and clock
+	// arenas: the restored tokens and marks are copied to the head of
+	// fresh open spans so the appendTok invariants (cur.Tokens ==
+	// slab[segStart:len(slab)], cur.Clock == marks[markStart:len(marks)])
+	// hold again.
 	t.segStart = len(t.slab)
+	t.markStart = len(t.marks)
 	t.cur = t.newSeg()
 	t.curLocated = 0
 	if st.Cur != nil {
 		t.cur.GapBefore = st.Cur.GapBefore
 		if n := len(st.Cur.Tokens); n > 0 {
 			if len(t.slab)+n > cap(t.slab) {
-				t.growSlab(n)
+				t.slab = refill(t.slab, t.segStart, n, tokenSlabSize)
+				t.segStart = 0
 			}
 			t.slab = append(t.slab, st.Cur.Tokens...)
 			t.cur.Tokens = t.slab[t.segStart:len(t.slab):len(t.slab)]
@@ -69,6 +74,14 @@ func (t *tokenizer) restoreState(st TokenizerState) {
 					t.curLocated++
 				}
 			}
+		}
+		if n := len(st.Cur.Clock); n > 0 {
+			if len(t.marks)+n > cap(t.marks) {
+				t.marks = refill(t.marks, t.markStart, n, markSlabSize)
+				t.markStart = 0
+			}
+			t.marks = append(t.marks, st.Cur.Clock...)
+			t.cur.Clock = t.marks[t.markStart:len(t.marks):len(t.marks)]
 		}
 	}
 	t.pendingGap = st.PendingGap
@@ -96,6 +109,23 @@ type ThreadAnalyzerState struct {
 	CarriedFaults   int
 	CarriedSkipPkts int
 	CarriedSkipByte uint64
+}
+
+// CheckClocks validates the clocks of the open segment and of every
+// pending segment (Segment.checkClock). A state whose segments have
+// tokens but no usable clock would resume with wrong timestamps.
+func (st *ThreadAnalyzerState) CheckClocks() error {
+	if st.Tokenizer.Cur != nil {
+		if err := st.Tokenizer.Cur.checkClock(); err != nil {
+			return fmt.Errorf("open segment: %w", err)
+		}
+	}
+	for i, seg := range st.Pend {
+		if err := seg.checkClock(); err != nil {
+			return fmt.Errorf("pending segment %d: %w", i, err)
+		}
+	}
+	return nil
 }
 
 // ExportState snapshots the analyzer for a checkpoint. It panics after

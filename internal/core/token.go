@@ -18,18 +18,17 @@ import (
 // interpreted execution carry only the opcode (plus the branch direction
 // for conditionals) — *which* program instruction executed is exactly what
 // reconstruction must determine. Tokens decoded from JITed code carry their
-// precise location from the debug metadata.
+// precise location from the debug metadata. A token's timestamp is not
+// stored in it but in its segment's Clock.
 type Token struct {
-	Op bytecode.Opcode
-	// HasDir/Taken give the conditional-branch outcome.
-	HasDir bool
-	Taken  bool
 	// Method/PC locate the instruction when known (JIT debug info);
 	// Method is bytecode.NoMethod for interpreter tokens.
 	Method bytecode.MethodID
 	PC     int32
-	// TSC is the best-effort timestamp.
-	TSC uint64
+	Op     bytecode.Opcode
+	// HasDir/Taken give the conditional-branch outcome.
+	HasDir bool
+	Taken  bool
 	// Approx marks tokens from approximate debug records.
 	Approx bool
 }
@@ -99,10 +98,24 @@ func (g *GapInfo) Duration() uint64 {
 	return 0
 }
 
+// TSCMark is one entry of a segment's run-length clock: the tokens from
+// index At up to the next mark's At (or the segment's end) carry TSC.
+type TSCMark struct {
+	At  int32
+	TSC uint64
+}
+
 // Segment is a maximal run of decoded tokens with no internal data loss
 // (the paper's ω, §4). GapBefore is nil only for a thread's first segment.
 type Segment struct {
-	Tokens    []Token
+	Tokens []Token
+	// Clock holds the tokens' best-effort timestamps, run-length encoded:
+	// PT timestamps arrive as sparse timing packets, so a run of hundreds
+	// or thousands of tokens shares one TSC. The tokenizer writes it in
+	// canonical form — first At 0, At strictly increasing, adjacent TSCs
+	// different — and checkClock validates what a checkpoint restores. A
+	// nil clock reads as TSC 0 for every token.
+	Clock     []TSCMark
 	GapBefore *GapInfo
 
 	// abs1/abs2 are the tier-1/tier-2 abstractions: indices into Tokens
@@ -112,6 +125,53 @@ type Segment struct {
 	// tier-1/tier-2 tokens occur strictly before it (prefix counts used
 	// by suffix comparisons at higher tiers).
 	absIdx1, absIdx2 []int32
+}
+
+// checkClock reports whether the segment's clock covers its tokens: a
+// segment with tokens needs a clock whose first mark is at 0, whose At
+// values strictly increase, and whose every At indexes a token.
+func (s *Segment) checkClock() error {
+	n := len(s.Tokens)
+	if n == 0 {
+		return nil
+	}
+	if len(s.Clock) == 0 || s.Clock[0].At != 0 {
+		return fmt.Errorf("core: %d tokens, clock does not start at token 0", n)
+	}
+	for k := 1; k < len(s.Clock); k++ {
+		if at := s.Clock[k].At; at <= s.Clock[k-1].At || int(at) >= n {
+			return fmt.Errorf("core: clock mark %d at %d (previous %d, %d tokens)", k, at, s.Clock[k-1].At, n)
+		}
+	}
+	return nil
+}
+
+// tscSpan returns the timestamps of the segment's first and last tokens.
+func (s *Segment) tscSpan() (first, last uint64) {
+	if c := s.Clock; len(c) > 0 {
+		return c[0].TSC, c[len(c)-1].TSC
+	}
+	return 0, 0
+}
+
+// clockWalk reads a segment's clock in token order.
+type clockWalk struct {
+	clock []TSCMark
+	next  int
+	tsc   uint64
+}
+
+// clockWalk starts a walk of the segment's clock at token 0.
+func (s *Segment) clockWalk() clockWalk { return clockWalk{clock: s.Clock} }
+
+// tscAt returns the timestamp of token i. Successive calls must not
+// decrease i; they may skip tokens.
+func (w *clockWalk) tscAt(i int) uint64 {
+	for w.next < len(w.clock) && int(w.clock[w.next].At) <= i {
+		w.tsc = w.clock[w.next].TSC
+		w.next++
+	}
+	return w.tsc
 }
 
 // Abstraction returns the indices of tokens surviving tier-l abstraction
@@ -140,24 +200,37 @@ func (s *Segment) AbsPrefix(l int, i int) int32 {
 	panic("core: AbsPrefix tier must be 1 or 2")
 }
 
+// ensureAbs fills the tier caches: one pass counts the prefix arrays,
+// which then size abs1/abs2 exactly.
 func (s *Segment) ensureAbs() {
 	if s.absIdx1 != nil {
 		return
 	}
 	n := len(s.Tokens)
-	s.absIdx1 = make([]int32, n+1)
-	s.absIdx2 = make([]int32, n+1)
+	idx1 := make([]int32, n+1)
+	idx2 := make([]int32, n+1)
+	var c1, c2 int32
 	for i := range s.Tokens {
-		s.absIdx1[i] = int32(len(s.abs1))
-		s.absIdx2[i] = int32(len(s.abs2))
+		idx1[i], idx2[i] = c1, c2
 		switch s.Tokens[i].Tier() {
 		case 1:
-			s.abs1 = append(s.abs1, int32(i))
-			s.abs2 = append(s.abs2, int32(i))
+			c1++
+			c2++
 		case 2:
-			s.abs2 = append(s.abs2, int32(i))
+			c2++
 		}
 	}
-	s.absIdx1[n] = int32(len(s.abs1))
-	s.absIdx2[n] = int32(len(s.abs2))
+	idx1[n], idx2[n] = c1, c2
+	abs1 := make([]int32, c1)
+	abs2 := make([]int32, c2)
+	for i := 0; i < n; i++ {
+		if idx1[i+1] != idx1[i] {
+			abs1[idx1[i]] = int32(i)
+		}
+		if idx2[i+1] != idx2[i] {
+			abs2[idx2[i]] = int32(i)
+		}
+	}
+	s.abs1, s.abs2 = abs1, abs2
+	s.absIdx1, s.absIdx2 = idx1, idx2
 }

@@ -16,6 +16,7 @@ import (
 	"strings"
 	"testing"
 
+	"jportal/internal/ckpt"
 	"jportal/internal/core"
 	"jportal/internal/meta"
 	"jportal/internal/workload"
@@ -131,6 +132,67 @@ func TestResumeWithCorruptCheckpointReplaysFresh(t *testing.T) {
 		t.Fatalf("resume over a corrupt checkpoint: %v", err)
 	}
 	equalAnalyses(t, "corrupt-ckpt-fallback", want, got)
+	found := false
+	for _, n := range notices {
+		if strings.Contains(n, "checkpoint unusable") {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("no fallback notice logged; got %q", notices)
+	}
+}
+
+// TestResumeRejectsCheckpointWithoutClock: a checkpoint whose segment has
+// tokens but no clock (what a checkpoint written while tokens carried
+// their own timestamps decodes to) must be refused as corrupt, and resume
+// must fall back to a full replay with the same output, not resume with
+// every timestamp of that segment read as 0.
+func TestResumeRejectsCheckpointWithoutClock(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "chunked")
+	buildChunkedArchive(t, "pmd", 0.2, dir)
+	_, want, err := AnalyzeStreamArchive(dir, core.DefaultPipelineConfig(), false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := countArchiveRecords(t, dir)
+	path := filepath.Join(dir, CheckpointFileName)
+	_, _, err = AnalyzeStreamArchiveOpts(context.Background(), dir, core.DefaultPipelineConfig(),
+		StreamOptions{CheckpointPath: path, CheckpointEvery: 2, stopAfterRecords: total / 2})
+	if !errors.Is(err, errReplayAbandoned) {
+		t.Fatalf("abandoned replay = %v", err)
+	}
+
+	ck, err := ReadSessionCheckpoint(path)
+	if err != nil {
+		t.Fatalf("intact checkpoint: %v", err)
+	}
+	stripped := false
+	for i := range ck.Analyzers {
+		if cur := ck.Analyzers[i].Tokenizer.Cur; cur != nil && len(cur.Tokens) > 0 {
+			cur.Clock = nil
+			stripped = true
+			break
+		}
+	}
+	if !stripped {
+		t.Fatal("no analyzer has an open segment with tokens at the kill point")
+	}
+	if err := WriteSessionCheckpoint(path, ck); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadSessionCheckpoint(path); !errors.Is(err, ckpt.ErrCorrupt) {
+		t.Fatalf("checkpoint without a clock: err %v, want ckpt.ErrCorrupt", err)
+	}
+
+	var notices []string
+	_, got, err := AnalyzeStreamArchiveOpts(context.Background(), dir, core.DefaultPipelineConfig(),
+		StreamOptions{CheckpointPath: path, Resume: true,
+			Logf: func(format string, args ...any) { notices = append(notices, fmt.Sprintf(format, args...)) }})
+	if err != nil {
+		t.Fatalf("resume over a clockless checkpoint: %v", err)
+	}
+	equalAnalyses(t, "clockless-ckpt-fallback", want, got)
 	found := false
 	for _, n := range notices {
 		if strings.Contains(n, "checkpoint unusable") {

@@ -103,7 +103,10 @@ func WriteSessionCheckpoint(path string, ck *SessionCheckpoint) error {
 }
 
 // ReadSessionCheckpoint loads and validates a checkpoint file. A missing
-// file returns os.IsNotExist; a damaged one wraps ckpt.ErrCorrupt.
+// file returns os.IsNotExist; a damaged one wraps ckpt.ErrCorrupt. So does
+// one whose open or pending segments have tokens without a usable clock:
+// a checkpoint written while tokens still carried their own timestamps
+// gob-decodes into exactly that, and would resume with every timestamp 0.
 func ReadSessionCheckpoint(path string) (*SessionCheckpoint, error) {
 	payload, err := ckpt.ReadFile(path)
 	if err != nil {
@@ -112,6 +115,11 @@ func ReadSessionCheckpoint(path string) (*SessionCheckpoint, error) {
 	ck := new(SessionCheckpoint)
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(ck); err != nil {
 		return nil, fmt.Errorf("%w: gob: %v", ckpt.ErrCorrupt, err)
+	}
+	for i := range ck.Analyzers {
+		if err := ck.Analyzers[i].CheckClocks(); err != nil {
+			return nil, fmt.Errorf("%w: analyzer %d: %v", ckpt.ErrCorrupt, i, err)
+		}
 	}
 	return ck, nil
 }
