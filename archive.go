@@ -1,6 +1,7 @@
 package jportal
 
 import (
+	"bytes"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -19,18 +20,26 @@ import (
 
 // A run archive is JPortal's deployment interface between the online and
 // offline phases (paper §3): everything the offline decoder needs, written
-// to a directory as the run produces it:
-//
-//	archive.meta    magic + format version + layout (+ source for non-PT runs)
-//	program.gob     the bytecode program (source of the ICFG)
-//	stream.jpt      the append-only record stream — see stream_archive.go
-//
-// Collection and analysis can therefore run in different processes (or
-// machines), exactly as the paper separates them. A run analyzed after it
-// finished is the same archive, sealed in one pass.
+// to a directory as the run produces it. Collection and analysis can
+// therefore run in different processes (or machines), exactly as the
+// paper separates them. A run analyzed after it finished is the same
+// archive, sealed in one pass.
+
+// The archive layout: the three files of a run archive directory. Code in
+// this module names them only through these constants.
+const (
+	// MetaFileName is the header: magic + format version + layout (+
+	// source for non-PT runs).
+	MetaFileName = "archive.meta"
+	// ProgramFileName is the bytecode program (source of the ICFG), as
+	// EncodeProgram writes it.
+	ProgramFileName = "program.gob"
+	// StreamFileName is the append-only record stream — see
+	// stream_archive.go.
+	StreamFileName = "stream.jpt"
+)
 
 const (
-	archiveMetaFile  = "archive.meta"
 	archiveMagicLine = "jportal-run-archive"
 
 	// archiveVersion is the newest header version this binary reads, and
@@ -57,7 +66,7 @@ const (
 // it must refuse via the version gate rather than misdecode the packets as
 // PT.
 func writeArchiveMeta(fsys iofault.FS, dir, srcID string) error {
-	nonDefault := srcID != "" && srcID != source.DefaultID
+	nonDefault := source.CanonicalID(srcID) != source.DefaultID
 	ver := archiveVersionMin
 	if nonDefault {
 		ver = archiveVersion
@@ -66,7 +75,7 @@ func writeArchiveMeta(fsys iofault.FS, dir, srcID string) error {
 	if nonDefault {
 		body += fmt.Sprintf("source: %s\n", srcID)
 	}
-	return writeFileFS(fsys, filepath.Join(dir, archiveMetaFile), []byte(body))
+	return writeFileFS(fsys, filepath.Join(dir, MetaFileName), []byte(body))
 }
 
 // writeFileFS is os.WriteFile routed through an iofault.FS, so the archive
@@ -92,9 +101,9 @@ func writeFileFS(fsys iofault.FS, path string, data []byte) error {
 // mixed-source archives with it, and the scrubber validates headers with
 // it.
 func ArchiveSourceID(dir string) (string, error) {
-	raw, err := os.ReadFile(filepath.Join(dir, archiveMetaFile))
+	raw, err := os.ReadFile(filepath.Join(dir, MetaFileName))
 	if os.IsNotExist(err) {
-		return "", fmt.Errorf("jportal: %s is not a run archive (no %s)", dir, archiveMetaFile)
+		return "", fmt.Errorf("jportal: %s is not a run archive (no %s)", dir, MetaFileName)
 	}
 	if err != nil {
 		return "", err
@@ -205,26 +214,49 @@ func LoadRun(dir string) (*bytecode.Program, *RunResult, error) {
 	return r.Program(), &RunResult{Traces: traces, Sideband: sideband, Snapshot: snap, SourceID: r.Source().ID()}, nil
 }
 
-func writeGob(path string, v any) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
+// EncodeProgram serialises prog as an archive's program bytes. It is the
+// one encoder: the local archive writer and the live push both call it, so
+// their archives are byte-identical.
+func EncodeProgram(prog *bytecode.Program) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(prog); err != nil {
+		return nil, fmt.Errorf("jportal: encode %s: %w", ProgramFileName, err)
 	}
-	if err := gob.NewEncoder(f).Encode(v); err != nil {
-		f.Close()
-		return fmt.Errorf("jportal: encode %s: %w", filepath.Base(path), err)
-	}
-	return f.Close()
+	return buf.Bytes(), nil
 }
 
-func readGob(path string, v any) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
+// decodeProgram decodes program bytes and verifies the program is well
+// formed. Every reader of program bytes — an archive being opened, a
+// program relayed to the ingest server — checks them through it before
+// anything builds on them.
+func decodeProgram(b []byte) (*bytecode.Program, error) {
+	var prog bytecode.Program
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&prog); err != nil {
+		return nil, fmt.Errorf("jportal: decode %s: %w", ProgramFileName, err)
 	}
-	defer f.Close()
-	if err := gob.NewDecoder(f).Decode(v); err != nil {
-		return fmt.Errorf("jportal: decode %s: %w", filepath.Base(path), err)
+	if err := bytecode.Verify(&prog); err != nil {
+		return nil, fmt.Errorf("jportal: %s invalid: %w", ProgramFileName, err)
+	}
+	return &prog, nil
+}
+
+// SameArchive reports whether the run archives in dirs a and b are
+// byte-identical: header, program and record stream. It returns nil when
+// they are, and otherwise an error naming the first file that differs or
+// cannot be read.
+func SameArchive(a, b string) error {
+	for _, name := range []string{MetaFileName, ProgramFileName, StreamFileName} {
+		x, err := os.ReadFile(filepath.Join(a, name))
+		if err != nil {
+			return err
+		}
+		y, err := os.ReadFile(filepath.Join(b, name))
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(x, y) {
+			return fmt.Errorf("jportal: %s diverges: %s has %d bytes, %s has %d", name, a, len(x), b, len(y))
+		}
 	}
 	return nil
 }

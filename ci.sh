@@ -62,12 +62,17 @@ for i in $(seq 1 50); do
 done
 "$SMOKE/jportal" push -addr 127.0.0.1:7901 -id smoke "$SMOKE/local" >/dev/null
 "$SMOKE/jportal" push -addr 127.0.0.1:7901 -id etrace "$SMOKE/etrace" >/dev/null
+# The same E-Trace run again, streamed live as it executes instead of
+# replayed from disk: the server-side archive must match the local one.
+"$SMOKE/jportal" push -addr 127.0.0.1:7901 -id etrace-live -live -source riscv-etrace -scale 0.3 -buf 16 fop >/dev/null
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
-cmp "$SMOKE/local/stream.jpt" "$SMOKE/ingest/smoke/stream.jpt"
-cmp "$SMOKE/local/program.gob" "$SMOKE/ingest/smoke/program.gob"
-cmp "$SMOKE/etrace/stream.jpt" "$SMOKE/ingest/etrace/stream.jpt"
-echo "    loopback archives (PT and E-Trace) byte-identical"
+for pair in local:smoke etrace:etrace etrace:etrace-live; do
+    for f in archive.meta program.gob stream.jpt; do
+        cmp "$SMOKE/${pair%%:*}/$f" "$SMOKE/ingest/${pair#*:}/$f"
+    done
+done
+echo "    loopback archives (PT, E-Trace and live E-Trace) byte-identical"
 
 echo "==> E-Trace smoke (lossy archive: stream, stream -workers 1 and decode agree)"
 # decode prints the same thread lines as stream plus its wall-clock

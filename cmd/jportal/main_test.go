@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"jportal"
 )
 
 func TestLoadTargetSubjectAndFile(t *testing.T) {
@@ -56,7 +58,7 @@ func TestCollectDecodeRoundTrip(t *testing.T) {
 	if err := cmdDecode([]string{dir}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "stream.jpt")); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, jportal.StreamFileName)); err != nil {
 		t.Fatal(err)
 	}
 }

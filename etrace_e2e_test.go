@@ -40,7 +40,7 @@ func TestETraceEndToEndAllSubjects(t *testing.T) {
 
 			// The source ID must be declared in archive.meta and survive
 			// the load.
-			metaBytes, err := os.ReadFile(filepath.Join(dir, archiveMetaFile))
+			metaBytes, err := os.ReadFile(filepath.Join(dir, MetaFileName))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -98,7 +98,7 @@ func TestMixedSourceArchives(t *testing.T) {
 	etCfg.Source = etrace.ID
 	etRun := sealArchive(t, prog, nil, etCfg, etDir)
 
-	ptMeta, err := os.ReadFile(filepath.Join(ptDir, archiveMetaFile))
+	ptMeta, err := os.ReadFile(filepath.Join(ptDir, MetaFileName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestMixedSourceArchives(t *testing.T) {
 	if !strings.Contains(string(ptMeta), "version: 2\n") {
 		t.Fatalf("PT archive.meta must keep the legacy version stamp:\n%s", ptMeta)
 	}
-	etMeta, err := os.ReadFile(filepath.Join(etDir, archiveMetaFile))
+	etMeta, err := os.ReadFile(filepath.Join(etDir, MetaFileName))
 	if err != nil {
 		t.Fatal(err)
 	}

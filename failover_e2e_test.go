@@ -84,7 +84,7 @@ func TestFleetCoordinatorFailoverMidPush(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			programGob, err := os.ReadFile(filepath.Join(localDir, "program.gob"))
+			programGob, err := os.ReadFile(filepath.Join(localDir, jportal.ProgramFileName))
 			if err != nil {
 				t.Fatal(err)
 			}

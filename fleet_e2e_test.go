@@ -167,7 +167,7 @@ func TestFleetNodeLossResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			programGob, err := os.ReadFile(filepath.Join(localDir, "program.gob"))
+			programGob, err := os.ReadFile(filepath.Join(localDir, jportal.ProgramFileName))
 			if err != nil {
 				t.Fatal(err)
 			}

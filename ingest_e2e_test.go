@@ -7,7 +7,6 @@ package jportal_test
 // running collector instead of replayed from disk.
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -70,22 +69,13 @@ func startIngestServer(t *testing.T, cfg ingest.Config) (*ingest.Server, string)
 }
 
 // assertSameArchive compares the server-side session archive with the
-// locally collected one, byte for byte, and proves the copy is analyzable.
+// locally collected one, byte for byte (header, program and stream), and
+// proves the copy is analyzable.
 func assertSameArchive(t *testing.T, localDir, dataDir, id string) {
 	t.Helper()
 	serverDir := filepath.Join(dataDir, id)
-	for _, name := range []string{jportal.StreamFileName, "program.gob"} {
-		want, err := os.ReadFile(filepath.Join(localDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(filepath.Join(serverDir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s diverges: server %d bytes, local %d bytes", name, len(got), len(want))
-		}
+	if err := jportal.SameArchive(localDir, serverDir); err != nil {
+		t.Fatal(err)
 	}
 	if _, _, err := jportal.AnalyzeStreamArchive(serverDir, core.DefaultPipelineConfig(), false, 0); err != nil {
 		t.Fatalf("server-side archive not analyzable: %v", err)
@@ -279,25 +269,31 @@ func TestIngestConcurrentPushes(t *testing.T) {
 // be byte-identical: the live sink frames records with the same encoder as
 // the local writer.
 func TestIngestLivePushMatchesLocalArchive(t *testing.T) {
-	localDir := filepath.Join(t.TempDir(), "local")
-	collectArchive(t, "fop", localDir)
-	dataDir := t.TempDir()
-	_, addr := startIngestServer(t, ingest.Config{DataDir: dataDir})
+	for _, src := range []string{"intel-pt", "riscv-etrace"} {
+		t.Run(src, func(t *testing.T) {
+			localDir := filepath.Join(t.TempDir(), "local")
+			collectArchiveSource(t, "fop", localDir, src)
+			dataDir := t.TempDir()
+			_, addr := startIngestServer(t, ingest.Config{DataDir: dataDir})
 
-	s := workload.MustLoad("fop", 0.3)
-	var sink *client.LiveSink
-	_, err := jportal.RunWithSink(s.Program, s.Threads, collectRcfg(),
-		func(p *bytecode.Program, snap *meta.Snapshot, ncores int) (jportal.TraceSink, error) {
-			var err error
-			sink, err = client.NewLiveSink(context.Background(),
-				client.Options{Addr: addr, SessionID: "live"}, p, snap, ncores)
-			return sink, err
+			s := workload.MustLoad("fop", 0.3)
+			rcfg := collectRcfg()
+			rcfg.Source = src
+			var sink *client.LiveSink
+			_, err := jportal.RunWithSink(s.Program, s.Threads, rcfg,
+				func(p *bytecode.Program, snap *meta.Snapshot, ncores int) (jportal.TraceSink, error) {
+					var err error
+					sink, err = client.NewLiveSink(context.Background(),
+						client.Options{Addr: addr, SessionID: "live", SourceID: src}, p, snap, ncores)
+					return sink, err
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sink.Seal(); err != nil {
+				t.Fatal(err)
+			}
+			assertSameArchive(t, localDir, dataDir, "live")
 		})
-	if err != nil {
-		t.Fatal(err)
 	}
-	if err := sink.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	assertSameArchive(t, localDir, dataDir, "live")
 }

@@ -100,7 +100,7 @@ func Aggregate(dataDir string, topHot int) (*Aggregation, error) {
 		}
 		id := e.Name()
 		dir := filepath.Join(dataDir, id)
-		if _, err := os.Stat(filepath.Join(dir, "archive.meta")); err != nil {
+		if _, err := os.Stat(filepath.Join(dir, jportal.MetaFileName)); err != nil {
 			agg.Skipped = append(agg.Skipped, SkippedSession{ID: id, Reason: "not a run archive"})
 			continue
 		}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"jportal"
 	"jportal/internal/ingest"
 	"jportal/internal/ingest/client"
 	"jportal/internal/metrics"
@@ -194,29 +195,11 @@ func sweepOnce(cfg SweepConfig, rate float64) (SweepRow, error) {
 	nodes = nil
 
 	for _, id := range ids {
-		if archiveIdentical(cfg.ArchiveDir, filepath.Join(dataDir, id)) {
+		if jportal.SameArchive(cfg.ArchiveDir, filepath.Join(dataDir, id)) == nil {
 			row.Identical++
 		}
 	}
 	return row, nil
-}
-
-// archiveIdentical compares the record stream and program metadata bytes.
-func archiveIdentical(localDir, pushedDir string) bool {
-	for _, name := range []string{"stream.jpt", "program.gob"} {
-		a, err := os.ReadFile(filepath.Join(localDir, name))
-		if err != nil {
-			return false
-		}
-		b, err := os.ReadFile(filepath.Join(pushedDir, name))
-		if err != nil {
-			return false
-		}
-		if len(a) != len(b) || string(a) != string(b) {
-			return false
-		}
-	}
-	return true
 }
 
 // FormatSweep renders the sweep table. Only outcome invariants are

@@ -115,7 +115,7 @@ func helloCoordinator(t *testing.T, addr string, version uint32, id string) (byt
 	}
 	defer conn.Close()
 	if err := ingest.WriteFrame(conn, ingest.FrameHello,
-		ingest.AppendHello(nil, version, 2, id)); err != nil {
+		ingest.AppendHelloSource(nil, version, 2, id, "")); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := ingest.ReadFrame(conn)

@@ -34,7 +34,6 @@ import (
 
 	"jportal/internal/ingest"
 	"jportal/internal/metrics"
-	"jportal/internal/source"
 )
 
 // Options configures a Pusher.
@@ -102,9 +101,6 @@ func (o *Options) fill() error {
 	}
 	if !ingest.ValidSessionID(o.SessionID) {
 		return fmt.Errorf("ingest client: invalid session id %q", o.SessionID)
-	}
-	if o.SourceID == source.DefaultID {
-		o.SourceID = "" // canonical: the default backend sends no source field
 	}
 	if o.MaxChunkBytes <= 0 {
 		o.MaxChunkBytes = 64 << 10

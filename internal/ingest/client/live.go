@@ -1,53 +1,39 @@
 package client
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
-	"fmt"
 
+	"jportal"
 	"jportal/internal/bytecode"
 	"jportal/internal/ingest"
 	"jportal/internal/meta"
-	"jportal/internal/source"
 	"jportal/internal/streamfmt"
-	"jportal/internal/vm"
 )
 
-// EncodeProgram serialises a program exactly as an archive's program.gob
-// (same gob stream), so a live push and a local collect of the same run
-// produce byte-identical server-side archives.
-func EncodeProgram(prog *bytecode.Program) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(prog); err != nil {
-		return nil, fmt.Errorf("ingest client: encode program: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
 // LiveSink streams a run's records to an ingest server as the run
-// produces them: it implements jportal.TraceSink and jportal.BlobSink, so
-// it plugs straight into jportal.RunWithSink — the networked counterpart
-// of CreateStreamArchive. Records are encoded with the same
-// streamfmt.Encoder as the local archive writer (including the suppression
-// of no-op watermarks and the CRC-carrying seal), so the server-side
-// archive is byte-identical to a local one of the same deterministic run.
+// produces them: the networked counterpart of jportal's
+// StreamArchiveWriter. Its embedded encoder — the same streamfmt.Encoder
+// the local writer embeds, with the same suppression of no-op watermarks
+// and the same CRC-carrying seal — is the jportal.TraceSink and
+// jportal.BlobSink, so it plugs straight into jportal.RunWithSink, and the
+// server-side archive is byte-identical to a local one of the same
+// deterministic run.
 //
 // Records accumulate in a buffer that is cut into CHUNK frames at record
 // boundaries; Drain pushes whatever is buffered, mirroring the local
 // writer's flush-to-disk. Seal completes the stream and the upload.
 type LiveSink struct {
+	*streamfmt.Encoder
 	p        *Pusher
-	enc      *streamfmt.Encoder
 	buf      []byte
 	maxChunk int
-	err      error
+	err      error // first transport error; sticky
 }
 
 // NewLiveSink dials the server, transmits the program, and opens the
 // record stream with the snapshot record.
 func NewLiveSink(ctx context.Context, opts Options, prog *bytecode.Program, snap *meta.Snapshot, ncores int) (*LiveSink, error) {
-	programGob, err := EncodeProgram(prog)
+	programGob, err := jportal.EncodeProgram(prog)
 	if err != nil {
 		return nil, err
 	}
@@ -60,8 +46,8 @@ func NewLiveSink(ctx context.Context, opts Options, prog *bytecode.Program, snap
 		p.Close()
 		return nil, err
 	}
-	s.enc = streamfmt.NewRawEncoder((*liveWriter)(s), ncores)
-	if err := s.enc.Snapshot(snap); err != nil {
+	s.Encoder = streamfmt.NewRawEncoder((*liveWriter)(s), ncores)
+	if err := s.Snapshot(snap); err != nil {
 		p.Close()
 		return nil, err
 	}
@@ -85,88 +71,37 @@ func (w *liveWriter) Write(rec []byte) (int, error) {
 
 // flush sends the buffered records as one CHUNK frame.
 func (s *LiveSink) flush() error {
-	if s.err != nil {
+	if s.err != nil || len(s.buf) == 0 {
 		return s.err
 	}
-	if len(s.buf) == 0 {
-		return nil
-	}
-	if _, err := s.p.Send(ingest.FrameChunk, s.buf); err != nil {
-		s.err = err
-		return err
+	if _, s.err = s.p.Send(ingest.FrameChunk, s.buf); s.err != nil {
+		return s.err
 	}
 	s.buf = s.buf[:0]
 	return nil
 }
 
-// AddBlobs streams compiled-method metadata records (jportal.BlobSink).
-func (s *LiveSink) AddBlobs(blobs []*meta.CompiledMethod) error {
-	if s.err != nil {
-		return s.err
-	}
-	for _, c := range blobs {
-		if err := s.enc.Blob(c); err != nil {
-			s.err = err
-			return err
-		}
-	}
-	return nil
-}
-
-// AddSideband streams scheduler switch records (jportal.TraceSink).
-func (s *LiveSink) AddSideband(recs []vm.SwitchRecord) {
-	if s.err != nil {
-		return
-	}
-	for i := range recs {
-		if err := s.enc.Sideband(recs[i]); err != nil {
-			s.err = err
-			return
-		}
-	}
-}
-
-// Watermark streams a forward-moving watermark (jportal.TraceSink).
-func (s *LiveSink) Watermark(core int, mark uint64) {
-	if s.err != nil {
-		return
-	}
-	if err := s.enc.Watermark(core, mark); err != nil {
-		s.err = err
-	}
-}
-
-// Feed streams one trace chunk (jportal.TraceSink).
-func (s *LiveSink) Feed(core int, items []source.Item) error {
-	if s.err != nil {
-		return s.err
-	}
-	if err := s.enc.Chunk(core, items); err != nil {
-		s.err = err
-	}
-	return s.err
-}
-
 // Drain pushes buffered records to the server (jportal.TraceSink).
-func (s *LiveSink) Drain() error { return s.flush() }
+func (s *LiveSink) Drain() error {
+	if err := s.Err(); err != nil {
+		return err
+	}
+	return s.flush()
+}
 
 // Seal ends the stream with the CRC-carrying seal record, waits for the
 // server to acknowledge and verify the complete upload, and closes the
 // connection.
 func (s *LiveSink) Seal() error {
-	if s.err == nil {
-		if err := s.enc.Seal(); err != nil {
-			s.err = err
-		}
+	err := s.Encoder.Seal()
+	if err == nil {
+		err = s.flush()
 	}
-	if s.err == nil {
-		s.err = s.flush()
-	}
-	if s.err == nil {
-		s.err = s.p.Finish()
+	if err == nil {
+		err = s.p.Finish()
 	}
 	s.p.Close()
-	return s.err
+	return err
 }
 
 // Pusher exposes the underlying connection's stats (reconnects, NACKs).

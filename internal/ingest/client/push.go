@@ -29,7 +29,7 @@ type PushStats struct {
 // program.gob.
 func PushArchive(ctx context.Context, opts Options, dir string) (PushStats, error) {
 	var st PushStats
-	programGob, err := os.ReadFile(filepath.Join(dir, "program.gob"))
+	programGob, err := os.ReadFile(filepath.Join(dir, jportal.ProgramFileName))
 	if err != nil {
 		return st, err
 	}

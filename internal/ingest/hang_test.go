@@ -48,7 +48,7 @@ func wedgeOneChunk(t *testing.T, addr, id string) net.Conn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	if err := WriteFrame(c, FrameHello, AppendHello(nil, ProtoVersion, 2, id)); err != nil {
+	if err := WriteFrame(c, FrameHello, AppendHelloSource(nil, ProtoVersion, 2, id, "")); err != nil {
 		t.Fatal(err)
 	}
 	typ, _, err := ReadFrame(c)

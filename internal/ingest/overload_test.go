@@ -28,7 +28,7 @@ func dialRawExpectBusy(t *testing.T, addr, id string) time.Duration {
 	}
 	defer c.Close()
 	if err := ingest.WriteFrame(c, ingest.FrameHello,
-		ingest.AppendHello(nil, ingest.ProtoVersion, 2, id)); err != nil {
+		ingest.AppendHelloSource(nil, ingest.ProtoVersion, 2, id, "")); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := ingest.ReadFrame(c)
@@ -115,7 +115,7 @@ func TestBreakerPoisonsRepeatOffender(t *testing.T) {
 	}
 	// The id stays poisoned for reconnects until a server restart.
 	if msg := dialRawExpectErr(t, addr,
-		ingest.AppendHello(nil, ingest.ProtoVersion, 2, "offender")); !strings.Contains(msg, "poisoned") {
+		ingest.AppendHelloSource(nil, ingest.ProtoVersion, 2, "offender", "")); !strings.Contains(msg, "poisoned") {
 		t.Fatalf("reconnect rejection %q does not say poisoned", msg)
 	}
 }

@@ -42,6 +42,8 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"jportal/internal/source"
 )
 
 // ProtoVersion is the frame-protocol version exchanged in HELLO, and the
@@ -108,21 +110,17 @@ func ReadFrame(r io.Reader) (typ byte, payload []byte, err error) {
 	return hdr[0], payload, nil
 }
 
-// AppendHello encodes a HELLO payload with no source field.
-func AppendHello(dst []byte, version uint32, ncores int, id string) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, version)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(ncores))
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(id)))
-	return append(dst, id...)
-}
-
 // AppendHelloSource encodes a HELLO payload carrying a trace-source ID:
 // the server initializes the session's archive header with it, so
 // non-default backends (RISC-V E-Trace) survive the network hop and any
-// later node handoff. An empty src omits the field, as AppendHello does.
+// later node handoff. The default backend ("" or source.DefaultID) sends
+// no source field.
 func AppendHelloSource(dst []byte, version uint32, ncores int, id, src string) []byte {
-	dst = AppendHello(dst, version, ncores, id)
-	if src == "" {
+	dst = binary.LittleEndian.AppendUint32(dst, version)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(ncores))
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(id)))
+	dst = append(dst, id...)
+	if source.CanonicalID(src) == source.DefaultID {
 		return dst
 	}
 	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(src)))

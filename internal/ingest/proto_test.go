@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"jportal/internal/source"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -38,7 +40,7 @@ func TestReadFrameEnforcesCap(t *testing.T) {
 }
 
 func TestHelloRoundTrip(t *testing.T) {
-	p := AppendHello(nil, ProtoVersion, 8, "agent-01")
+	p := AppendHelloSource(nil, ProtoVersion, 8, "agent-01", "")
 	version, ncores, id, src, err := ParseHello(p)
 	if err != nil {
 		t.Fatal(err)
@@ -64,12 +66,12 @@ func TestHelloSourceRoundTrip(t *testing.T) {
 	if version != ProtoVersion || ncores != 4 || id != "agent-02" || src != "riscv-etrace" {
 		t.Fatalf("got version=%d ncores=%d id=%q src=%q", version, ncores, id, src)
 	}
-	// An empty source omits the suffix entirely, producing a frame that is
-	// byte-identical to AppendHello's.
-	plain := AppendHello(nil, ProtoVersion, 4, "agent-02")
-	withEmpty := AppendHelloSource(nil, ProtoVersion, 4, "agent-02", "")
-	if !bytes.Equal(plain, withEmpty) {
-		t.Fatalf("empty source changed the wire form: %x vs %x", plain, withEmpty)
+	// The default backend, in either spelling, omits the suffix entirely:
+	// the frame ends at the session id, as it did before sources existed.
+	plain := AppendHelloSource(nil, ProtoVersion, 4, "agent-02", "")
+	named := AppendHelloSource(nil, ProtoVersion, 4, "agent-02", source.DefaultID)
+	if len(plain) != 10+len("agent-02") || !bytes.Equal(plain, named) {
+		t.Fatalf("default source changed the wire form: %x vs %x", plain, named)
 	}
 	// Truncated suffix must be rejected, not read past.
 	if _, _, _, _, err := ParseHello(p[:len(p)-1]); err == nil {

@@ -457,9 +457,7 @@ func (s *Server) handleConn(conn net.Conn) {
 		cw.sendErr(fmt.Sprintf("implausible core count %d", ncores))
 		return
 	}
-	if src == source.DefaultID {
-		src = "" // canonical spelling of the default backend
-	}
+	src = source.CanonicalID(src)
 	if _, err := source.Lookup(src); err != nil {
 		cw.sendErr(fmt.Sprintf("unknown trace source %q", src))
 		return
@@ -596,7 +594,7 @@ func (s *Server) attach(id string, ncores int, src string, cw *connWriter) (*ses
 	}
 	if sess.srcID != src {
 		return nil, fmt.Errorf("session %q was opened with trace source %q, HELLO says %q",
-			id, sourceName(sess.srcID), sourceName(src))
+			id, sess.srcID, src)
 	}
 	if sess.conn != nil {
 		return nil, fmt.Errorf("session %q already has an active connection", id)
@@ -634,7 +632,7 @@ type session struct {
 	id     string
 	dir    string
 	ncores int
-	srcID  string // trace-source backend ("" = default); stamped into archive.meta
+	srcID  string // trace-source backend (canonical ID); stamped into archive.meta
 	queue  chan msg
 
 	processed atomic.Uint64 // frames the writer has fully handled (watchdog progress)
@@ -688,15 +686,6 @@ func (e *storageError) Unwrap() error { return e.err }
 var testHookArchive atomic.Pointer[func(sess *session, m msg)]
 
 const stateFileName = "ingest.state"
-
-// sourceName renders a session source ID for error messages ("" is the
-// default backend).
-func sourceName(src string) string {
-	if src == "" {
-		return source.DefaultID
-	}
-	return src
-}
 
 // openSession creates or restores the session's archive directory. Called
 // with srv.mu held (session creation is rare; the disk work is trivial).
@@ -797,22 +786,17 @@ func (sess *session) restore() (bool, error) {
 	sess.nextEnqueue = st.Seq + 1
 	sess.size = st.Size
 	sess.cur = streamfmt.Cursor{CRC: st.CRC, Sealed: st.Sealed}
-	_, perr := os.Stat(filepath.Join(sess.dir, "program.gob"))
+	_, perr := os.Stat(filepath.Join(sess.dir, jportal.ProgramFileName))
 	sess.haveProgram = perr == nil
 	// The archive header is the durable source of truth for the backend:
 	// the node resuming this session (possibly not the one that created it)
 	// re-learns the source from disk, and attach rejects a HELLO whose
 	// source disagrees.
-	archSrc, err := jportal.ArchiveSourceID(sess.dir)
-	if err != nil {
+	if sess.srcID, err = jportal.ArchiveSourceID(sess.dir); err != nil {
 		f.Close()
 		sess.f = nil
 		return false, err
 	}
-	if archSrc == source.DefaultID {
-		archSrc = ""
-	}
-	sess.srcID = archSrc
 	return true, nil
 }
 

@@ -27,6 +27,7 @@ import (
 	"testing"
 	"time"
 
+	"jportal"
 	"jportal/internal/bytecode"
 	"jportal/internal/fault"
 	"jportal/internal/ingest"
@@ -45,7 +46,7 @@ method T.main(0) {
 }
 entry T.main
 `)
-	gob, err := client.EncodeProgram(prog)
+	gob, err := jportal.EncodeProgram(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,13 +62,13 @@ func buildStream(t *testing.T, ncores, nchunks int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Sideband(vm.SwitchRecord{TSC: 1, Core: 0, Thread: 1})
+	e.AddSideband([]vm.SwitchRecord{{TSC: 1, Core: 0, Thread: 1}})
 	for i := 0; i < nchunks; i++ {
 		items := []source.Item{
 			{Packet: source.Packet{Kind: 1, IP: uint64(0x4000 + i), NBits: 5, Bits: uint64(i)}},
 			{Packet: source.Packet{Kind: 2, IP: uint64(0x5000 + i)}},
 		}
-		if err := e.Chunk(i%ncores, items); err != nil {
+		if err := e.Feed(i%ncores, items); err != nil {
 			t.Fatal(err)
 		}
 		e.Watermark(i%ncores, uint64(i+1)*100)
@@ -141,21 +142,21 @@ func pushStream(t *testing.T, opts client.Options, programGob, stream []byte) *c
 
 func assertArchived(t *testing.T, dataDir, id string, programGob, stream []byte) {
 	t.Helper()
-	got, err := os.ReadFile(filepath.Join(dataDir, id, "stream.jpt"))
+	got, err := os.ReadFile(filepath.Join(dataDir, id, jportal.StreamFileName))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, stream) {
 		t.Fatalf("archived stream diverges: %d bytes vs %d pushed", len(got), len(stream))
 	}
-	gotGob, err := os.ReadFile(filepath.Join(dataDir, id, "program.gob"))
+	gotGob, err := os.ReadFile(filepath.Join(dataDir, id, jportal.ProgramFileName))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(gotGob, programGob) {
 		t.Fatal("archived program.gob diverges")
 	}
-	meta, err := os.ReadFile(filepath.Join(dataDir, id, "archive.meta"))
+	meta, err := os.ReadFile(filepath.Join(dataDir, id, jportal.MetaFileName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func dialRaw(t *testing.T, addr, id string, ncores int) *rawSession {
 			t.Fatal(err)
 		}
 		if err := ingest.WriteFrame(c, ingest.FrameHello,
-			ingest.AppendHello(nil, ingest.ProtoVersion, ncores, id)); err != nil {
+			ingest.AppendHelloSource(nil, ingest.ProtoVersion, ncores, id, "")); err != nil {
 			t.Fatal(err)
 		}
 		typ, payload, err := ingest.ReadFrame(c)
@@ -464,7 +465,7 @@ func TestCorruptChunkPoisonsSession(t *testing.T) {
 	}
 	// The poisoned session refuses a new connection until a restart.
 	if msg := dialRawExpectErr(t, addr,
-		ingest.AppendHello(nil, ingest.ProtoVersion, 2, "corrupt")); msg == "" {
+		ingest.AppendHelloSource(nil, ingest.ProtoVersion, 2, "corrupt", "")); msg == "" {
 		t.Fatal("poisoned session accepted a reconnect")
 	}
 }
@@ -475,9 +476,9 @@ func TestHelloRejections(t *testing.T) {
 		name  string
 		hello []byte
 	}{
-		{"bad version", ingest.AppendHello(nil, 99, 2, "ok")},
-		{"bad id", ingest.AppendHello(nil, ingest.ProtoVersion, 2, "../evil")},
-		{"zero cores", ingest.AppendHello(nil, ingest.ProtoVersion, 0, "ok")},
+		{"bad version", ingest.AppendHelloSource(nil, 99, 2, "ok", "")},
+		{"bad id", ingest.AppendHelloSource(nil, ingest.ProtoVersion, 2, "../evil", "")},
+		{"zero cores", ingest.AppendHelloSource(nil, ingest.ProtoVersion, 0, "ok", "")},
 	}
 	for _, tc := range cases {
 		if msg := dialRawExpectErr(t, addr, tc.hello); msg == "" {
@@ -489,7 +490,7 @@ func TestHelloRejections(t *testing.T) {
 	r := dialRaw(t, addr, "cores", 2)
 	_ = r
 	if msg := dialRawExpectErr(t, addr,
-		ingest.AppendHello(nil, ingest.ProtoVersion, 3, "cores")); msg == "" {
+		ingest.AppendHelloSource(nil, ingest.ProtoVersion, 3, "cores", "")); msg == "" {
 		t.Error("core-count mismatch accepted")
 	}
 }
@@ -752,7 +753,7 @@ func TestShutdownDrainsAcceptedFrames(t *testing.T) {
 	if err := srv.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Shutdown = %v, want deadline exceeded (client was attached)", err)
 	}
-	got, err := os.ReadFile(filepath.Join(dataDir, "drainee", "stream.jpt"))
+	got, err := os.ReadFile(filepath.Join(dataDir, "drainee", jportal.StreamFileName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -864,7 +865,7 @@ func TestPoisonedSessionDoesNotAffectSiblings(t *testing.T) {
 	}
 	// The poisoned id stays quarantined; the clean id sealed normally.
 	if msg := dialRawExpectErr(t, addr,
-		ingest.AppendHello(nil, ingest.ProtoVersion, 2, "poisoned")); msg == "" {
+		ingest.AppendHelloSource(nil, ingest.ProtoVersion, 2, "poisoned", "")); msg == "" {
 		t.Fatal("poisoned session accepted a reconnect")
 	}
 	if m.SessionsSealed.Load() != 1 {
@@ -989,7 +990,7 @@ func TestRouterVersionGate(t *testing.T) {
 	}
 	defer c.Close()
 	if err := ingest.WriteFrame(c, ingest.FrameHello,
-		ingest.AppendHello(nil, ingest.ProtoVersion, 2, "elsewhere")); err != nil {
+		ingest.AppendHelloSource(nil, ingest.ProtoVersion, 2, "elsewhere", "")); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := ingest.ReadFrame(c)
@@ -1010,7 +1011,7 @@ func TestRouterVersionGate(t *testing.T) {
 	// Any other version: typed ERR, never a frame the client might misparse.
 	for _, version := range []uint32{1, 2, 4} {
 		msg := dialRawExpectErr(t, addr,
-			ingest.AppendHello(nil, version, 2, "elsewhere"))
+			ingest.AppendHelloSource(nil, version, 2, "elsewhere", ""))
 		category, _ := ingest.SplitErr([]byte(msg))
 		if category != ingest.ErrCategoryProtocol {
 			t.Errorf("v%d HELLO: ERR %q lacks the %s category",

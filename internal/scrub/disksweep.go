@@ -166,7 +166,7 @@ func diskSweepOnce(cfg DiskSweepConfig, rate float64) (DiskSweepRow, error) {
 	}
 
 	for _, id := range ids {
-		identical := diskArchiveIdentical(cfg.ArchiveDir, filepath.Join(dataDir, id))
+		identical := jportal.SameArchive(cfg.ArchiveDir, filepath.Join(dataDir, id)) == nil
 		if identical {
 			row.Identical++
 		}
@@ -242,10 +242,10 @@ func craftTornVictim(dataDir, id, archiveDir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(dir, "archive.meta"), meta, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, jportal.MetaFileName), meta, 0o644); err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(dir, "program.gob"), program, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, jportal.ProgramFileName), program, 0o644); err != nil {
 		return err
 	}
 	img := append([]byte(nil), stream[:streamfmt.HeaderLen]...)
@@ -286,10 +286,10 @@ func craftMangled(dataDir, id, archiveDir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(dir, "archive.meta"), meta, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, jportal.MetaFileName), meta, 0o644); err != nil {
 		return err
 	}
-	if err := os.WriteFile(filepath.Join(dir, "program.gob"), program, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, jportal.ProgramFileName), program, 0o644); err != nil {
 		return err
 	}
 	cur, err := streamfmt.Walk(stream)
@@ -311,33 +311,15 @@ func readSweepArchive(archiveDir string) (stream, program, meta []byte, err erro
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	program, err = os.ReadFile(filepath.Join(archiveDir, "program.gob"))
+	program, err = os.ReadFile(filepath.Join(archiveDir, jportal.ProgramFileName))
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	meta, err = os.ReadFile(filepath.Join(archiveDir, "archive.meta"))
+	meta, err = os.ReadFile(filepath.Join(archiveDir, jportal.MetaFileName))
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	return stream, program, meta, nil
-}
-
-// diskArchiveIdentical compares the record stream and program bytes.
-func diskArchiveIdentical(srcDir, dstDir string) bool {
-	for _, name := range []string{jportal.StreamFileName, "program.gob"} {
-		a, err := os.ReadFile(filepath.Join(srcDir, name))
-		if err != nil {
-			return false
-		}
-		b, err := os.ReadFile(filepath.Join(dstDir, name))
-		if err != nil {
-			return false
-		}
-		if string(a) != string(b) {
-			return false
-		}
-	}
-	return true
 }
 
 // FormatDiskSweep renders the sweep table: outcome invariants plus the

@@ -17,7 +17,6 @@ import (
 	"jportal/internal/bytecode"
 	"jportal/internal/fault"
 	"jportal/internal/ingest"
-	"jportal/internal/ingest/client"
 	"jportal/internal/iofault"
 	"jportal/internal/metrics"
 	"jportal/internal/source"
@@ -33,7 +32,7 @@ method T.main(0) {
 }
 entry T.main
 `)
-	gob, err := client.EncodeProgram(prog)
+	gob, err := jportal.EncodeProgram(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,13 +47,13 @@ func buildStream(t *testing.T, ncores, nchunks int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Sideband(vm.SwitchRecord{TSC: 1, Core: 0, Thread: 1})
+	e.AddSideband([]vm.SwitchRecord{{TSC: 1, Core: 0, Thread: 1}})
 	for i := 0; i < nchunks; i++ {
 		items := []source.Item{
 			{Packet: source.Packet{Kind: 1, IP: uint64(0x4000 + i), NBits: 5, Bits: uint64(i)}},
 			{Packet: source.Packet{Kind: 2, IP: uint64(0x5000 + i)}},
 		}
-		if err := e.Chunk(i%ncores, items); err != nil {
+		if err := e.Feed(i%ncores, items); err != nil {
 			t.Fatal(err)
 		}
 		e.Watermark(i%ncores, uint64(i+1)*100)
@@ -74,7 +73,7 @@ func writeSession(t *testing.T, dataDir, id string, gob, stream []byte, seq uint
 	if err := jportal.InitChunkedArchiveDir(dir, "", iofault.OS); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "program.gob"), gob, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, jportal.ProgramFileName), gob, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(dir, jportal.StreamFileName), stream, 0o644); err != nil {
@@ -297,7 +296,7 @@ func TestScrubRefetchFromPeer(t *testing.T) {
 	if got := streamBytes(t, dir); !bytes.Equal(got, stream) {
 		t.Fatal("refetched stream differs from the peer's sealed copy")
 	}
-	gotGob, err := os.ReadFile(filepath.Join(dir, "program.gob"))
+	gotGob, err := os.ReadFile(filepath.Join(dir, jportal.ProgramFileName))
 	if err != nil || !bytes.Equal(gotGob, gob) {
 		t.Fatalf("refetched program differs: %v", err)
 	}

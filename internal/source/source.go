@@ -218,6 +218,16 @@ func (t *Traits) NewDecoder(snap *meta.Snapshot) Decoder { return NewWalker(t, s
 // legacy archive is a PT archive.
 const DefaultID = "intel-pt"
 
+// CanonicalID is the one spelling of a source ID: "" — the shorthand
+// archive headers, HELLO frames and flags use for the default backend —
+// becomes DefaultID; every other ID is returned as is.
+func CanonicalID(id string) string {
+	if id == "" {
+		return DefaultID
+	}
+	return id
+}
+
 var (
 	regMu    sync.RWMutex
 	registry = map[string]Source{}
@@ -237,9 +247,7 @@ func Register(s Source) {
 // Lookup resolves a source ID ("" means DefaultID). The error names the
 // registered sources, so a missing import surfaces clearly.
 func Lookup(id string) (Source, error) {
-	if id == "" {
-		id = DefaultID
-	}
+	id = CanonicalID(id)
 	regMu.RLock()
 	defer regMu.RUnlock()
 	if s, ok := registry[id]; ok {

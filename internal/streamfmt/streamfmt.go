@@ -318,6 +318,12 @@ func SealCRC(rec []byte) (crc uint32, ok bool) {
 // the checksum every reader verifies) and suppresses watermark records that
 // do not move a core's mark forward, so an archive written locally and a
 // stream sent over the wire by the same run are byte-identical.
+//
+// Its record methods have the shapes of jportal's TraceSink and BlobSink
+// (AddBlobs, AddSideband, Watermark, Feed), so the archive writer and the
+// ingest client's live sink embed it and add only where the bytes go. The
+// first error sticks: later records are dropped, and AddBlobs, Feed, Seal
+// and Err report it.
 type Encoder struct {
 	w     io.Writer
 	cur   Cursor
@@ -374,64 +380,59 @@ func (e *Encoder) emit(rec []byte) error {
 
 // Snapshot emits the initial snapshot record.
 func (e *Encoder) Snapshot(snap *meta.Snapshot) error {
+	return e.emitMeta(TagSnapshot, func(w io.Writer) error { return meta.WriteSnapshot(w, snap) })
+}
+
+// AddBlobs emits one compiled-method metadata record per blob.
+func (e *Encoder) AddBlobs(blobs []*meta.CompiledMethod) error {
+	for _, c := range blobs {
+		e.emitMeta(TagBlob, func(w io.Writer) error { return meta.WriteBlob(w, c) })
+	}
+	return e.err
+}
+
+// emitMeta emits one length-prefixed metadata record whose payload write
+// produces.
+func (e *Encoder) emitMeta(tag byte, write func(io.Writer) error) error {
 	if e.err != nil {
 		return e.err
 	}
-	var buf bytes.Buffer
-	if err := meta.WriteSnapshot(&buf, snap); err != nil {
-		e.err = err
-		return err
-	}
-	e.tmp = append(e.tmp[:0], TagSnapshot)
-	e.tmp = binary.LittleEndian.AppendUint32(e.tmp, uint32(buf.Len()))
-	e.tmp = append(e.tmp, buf.Bytes()...)
-	return e.emit(e.tmp)
-}
-
-// Blob emits one compiled-method metadata record.
-func (e *Encoder) Blob(c *meta.CompiledMethod) error {
-	if e.err != nil {
+	buf := bytes.NewBuffer(append(e.tmp[:0], tag, 0, 0, 0, 0)) // payload length, patched below
+	if e.err = write(buf); e.err != nil {
 		return e.err
 	}
-	var buf bytes.Buffer
-	if err := meta.WriteBlob(&buf, c); err != nil {
-		e.err = err
-		return err
-	}
-	e.tmp = append(e.tmp[:0], TagBlob)
-	e.tmp = binary.LittleEndian.AppendUint32(e.tmp, uint32(buf.Len()))
-	e.tmp = append(e.tmp, buf.Bytes()...)
+	e.tmp = buf.Bytes()
+	binary.LittleEndian.PutUint32(e.tmp[1:5], uint32(len(e.tmp)-5))
 	return e.emit(e.tmp)
 }
 
-// Sideband emits one scheduler switch record.
-func (e *Encoder) Sideband(rec vm.SwitchRecord) error {
-	e.tmp = append(e.tmp[:0], TagSideband)
-	e.tmp = binary.LittleEndian.AppendUint64(e.tmp, rec.TSC)
-	e.tmp = binary.LittleEndian.AppendUint32(e.tmp, uint32(int32(rec.Core)))
-	e.tmp = binary.LittleEndian.AppendUint32(e.tmp, uint32(int32(rec.Thread)))
-	return e.emit(e.tmp)
+// AddSideband emits one record per scheduler switch.
+func (e *Encoder) AddSideband(recs []vm.SwitchRecord) {
+	for _, rec := range recs {
+		e.tmp = append(e.tmp[:0], TagSideband)
+		e.tmp = binary.LittleEndian.AppendUint64(e.tmp, rec.TSC)
+		e.tmp = binary.LittleEndian.AppendUint32(e.tmp, uint32(int32(rec.Core)))
+		e.tmp = binary.LittleEndian.AppendUint32(e.tmp, uint32(int32(rec.Thread)))
+		e.emit(e.tmp)
+	}
 }
 
 // Watermark emits a watermark record when it moves core's mark forward;
 // no-op watermarks are suppressed so repeated delivery of the same frontier
 // does not bloat (or diverge) the stream.
-func (e *Encoder) Watermark(core int, mark uint64) error {
-	if e.err != nil {
-		return e.err
-	}
-	if core < 0 || core >= len(e.marks) || mark <= e.marks[core] {
-		return nil
+func (e *Encoder) Watermark(core int, mark uint64) {
+	if e.err != nil || core < 0 || core >= len(e.marks) || mark <= e.marks[core] {
+		return
 	}
 	e.marks[core] = mark
 	e.tmp = append(e.tmp[:0], TagWatermark)
 	e.tmp = binary.LittleEndian.AppendUint32(e.tmp, uint32(core))
 	e.tmp = binary.LittleEndian.AppendUint64(e.tmp, mark)
-	return e.emit(e.tmp)
+	e.emit(e.tmp)
 }
 
-// Chunk emits one trace-chunk record for core.
-func (e *Encoder) Chunk(core int, items []source.Item) error {
+// Feed emits one trace-chunk record for core.
+func (e *Encoder) Feed(core int, items []source.Item) error {
 	if e.err != nil {
 		return e.err
 	}

@@ -28,23 +28,16 @@ func encodeSample(t *testing.T) ([]byte, uint32) {
 	if err := e.Snapshot(snap); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Sideband(vm.SwitchRecord{TSC: 100, Core: 0, Thread: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Sideband(vm.SwitchRecord{TSC: 200, Core: 1, Thread: -1}); err != nil {
-		t.Fatal(err)
-	}
+	e.AddSideband([]vm.SwitchRecord{{TSC: 100, Core: 0, Thread: 3}, {TSC: 200, Core: 1, Thread: -1}})
 	items := []source.Item{
 		{Packet: source.Packet{Kind: 1, IP: 0x4000, NBits: 3, Bits: 5, WireLen: 8}},
 		{Gap: true, LostBytes: 64, GapStart: 10, GapEnd: 20},
 	}
-	if err := e.Chunk(0, items); err != nil {
+	if err := e.Feed(0, items); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Watermark(1, 500); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Blob(sampleBlob()); err != nil {
+	e.Watermark(1, 500)
+	if err := e.AddBlobs([]*meta.CompiledMethod{sampleBlob()}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Seal(); err != nil {
@@ -136,14 +129,13 @@ func TestRawEncoderMatchesEncoder(t *testing.T) {
 	if err := e.Snapshot(snap); err != nil {
 		t.Fatal(err)
 	}
-	e.Sideband(vm.SwitchRecord{TSC: 100, Core: 0, Thread: 3})
-	e.Sideband(vm.SwitchRecord{TSC: 200, Core: 1, Thread: -1})
-	e.Chunk(0, []source.Item{
+	e.AddSideband([]vm.SwitchRecord{{TSC: 100, Core: 0, Thread: 3}, {TSC: 200, Core: 1, Thread: -1}})
+	e.Feed(0, []source.Item{
 		{Packet: source.Packet{Kind: 1, IP: 0x4000, NBits: 3, Bits: 5, WireLen: 8}},
 		{Gap: true, LostBytes: 64, GapStart: 10, GapEnd: 20},
 	})
 	e.Watermark(1, 500)
-	e.Blob(sampleBlob())
+	e.AddBlobs([]*meta.CompiledMethod{sampleBlob()})
 	if err := e.Seal(); err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +191,7 @@ func TestRecordAfterSeal(t *testing.T) {
 	if got, ok := SealCRC(buf.Bytes()[HeaderLen:]); !ok || got != crc {
 		t.Fatalf("CRC() = %#08x, seal carries %#08x (ok=%v)", crc, got, ok)
 	}
-	if err := e.Sideband(vm.SwitchRecord{}); err == nil {
+	if err := e.Feed(0, nil); err == nil {
 		t.Fatal("record after seal accepted")
 	}
 	if e.Err() == nil {
@@ -382,8 +374,8 @@ func FuzzDecode(f *testing.F) {
 	func() {
 		var buf bytes.Buffer
 		e, _ := NewEncoder(&buf, 2)
-		e.Sideband(vm.SwitchRecord{TSC: 1, Core: 0, Thread: 1})
-		e.Chunk(0, []source.Item{{Packet: source.Packet{Kind: 1, IP: 0x40}}})
+		e.AddSideband([]vm.SwitchRecord{{TSC: 1, Core: 0, Thread: 1}})
+		e.Feed(0, []source.Item{{Packet: source.Packet{Kind: 1, IP: 0x40}}})
 		e.Watermark(0, 7)
 		e.Seal()
 		sample = buf.Bytes()

@@ -2,9 +2,7 @@ package jportal
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -42,9 +40,6 @@ import (
 // seal whose checksum does not cover what was read — surfaces as an error
 // wrapping streamfmt.ErrCorrupt.
 
-// StreamFileName is the record stream inside a chunked archive directory.
-const StreamFileName = "stream.jpt"
-
 // ErrStreamPending is returned by StreamArchiveReader.Next when the archive
 // ends mid-record or before a seal: the writer has not (yet) appended the
 // next record. Followers wait and retry; one-shot readers treat it as a
@@ -52,14 +47,13 @@ const StreamFileName = "stream.jpt"
 var ErrStreamPending = errors.New("jportal: stream archive has no complete next record (still being written?)")
 
 // StreamArchiveWriter appends a run's outputs to a chunked archive as they
-// happen. It implements TraceSink and BlobSink, so it plugs directly into
-// RunWithSink. Methods record the first error and turn later calls into
-// no-ops; Drain and Seal report it.
+// happen. Its embedded encoder is the TraceSink and BlobSink, so it plugs
+// directly into RunWithSink; the writer adds the file the records go to.
+// The encoder's first error sticks; Drain and Seal report it.
 type StreamArchiveWriter struct {
-	f   iofault.File
-	bw  *bufio.Writer
-	enc *streamfmt.Encoder
-	err error
+	*streamfmt.Encoder
+	f  iofault.File
+	bw *bufio.Writer
 }
 
 // InitChunkedArchiveDir creates dir and writes the archive.meta header for
@@ -83,37 +77,37 @@ func InitChunkedArchiveDir(dir, srcID string, fsys iofault.FS) error {
 // as the record stream: an injected ENOSPC here is shed and retried like
 // any other storage fault.
 func WriteArchiveProgram(dir string, programGob []byte, fsys iofault.FS) error {
-	var prog bytecode.Program
-	if err := gob.NewDecoder(bytes.NewReader(programGob)).Decode(&prog); err != nil {
-		return fmt.Errorf("jportal: program bytes do not decode: %w", err)
+	if _, err := decodeProgram(programGob); err != nil {
+		return err
 	}
-	if err := bytecode.Verify(&prog); err != nil {
-		return fmt.Errorf("jportal: relayed program invalid: %w", err)
-	}
-	return writeFileFS(fsys, filepath.Join(dir, "program.gob"), programGob)
+	return writeFileFS(fsys, filepath.Join(dir, ProgramFileName), programGob)
 }
 
-// CreateStreamArchive creates dir as a run archive: header, program, and a
-// stream.jpt opened with the initial snapshot record (the template table
-// and stubs exist before any thread runs; compiled methods arrive later as
-// blob records).
+// CreateStreamArchive creates dir as an Intel PT run archive: header,
+// program, and a stream.jpt opened with the initial snapshot record (the
+// template table and stubs exist before any thread runs; compiled methods
+// arrive later as blob records).
 func CreateStreamArchive(dir string, prog *bytecode.Program, snap *meta.Snapshot, ncores int) (*StreamArchiveWriter, error) {
-	return CreateStreamArchiveSource(dir, prog, snap, ncores, "")
+	return createStreamArchive(dir, prog, snap, ncores, "")
 }
 
-// CreateStreamArchiveSource is CreateStreamArchive for a run collected by
-// the named trace source ("" = the default, Intel PT).
-func CreateStreamArchiveSource(dir string, prog *bytecode.Program, snap *meta.Snapshot, ncores int, srcID string) (*StreamArchiveWriter, error) {
+// createStreamArchive is CreateStreamArchive for a run collected by the
+// named trace source ("" = the default, Intel PT).
+func createStreamArchive(dir string, prog *bytecode.Program, snap *meta.Snapshot, ncores int, srcID string) (*StreamArchiveWriter, error) {
 	if ncores <= 0 {
 		return nil, fmt.Errorf("jportal: stream archive needs at least one core, got %d", ncores)
 	}
 	if _, err := source.Lookup(srcID); err != nil {
 		return nil, fmt.Errorf("jportal: %w", err)
 	}
+	programGob, err := EncodeProgram(prog)
+	if err != nil {
+		return nil, err
+	}
 	if err := InitChunkedArchiveDir(dir, srcID, iofault.OS); err != nil {
 		return nil, err
 	}
-	if err := writeGob(filepath.Join(dir, "program.gob"), prog); err != nil {
+	if err := writeFileFS(iofault.OS, filepath.Join(dir, ProgramFileName), programGob); err != nil {
 		return nil, err
 	}
 	f, err := iofault.OS.OpenFile(filepath.Join(dir, StreamFileName), os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -121,12 +115,12 @@ func CreateStreamArchiveSource(dir string, prog *bytecode.Program, snap *meta.Sn
 		return nil, err
 	}
 	w := &StreamArchiveWriter{f: f, bw: bufio.NewWriter(f)}
-	w.enc, err = streamfmt.NewEncoder(w.bw, ncores)
+	w.Encoder, err = streamfmt.NewEncoder(w.bw, ncores)
 	if err == nil {
-		err = w.enc.Snapshot(snap)
+		err = w.Snapshot(snap)
 	}
 	if err == nil {
-		err = w.flush()
+		err = w.Drain()
 	}
 	if err != nil {
 		f.Close()
@@ -135,85 +129,28 @@ func CreateStreamArchiveSource(dir string, prog *bytecode.Program, snap *meta.Sn
 	return w, nil
 }
 
-// AddBlobs appends one blob record per exported method (BlobSink).
-func (w *StreamArchiveWriter) AddBlobs(blobs []*meta.CompiledMethod) error {
-	if w.err != nil {
-		return w.err
-	}
-	for _, c := range blobs {
-		if err := w.enc.Blob(c); err != nil {
-			w.err = err
-			return err
-		}
-	}
-	return nil
-}
-
-// AddSideband appends one sideband record per switch record (TraceSink).
-func (w *StreamArchiveWriter) AddSideband(recs []vm.SwitchRecord) {
-	if w.err != nil {
-		return
-	}
-	for i := range recs {
-		if err := w.enc.Sideband(recs[i]); err != nil {
-			w.err = err
-			return
-		}
-	}
-}
-
-// Watermark appends a watermark record when it moves the core's mark
-// forward (TraceSink).
-func (w *StreamArchiveWriter) Watermark(core int, mark uint64) {
-	if w.err != nil {
-		return
-	}
-	if err := w.enc.Watermark(core, mark); err != nil {
-		w.err = err
-	}
-}
-
-// Feed appends one chunk record framing the items with source.AppendItem
-// (TraceSink).
-func (w *StreamArchiveWriter) Feed(core int, items []source.Item) error {
-	if w.err != nil {
-		return w.err
-	}
-	if err := w.enc.Chunk(core, items); err != nil {
-		w.err = fmt.Errorf("jportal: stream archive: %w", err)
-	}
-	return w.err
-}
-
-// flush pushes buffered whole records to the file so followers can see
-// them.
-func (w *StreamArchiveWriter) flush() error {
-	if w.err != nil {
-		return w.err
-	}
-	w.err = w.bw.Flush()
-	return w.err
-}
-
 // Drain flushes to disk (TraceSink): after it returns, a follower reads
 // every record appended so far.
-func (w *StreamArchiveWriter) Drain() error { return w.flush() }
+func (w *StreamArchiveWriter) Drain() error {
+	if err := w.Err(); err != nil {
+		return err
+	}
+	return w.bw.Flush()
+}
 
 // Seal appends the seal record — carrying the CRC-32 of the whole stream —
 // flushes, and closes the file. The archive is complete: readers reach the
 // seal (and verify the checksum) instead of ErrStreamPending, and LoadRun
 // accepts the directory.
 func (w *StreamArchiveWriter) Seal() error {
-	if w.err == nil {
-		w.err = w.enc.Seal()
-		if w.err == nil {
-			w.err = w.bw.Flush()
-		}
+	err := w.Encoder.Seal()
+	if err == nil {
+		err = w.bw.Flush()
 	}
-	if cerr := w.f.Close(); w.err == nil {
-		w.err = cerr
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
 	}
-	return w.err
+	return err
 }
 
 // CollectArchive runs prog under cfg straight into a sealed archive at dir,
@@ -225,7 +162,7 @@ func CollectArchive(dir string, prog *bytecode.Program, threads []vm.ThreadSpec,
 	run, err := RunWithSink(prog, threads, cfg,
 		func(p *bytecode.Program, snap *meta.Snapshot, ncores int) (TraceSink, error) {
 			var err error
-			w, err = CreateStreamArchiveSource(dir, p, snap, ncores, cfg.Source)
+			w, err = createStreamArchive(dir, p, snap, ncores, cfg.Source)
 			return w, err
 		})
 	if err != nil {
@@ -282,12 +219,13 @@ func OpenStreamArchive(dir string) (*StreamArchiveReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("jportal: %s: %w", dir, err)
 	}
-	var prog bytecode.Program
-	if err := readGob(filepath.Join(dir, "program.gob"), &prog); err != nil {
+	programGob, err := os.ReadFile(filepath.Join(dir, ProgramFileName))
+	if err != nil {
 		return nil, err
 	}
-	if err := bytecode.Verify(&prog); err != nil {
-		return nil, fmt.Errorf("jportal: archived program invalid: %w", err)
+	prog, err := decodeProgram(programGob)
+	if err != nil {
+		return nil, err
 	}
 	f, err := os.Open(filepath.Join(dir, StreamFileName))
 	if err != nil {
@@ -305,7 +243,7 @@ func OpenStreamArchive(dir string) (*StreamArchiveReader, error) {
 	}
 	r.consume(streamfmt.HeaderLen)
 	r.cur = streamfmt.NewCursor(r.ncores)
-	r.prog = &prog
+	r.prog = prog
 	return r, nil
 }
 

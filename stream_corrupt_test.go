@@ -120,12 +120,12 @@ func TestStreamArchiveCorruptionIsAlwaysAnError(t *testing.T) {
 	// A damaged program.gob is an error too.
 	dir := filepath.Join(t.TempDir(), "gob")
 	cloneArchive(t, base, dir, nil)
-	gob, err := os.ReadFile(filepath.Join(dir, "program.gob"))
+	gob, err := os.ReadFile(filepath.Join(dir, jportal.ProgramFileName))
 	if err != nil {
 		t.Fatal(err)
 	}
 	gob[len(gob)/2] ^= 0xFF
-	if err := os.WriteFile(filepath.Join(dir, "program.gob"), gob, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, jportal.ProgramFileName), gob, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := analyzeDir(dir); err == nil {

@@ -387,7 +387,7 @@ func TestArchiveVersioning(t *testing.T) {
 	if _, _, err := LoadRun(dir); err != nil {
 		t.Fatalf("versioned archive: %v", err)
 	}
-	header := filepath.Join(dir, archiveMetaFile)
+	header := filepath.Join(dir, MetaFileName)
 	for _, tc := range []struct{ name, meta, want string }{
 		{"no header", "", "not a run archive"},
 		{"batch layout", archiveMagicLine + "\nversion: 2\nlayout: batch\n", `layout "batch"`},
