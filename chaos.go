@@ -1,7 +1,6 @@
 package jportal
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -10,6 +9,7 @@ import (
 	"jportal/internal/core"
 	"jportal/internal/fault"
 	"jportal/internal/metrics"
+	"jportal/internal/source"
 	"jportal/internal/vm"
 )
 
@@ -63,9 +63,8 @@ func ChaosTable(prog *bytecode.Program, threads []vm.ThreadSpec, rcfg RunConfig,
 	return rows, nil
 }
 
-// analyzeFaulted is Analyze with the fault injector interposed between the
-// run's outputs and the session: traces, sideband and the metadata snapshot
-// all pass through it.
+// analyzeFaulted is Analyze over a copy of run whose metadata snapshot,
+// sideband and traces all passed through the fault injector.
 func analyzeFaulted(prog *bytecode.Program, run *RunResult, pcfg core.PipelineConfig,
 	m fault.Matrix) (*Analysis, *fault.Injector, error) {
 
@@ -73,30 +72,17 @@ func analyzeFaulted(prog *bytecode.Program, run *RunResult, pcfg core.PipelineCo
 	if err != nil {
 		return nil, nil, err
 	}
-	if pcfg.Source == nil {
-		pcfg.Source = src
-	}
 	// The injector corrupts through the source's traits hooks, so chaos
 	// runs exercise whichever backend collected the trace.
 	inj := fault.NewInjector(m, src.Traits(), metrics.Default)
-	ncores := 1
-	for i := range run.Traces {
-		if n := run.Traces[i].Core + 1; n > ncores {
-			ncores = n
-		}
+	faulted := *run
+	faulted.Snapshot = inj.Snapshot(run.Snapshot)
+	faulted.Sideband = inj.Sideband(run.Sideband)
+	faulted.Traces = make([]source.CoreTrace, len(run.Traces))
+	for i, t := range run.Traces {
+		faulted.Traces[i] = source.CoreTrace{Core: t.Core, Items: inj.Items(t.Core, t.Items)}
 	}
-	s, err := OpenSession(context.Background(), prog, inj.Snapshot(run.Snapshot), ncores, pcfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	s.AddSideband(inj.Sideband(run.Sideband))
-	for i := range run.Traces {
-		if err := s.Feed(run.Traces[i].Core, inj.Items(run.Traces[i].Core, run.Traces[i].Items)); err != nil {
-			s.abandon()
-			return nil, nil, err
-		}
-	}
-	an, err := s.Close()
+	an, err := Analyze(prog, &faulted, pcfg)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -6,7 +6,8 @@
 #                    the concurrent packages (core, trace, conc, pt, source,
 #                    etrace, ingest, fleet) and the root streaming and
 #                    kill-and-resume tests +
-#                    end-to-end smokes (PT, lossy PT and E-Trace) + a
+#                    end-to-end smokes (PT, lossy PT, E-Trace and the
+#                    in-process run/analyze/report verbs) + a
 #                    vet/test pass over the benchmark/ module, which
 #                    builds against the root package
 #
@@ -98,6 +99,22 @@ cmp "$SMOKE/lossy-stream.txt" "$SMOKE/lossy-decode.txt"
 grep -q 'recovered [1-9]' "$SMOKE/lossy-stream.txt"
 grep -qx 'thread 0: segments=9 tokens=74070 steps=130239 (recovered 56169)' "$SMOKE/lossy-stream.txt"
 echo "    lossy PT replay identical across workers and against decode"
+
+echo "==> run/analyze/report smoke (in-process phases, per-thread call tree)"
+# report h2 profiles four threads. Its call tree starts every thread at the
+# root; joined into one stream, each thread's calls would nest under the
+# frames the previous thread left open (max depth 204).
+"$SMOKE/jportal" report h2 >"$SMOKE/report1.txt"
+"$SMOKE/jportal" report h2 >"$SMOKE/report2.txt"
+cmp "$SMOKE/report1.txt" "$SMOKE/report2.txt"
+grep -qx 'call tree: 23839 total calls, max depth 106' "$SMOKE/report1.txt"
+# analyze runs both phases in one process. On the lossy batik run it must
+# reconstruct what the archive replay above pinned, and score it against
+# the oracle; its wall-clock decode=/recover= times are stripped.
+"$SMOKE/jportal" analyze -scale 0.3 -buf 16 batik | sed 's/ decode=[^ ]* recover=[^ ]*//' >"$SMOKE/analyze.txt"
+grep -qx '  thread 0: segments=9 tokens=74070 steps=130239 (recovered 56169) similarity=67.3%' "$SMOKE/analyze.txt"
+"$SMOKE/jportal" run -scale 0.3 batik | grep -qx 'trace: generated=101KB exported=72KB lost=29KB (29.0%)'
+echo "    report deterministic, call tree per thread, analyze matches the archive replay"
 
 echo "==> damaged-push smoke (one byte flipped, refused before upload)"
 # Any single-byte flip past the header breaks record framing or the seal

@@ -302,20 +302,23 @@ func cmdReport(args []string) error {
 	if err != nil {
 		return err
 	}
-	steps := an.Steps()
-	fmt.Printf("=== %s: control-flow profile (%d steps) ===\n", name, len(steps))
+	steps := 0
+	for _, th := range an.Threads {
+		steps += len(th.Steps)
+	}
+	fmt.Printf("=== %s: control-flow profile (%d steps) ===\n", name, steps)
 
-	cov := profile.ComputeCoverage(prog, steps)
+	cov := profile.ComputeCoverage(prog, an.Threads)
 	fmt.Printf("statement coverage: %.1f%% (%d/%d instructions, %d/%d methods)\n",
 		cov.Ratio()*100, cov.CoveredInstrs, cov.TotalInstrs,
 		cov.CoveredMethods, len(prog.Methods))
 
 	fmt.Printf("hot methods (top %d by executed instructions):\n", *top)
-	for i, mid := range profile.HotMethods(prog, steps, *top) {
+	for i, mid := range profile.HotMethods(prog, an.Threads, *top) {
 		fmt.Printf("  %2d. %s\n", i+1, prog.Methods[mid].FullName())
 	}
 
-	edges := profile.EdgeProfile(prog, steps)
+	edges := profile.EdgeProfile(prog, an.Threads)
 	n := 5
 	if len(edges) < n {
 		n = len(edges)
@@ -326,10 +329,10 @@ func cmdReport(args []string) error {
 			prog.Methods[e.Method].FullName(), e.From, e.To, e.Count)
 	}
 
-	tree := profile.CallTree(prog, steps)
+	tree := profile.CallTree(prog, an.Threads)
 	fmt.Printf("call tree: %d total calls, max depth %d\n", tree.TotalCalls(), tree.Depth())
 
-	pp := profile.ComputePathProfile(prog, steps)
+	pp := profile.ComputePathProfile(prog, an.Threads)
 	paths := 0
 	for _, c := range pp.Counts {
 		paths += len(c)
@@ -391,10 +394,9 @@ func cmdDecode(args []string) error {
 			th.RecoveredSteps,
 			float64(th.DecodeTime.Milliseconds()), float64(th.RecoverTime.Milliseconds()))
 	}
-	steps := an.Steps()
-	cov := profile.ComputeCoverage(prog, steps)
+	cov := profile.ComputeCoverage(prog, an.Threads)
 	fmt.Printf("statement coverage: %.1f%%; hot methods:", cov.Ratio()*100)
-	for _, mid := range profile.HotMethods(prog, steps, 5) {
+	for _, mid := range profile.HotMethods(prog, an.Threads, 5) {
 		fmt.Printf(" %s", prog.Methods[mid].FullName())
 	}
 	fmt.Println()
@@ -448,10 +450,9 @@ func cmdStream(args []string) error {
 		fmt.Printf("thread %d: segments=%d tokens=%d steps=%d (recovered %d)\n",
 			th.Thread, th.Decode.Segments, th.Decode.Tokens, len(th.Steps), th.RecoveredSteps)
 	}
-	steps := an.Steps()
-	cov := profile.ComputeCoverage(prog, steps)
+	cov := profile.ComputeCoverage(prog, an.Threads)
 	fmt.Printf("statement coverage: %.1f%%; hot methods:", cov.Ratio()*100)
-	for _, mid := range profile.HotMethods(prog, steps, 5) {
+	for _, mid := range profile.HotMethods(prog, an.Threads, 5) {
 		fmt.Printf(" %s", prog.Methods[mid].FullName())
 	}
 	fmt.Println()

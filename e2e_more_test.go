@@ -118,28 +118,27 @@ func TestPublicProfilesFromAnalysis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	steps := an.Steps()
-	if len(steps) == 0 {
-		t.Fatal("no steps")
+	if len(an.Threads) == 0 {
+		t.Fatal("no threads")
 	}
 
-	cov := profile.ComputeCoverage(s.Program, steps)
+	cov := profile.ComputeCoverage(s.Program, an.Threads)
 	if cov.Ratio() <= 0 || cov.Ratio() > 1 {
 		t.Errorf("coverage ratio %f", cov.Ratio())
 	}
-	hot := profile.HotMethods(s.Program, steps, 10)
+	hot := profile.HotMethods(s.Program, an.Threads, 10)
 	if len(hot) == 0 {
 		t.Error("no hot methods")
 	}
-	edges := profile.EdgeProfile(s.Program, steps)
+	edges := profile.EdgeProfile(s.Program, an.Threads)
 	if len(edges) == 0 {
 		t.Error("no edges")
 	}
-	tree := profile.CallTree(s.Program, steps)
+	tree := profile.CallTree(s.Program, an.Threads)
 	if tree.TotalCalls() == 0 {
 		t.Error("empty call tree")
 	}
-	pp := profile.ComputePathProfile(s.Program, steps)
+	pp := profile.ComputePathProfile(s.Program, an.Threads)
 	if len(pp.Counts) == 0 {
 		t.Error("no path counts")
 	}

@@ -37,7 +37,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cov := profile.ComputeCoverage(subject.Program, an.Steps())
+	cov := profile.ComputeCoverage(subject.Program, an.Threads)
 
 	// Instrumentation baseline: rewrite the bytecode with probes.
 	instrumented, prof, err := baselines.InstrumentCoverage(subject.Program)

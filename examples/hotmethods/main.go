@@ -59,7 +59,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	hot := profile.HotMethods(prog, an.Steps(), topN)
+	hot := profile.HotMethods(prog, an.Threads, topN)
 
 	fmt.Printf("subject: %s — top-%d hot methods vs ground truth\n\n", subject.Name, topN)
 	fmt.Printf("%-4s %-14s %-14s %-14s\n", "#", "truth", "JPortal", "xprof")

@@ -29,14 +29,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	steps := an.Steps()
+	steps := 0
+	for _, th := range an.Threads {
+		steps += len(th.Steps)
+	}
 
-	byCount := profile.HotMethods(prog, steps, 8)
-	timeProf := profile.ComputeTimeProfile(prog, steps, 20_000)
+	byCount := profile.HotMethods(prog, an.Threads, 8)
+	timeProf := profile.ComputeTimeProfile(prog, an.Threads, 20_000)
 	byTime := timeProf.Top(8)
 
 	fmt.Printf("subject: %s — hot spots from reconstructed flow (%d steps)\n\n",
-		subject.Name, len(steps))
+		subject.Name, steps)
 	fmt.Printf("%-4s %-22s %-22s\n", "#", "by instructions", "by attributed time")
 	for i := 0; i < 8; i++ {
 		a, b := "-", "-"

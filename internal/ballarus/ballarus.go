@@ -71,21 +71,17 @@ func Number(m *bytecode.Method) (*Numbering, error) {
 	g := cfg.Build(m)
 	n := &Numbering{Method: m, G: g, incBy: make(map[EdgeKey]Increment)}
 
-	// Identify backedges (target dominates source).
-	idom := cfg.Dominators(g)
 	isBack := make(map[EdgeKey]bool)
-	for _, e := range g.Edges {
-		if cfg.Dominates(idom, e.To, e.From) {
-			isBack[keyOf(e)] = true
-		}
+	for _, e := range cfg.BackEdges(g) {
+		isBack[keyOf(e)] = true
 	}
 
 	// The DAG: real edges minus backedges, plus virtual edges
 	// ENTRY->header and latch->EXIT per backedge. Blocks with no DAG
-	// successors (returns, throws, latches) flow to EXIT.
+	// successors (returns, throws, latches) flow to EXIT. ENTRY is
+	// implicit: paths start at block 0 or at a loop header.
 	nb := len(g.Blocks)
-	const entry = -1 // virtual ENTRY handled implicitly (paths start at block 0 or loop headers)
-	exitID := nb     // virtual EXIT node id
+	exitID := nb // virtual EXIT node id
 
 	succs := make([][]cfg.BlockEdge, nb)
 	reach := cfg.Reachable(g)
@@ -95,7 +91,6 @@ func Number(m *bytecode.Method) (*Numbering, error) {
 		}
 		succs[e.From] = append(succs[e.From], e)
 	}
-	_ = entry
 
 	// numPaths over the DAG in reverse topological order.
 	numPaths := make([]int64, nb+1)

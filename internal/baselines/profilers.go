@@ -239,15 +239,6 @@ func addEdgeProbe(plan *probePlan, g *cfg.CFG, e ballarus.EdgeKey, id int32) {
 	}
 }
 
-// TotalPaths returns the number of distinct paths observed.
-func (p *PathProfiler) TotalPaths() int {
-	n := 0
-	for _, c := range p.Counts {
-		n += len(c)
-	}
-	return n
-}
-
 // --- Control-flow tracing (paper baseline CF, [24]) ---
 
 // FlowEvent is one logged control-flow record.

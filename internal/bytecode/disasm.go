@@ -2,7 +2,6 @@ package bytecode
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -26,13 +25,6 @@ func Disassemble(p *Program) string {
 		b.WriteByte('\n')
 	}
 	fmt.Fprintf(&b, "entry %s\n", p.Methods[p.Entry].FullName())
-	return b.String()
-}
-
-// DisassembleMethod renders one method.
-func DisassembleMethod(p *Program, m *Method) string {
-	var b strings.Builder
-	disassembleMethod(&b, p, m)
 	return b.String()
 }
 
@@ -102,15 +94,4 @@ func labelTargets(m *Method) map[int32]bool {
 		t[h.Target] = true
 	}
 	return t
-}
-
-// SortedLabelList is a test helper: the ascending list of labelled indices.
-func SortedLabelList(m *Method) []int32 {
-	set := labelTargets(m)
-	out := make([]int32, 0, len(set))
-	for t := range set {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -1,7 +1,5 @@
 package cfg
 
-import "sort"
-
 // Dominators computes the immediate dominator of every block in g using the
 // simple iterative dataflow algorithm (Cooper, Harvey, Kennedy). The entry
 // block dominates itself; unreachable blocks get idom -1.
@@ -106,60 +104,6 @@ func ReversePostorder(g *CFG) []int {
 	return out
 }
 
-// Loop describes a natural loop: its header block and body (sorted block
-// IDs, header included).
-type Loop struct {
-	Header int
-	Body   []int
-}
-
-// NaturalLoops finds the natural loops of g: for every back edge t->h
-// (where h dominates t), the loop body is every block that can reach t
-// without passing through h. Loops sharing a header are merged.
-func NaturalLoops(g *CFG) []Loop {
-	idom := Dominators(g)
-	bodies := map[int]map[int]bool{}
-	for _, e := range g.Edges {
-		if !Dominates(idom, e.To, e.From) {
-			continue
-		}
-		h, t := e.To, e.From
-		body := bodies[h]
-		if body == nil {
-			body = map[int]bool{h: true}
-			bodies[h] = body
-		}
-		// Walk predecessors from t up to h.
-		stack := []int{t}
-		for len(stack) > 0 {
-			b := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if body[b] {
-				continue
-			}
-			body[b] = true
-			for _, pe := range g.Preds[b] {
-				stack = append(stack, pe.From)
-			}
-		}
-	}
-	headers := make([]int, 0, len(bodies))
-	for h := range bodies {
-		headers = append(headers, h)
-	}
-	sort.Ints(headers)
-	loops := make([]Loop, 0, len(headers))
-	for _, h := range headers {
-		body := make([]int, 0, len(bodies[h]))
-		for b := range bodies[h] {
-			body = append(body, b)
-		}
-		sort.Ints(body)
-		loops = append(loops, Loop{Header: h, Body: body})
-	}
-	return loops
-}
-
 // BackEdges returns the back edges of g (edges whose target dominates their
 // source).
 func BackEdges(g *CFG) []BlockEdge {
@@ -189,38 +133,4 @@ func Reachable(g *CFG) []bool {
 		}
 	}
 	return seen
-}
-
-// CallGraph is the static call graph over methods.
-type CallGraph struct {
-	// Callees[mid] lists distinct callee methods of mid in first-seen order.
-	Callees [][]int32
-	// Callers[mid] lists distinct caller methods of mid.
-	Callers [][]int32
-}
-
-// BuildCallGraph derives the call graph of the program underlying g.
-func (g *ICFG) BuildCallGraph() *CallGraph {
-	n := len(g.Prog.Methods)
-	cg := &CallGraph{Callees: make([][]int32, n), Callers: make([][]int32, n)}
-	seenCallee := make([]map[int32]bool, n)
-	seenCaller := make([]map[int32]bool, n)
-	for i := range seenCallee {
-		seenCallee[i] = map[int32]bool{}
-		seenCaller[i] = map[int32]bool{}
-	}
-	for callee, sites := range g.CallSitesOf {
-		for _, s := range sites {
-			caller, _ := g.Location(s)
-			if !seenCallee[caller][int32(callee)] {
-				seenCallee[caller][int32(callee)] = true
-				cg.Callees[caller] = append(cg.Callees[caller], int32(callee))
-			}
-			if !seenCaller[callee][int32(caller)] {
-				seenCaller[callee][int32(caller)] = true
-				cg.Callers[callee] = append(cg.Callers[callee], int32(caller))
-			}
-		}
-	}
-	return cg
 }

@@ -6,7 +6,6 @@ package cfg
 
 import (
 	"fmt"
-	"sort"
 
 	"jportal/internal/bytecode"
 )
@@ -180,18 +179,3 @@ func Build(m *bytecode.Method) *CFG {
 
 // EntryBlock returns the entry block ID (always 0).
 func (g *CFG) EntryBlock() int { return 0 }
-
-// ExitBlocks returns the IDs of blocks ending in a return, sorted.
-func (g *CFG) ExitBlocks() []int {
-	var out []int
-	for _, b := range g.Blocks {
-		if g.Method.Code[b.Last()].Op.IsReturn() {
-			out = append(out, b.ID)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// NumEdges returns the edge count.
-func (g *CFG) NumEdges() int { return len(g.Edges) }

@@ -72,9 +72,6 @@ func TestBuildEdges(t *testing.T) {
 	if kinds[EdgeTaken] != 1 || kinds[EdgeFallthrough] != 2 || kinds[EdgeJump] != 1 {
 		t.Errorf("edge kinds: %v", kinds)
 	}
-	if len(g.ExitBlocks()) != 1 {
-		t.Errorf("exit blocks: %v", g.ExitBlocks())
-	}
 }
 
 func TestBuildSwitchEdges(t *testing.T) {
@@ -219,20 +216,10 @@ method T.main(0) {
 entry T.main
 `
 
-func TestNaturalLoops(t *testing.T) {
+func TestBackEdges(t *testing.T) {
 	p := bytecode.MustAssemble(loopSrc)
 	g := Build(p.MethodByName("T.loop"))
-	loops := NaturalLoops(g)
-	if len(loops) != 1 {
-		t.Fatalf("loops: %+v", loops)
-	}
 	head := g.BlockOf[2]
-	if loops[0].Header != head {
-		t.Errorf("loop header %d, want %d", loops[0].Header, head)
-	}
-	if len(loops[0].Body) != 2 {
-		t.Errorf("loop body %v", loops[0].Body)
-	}
 	if be := BackEdges(g); len(be) != 1 || be[0].To != head {
 		t.Errorf("backedges %v", be)
 	}

@@ -171,20 +171,6 @@ entry T.main
 	}
 }
 
-func TestCallGraph(t *testing.T) {
-	p := bytecode.MustAssemble(icfgSrc)
-	g := BuildICFG(p, DefaultOptions())
-	cg := g.BuildCallGraph()
-	main := p.MethodByName("T.main")
-	if len(cg.Callees[main.ID]) != 3 { // helper + 2 callbacks
-		t.Errorf("main callees: %v", cg.Callees[main.ID])
-	}
-	helper := p.MethodByName("T.helper")
-	if len(cg.Callers[helper.ID]) != 1 || cg.Callers[helper.ID][0] != int32(main.ID) {
-		t.Errorf("helper callers: %v", cg.Callers[helper.ID])
-	}
-}
-
 func TestICFGPredsMirrorSuccs(t *testing.T) {
 	p := bytecode.MustAssemble(icfgSrc)
 	g := BuildICFG(p, DefaultOptions())

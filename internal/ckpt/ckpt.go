@@ -77,26 +77,17 @@ func Open(data []byte) ([]byte, error) {
 	return data[headerLen : headerLen+int(plen)], nil
 }
 
-// WriteFile seals payload and writes it crash-atomically to path.
-func WriteFile(path string, payload []byte) error {
-	return WriteFileFS(iofault.OS, path, payload)
+// WriteFile seals payload and writes it crash-atomically to path through
+// fsys (iofault.OS for the real filesystem; the coordinator passes its
+// storage fault injector's view).
+func WriteFile(fsys iofault.FS, path string, payload []byte) error {
+	return fsatomic.WriteFile(fsys, path, Seal(payload), 0o644)
 }
 
-// WriteFileFS is WriteFile over an explicit filesystem, so the coordinator
-// can persist its durable state through the storage fault injector.
-func WriteFileFS(fsys iofault.FS, path string, payload []byte) error {
-	return fsatomic.WriteFileFS(fsys, path, Seal(payload), 0o644)
-}
-
-// ReadFile reads and validates a sealed checkpoint file, returning the
-// payload. Missing-file errors pass through unwrapped (os.IsNotExist
-// works); structural failures wrap ErrCorrupt.
-func ReadFile(path string) ([]byte, error) {
-	return ReadFileFS(iofault.OS, path)
-}
-
-// ReadFileFS is ReadFile over an explicit filesystem.
-func ReadFileFS(fsys iofault.FS, path string) ([]byte, error) {
+// ReadFile reads and validates a sealed checkpoint file through fsys,
+// returning the payload. Missing-file errors pass through unwrapped
+// (os.IsNotExist works); structural failures wrap ErrCorrupt.
+func ReadFile(fsys iofault.FS, path string) ([]byte, error) {
 	data, err := fsys.ReadFile(path)
 	if err != nil {
 		return nil, err

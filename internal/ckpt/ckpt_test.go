@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"jportal/internal/iofault"
 )
 
 func TestSealOpenRoundTrip(t *testing.T) {
@@ -57,17 +59,17 @@ func TestOpenRejectsCorruption(t *testing.T) {
 func TestWriteReadFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "session.ckpt")
 	payload := []byte("checkpoint payload")
-	if err := WriteFile(path, payload); err != nil {
+	if err := WriteFile(iofault.OS, path, payload); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	got, err := ReadFile(path)
+	got, err := ReadFile(iofault.OS, path)
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("ReadFile: %q, %v", got, err)
 	}
 
 	// Missing files surface as os.IsNotExist, not ErrCorrupt: the caller
 	// distinguishes "no checkpoint yet" from "checkpoint damaged".
-	_, err = ReadFile(filepath.Join(t.TempDir(), "absent.ckpt"))
+	_, err = ReadFile(iofault.OS, filepath.Join(t.TempDir(), "absent.ckpt"))
 	if !os.IsNotExist(err) {
 		t.Fatalf("missing file: want not-exist, got %v", err)
 	}
@@ -77,7 +79,7 @@ func TestWriteReadFile(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadFile(path); !errors.Is(err, ErrCorrupt) {
+	if _, err := ReadFile(iofault.OS, path); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("torn file: want ErrCorrupt, got %v", err)
 	}
 }

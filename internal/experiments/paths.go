@@ -55,7 +55,7 @@ func PathAccuracy(o Options) ([]PathRow, error) {
 		if err != nil {
 			return err
 		}
-		pp := profile.ComputePathProfile(s.Program, an.Steps())
+		pp := profile.ComputePathProfile(s.Program, an.Threads)
 
 		row := PathRow{Subject: name}
 		var trueTotal, overlap uint64

@@ -70,7 +70,7 @@ func Table4(o Options) ([]Table4Row, error) {
 		if err != nil {
 			return err
 		}
-		hot := profile.HotMethods(s.Program, an.Steps(), topN)
+		hot := profile.HotMethods(s.Program, an.Threads, topN)
 		row.JPortal = metrics.TopNIntersection(truth, hot, topN)
 
 		rows[i] = row

@@ -14,8 +14,6 @@
 package fault
 
 import (
-	"sort"
-
 	"jportal/internal/faultrng"
 	"jportal/internal/meta"
 	"jportal/internal/metrics"
@@ -384,26 +382,4 @@ func staleCopy(c *meta.CompiledMethod, rng *faultrng.Stream) *meta.CompiledMetho
 		cc.Debug[i] = nd
 	}
 	return &cc
-}
-
-// SortedCounts returns (slug, count) pairs sorted by slug — the stable
-// order reports print in.
-func SortedCounts(m map[string]uint64) []struct {
-	Name  string
-	Count uint64
-} {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]struct {
-		Name  string
-		Count uint64
-	}, len(keys))
-	for i, k := range keys {
-		out[i].Name = k
-		out[i].Count = m[k]
-	}
-	return out
 }

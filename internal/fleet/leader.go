@@ -211,7 +211,7 @@ func (e *Election) campaign() {
 func (e *Election) leasePath() string { return filepath.Join(e.cfg.Dir, leaseFileName) }
 
 func (e *Election) readLease() leaseRecord {
-	payload, err := ckpt.ReadFileFS(e.fsys(), e.leasePath())
+	payload, err := ckpt.ReadFile(e.fsys(), e.leasePath())
 	if err != nil {
 		if !errors.Is(err, fs.ErrNotExist) {
 			// Corrupt or torn: treat as absent. The next acquisition
@@ -234,7 +234,7 @@ func (e *Election) writeLease(rec leaseRecord) error {
 	if err != nil {
 		return err
 	}
-	return ckpt.WriteFileFS(e.fsys(), e.leasePath(), payload)
+	return ckpt.WriteFile(e.fsys(), e.leasePath(), payload)
 }
 
 func (e *Election) fsys() iofault.FS {

@@ -51,7 +51,7 @@ func (c *Coordinator) persistLocked() error {
 	if err != nil {
 		return err
 	}
-	if err := ckpt.WriteFileFS(c.cfg.fsys(), filepath.Join(c.cfg.StateDir, stateFileName), payload); err != nil {
+	if err := ckpt.WriteFile(c.cfg.fsys(), filepath.Join(c.cfg.StateDir, stateFileName), payload); err != nil {
 		return err
 	}
 	c.dirty = false
@@ -68,7 +68,7 @@ func (c *Coordinator) rehydrateLocked() {
 	if c.cfg.StateDir == "" {
 		return
 	}
-	payload, err := ckpt.ReadFileFS(c.cfg.fsys(), filepath.Join(c.cfg.StateDir, stateFileName))
+	payload, err := ckpt.ReadFile(c.cfg.fsys(), filepath.Join(c.cfg.StateDir, stateFileName))
 	if err != nil {
 		if !errors.Is(err, fs.ErrNotExist) {
 			c.cfg.Logf("fleet: coordinator state unreadable, starting empty: %v", err)

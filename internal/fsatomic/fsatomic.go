@@ -17,16 +17,13 @@ import (
 // created in path's directory (rename is only atomic within a filesystem),
 // fsynced before the rename, and the directory is fsynced after it so the
 // rename itself survives a crash.
-func WriteFile(path string, data []byte, perm os.FileMode) error {
-	return WriteFileFS(iofault.OS, path, data, perm)
-}
-
-// WriteFileFS is WriteFile over an explicit filesystem, so the storage
-// fault injector can sit beneath the atomic commit: every create, write
-// and fsync in the sequence goes through fsys, and a fault at any step
-// leaves the destination untouched (the temp file is removed, the rename
-// never happens).
-func WriteFileFS(fsys iofault.FS, path string, data []byte, perm os.FileMode) error {
+//
+// Every create, write and fsync in the sequence goes through fsys
+// (iofault.OS for the real filesystem), so the storage fault injector can
+// sit beneath the atomic commit: a fault at any step leaves the
+// destination untouched (the temp file is removed, the rename never
+// happens).
+func WriteFile(fsys iofault.FS, path string, data []byte, perm os.FileMode) error {
 	dir := filepath.Dir(path)
 	tmp, err := fsys.CreateTemp(dir, "."+filepath.Base(path)+".tmp-")
 	if err != nil {

@@ -13,14 +13,14 @@ import (
 func TestWriteFileCreatesAndReplaces(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state")
-	if err := WriteFile(path, []byte("one"), 0o644); err != nil {
+	if err := WriteFile(iofault.OS, path, []byte("one"), 0o644); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
 	got, err := os.ReadFile(path)
 	if err != nil || string(got) != "one" {
 		t.Fatalf("read back: %q, %v", got, err)
 	}
-	if err := WriteFile(path, []byte("two, longer"), 0o644); err != nil {
+	if err := WriteFile(iofault.OS, path, []byte("two, longer"), 0o644); err != nil {
 		t.Fatalf("WriteFile replace: %v", err)
 	}
 	got, _ = os.ReadFile(path)
@@ -38,13 +38,13 @@ func TestWriteFileCreatesAndReplaces(t *testing.T) {
 }
 
 func TestWriteFileMissingDir(t *testing.T) {
-	err := WriteFile(filepath.Join(t.TempDir(), "no", "such", "dir", "f"), []byte("x"), 0o644)
+	err := WriteFile(iofault.OS, filepath.Join(t.TempDir(), "no", "such", "dir", "f"), []byte("x"), 0o644)
 	if err == nil {
 		t.Fatal("expected error writing into a missing directory")
 	}
 }
 
-// spyFS records the operation sequence WriteFileFS performs, delegating
+// spyFS records the operation sequence WriteFile performs, delegating
 // everything to the real filesystem.
 type spyFS struct {
 	ops []string
@@ -101,8 +101,8 @@ func (f *spyFile) Sync() error {
 func TestWriteFileSyncsDirAfterRename(t *testing.T) {
 	dir := t.TempDir()
 	spy := &spyFS{}
-	if err := WriteFileFS(spy, filepath.Join(dir, "state"), []byte("payload"), 0o644); err != nil {
-		t.Fatalf("WriteFileFS: %v", err)
+	if err := WriteFile(spy, filepath.Join(dir, "state"), []byte("payload"), 0o644); err != nil {
+		t.Fatalf("WriteFile: %v", err)
 	}
 	want := []string{"createtemp", "fsync", "rename", "syncdir:" + filepath.Base(dir)}
 	if len(spy.ops) != len(want) {
@@ -128,11 +128,11 @@ func TestWriteFileFaultLeavesDestinationIntact(t *testing.T) {
 	} {
 		dir := t.TempDir()
 		path := filepath.Join(dir, "state")
-		if err := WriteFile(path, []byte("old"), 0o644); err != nil {
+		if err := WriteFile(iofault.OS, path, []byte("old"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		fsys := iofault.NewInjector(m, nil).FS("t")
-		err := WriteFileFS(fsys, path, []byte("new and longer"), 0o644)
+		err := WriteFile(fsys, path, []byte("new and longer"), 0o644)
 		if err == nil {
 			t.Fatalf("matrix %+v: write succeeded, want fault", m)
 		}

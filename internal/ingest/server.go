@@ -297,15 +297,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 }
 
-// ListenAndServe listens on addr (TCP) and serves.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
-}
-
 // Shutdown drains the server: stop accepting, let attached sessions finish
 // their uploads, archive everything queued, and flush state. When ctx
 // expires first, remaining connections are force-closed — already-queued
@@ -875,7 +866,7 @@ func ReadSessionState(dir string) (SessionState, error) {
 // WriteSessionState crash-atomically replaces a session directory's
 // ingest.state — the scrubber uses it to commit a repaired frontier.
 func WriteSessionState(dir string, st SessionState) error {
-	return fsatomic.WriteFile(filepath.Join(dir, stateFileName), []byte(stateBody(st)), 0o644)
+	return fsatomic.WriteFile(iofault.OS, filepath.Join(dir, stateFileName), []byte(stateBody(st)), 0o644)
 }
 
 // persistState records the acknowledged frontier, crash-atomically (temp +
@@ -884,7 +875,7 @@ func WriteSessionState(dir string, st SessionState) error {
 // shared). A restarted server resumes from here.
 func (sess *session) persistState() error {
 	st := SessionState{Seq: sess.lastAcked, Size: sess.size, CRC: sess.cur.CRC, Sealed: sess.cur.Sealed}
-	return fsatomic.WriteFileFS(sess.fsys, filepath.Join(sess.dir, stateFileName), []byte(stateBody(st)), 0o644)
+	return fsatomic.WriteFile(sess.fsys, filepath.Join(sess.dir, stateFileName), []byte(stateBody(st)), 0o644)
 }
 
 func (sess *session) ackedSeq() uint64 {

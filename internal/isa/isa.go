@@ -223,6 +223,3 @@ func (s *AddressSpace) find(addr uint64) int {
 	}
 	return -1
 }
-
-// Blobs returns the blobs in address order (shared slice; do not mutate).
-func (s *AddressSpace) Blobs() []*Blob { return s.blobs }

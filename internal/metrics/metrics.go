@@ -183,41 +183,13 @@ type TimedKey struct {
 	TSC uint64
 }
 
-// ComputeBreakdown splits truth into captured/lost parts using the loss
-// intervals, scores the decoded steps against the captured truth and the
-// recovered steps against the lost truth, and composes the Table 3 row.
-func ComputeBreakdown(truth []TimedKey, lost []Interval, decoded, recovered []Key, window int) Breakdown {
-	var capturedTruth, lostTruth []Key
-	li := 0
-	for _, tk := range truth {
-		for li < len(lost) && tk.TSC >= lost[li].End {
-			li++
-		}
-		if li < len(lost) && lost[li].Contains(tk.TSC) {
-			lostTruth = append(lostTruth, tk.Key)
-		} else {
-			capturedTruth = append(capturedTruth, tk.Key)
-		}
-	}
-	var b Breakdown
-	if len(truth) > 0 {
-		b.PMD = float64(len(lostTruth)) / float64(len(truth))
-	}
-	b.PDC = 1 - b.PMD
-	b.DA = Similarity(decoded, capturedTruth, window)
-	if len(lostTruth) > 0 {
-		b.RA = Similarity(recovered, lostTruth, window)
-	}
-	b.PD = b.PDC * b.DA
-	b.PR = b.PMD * b.RA
-	b.Overall = b.PD + b.PR
-	return b
-}
-
-// ComputeBreakdownTimed is ComputeBreakdown with timestamp-aligned scoring
-// (SimilarityByTime) for the decoded part, whose timestamps are measured;
-// recovered steps carry synthetic (interpolated) timestamps, so RA keeps
-// the index-proportional alignment.
+// ComputeBreakdownTimed splits truth into captured/lost parts using the
+// loss intervals, scores the decoded steps against the captured truth and
+// the recovered steps against the lost truth, and composes the Table 3
+// row. The decoded part, whose timestamps are measured, is scored with
+// timestamp-aligned windows (SimilarityByTime); recovered steps carry
+// synthetic (interpolated) timestamps, so RA keeps the index-proportional
+// alignment.
 func ComputeBreakdownTimed(truth []TimedKey, lost []Interval, decoded, recovered []TimedKey, windowCycles uint64) Breakdown {
 	var capturedTruth, lostTruth []TimedKey
 	li := 0
@@ -252,18 +224,6 @@ func ComputeBreakdownTimed(truth []TimedKey, lost []Interval, decoded, recovered
 	b.PR = b.PMD * b.RA
 	b.Overall = b.PD + b.PR
 	return b
-}
-
-// Mean returns the arithmetic mean of xs (0 for empty).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
 }
 
 // TopNIntersection returns |topN(a) ∩ topN(b)| where a and b are ranked

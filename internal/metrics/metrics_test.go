@@ -91,43 +91,6 @@ func TestSimilarityWindowedMatchesExactOnAlignedStreams(t *testing.T) {
 	}
 }
 
-func TestComputeBreakdownComposition(t *testing.T) {
-	// Truth: 100 steps at t=i*10; steps 40..59 lost.
-	var truth []TimedKey
-	for i := 0; i < 100; i++ {
-		truth = append(truth, TimedKey{Key: Key(i), TSC: uint64(i * 10)})
-	}
-	lost := []Interval{{Start: 400, End: 600}}
-	var decoded, recovered []Key
-	for i := 0; i < 100; i++ {
-		switch {
-		case i >= 40 && i < 60:
-			if i%2 == 0 { // recover half the lost steps
-				recovered = append(recovered, Key(i))
-			}
-		default:
-			decoded = append(decoded, Key(i))
-		}
-	}
-	b := ComputeBreakdown(truth, lost, decoded, recovered, 0)
-	if b.PMD != 0.2 {
-		t.Errorf("PMD = %f, want 0.2", b.PMD)
-	}
-	if b.DA != 1.0 {
-		t.Errorf("DA = %f, want 1.0 (perfect decode of captured)", b.DA)
-	}
-	if b.RA != 0.5 {
-		t.Errorf("RA = %f, want 0.5", b.RA)
-	}
-	wantOverall := 0.8*1.0 + 0.2*0.5
-	if diff := b.Overall - wantOverall; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("Overall = %f, want %f", b.Overall, wantOverall)
-	}
-	if b.PD != b.PDC*b.DA || b.PR != b.PMD*b.RA {
-		t.Error("PD/PR composition broken")
-	}
-}
-
 func TestTopNIntersection(t *testing.T) {
 	a := []int32{1, 2, 3, 4, 5}
 	b := []int32{5, 4, 9, 10, 11}
@@ -151,15 +114,6 @@ func TestStepKeyInjective(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMean(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Error("mean of empty")
-	}
-	if Mean([]float64{1, 2, 3}) != 2 {
-		t.Error("mean wrong")
 	}
 }
 
@@ -236,7 +190,11 @@ func TestComputeBreakdownTimed(t *testing.T) {
 	if b.PMD != 0.2 || b.DA != 1.0 || b.RA != 0.5 {
 		t.Errorf("breakdown: %+v", b)
 	}
-	if b.Overall != b.PD+b.PR {
-		t.Error("overall composition")
+	wantOverall := 0.8*1.0 + 0.2*0.5
+	if diff := b.Overall - wantOverall; diff > 1e-9 || diff < -1e-9 {
+		t.Errorf("Overall = %f, want %f", b.Overall, wantOverall)
+	}
+	if b.PD != b.PDC*b.DA || b.PR != b.PMD*b.RA || b.Overall != b.PD+b.PR {
+		t.Error("PD/PR/Overall composition broken")
 	}
 }

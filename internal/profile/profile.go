@@ -2,6 +2,12 @@
 // introduction motivates — statement coverage, path frequencies, control
 // flow (edge) profiles, hot-method rankings, and call trees — from the
 // control-flow steps JPortal reconstructs.
+//
+// Every profile takes the analysis's per-thread results. Each thread is
+// its own step stream: the profiles that follow the stream (edges, time
+// gaps, Ball-Larus block runs, the call stack) start afresh at every thread
+// boundary, so the last step of one thread is never joined to the first
+// step of the next.
 package profile
 
 import (
@@ -34,10 +40,12 @@ func (c *Coverage) Ratio() float64 {
 	return float64(c.CoveredInstrs) / float64(c.TotalInstrs)
 }
 
-// ComputeCoverage derives statement coverage from steps.
-func ComputeCoverage(prog *bytecode.Program, steps []core.Step) *Coverage {
+// ComputeCoverage derives statement coverage from every thread's steps.
+func ComputeCoverage(prog *bytecode.Program, threads []*core.ThreadResult) *Coverage {
 	c := NewCoverage(prog)
-	c.Add(steps)
+	for _, t := range threads {
+		c.Add(t.Steps)
+	}
 	c.Seal()
 	return c
 }
@@ -103,18 +111,21 @@ type Edge struct {
 
 // EdgeProfile counts intra-method instruction-level edges (the control-flow
 // profile).
-func EdgeProfile(prog *bytecode.Program, steps []core.Step) []Edge {
+func EdgeProfile(prog *bytecode.Program, threads []*core.ThreadResult) []Edge {
 	type key struct {
 		m        bytecode.MethodID
 		from, to int32
 	}
 	counts := make(map[key]uint64)
-	for i := 1; i < len(steps); i++ {
-		a, b := steps[i-1], steps[i]
-		if a.Method != b.Method {
-			continue
+	for _, t := range threads {
+		steps := t.Steps
+		for i := 1; i < len(steps); i++ {
+			a, b := steps[i-1], steps[i]
+			if a.Method != b.Method {
+				continue
+			}
+			counts[key{a.Method, a.PC, b.PC}]++
 		}
-		counts[key{a.Method, a.PC, b.PC}]++
 	}
 	out := make([]Edge, 0, len(counts))
 	for k, n := range counts {
@@ -137,11 +148,13 @@ func EdgeProfile(prog *bytecode.Program, steps []core.Step) []Edge {
 
 // HotMethods ranks methods by executed-step count (JPortal's hot-method
 // report, Table 4).
-func HotMethods(prog *bytecode.Program, steps []core.Step, n int) []int32 {
+func HotMethods(prog *bytecode.Program, threads []*core.ThreadResult, n int) []int32 {
 	counts := make([]int64, len(prog.Methods))
-	for _, s := range steps {
-		if int(s.Method) < len(counts) && s.Method >= 0 {
-			counts[s.Method]++
+	for _, t := range threads {
+		for _, s := range t.Steps {
+			if int(s.Method) < len(counts) && s.Method >= 0 {
+				counts[s.Method]++
+			}
 		}
 	}
 	idx := make([]int32, len(counts))
@@ -164,7 +177,8 @@ func HotMethods(prog *bytecode.Program, steps []core.Step, n int) []int32 {
 // contain event timestamps, enabling performance analysis such as detection
 // of invocation hot spots"). Each inter-step gap is charged to the method
 // executing before it; gaps above maxGap (scheduling pauses, data loss) are
-// dropped.
+// dropped, and so is the gap between one thread's last step and the next
+// thread's first.
 type TimeProfile struct {
 	// Cycles[mid] is the time attributed to each method.
 	Cycles []uint64
@@ -173,23 +187,26 @@ type TimeProfile struct {
 }
 
 // ComputeTimeProfile derives per-method time from step timestamps.
-func ComputeTimeProfile(prog *bytecode.Program, steps []core.Step, maxGap uint64) *TimeProfile {
+func ComputeTimeProfile(prog *bytecode.Program, threads []*core.ThreadResult, maxGap uint64) *TimeProfile {
 	tp := &TimeProfile{Cycles: make([]uint64, len(prog.Methods))}
 	if maxGap == 0 {
 		maxGap = 10_000
 	}
-	for i := 1; i < len(steps); i++ {
-		prev, cur := &steps[i-1], &steps[i]
-		if cur.TSC <= prev.TSC {
-			continue
-		}
-		d := cur.TSC - prev.TSC
-		if d > maxGap {
-			continue
-		}
-		if int(prev.Method) < len(tp.Cycles) && prev.Method >= 0 {
-			tp.Cycles[prev.Method] += d
-			tp.Total += d
+	for _, t := range threads {
+		steps := t.Steps
+		for i := 1; i < len(steps); i++ {
+			prev, cur := &steps[i-1], &steps[i]
+			if cur.TSC <= prev.TSC {
+				continue
+			}
+			d := cur.TSC - prev.TSC
+			if d > maxGap {
+				continue
+			}
+			if int(prev.Method) < len(tp.Cycles) && prev.Method >= 0 {
+				tp.Cycles[prev.Method] += d
+				tp.Total += d
+			}
 		}
 	}
 	return tp
@@ -221,8 +238,8 @@ type PathProfile struct {
 	Skipped []bytecode.MethodID
 }
 
-// ComputePathProfile replays steps through BL numberings.
-func ComputePathProfile(prog *bytecode.Program, steps []core.Step) *PathProfile {
+// ComputePathProfile replays every thread's steps through BL numberings.
+func ComputePathProfile(prog *bytecode.Program, threads []*core.ThreadResult) *PathProfile {
 	p := &PathProfile{Counts: make(map[bytecode.MethodID]map[int64]uint64)}
 	nums := make(map[bytecode.MethodID]*ballarus.Numbering)
 	graphs := make(map[bytecode.MethodID]*cfg.CFG)
@@ -235,8 +252,8 @@ func ComputePathProfile(prog *bytecode.Program, steps []core.Step) *PathProfile 
 		nums[m.ID] = num
 		graphs[m.ID] = num.G
 	}
-	// Cut the step stream into per-method block runs.
-	var curM bytecode.MethodID = bytecode.NoMethod
+	// Cut each thread's step stream into per-method block runs.
+	var curM bytecode.MethodID
 	var blocks []int
 	flush := func() {
 		if curM == bytecode.NoMethod || len(blocks) == 0 {
@@ -255,28 +272,31 @@ func ComputePathProfile(prog *bytecode.Program, steps []core.Step) *PathProfile 
 		}
 		blocks = blocks[:0]
 	}
-	prevReturn := false
-	for _, s := range steps {
-		g := graphs[s.Method]
-		if g == nil || int(s.PC) >= len(g.BlockOf) {
-			flush()
-			curM = bytecode.NoMethod
-			prevReturn = false
-			continue
+	for _, t := range threads {
+		curM = bytecode.NoMethod
+		prevReturn := false
+		for _, s := range t.Steps {
+			g := graphs[s.Method]
+			if g == nil || int(s.PC) >= len(g.BlockOf) {
+				flush()
+				curM = bytecode.NoMethod
+				prevReturn = false
+				continue
+			}
+			if s.Method != curM || (prevReturn && s.PC == 0) {
+				// Method change, or re-entry of the same method right
+				// after its return (recursion/repeated calls).
+				flush()
+				curM = s.Method
+			}
+			b := g.BlockOf[s.PC]
+			if len(blocks) == 0 || blocks[len(blocks)-1] != b {
+				blocks = append(blocks, b)
+			}
+			prevReturn = prog.Methods[s.Method].Code[s.PC].Op.IsReturn()
 		}
-		if s.Method != curM || (prevReturn && s.PC == 0) {
-			// Method change, or re-entry of the same method right after
-			// its return (recursion/repeated calls).
-			flush()
-			curM = s.Method
-		}
-		b := g.BlockOf[s.PC]
-		if len(blocks) == 0 || blocks[len(blocks)-1] != b {
-			blocks = append(blocks, b)
-		}
-		prevReturn = prog.Methods[s.Method].Code[s.PC].Op.IsReturn()
+		flush()
 	}
-	flush()
 	return p
 }
 
@@ -293,35 +313,36 @@ func newCallNode(m bytecode.MethodID) *CallNode {
 
 // CallTree reconstructs the dynamic call tree from steps: entering a method
 // at pc 0 right after a call instruction pushes; executing a return pops.
-func CallTree(prog *bytecode.Program, steps []core.Step) *CallNode {
+// Each thread's calls start at the root, so frames a thread leaves open
+// never parent another thread's calls.
+func CallTree(prog *bytecode.Program, threads []*core.ThreadResult) *CallNode {
 	root := newCallNode(bytecode.NoMethod)
-	stack := []*CallNode{root}
-	top := func() *CallNode { return stack[len(stack)-1] }
-	var prevOp bytecode.Opcode = bytecode.NOP
-	var prevM bytecode.MethodID = bytecode.NoMethod
-	for _, s := range steps {
-		m := prog.Method(s.Method)
-		if m == nil || int(s.PC) >= len(m.Code) {
-			continue
-		}
-		op := m.Code[s.PC].Op
-		switch {
-		case s.PC == 0 && prevOp.IsCall() && prevM != s.Method:
-			child := top().Children[s.Method]
-			if child == nil {
-				child = newCallNode(s.Method)
-				top().Children[s.Method] = child
+	for _, t := range threads {
+		stack := []*CallNode{root}
+		top := func() *CallNode { return stack[len(stack)-1] }
+		var prevOp bytecode.Opcode = bytecode.NOP
+		var prevM bytecode.MethodID = bytecode.NoMethod
+		for _, s := range t.Steps {
+			m := prog.Method(s.Method)
+			if m == nil || int(s.PC) >= len(m.Code) {
+				continue
 			}
-			child.Count++
-			stack = append(stack, child)
-		case s.Method != top().Method && s.Method == prevM:
-			// still in the same method as before; nothing to do
+			op := m.Code[s.PC].Op
+			if s.PC == 0 && prevOp.IsCall() && prevM != s.Method {
+				child := top().Children[s.Method]
+				if child == nil {
+					child = newCallNode(s.Method)
+					top().Children[s.Method] = child
+				}
+				child.Count++
+				stack = append(stack, child)
+			}
+			if op.IsReturn() && len(stack) > 1 && top().Method == s.Method {
+				stack = stack[:len(stack)-1]
+			}
+			prevOp = op
+			prevM = s.Method
 		}
-		if op.IsReturn() && len(stack) > 1 && top().Method == s.Method {
-			stack = stack[:len(stack)-1]
-		}
-		prevOp = op
-		prevM = s.Method
 	}
 	return root
 }

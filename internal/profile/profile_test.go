@@ -32,6 +32,16 @@ func mkSteps(pairs ...[2]int32) []core.Step {
 	return out
 }
 
+// threads wraps step streams as the per-thread results of an analysis,
+// thread i carrying streams[i].
+func threads(streams ...[]core.Step) []*core.ThreadResult {
+	out := make([]*core.ThreadResult, len(streams))
+	for i, s := range streams {
+		out[i] = &core.ThreadResult{Thread: i, Steps: s}
+	}
+	return out
+}
+
 func TestCoverage(t *testing.T) {
 	p := bytecode.MustAssemble(profSrc)
 	leaf := p.MethodByName("T.leaf")
@@ -42,7 +52,7 @@ func TestCoverage(t *testing.T) {
 		[2]int32{int32(leaf.ID), 2}, [2]int32{int32(leaf.ID), 3},
 		[2]int32{int32(main.ID), 2}, [2]int32{int32(main.ID), 3},
 	)
-	cov := ComputeCoverage(p, steps)
+	cov := ComputeCoverage(p, threads(steps))
 	if cov.CoveredInstrs != 8 || cov.TotalInstrs != 8 {
 		t.Errorf("coverage %d/%d", cov.CoveredInstrs, cov.TotalInstrs)
 	}
@@ -50,7 +60,7 @@ func TestCoverage(t *testing.T) {
 		t.Errorf("ratio %f methods %d", cov.Ratio(), cov.CoveredMethods)
 	}
 	// Duplicate steps do not double count.
-	cov2 := ComputeCoverage(p, append(steps, steps...))
+	cov2 := ComputeCoverage(p, threads(steps, steps))
 	if cov2.CoveredInstrs != 8 {
 		t.Error("duplicates double-counted")
 	}
@@ -63,7 +73,7 @@ func TestEdgeProfile(t *testing.T) {
 		[2]int32{int32(leaf.ID), 0}, [2]int32{int32(leaf.ID), 1},
 		[2]int32{int32(leaf.ID), 0}, [2]int32{int32(leaf.ID), 1},
 	)
-	edges := EdgeProfile(p, steps)
+	edges := EdgeProfile(p, threads(steps))
 	// Edges: 0->1 twice, 1->0 once.
 	if len(edges) != 2 {
 		t.Fatalf("edges: %+v", edges)
@@ -82,11 +92,11 @@ func TestHotMethods(t *testing.T) {
 		steps = append(steps, core.Step{Method: leaf.ID, PC: 0})
 	}
 	steps = append(steps, core.Step{Method: main.ID, PC: 0})
-	hot := HotMethods(p, steps, 10)
+	hot := HotMethods(p, threads(steps), 10)
 	if len(hot) != 2 || hot[0] != int32(leaf.ID) {
 		t.Errorf("hot: %v", hot)
 	}
-	if got := HotMethods(p, steps, 1); len(got) != 1 {
+	if got := HotMethods(p, threads(steps), 1); len(got) != 1 {
 		t.Errorf("top-1: %v", got)
 	}
 }
@@ -101,7 +111,7 @@ func TestPathProfileFromSteps(t *testing.T) {
 			steps = append(steps, core.Step{Method: leaf.ID, PC: pc})
 		}
 	}
-	pp := ComputePathProfile(p, steps)
+	pp := ComputePathProfile(p, threads(steps))
 	counts := pp.Counts[leaf.ID]
 	if counts == nil {
 		t.Fatal("no counts for leaf")
@@ -129,7 +139,7 @@ func TestCallTree(t *testing.T) {
 		[2]int32{int32(main.ID), 2},
 		[2]int32{int32(main.ID), 3},
 	)
-	tree := CallTree(p, steps)
+	tree := CallTree(p, threads(steps))
 	if tree.TotalCalls() != 1 {
 		t.Errorf("total calls %d", tree.TotalCalls())
 	}
@@ -154,7 +164,7 @@ func TestTimeProfile(t *testing.T) {
 		{Method: main.ID, PC: 2, TSC: 130},
 		{Method: main.ID, PC: 3, TSC: 999_999}, // beyond maxGap: dropped
 	}
-	tp := ComputeTimeProfile(p, steps, 1000)
+	tp := ComputeTimeProfile(p, threads(steps), 1000)
 	// main: (10-0) + (20-10 charged to main@1) + (130-120 charged to leaf)...
 	// charging is to the method executing BEFORE each gap:
 	// main: 0->10 (10), 10->20 (10); leaf: 20->120 (100), 120->130 (10).
@@ -178,5 +188,94 @@ func TestTimeProfileDefaultsAndEmpty(t *testing.T) {
 	tp := ComputeTimeProfile(p, nil, 0)
 	if tp.Total != 0 || len(tp.Top(3)) != 0 {
 		t.Error("empty profile not empty")
+	}
+}
+
+const nestSrc = `
+method T.c(0) {
+    nop
+    return
+}
+method T.b(0) {
+    nop
+    invokestatic T.c
+    nop
+    return
+}
+method T.a(0) {
+    nop
+    invokestatic T.b
+    return
+}
+entry T.a
+`
+
+// TestProfilesKeepThreadsApart feeds a two-thread analysis whose first
+// thread ends inside its call of T.b and whose second thread starts in
+// T.b and calls T.c. Joined into one stream, the second thread's call
+// would nest under the first thread's open frame (depth 3), and the
+// boundary would count as an edge b@0 -> b@0, a time gap and one merged
+// block run of T.b. Every profile over both threads must instead equal
+// the sum of the per-thread profiles, and the call tree must be as deep
+// as the deeper thread's tree.
+func TestProfilesKeepThreadsApart(t *testing.T) {
+	p := bytecode.MustAssemble(nestSrc)
+	a, b, c := p.MethodByName("T.a").ID, p.MethodByName("T.b").ID, p.MethodByName("T.c").ID
+	stream := func(tsc uint64, steps ...core.Step) []core.Step {
+		for i := range steps {
+			steps[i].TSC = tsc + uint64(i)*10
+		}
+		return steps
+	}
+	t0 := stream(0, core.Step{Method: a, PC: 0}, core.Step{Method: a, PC: 1}, core.Step{Method: b, PC: 0})
+	t1 := stream(25, core.Step{Method: b, PC: 0}, core.Step{Method: b, PC: 1},
+		core.Step{Method: c, PC: 0}, core.Step{Method: c, PC: 1},
+		core.Step{Method: b, PC: 2}, core.Step{Method: b, PC: 3})
+	both := threads(t0, t1)
+	one := [][]*core.ThreadResult{threads(t0), threads(t1)}
+
+	d0, d1 := CallTree(p, one[0]).Depth(), CallTree(p, one[1]).Depth()
+	if d0 != 2 || d1 != 2 {
+		t.Fatalf("per-thread depths %d, %d, want 2, 2", d0, d1)
+	}
+	if tree := CallTree(p, both); tree.Depth() != 2 || tree.TotalCalls() != 2 {
+		t.Errorf("call tree: depth %d, %d calls; want depth 2, 2 calls", tree.Depth(), tree.TotalCalls())
+	}
+
+	type edge struct {
+		m        bytecode.MethodID
+		from, to int32
+	}
+	edges := map[edge]int64{}
+	for _, e := range EdgeProfile(p, both) {
+		edges[edge{e.Method, e.From, e.To}] += int64(e.Count)
+	}
+	if n := edges[edge{b, 0, 0}]; n != 0 {
+		t.Errorf("edge b@0 -> b@0 counted %d times across the thread boundary", n)
+	}
+	for _, th := range one {
+		for _, e := range EdgeProfile(p, th) {
+			edges[edge{e.Method, e.From, e.To}] -= int64(e.Count)
+		}
+	}
+	for k, n := range edges {
+		if n != 0 {
+			t.Errorf("edge %+v: both-thread count differs from the per-thread sum by %d", k, n)
+		}
+	}
+
+	tp := ComputeTimeProfile(p, both, 1000)
+	if want := ComputeTimeProfile(p, one[0], 1000).Total + ComputeTimeProfile(p, one[1], 1000).Total; tp.Total != want {
+		t.Errorf("time total %d, want the per-thread sum %d", tp.Total, want)
+	}
+
+	paths := func(th []*core.ThreadResult) (n uint64) {
+		for _, cnt := range ComputePathProfile(p, th).Counts[b] {
+			n += cnt
+		}
+		return n
+	}
+	if got, want := paths(both), paths(one[0])+paths(one[1]); got != want {
+		t.Errorf("%d Ball-Larus paths of T.b over both threads, want the per-thread sum %d", got, want)
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"jportal/internal/fault"
 	"jportal/internal/ingest"
 	"jportal/internal/ingest/client"
+	"jportal/internal/iofault"
 	"jportal/internal/metrics"
 	"jportal/internal/streamfmt"
 )
@@ -522,7 +523,7 @@ func quarantine(cfg *Config, sr *SessionReport, id string, reason fault.Reason) 
 func scrubCheckpoints(cfg *Config, sr *SessionReport, dir string) {
 	matches, _ := filepath.Glob(filepath.Join(dir, "*.ckpt"))
 	for _, path := range matches {
-		if _, err := ckpt.ReadFile(path); err != nil {
+		if _, err := ckpt.ReadFile(iofault.OS, path); err != nil {
 			if cfg.Repair {
 				os.Remove(path)
 				cfg.Logf("scrub: removed corrupt checkpoint %s: %v", path, err)

@@ -127,12 +127,6 @@ func DefaultCollectorConfig() CollectorConfig {
 	}
 }
 
-// WithBufMB returns cfg with the buffer size set to mb megabytes.
-func (c CollectorConfig) WithBufMB(mb int) CollectorConfig {
-	c.BufBytes = uint64(mb) << 20
-	return c
-}
-
 // Validate rejects configurations a collector cannot meaningfully run
 // with. A zero buffer loses every packet, a zero drain rate never exports,
 // and zero periods would emit a housekeeping packet before every payload

@@ -151,24 +151,3 @@ func (t *Traits) KindString(k Kind) string {
 	}
 	return fmt.Sprintf("pkt#%d", uint8(k))
 }
-
-// PacketString renders a packet for diagnostics.
-func (t *Traits) PacketString(p *Packet) string {
-	switch {
-	case t.IsTNT(p.Kind):
-		s := make([]byte, p.NBits)
-		for i := range s {
-			if p.TNTBit(i) {
-				s[i] = '1'
-			} else {
-				s[i] = '0'
-			}
-		}
-		return fmt.Sprintf("%s(%s)", t.KindString(p.Kind), s)
-	case t.IsTime(p.Kind) && p.IP == 0:
-		return fmt.Sprintf("%s(%d)", t.KindString(p.Kind), p.TSC)
-	case p.IP != 0:
-		return fmt.Sprintf("%s(%#x)", t.KindString(p.Kind), p.IP)
-	}
-	return t.KindString(p.Kind)
-}

@@ -7,8 +7,8 @@
 //	prog := bytecode.MustAssemble(src)        // or the workload generator
 //	run, _ := jportal.Run(prog, nil, jportal.DefaultRunConfig())  // online
 //	an, _ := jportal.Analyze(prog, run, core.DefaultPipelineConfig()) // offline
-//	cov := jportal.Coverage(prog, an)
-//	hot := jportal.HotMethods(an, 10)
+//	cov := profile.ComputeCoverage(prog, an.Threads)
+//	hot := profile.HotMethods(prog, an.Threads, 10)
 //
 // Run executes the program on the simulated JVM with the PT collector
 // attached (online collection: hardware trace + machine-code metadata,
@@ -110,6 +110,37 @@ func (r *RunResult) Source() (source.Source, error) {
 // Run executes prog's threads under the simulated JVM with PT collection.
 // A nil threads slice runs the program entry as a single thread.
 func Run(prog *bytecode.Program, threads []vm.ThreadSpec, cfg RunConfig) (*RunResult, error) {
+	om, err := newOnlineMachine(prog, threads, cfg)
+	if err != nil {
+		return nil, err
+	}
+	stats, err := om.m.Run(om.threads)
+	if err != nil {
+		return nil, err
+	}
+	var traces []source.CoreTrace
+	if om.col != nil {
+		traces = om.col.Finish(om.m.FinalTSC())
+	}
+	res := om.result(stats)
+	res.Traces = traces
+	return res, nil
+}
+
+// onlineMachine is the online phase's setup, shared by Run and
+// RunWithSink: the VM with the trace source's collector (nil when tracing
+// is disabled) and, on request, the ground-truth oracle attached.
+type onlineMachine struct {
+	m       *vm.Machine
+	threads []vm.ThreadSpec
+	src     source.Source
+	col     *source.Collector
+	oracle  *Oracle
+}
+
+// newOnlineMachine validates cfg, verifies prog and builds the machine. A
+// nil threads slice runs the program entry as a single thread.
+func newOnlineMachine(prog *bytecode.Program, threads []vm.ThreadSpec, cfg RunConfig) (*onlineMachine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -119,38 +150,36 @@ func Run(prog *bytecode.Program, threads []vm.ThreadSpec, cfg RunConfig) (*RunRe
 	if threads == nil {
 		threads = []vm.ThreadSpec{{Method: prog.Entry}}
 	}
-	m := vm.New(prog, cfg.VM)
-	var src source.Source
-	var col *source.Collector
+	om := &onlineMachine{m: vm.New(prog, cfg.VM), threads: threads}
 	if !cfg.DisableTracing {
 		var err error
-		if src, err = source.Lookup(cfg.Source); err != nil {
+		if om.src, err = source.Lookup(cfg.Source); err != nil {
 			return nil, fmt.Errorf("jportal: %w", err)
 		}
-		col = src.NewCollector(cfg.PT, cfg.VM.Cores)
-		m.Tracer = col
+		om.col = om.src.NewCollector(cfg.PT, cfg.VM.Cores)
+		om.m.Tracer = om.col
 	}
-	var oracle *Oracle
 	if cfg.CollectOracle {
-		oracle = NewOracle(len(threads))
-		m.Listener = oracle
+		om.oracle = NewOracle(len(threads))
+		om.m.Listener = om.oracle
 	}
-	stats, err := m.Run(threads)
-	if err != nil {
-		return nil, err
-	}
+	return om, nil
+}
+
+// result is the finished run without its traces, which Run takes from the
+// collector and RunWithSink sent through its sink.
+func (om *onlineMachine) result(stats *vm.Stats) *RunResult {
 	res := &RunResult{
 		Stats:    stats,
-		Sideband: m.Sideband(),
-		Snapshot: m.Snapshot,
-		Oracle:   oracle,
+		Sideband: om.m.Sideband(),
+		Snapshot: om.m.Snapshot,
+		Oracle:   om.oracle,
 	}
-	if col != nil {
-		res.Traces = col.Finish(m.FinalTSC())
-		res.GenBytes = col.GeneratedBytes()
-		res.SourceID = src.ID()
+	if om.col != nil {
+		res.SourceID = om.src.ID()
+		res.GenBytes = om.col.GeneratedBytes()
 	}
-	return res, nil
+	return res
 }
 
 // Analysis is the offline phase's output: one reconstructed control flow
@@ -206,17 +235,4 @@ func Analyze(prog *bytecode.Program, run *RunResult, cfg core.PipelineConfig) (*
 		}
 	}
 	return s.Close()
-}
-
-// Steps returns all threads' steps concatenated (thread order).
-func (a *Analysis) Steps() []core.Step {
-	total := 0
-	for _, t := range a.Threads {
-		total += len(t.Steps)
-	}
-	out := make([]core.Step, 0, total)
-	for _, t := range a.Threads {
-		out = append(out, t.Steps...)
-	}
-	return out
 }

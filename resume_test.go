@@ -297,7 +297,7 @@ func TestDeadlineYieldsPartialAnalysis(t *testing.T) {
 		t.Errorf("report does not surface the timeout:\n%s", an.Report.String())
 	}
 	// The partial analysis must still be structurally sound: every flow
-	// non-nil, steps extractable.
+	// non-nil.
 	for _, th := range an.Threads {
 		for i, f := range th.Flows {
 			if f == nil {
@@ -305,7 +305,6 @@ func TestDeadlineYieldsPartialAnalysis(t *testing.T) {
 			}
 		}
 	}
-	_ = an.Steps()
 }
 
 // TestSessionLifecycleEdges covers the remaining lifecycle satellite cases:
@@ -328,12 +327,9 @@ func TestSessionLifecycleEdges(t *testing.T) {
 		t.Fatalf("Close on an empty session: %v", err)
 	}
 	for _, th := range an.Threads {
-		if len(th.Flows) != 0 {
-			t.Errorf("empty run produced %d flows for thread %d", len(th.Flows), th.Thread)
+		if len(th.Flows) != 0 || len(th.Steps) != 0 {
+			t.Errorf("empty run produced %d flows and %d steps for thread %d", len(th.Flows), len(th.Steps), th.Thread)
 		}
-	}
-	if n := len(an.Steps()); n != 0 {
-		t.Errorf("empty run produced %d steps", n)
 	}
 	if an.Report == nil || an.Report.TimedOut {
 		t.Error("empty run report missing or spuriously timed out")

@@ -302,30 +302,14 @@ type BlobSink interface {
 func RunWithSink(prog *bytecode.Program, threads []vm.ThreadSpec, cfg RunConfig,
 	open func(prog *bytecode.Program, snap *meta.Snapshot, ncores int) (TraceSink, error)) (*RunResult, error) {
 
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if cfg.DisableTracing {
 		return nil, errors.New("jportal: RunWithSink needs tracing enabled")
 	}
-	if err := bytecode.Verify(prog); err != nil {
+	om, err := newOnlineMachine(prog, threads, cfg)
+	if err != nil {
 		return nil, err
 	}
-	if threads == nil {
-		threads = []vm.ThreadSpec{{Method: prog.Entry}}
-	}
-	m := vm.New(prog, cfg.VM)
-	src, err := source.Lookup(cfg.Source)
-	if err != nil {
-		return nil, fmt.Errorf("jportal: %w", err)
-	}
-	col := src.NewCollector(cfg.PT, cfg.VM.Cores)
-	m.Tracer = col
-	var oracle *Oracle
-	if cfg.CollectOracle {
-		oracle = NewOracle(len(threads))
-		m.Listener = oracle
-	}
+	m, col := om.m, om.col
 
 	sink, err := open(prog, m.Snapshot, cfg.VM.Cores)
 	if err != nil {
@@ -367,7 +351,7 @@ func RunWithSink(prog *bytecode.Program, threads []vm.ThreadSpec, cfg RunConfig,
 		sinkErr = sink.Drain()
 	})
 
-	stats, err := m.Run(threads)
+	stats, err := m.Run(om.threads)
 	if err != nil {
 		return nil, err
 	}
@@ -381,14 +365,7 @@ func RunWithSink(prog *bytecode.Program, threads []vm.ThreadSpec, cfg RunConfig,
 	if sinkErr != nil {
 		return nil, fmt.Errorf("jportal: trace sink: %w", sinkErr)
 	}
-	return &RunResult{
-		Stats:    stats,
-		Sideband: m.Sideband(),
-		Snapshot: m.Snapshot,
-		Oracle:   oracle,
-		SourceID: src.ID(),
-		GenBytes: col.GeneratedBytes(),
-	}, nil
+	return om.result(stats), nil
 }
 
 // AnalyzeStreamed runs the online phase with a live analysis session as

@@ -171,9 +171,6 @@ func CollectArchive(dir string, prog *bytecode.Program, threads []vm.ThreadSpec,
 	return run, w.Seal()
 }
 
-// StreamEventKind discriminates StreamEvent.
-type StreamEventKind = streamfmt.Kind
-
 // Stream event kinds, in record-tag order.
 const (
 	EvSnapshot  = streamfmt.KindSnapshot

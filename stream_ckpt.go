@@ -9,6 +9,7 @@ import (
 	"jportal/internal/ckpt"
 	"jportal/internal/core"
 	"jportal/internal/fault"
+	"jportal/internal/iofault"
 	"jportal/internal/trace"
 )
 
@@ -99,7 +100,7 @@ func WriteSessionCheckpoint(path string, ck *SessionCheckpoint) error {
 	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
 		return fmt.Errorf("jportal: encode checkpoint: %w", err)
 	}
-	return ckpt.WriteFile(path, buf.Bytes())
+	return ckpt.WriteFile(iofault.OS, path, buf.Bytes())
 }
 
 // ReadSessionCheckpoint loads and validates a checkpoint file. A missing
@@ -108,7 +109,7 @@ func WriteSessionCheckpoint(path string, ck *SessionCheckpoint) error {
 // a checkpoint written while tokens still carried their own timestamps
 // gob-decodes into exactly that, and would resume with every timestamp 0.
 func ReadSessionCheckpoint(path string) (*SessionCheckpoint, error) {
-	payload, err := ckpt.ReadFile(path)
+	payload, err := ckpt.ReadFile(iofault.OS, path)
 	if err != nil {
 		return nil, err
 	}
