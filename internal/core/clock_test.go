@@ -68,7 +68,7 @@ func randomEvents(rng *rand.Rand, n, breakEvery int, cm *meta.CompiledMethod) []
 			case 0:
 				start := tsc
 				tsc += uint64(1 + rng.Intn(500))
-				evs = append(evs, source.Event{Kind: source.EvGap, LostBytes: uint64(rng.Intn(100)), GapStart: start, GapEnd: tsc})
+				evs = append(evs, source.Event{Kind: source.EvGap, LostBytes: uint64(rng.Intn(100)), TSC: start, GapEnd: tsc})
 			case 1:
 				evs = append(evs, source.Event{Kind: source.EvDesync})
 			default:
@@ -98,7 +98,7 @@ func randomEvents(rng *rand.Rand, n, breakEvery int, cm *meta.CompiledMethod) []
 		case r < 19:
 			first := rng.Intn(len(cm.Debug))
 			last := first + rng.Intn(len(cm.Debug)+2-first) // may overrun: stale metadata
-			evs = append(evs, source.Event{Kind: source.EvJITRange, Blob: cm, First: first, Last: last})
+			evs = append(evs, source.Event{Kind: source.EvJITRange, Blob: cm, First: int32(first), Last: int32(last)})
 		default:
 			kinds := []source.EventKind{source.EvEnable, source.EvDisable, source.EvStub}
 			evs = append(evs, source.Event{Kind: kinds[rng.Intn(len(kinds))]})

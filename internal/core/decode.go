@@ -208,7 +208,7 @@ func (t *tokenizer) feed(events []source.Event) {
 			t.st.Gaps++
 			t.st.LostBytes += ev.LostBytes
 			t.tsc = ev.GapEnd
-			t.flush(&GapInfo{LostBytes: ev.LostBytes, Start: ev.GapStart, End: ev.GapEnd})
+			t.flush(&GapInfo{LostBytes: ev.LostBytes, Start: ev.TSC, End: ev.GapEnd})
 		case source.EvDesync:
 			t.pendingCond = -1
 			t.flush(&GapInfo{Start: t.tsc, End: t.tsc, Desync: true})
@@ -280,7 +280,7 @@ func (t *tokenizer) tokenizeRange(ev *source.Event) {
 	var lastM bytecode.MethodID = bytecode.NoMethod
 	lastPC := int32(-1)
 	var lastMethod *bytecode.Method
-	for i := ev.First; i < ev.Last; i++ {
+	for i := int(ev.First); i < int(ev.Last); i++ {
 		if i < 0 || i >= len(blob.Debug) {
 			return // stale metadata: fewer debug records than instructions
 		}

@@ -32,7 +32,7 @@ func mkEvents() ([]source.Event, *bytecode.Program, *meta.CompiledMethod) {
 		{Kind: source.EvTemplate, Op: bytecode.ILOAD},
 		{Kind: source.EvTemplate, Op: bytecode.IFEQ},
 		{Kind: source.EvTemplateTNT, Op: bytecode.IFEQ, Taken: true},
-		{Kind: source.EvGap, LostBytes: 64, GapStart: 150, GapEnd: 400},
+		{Kind: source.EvGap, LostBytes: 64, TSC: 150, GapEnd: 400},
 		{Kind: source.EvJITRange, Blob: cm, First: 0, Last: 3},
 		{Kind: source.EvDesync},
 		{Kind: source.EvTemplate, Op: bytecode.IRETURN},
@@ -107,8 +107,8 @@ func TestTokenizeMergesAdjacentGaps(t *testing.T) {
 	prog := bytecode.MustAssemble(fig2Src)
 	events := []source.Event{
 		{Kind: source.EvTemplate, Op: bytecode.ILOAD},
-		{Kind: source.EvGap, LostBytes: 10, GapStart: 100, GapEnd: 200},
-		{Kind: source.EvGap, LostBytes: 20, GapStart: 200, GapEnd: 300},
+		{Kind: source.EvGap, LostBytes: 10, TSC: 100, GapEnd: 200},
+		{Kind: source.EvGap, LostBytes: 20, TSC: 200, GapEnd: 300},
 		{Kind: source.EvTemplate, Op: bytecode.ICONST},
 	}
 	segs, st := TokenizeEvents(prog, events)

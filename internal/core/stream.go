@@ -73,7 +73,7 @@ func (a *ThreadAnalyzer) Feed(ctx context.Context, items []source.Item) {
 		panic("core: ThreadAnalyzer.Feed after Finish")
 	}
 	if ctx.Err() != nil {
-		a.quarantineDeadline(len(items), chunkBytes(items), "feed cancelled")
+		a.quarantineDeadline(len(items), source.PayloadBytes(items), "feed cancelled")
 		return
 	}
 	t0 := time.Now()
@@ -107,7 +107,7 @@ func (a *ThreadAnalyzer) safeFeed(items []source.Item) {
 		if r := recover(); r != nil {
 			a.ledger.Add(fault.Entry{
 				Reason: fault.ReasonStageCrash, Thread: a.res.Thread, Core: -1,
-				Items: len(items), Bytes: chunkBytes(items),
+				Items: len(items), Bytes: source.PayloadBytes(items),
 				Detail: fmt.Sprintf("decode: %v", r),
 			})
 			ds := a.dec.Stats()
@@ -153,16 +153,6 @@ func (a *ThreadAnalyzer) harvestFaults() {
 		})
 		a.seenRegress = n
 	}
-}
-
-func chunkBytes(items []source.Item) uint64 {
-	var n uint64
-	for i := range items {
-		if !items[i].Gap {
-			n += uint64(items[i].Packet.WireLen)
-		}
-	}
-	return n
 }
 
 // reconstruct projects the pending segments onto the ICFG as the thread's

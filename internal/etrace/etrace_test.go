@@ -93,7 +93,7 @@ func TestWalkBranchMap(t *testing.T) {
 		total := 0
 		for _, e := range ev {
 			if e.Kind == source.EvJITRange {
-				total += e.Last - e.First
+				total += int(e.Last - e.First)
 				for i := e.First; i < e.Last; i++ {
 					if tc.taken && i == 2 {
 						t.Error("A2 executed on taken path")
@@ -326,7 +326,7 @@ func TestTraitsValidation(t *testing.T) {
 		{source.Item{Packet: source.Packet{Kind: KBranch, NBits: MaxBranchBits + 1}}, true},
 		{source.Item{Packet: source.Packet{Kind: KTrap}}, false},
 		{source.Item{Packet: source.Packet{Kind: Kind(0x40)}}, true},
-		{source.Item{Gap: true, GapStart: 5, GapEnd: 3}, true},
+		{source.GapItem(0, 5, 3), true},
 	}
 	for i, tc := range cases {
 		err := Traits().ValidateItem(&tc.it)
@@ -358,7 +358,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte("garbage"))
 	f.Add(encodeRecords([]source.Item{{Packet: source.Packet{Kind: KBranch, NBits: 255, Bits: ^uint64(0)}}}))
 	f.Add(encodeRecords([]source.Item{{Packet: source.Packet{Kind: Kind(0x7f), IP: 0xdead}}}))
-	f.Add(encodeRecords([]source.Item{{Gap: true, LostBytes: 1 << 60, GapStart: 100, GapEnd: 1}}))
+	f.Add(encodeRecords([]source.Item{source.GapItem(1<<60, 100, 1)}))
 
 	snap := buildWorld(f)
 	f.Fuzz(func(t *testing.T, data []byte) {

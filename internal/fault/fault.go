@@ -278,12 +278,10 @@ func btoi(b bool) int {
 
 // corrupt returns a (possibly) damaged copy of one item.
 func (in *Injector) corrupt(rng *faultrng.Stream, skew uint64, it *source.Item) source.Item {
-	c := *it
-	if c.Gap {
-		c.GapStart += skew
-		c.GapEnd += skew
-		return c
+	if it.IsGap() {
+		return source.GapItem(it.LostBytes(), it.GapStart()+skew, it.GapEnd()+skew)
 	}
+	c := *it
 	if skew > 0 {
 		in.tr.SkewTime(&c.Packet, skew)
 	}

@@ -312,23 +312,25 @@ func newCallNode(m bytecode.MethodID) *CallNode {
 }
 
 // CallTree reconstructs the dynamic call tree from steps: entering a method
-// at pc 0 right after a call instruction pushes; executing a return pops.
-// Each thread's calls start at the root, so frames a thread leaves open
-// never parent another thread's calls.
+// at pc 0 right after a call instruction pushes, a self-recursive call
+// included; executing a return pops. A step in a method other than the
+// top frame's pops to the nearest frame of that method, if there is one:
+// an exception unwound the frames above it. Each thread's calls start at
+// the root, so frames a thread leaves open never parent another thread's
+// calls.
 func CallTree(prog *bytecode.Program, threads []*core.ThreadResult) *CallNode {
 	root := newCallNode(bytecode.NoMethod)
 	for _, t := range threads {
 		stack := []*CallNode{root}
 		top := func() *CallNode { return stack[len(stack)-1] }
 		var prevOp bytecode.Opcode = bytecode.NOP
-		var prevM bytecode.MethodID = bytecode.NoMethod
 		for _, s := range t.Steps {
 			m := prog.Method(s.Method)
 			if m == nil || int(s.PC) >= len(m.Code) {
 				continue
 			}
 			op := m.Code[s.PC].Op
-			if s.PC == 0 && prevOp.IsCall() && prevM != s.Method {
+			if s.PC == 0 && prevOp.IsCall() {
 				child := top().Children[s.Method]
 				if child == nil {
 					child = newCallNode(s.Method)
@@ -336,12 +338,18 @@ func CallTree(prog *bytecode.Program, threads []*core.ThreadResult) *CallNode {
 				}
 				child.Count++
 				stack = append(stack, child)
+			} else if top().Method != s.Method {
+				for i := len(stack) - 2; i > 0; i-- {
+					if stack[i].Method == s.Method {
+						stack = stack[:i+1]
+						break
+					}
+				}
 			}
 			if op.IsReturn() && len(stack) > 1 && top().Method == s.Method {
 				stack = stack[:len(stack)-1]
 			}
 			prevOp = op
-			prevM = s.Method
 		}
 	}
 	return root

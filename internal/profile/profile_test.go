@@ -152,6 +152,111 @@ func TestCallTree(t *testing.T) {
 	}
 }
 
+const unwindSrc = `
+method T.rec(1) returns int {
+    iload 0
+    ifle Lbase
+    iload 0
+    iconst 1
+    isub
+    invokestatic T.rec
+    ireturn
+Lbase:
+    iconst 0
+    ireturn
+}
+method T.thrower(0) returns int {
+    iconst 7
+    athrow
+}
+method T.mid(0) returns int {
+    invokestatic T.thrower
+    ireturn
+}
+method T.outer(0) returns int {
+Ltry:
+    invokestatic T.mid
+Lend:
+    ireturn
+Lcatch:
+    pop
+    iconst 0
+    invokestatic T.rec
+    ireturn
+    handler Ltry Lend Lcatch any
+}
+method T.main(0) {
+    iconst 1
+    invokestatic T.rec
+    pop
+    invokestatic T.outer
+    pop
+    return
+}
+entry T.main
+`
+
+// TestCallTreeSelfRecursion: rec(1) calls rec(0). The inner call lands at
+// pc 0 of the method already on top and must push its own frame, so each
+// ireturn pops one rec.
+func TestCallTreeSelfRecursion(t *testing.T) {
+	p := bytecode.MustAssemble(unwindSrc)
+	rec, main := int32(p.MethodByName("T.rec").ID), int32(p.MethodByName("T.main").ID)
+	steps := mkSteps(
+		[2]int32{main, 0}, [2]int32{main, 1}, // iconst 1; invokestatic T.rec
+		[2]int32{rec, 0}, [2]int32{rec, 1}, [2]int32{rec, 2}, [2]int32{rec, 3},
+		[2]int32{rec, 4}, [2]int32{rec, 5}, // invokestatic T.rec
+		[2]int32{rec, 0}, [2]int32{rec, 1}, [2]int32{rec, 7}, [2]int32{rec, 8}, // inner ireturn
+		[2]int32{rec, 6}, // outer ireturn
+		[2]int32{main, 2},
+	)
+	tree := CallTree(p, threads(steps))
+	outer := tree.Children[bytecode.MethodID(rec)]
+	if outer == nil || outer.Count != 1 {
+		t.Fatalf("root children %+v, want one call of T.rec", tree.Children)
+	}
+	if inner := outer.Children[bytecode.MethodID(rec)]; inner == nil || inner.Count != 1 {
+		t.Fatalf("T.rec children %+v, want its recursive call", outer.Children)
+	}
+	if tree.TotalCalls() != 2 || tree.Depth() != 3 {
+		t.Errorf("call tree: %d calls, depth %d; want 2 calls, depth 3", tree.TotalCalls(), tree.Depth())
+	}
+}
+
+// TestCallTreeUnwindsThrow: outer calls mid, mid calls thrower, and
+// thrower's athrow is caught in outer, two frames up. Neither callee
+// returns, so the first step back in outer must pop both frames: the call
+// of rec the handler makes is outer's, not thrower's.
+func TestCallTreeUnwindsThrow(t *testing.T) {
+	p := bytecode.MustAssemble(unwindSrc)
+	id := func(name string) bytecode.MethodID { return p.MethodByName(name).ID }
+	rec, thrower, mid, outer, main := id("T.rec"), id("T.thrower"), id("T.mid"), id("T.outer"), id("T.main")
+	steps := []core.Step{
+		{Method: main, PC: 3},                              // invokestatic T.outer
+		{Method: outer, PC: 0},                             // invokestatic T.mid
+		{Method: mid, PC: 0},                               // invokestatic T.thrower
+		{Method: thrower, PC: 0}, {Method: thrower, PC: 1}, // athrow
+		{Method: outer, PC: 2}, {Method: outer, PC: 3}, {Method: outer, PC: 4}, // handler: invokestatic T.rec
+		{Method: rec, PC: 0}, {Method: rec, PC: 1}, {Method: rec, PC: 7}, {Method: rec, PC: 8},
+		{Method: outer, PC: 5}, // ireturn
+		{Method: main, PC: 4}, {Method: main, PC: 5},
+	}
+	tree := CallTree(p, threads(steps))
+	o := tree.Children[outer]
+	if o == nil || len(tree.Children) != 1 {
+		t.Fatalf("root children %+v, want only T.outer", tree.Children)
+	}
+	if c := o.Children[rec]; c == nil || c.Count != 1 {
+		t.Errorf("T.outer children %+v, want T.rec called by the handler", o.Children)
+	}
+	if m := o.Children[mid]; m == nil || m.Children[thrower] == nil || len(m.Children[thrower].Children) != 0 {
+		t.Errorf("T.outer children %+v, want mid -> thrower with nothing under thrower", o.Children)
+	}
+	if tree.TotalCalls() != 4 || tree.Depth() != 4 {
+		t.Errorf("call tree: %d calls, depth %d; want 4 calls, depth 4", tree.TotalCalls(), tree.Depth())
+	}
+}
+
 func TestTimeProfile(t *testing.T) {
 	p := bytecode.MustAssemble(profSrc)
 	leaf := p.MethodByName("T.leaf")

@@ -17,7 +17,7 @@ func FuzzDecodeItem(f *testing.F) {
 	f.Add(source.AppendItem(nil, &it))
 	it = source.Item{Packet: source.Packet{Kind: Kind(0xff)}}
 	f.Add(source.AppendItem(nil, &it))
-	it = source.Item{Gap: true, GapStart: 7, GapEnd: 3}
+	it = source.GapItem(0, 7, 3)
 	f.Add(source.AppendItem(nil, &it))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -41,7 +41,7 @@ func TestDecodeItemRejectsHostileFields(t *testing.T) {
 		{Packet: source.Packet{Kind: KTNT, NBits: MaxTNTBits + 1}},
 		{Packet: source.Packet{Kind: KTNT, NBits: 255}},
 		{Packet: source.Packet{Kind: Kind(0x7f)}},
-		{Gap: true, GapStart: 100, GapEnd: 99},
+		source.GapItem(0, 100, 99),
 	}
 	for i, it := range cases {
 		enc := source.AppendItem(nil, &it)

@@ -27,7 +27,7 @@ func collectPackets(t *testing.T, cfg source.CollectorConfig, fn func(c *source.
 	fn(c)
 	var out []source.Packet
 	for _, it := range c.Finish(0)[0].Items {
-		if it.Gap {
+		if it.IsGap() {
 			t.Fatalf("unexpected gap %+v", it)
 		}
 		out = append(out, it.Packet)
@@ -147,7 +147,7 @@ func TestCollectorLosslessExportsEverything(t *testing.T) {
 			}
 			var tips, bits int
 			for _, it := range tr.Items {
-				if it.Gap {
+				if it.IsGap() {
 					t.Fatal("unexpected gap")
 				}
 				switch {
@@ -186,17 +186,17 @@ func TestCollectorOverflowCreatesGap(t *testing.T) {
 			gaps := 0
 			var prevEnd uint64
 			for _, it := range tr.Items {
-				if !it.Gap {
+				if !it.IsGap() {
 					continue
 				}
 				gaps++
-				if it.GapEnd <= it.GapStart {
+				if it.GapEnd() <= it.GapStart() {
 					t.Errorf("gap has non-positive span: %+v", it)
 				}
-				if it.GapStart < prevEnd {
-					t.Errorf("gap overlaps previous: start %d < prev end %d", it.GapStart, prevEnd)
+				if it.GapStart() < prevEnd {
+					t.Errorf("gap overlaps previous: start %d < prev end %d", it.GapStart(), prevEnd)
 				}
-				prevEnd = it.GapEnd
+				prevEnd = it.GapEnd()
 			}
 			if gaps == 0 {
 				t.Fatal("loss without gap markers")
@@ -228,8 +228,8 @@ func TestCollectorStreamInGenerationOrder(t *testing.T) {
 			for _, it := range tr.Items {
 				var ts uint64
 				switch {
-				case it.Gap:
-					ts = it.GapStart
+				case it.IsGap():
+					ts = it.GapStart()
 				case b.tr.IsTime(it.Packet.Kind):
 					ts = it.Packet.TSC
 				default:
@@ -238,8 +238,8 @@ func TestCollectorStreamInGenerationOrder(t *testing.T) {
 				if ts < last {
 					t.Fatalf("stream out of order: %d after %d", ts, last)
 				}
-				if it.Gap {
-					last = it.GapEnd
+				if it.IsGap() {
+					last = it.GapEnd()
 				} else {
 					last = ts
 				}
@@ -267,7 +267,7 @@ func TestCollectorResyncAfterGap(t *testing.T) {
 			tr := c.Finish(2_000_000)[0]
 			gap := -1
 			for i, it := range tr.Items {
-				if it.Gap {
+				if it.IsGap() {
 					gap = i
 					break
 				}
@@ -277,7 +277,7 @@ func TestCollectorResyncAfterGap(t *testing.T) {
 			}
 			var after []source.Packet
 			for _, it := range tr.Items[gap+1:] {
-				if !it.Gap {
+				if !it.IsGap() {
 					after = append(after, it.Packet)
 				}
 			}
@@ -289,8 +289,8 @@ func TestCollectorResyncAfterGap(t *testing.T) {
 				if p.Kind != k {
 					t.Fatalf("packet %d after gap is %s, want %s", i, b.tr.KindString(p.Kind), b.tr.KindString(k))
 				}
-				if b.tr.IsTime(k) && p.TSC < tr.Items[gap].GapEnd {
-					t.Errorf("preamble time %d before the gap's end %d", p.TSC, tr.Items[gap].GapEnd)
+				if b.tr.IsTime(k) && p.TSC < tr.Items[gap].GapEnd() {
+					t.Errorf("preamble time %d before the gap's end %d", p.TSC, tr.Items[gap].GapEnd())
 				}
 			}
 			// Compression was reset: the first address after the gap is

@@ -87,7 +87,7 @@ func jitRanges(events []source.Event) [][2]int {
 	var out [][2]int
 	for _, e := range events {
 		if e.Kind == source.EvJITRange {
-			out = append(out, [2]int{e.First, e.Last})
+			out = append(out, [2]int{int(e.First), int(e.Last)})
 		}
 	}
 	return out
@@ -154,7 +154,7 @@ func TestWalkFollowsDirectCall(t *testing.T) {
 	sawBlobA := false
 	for _, e := range events {
 		if e.Kind == source.EvJITRange {
-			total += e.Last - e.First
+			total += int(e.Last - e.First)
 			if e.Blob == w.blobA {
 				sawBlobA = true
 			}
@@ -208,7 +208,7 @@ func TestGapSplitsAndFUPResync(t *testing.T) {
 	jccAddr := w.blobA.Code.Instrs[1].Addr
 	events := d.Decode([]source.Item{
 		pkt(KTIP, w.blobA.EntryAddr()),
-		source.Item{Gap: true, LostBytes: 100, GapStart: 10, GapEnd: 20},
+		source.GapItem(100, 10, 20),
 		// Resync: FUP anchors at the conditional, bits follow.
 		pkt(KFUP, jccAddr),
 		tnt(false),
@@ -224,7 +224,7 @@ func TestGapSplitsAndFUPResync(t *testing.T) {
 				t.Errorf("gap bytes %d", e.LostBytes)
 			}
 		case source.EvJITRange:
-			total += e.Last - e.First
+			total += int(e.Last - e.First)
 		}
 	}
 	if gaps != 1 {
@@ -281,7 +281,7 @@ func TestPGEAnchorsAndPGDSuspends(t *testing.T) {
 	total := 0
 	for _, e := range events {
 		if e.Kind == source.EvJITRange {
-			total += e.Last - e.First
+			total += int(e.Last - e.First)
 		}
 	}
 	if total != 2 { // A1, A2 (walk pauses at the ret)

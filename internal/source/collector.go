@@ -158,10 +158,7 @@ func (c *Collector) closeGap(cs *coreState, endTSC uint64) {
 	// The gap marker travels through the ring FIFO so the exported
 	// stream stays in generation order even when packets generated before
 	// the loss drain afterwards.
-	r.q = append(r.q, Item{
-		Gap: true, LostBytes: r.lostBytes + (r.lostBits+7)/8,
-		GapStart: r.lossStart, GapEnd: endTSC,
-	})
+	r.q = append(r.q, GapItem(r.lostBytes+(r.lostBits+7)/8, r.lossStart, endTSC))
 	cs.lastGapEnd = endTSC
 	r.inLoss = false
 	r.lostBits = 0
@@ -273,7 +270,7 @@ func (c *Collector) Advance(core int, tsc uint64) {
 	n := 0
 	for n < len(r.q) {
 		it := &r.q[n]
-		if it.Gap {
+		if it.IsGap() {
 			c.export(core, cs, *it)
 			n++
 			continue
@@ -318,7 +315,7 @@ func (c *Collector) export(core int, cs *coreState, it Item) {
 		// (the decoder resynchronises at chunk start instead of mid-span).
 		// PSBPeriodBytes guarantees sync packets keep coming; the 4× slack
 		// bounds the chunk if a loss episode delays one.
-		if !it.Gap && it.Packet.Kind == c.tr.Roles.Sync && len(cs.pendingOut) > 1 {
+		if !it.IsGap() && it.Packet.Kind == c.tr.Roles.Sync && len(cs.pendingOut) > 1 {
 			sp := cs.pendingOut[len(cs.pendingOut)-1]
 			cs.pendingOut = cs.pendingOut[:len(cs.pendingOut)-1]
 			c.flushSink(core, cs)

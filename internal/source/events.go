@@ -22,7 +22,8 @@ const (
 	// EvJITRange reports that native instructions [First, Last) of Blob
 	// executed.
 	EvJITRange
-	// EvStub is a transfer into a runtime adapter stub.
+	// EvStub is a transfer into a runtime adapter stub. The reconstruction
+	// treats it like EvEnable: it ends any pending branch pairing.
 	EvStub
 	// EvGap is a data-loss episode.
 	EvGap
@@ -108,23 +109,24 @@ func (f *DecodeFault) Error() string {
 	return fmt.Sprintf("source: %s at tsc %d", f.Kind, f.TSC)
 }
 
-// Event is one decoded native-level event.
+// Event is one decoded native-level event. Pointer and words first, then
+// the int32 bounds and the byte fields, so an Event is 48 bytes
+// (TestRecordSizes). Blob stays a pointer: a stream tokenizer built from
+// the program alone has no snapshot to resolve a blob index against.
 type Event struct {
-	Kind EventKind
+	// Blob plus [First, Last) identify executed instructions for
+	// EvJITRange.
+	Blob *meta.CompiledMethod
+	// TSC is the current timestamp: valid on EvTime, the loss episode's
+	// start on EvGap, best-effort elsewhere.
+	TSC uint64
+	// LostBytes and GapEnd complete the loss episode of EvGap.
+	LostBytes   uint64
+	GapEnd      uint64
+	First, Last int32
+	Kind        EventKind
 	// Op is the dispatched opcode for EvTemplate/EvTemplateTNT.
 	Op bytecode.Opcode
 	// Taken is the branch outcome for EvTemplateTNT.
 	Taken bool
-	// Blob plus [First, Last) identify executed instructions for
-	// EvJITRange.
-	Blob        *meta.CompiledMethod
-	First, Last int
-	// Stub names the adapter for EvStub.
-	Stub string
-	// TSC is the current timestamp (valid on EvTime; best-effort
-	// elsewhere).
-	TSC uint64
-	// LostBytes/GapStart/GapEnd describe EvGap.
-	LostBytes        uint64
-	GapStart, GapEnd uint64
 }

@@ -32,19 +32,29 @@ type Kind uint8
 // source decodes its wire format into: addresses are absolute (a source's
 // differential or suffix compression shows up only in WireLen), branch
 // bits are packed oldest-first, and timestamps are absolute cycle counts.
+//
+// The three payload words come first and the byte fields after them, so a
+// Packet is 32 bytes with the gap flag in what would otherwise be padding
+// (TestRecordSizes): every item is copied several times between archive
+// read and tokenize.
 type Packet struct {
-	Kind Kind
 	// IP is the address payload of address-bearing packets.
 	IP uint64
 	// Bits holds packed branch bits, oldest in bit 0; NBits of them are
 	// valid.
-	Bits  uint64
-	NBits uint8
+	Bits uint64
 	// TSC is the timestamp payload of time-bearing packets.
-	TSC uint64
+	TSC  uint64
+	Kind Kind
+	// NBits counts the valid bits of Bits.
+	NBits uint8
 	// WireLen is the encoded size in bytes (set by the encoder; used for
 	// buffer accounting and trace-size measurements).
 	WireLen uint8
+	// Gap marks the Item holding this Packet as a loss marker, whose
+	// three payload words then carry the loss episode (see Item). Build
+	// gap items with GapItem and test them with Item.IsGap.
+	Gap bool
 }
 
 // TNTBit returns bit i (0 = oldest) of a branch-bits packet.
@@ -52,15 +62,42 @@ func (p *Packet) TNTBit(i int) bool { return (p.Bits>>uint(i))&1 == 1 }
 
 // Item is one element of an exported trace: either a packet or a gap marker
 // recording a data-loss episode (the model of a perf_record_aux record with
-// the truncated flag, paper §4).
+// the truncated flag, paper §4). A gap has no packet, so its LostBytes,
+// GapStart and GapEnd share the packet's IP, Bits and TSC words, and the
+// whole item is one 32-byte Packet.
 type Item struct {
-	// Gap is true for loss markers.
-	Gap bool
-	// Packet is valid when !Gap.
+	// Packet is the packet when !IsGap, and the storage of the loss
+	// episode when IsGap.
 	Packet Packet
-	// LostBytes, GapStart and GapEnd describe the loss episode when Gap.
-	LostBytes        uint64
-	GapStart, GapEnd uint64
+}
+
+// GapItem returns the loss marker for lost bytes dropped over [start, end].
+func GapItem(lost, start, end uint64) Item {
+	return Item{Packet{IP: lost, Bits: start, TSC: end, Gap: true}}
+}
+
+// IsGap reports whether the item is a loss marker.
+func (it *Item) IsGap() bool { return it.Packet.Gap }
+
+// LostBytes returns the bytes a gap item's loss episode dropped.
+func (it *Item) LostBytes() uint64 { return it.Packet.IP }
+
+// GapStart returns the start time of a gap item's loss episode.
+func (it *Item) GapStart() uint64 { return it.Packet.Bits }
+
+// GapEnd returns the end time of a gap item's loss episode.
+func (it *Item) GapEnd() uint64 { return it.Packet.TSC }
+
+// PayloadBytes returns the wire size of the packets in items (gaps
+// excluded).
+func PayloadBytes(items []Item) uint64 {
+	var n uint64
+	for i := range items {
+		if !items[i].IsGap() {
+			n += uint64(items[i].Packet.WireLen)
+		}
+	}
+	return n
 }
 
 // CoreTrace is everything exported from one core's trace buffer, in order.
@@ -70,22 +107,14 @@ type CoreTrace struct {
 }
 
 // Bytes returns the exported payload size in bytes (gaps excluded).
-func (t *CoreTrace) Bytes() uint64 {
-	var n uint64
-	for i := range t.Items {
-		if !t.Items[i].Gap {
-			n += uint64(t.Items[i].Packet.WireLen)
-		}
-	}
-	return n
-}
+func (t *CoreTrace) Bytes() uint64 { return PayloadBytes(t.Items) }
 
 // LostBytes returns the total bytes dropped in loss episodes.
 func (t *CoreTrace) LostBytes() uint64 {
 	var n uint64
 	for i := range t.Items {
-		if t.Items[i].Gap {
-			n += t.Items[i].LostBytes
+		if t.Items[i].IsGap() {
+			n += t.Items[i].LostBytes()
 		}
 	}
 	return n

@@ -1,9 +1,14 @@
 package source
 
 import (
+	"bytes"
+	"encoding/gob"
+	"encoding/hex"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 var testTraits = &Traits{
@@ -46,15 +51,15 @@ func TestTraitsValidateAndClassify(t *testing.T) {
 		{"unknown kind", Item{Packet: Packet{Kind: 9}}, true},
 		{"truncated kind", Item{Packet: Packet{Kind: tr.TruncatedKind()}}, true},
 		{"tnt too long", Item{Packet: Packet{Kind: 2, NBits: 8}}, true},
-		{"ok gap", Item{Gap: true, GapStart: 5, GapEnd: 9}, false},
-		{"inverted gap", Item{Gap: true, GapStart: 9, GapEnd: 5}, true},
+		{"ok gap", GapItem(0, 5, 9), false},
+		{"inverted gap", GapItem(0, 9, 5), true},
 	}
 	for _, tc := range cases {
 		err := tr.ValidateItem(&tc.it)
 		if (err != nil) != tc.bad {
 			t.Errorf("%s: ValidateItem err = %v, want bad=%v", tc.name, err, tc.bad)
 		}
-		if tc.it.Gap {
+		if tc.it.IsGap() {
 			continue
 		}
 		if _, bad := tr.ClassifyPacket(&tc.it.Packet); bad != tc.bad {
@@ -77,29 +82,86 @@ func TestSkewTimeOnlyTouchesTimeKinds(t *testing.T) {
 	}
 }
 
+// TestRecordSizes guards the layout of the pipeline records. Every trace
+// item is copied several times between archive read and tokenize (chunk
+// decode, session feed, stitcher pending, carve window, thread delta), and
+// the decoder emits one Event per template dispatch, JIT range and time
+// update, so each byte of Packet, Item or Event is paid per packet or per
+// event. A field that re-pads them (a new word, or a byte field between
+// the words) must be a deliberate choice, made by editing this test.
+func TestRecordSizes(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		got, want uintptr
+	}{
+		{"Packet", unsafe.Sizeof(Packet{}), 32},
+		{"Item", unsafe.Sizeof(Item{}), 32},
+		{"Event", unsafe.Sizeof(Event{}), 48},
+	} {
+		if c.got > c.want {
+			t.Errorf("unsafe.Sizeof(%s{}) = %d, want at most %d", c.name, c.got, c.want)
+		}
+	}
+}
+
+// wireItems covers both record tags, every payload field, and a gap whose
+// episode words are all set, so a gap field that stopped sharing the
+// packet's payload words would show.
+var wireItems = []Item{
+	{Packet: Packet{Kind: 1, TSC: 42, WireLen: 16}},
+	{Packet: Packet{Kind: 2, Bits: 0x55, NBits: 7, WireLen: 2}},
+	GapItem(99, 50, 60),
+	{Packet: Packet{Kind: 3, IP: 0xdeadbeef, Bits: 1, TSC: 7, WireLen: 5}},
+	GapItem(^uint64(0), 1<<40, 1<<41),
+}
+
 func TestWireRoundTrip(t *testing.T) {
-	want := []Item{
-		{Packet: Packet{Kind: 1, TSC: 42, WireLen: 16}},
-		{Packet: Packet{Kind: 2, Bits: 0x55, NBits: 7, WireLen: 2}},
-		{Gap: true, LostBytes: 99, GapStart: 50, GapEnd: 60},
-		{Packet: Packet{Kind: 3, IP: 0xdeadbeef, WireLen: 5}},
-	}
 	var rec []byte
-	for i := range want {
-		rec = AppendItem(rec, &want[i])
+	for i := range wireItems {
+		rec = AppendItem(rec, &wireItems[i])
 	}
-	for i := range want {
+	for i := range wireItems {
 		got, n, err := DecodeItem(rec, testTraits)
 		if err != nil {
 			t.Fatalf("item %d: %v", i, err)
 		}
-		if got != want[i] {
-			t.Errorf("item %d: got %+v, want %+v", i, got, want[i])
+		if got != wireItems[i] {
+			t.Errorf("item %d: got %+v, want %+v", i, got, wireItems[i])
 		}
 		rec = rec[n:]
 	}
 	if len(rec) != 0 {
-		t.Fatalf("%d bytes left after %d items", len(rec), len(want))
+		t.Fatalf("%d bytes left after %d items", len(rec), len(wireItems))
+	}
+}
+
+// TestWireBytesPinned pins the record bytes of one packet and one gap:
+// archives written before the in-memory records shrank must read back, and
+// new ones must stay byte-identical.
+func TestWireBytesPinned(t *testing.T) {
+	pkt := Item{Packet: Packet{Kind: 3, NBits: 2, WireLen: 5, IP: 0x0102, Bits: 0x03, TSC: 0x0405}}
+	gap := GapItem(0x10, 0x20, 0x30)
+	want := "01030205" + "0201000000000000" + "0300000000000000" + "0504000000000000" +
+		"02" + "1000000000000000" + "2000000000000000" + "3000000000000000"
+	if got := hex.EncodeToString(AppendItem(AppendItem(nil, &pkt), &gap)); got != want {
+		t.Fatalf("record bytes\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestItemGobRoundTrip: the session checkpoint gob-encodes stitcher items,
+// so the gap flag and the episode words must survive gob, which sees only
+// exported fields.
+func TestItemGobRoundTrip(t *testing.T) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(wireItems); err != nil {
+		t.Fatal(err)
+	}
+	var got []Item
+	if err := gob.NewDecoder(&buf).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, wireItems) {
+		t.Fatalf("gob round trip:\n got %+v\nwant %+v", got, wireItems)
 	}
 }
 

@@ -100,9 +100,9 @@ var ErrMalformed = errors.New("source: malformed record")
 // source produces: an unknown packet kind, a branch-bits length beyond
 // MaxTNTBits, or a loss gap that ends before it starts.
 func (t *Traits) ValidateItem(it *Item) error {
-	if it.Gap {
-		if it.GapEnd < it.GapStart {
-			return fmt.Errorf("%w: gap end %d before start %d", ErrMalformed, it.GapEnd, it.GapStart)
+	if it.IsGap() {
+		if it.GapEnd() < it.GapStart() {
+			return fmt.Errorf("%w: gap end %d before start %d", ErrMalformed, it.GapEnd(), it.GapStart())
 		}
 		return nil
 	}

@@ -157,7 +157,7 @@ func (w *Walker) FaultLog() []DecodeFault { return w.Faults }
 // branch-length check happens before any bit consumption, so a hostile
 // length field never drives the bit loop.
 func (w *Walker) feed(it *Item) {
-	if it.Gap {
+	if it.IsGap() {
 		w.gap(it)
 		return
 	}
@@ -220,16 +220,15 @@ func (w *Walker) feed(it *Item) {
 // gap processes a data-loss episode. Loss is a resync point: the
 // collector re-emits a preamble after a gap, so fault recovery stops too.
 func (w *Walker) gap(it *Item) {
-	g := *it
-	if g.GapEnd < g.GapStart {
+	start, end := it.GapStart(), it.GapEnd()
+	if end < start {
 		// Inverted loss marker: record the fault but keep the gap —
 		// clamped, it still tells the upper layers bytes were lost.
 		w.fault(FaultBadGap, &Packet{})
-		g.GapEnd = g.GapStart
+		end = start
 	}
 	w.flushRange()
-	w.emit(Event{Kind: EvGap, LostBytes: g.LostBytes,
-		GapStart: g.GapStart, GapEnd: g.GapEnd, TSC: g.GapStart})
+	w.emit(Event{Kind: EvGap, LostBytes: it.LostBytes(), TSC: start, GapEnd: end})
 	w.reset()
 	w.skipSync = false
 }
@@ -304,7 +303,7 @@ func (w *Walker) takeBit() bool {
 // flushRange emits the pending JIT instruction range.
 func (w *Walker) flushRange() {
 	if w.rangeStart >= 0 && w.idx > w.rangeStart {
-		w.emit(Event{Kind: EvJITRange, Blob: w.blob, First: w.rangeStart, Last: w.idx})
+		w.emit(Event{Kind: EvJITRange, Blob: w.blob, First: int32(w.rangeStart), Last: int32(w.idx)})
 	}
 	w.rangeStart = -1
 }
@@ -314,7 +313,7 @@ func (w *Walker) flushRange() {
 func (w *Walker) anchor(ip uint64) {
 	w.flushRange()
 	if w.snap.IsTemplate(ip) {
-		if name := w.snap.Stubs.Classify(ip); name != "" {
+		if w.snap.Stubs.Classify(ip) != "" {
 			w.mode = modeIdle
 			return
 		}
@@ -375,9 +374,9 @@ func (w *Walker) tip(target uint64, async bool) {
 func (w *Walker) land(target uint64) {
 	if w.snap.IsTemplate(target) {
 		w.flushRange()
-		if name := w.snap.Stubs.Classify(target); name != "" {
+		if w.snap.Stubs.Classify(target) != "" {
 			w.mode = modeIdle
-			w.emit(Event{Kind: EvStub, Stub: name})
+			w.emit(Event{Kind: EvStub})
 			return
 		}
 		if op, ok := w.snap.Templates.Lookup(target); ok {

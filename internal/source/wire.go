@@ -24,11 +24,11 @@ const (
 // records frame trace chunks with.
 func AppendItem(dst []byte, it *Item) []byte {
 	var buf [28]byte
-	if it.Gap {
+	if it.IsGap() {
 		buf[0] = tagGap
-		binary.LittleEndian.PutUint64(buf[1:9], it.LostBytes)
-		binary.LittleEndian.PutUint64(buf[9:17], it.GapStart)
-		binary.LittleEndian.PutUint64(buf[17:25], it.GapEnd)
+		binary.LittleEndian.PutUint64(buf[1:9], it.LostBytes())
+		binary.LittleEndian.PutUint64(buf[9:17], it.GapStart())
+		binary.LittleEndian.PutUint64(buf[17:25], it.GapEnd())
 		return append(dst, buf[:25]...)
 	}
 	p := &it.Packet
@@ -73,12 +73,11 @@ func DecodeItem(src []byte, tr *Traits) (Item, int, error) {
 }
 
 func decodeGapPayload(buf []byte) Item {
-	return Item{
-		Gap:       true,
-		LostBytes: binary.LittleEndian.Uint64(buf[0:8]),
-		GapStart:  binary.LittleEndian.Uint64(buf[8:16]),
-		GapEnd:    binary.LittleEndian.Uint64(buf[16:24]),
-	}
+	return GapItem(
+		binary.LittleEndian.Uint64(buf[0:8]),
+		binary.LittleEndian.Uint64(buf[8:16]),
+		binary.LittleEndian.Uint64(buf[16:24]),
+	)
 }
 
 func decodePacketPayload(buf []byte) Packet {

@@ -31,7 +31,7 @@ func encodeSample(t *testing.T) ([]byte, uint32) {
 	e.AddSideband([]vm.SwitchRecord{{TSC: 100, Core: 0, Thread: 3}, {TSC: 200, Core: 1, Thread: -1}})
 	items := []source.Item{
 		{Packet: source.Packet{Kind: 1, IP: 0x4000, NBits: 3, Bits: 5, WireLen: 8}},
-		{Gap: true, LostBytes: 64, GapStart: 10, GapEnd: 20},
+		source.GapItem(64, 10, 20),
 	}
 	if err := e.Feed(0, items); err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestRoundTrip(t *testing.T) {
 		if r.Items[0].Packet.IP != 0x4000 || r.Items[0].Packet.NBits != 3 {
 			t.Errorf("chunk item 0 = %+v", r.Items[0])
 		}
-		if !r.Items[1].Gap || r.Items[1].LostBytes != 64 {
+		if !r.Items[1].IsGap() || r.Items[1].LostBytes() != 64 {
 			t.Errorf("chunk item 1 = %+v", r.Items[1])
 		}
 	}
@@ -132,7 +132,7 @@ func TestRawEncoderMatchesEncoder(t *testing.T) {
 	e.AddSideband([]vm.SwitchRecord{{TSC: 100, Core: 0, Thread: 3}, {TSC: 200, Core: 1, Thread: -1}})
 	e.Feed(0, []source.Item{
 		{Packet: source.Packet{Kind: 1, IP: 0x4000, NBits: 3, Bits: 5, WireLen: 8}},
-		{Gap: true, LostBytes: 64, GapStart: 10, GapEnd: 20},
+		source.GapItem(64, 10, 20),
 	})
 	e.Watermark(1, 500)
 	e.AddBlobs([]*meta.CompiledMethod{sampleBlob()})

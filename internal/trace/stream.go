@@ -202,17 +202,6 @@ func (s *StreamStitcher) BufferedItems() int {
 // the batch split).
 func (s *StreamStitcher) NumThreads() int { return s.maxThread + 1 }
 
-// windowAt returns the index of the scheduling window covering t, over the
-// records known so far (identical to the batch binary search once the
-// record list below t is final).
-func (c *coreStitch) windowAt(t uint64) int {
-	i := sort.Search(len(c.recs), func(i int) bool { return c.recs[i].TSC > t })
-	if i == 0 {
-		return 0
-	}
-	return i - 1
-}
-
 // carve advances the per-core carve over pending items. Unless final, it
 // stops at the first item whose window assignment could still be changed
 // by sideband at or above the watermark: a TSC packet at or past the mark,
@@ -235,32 +224,14 @@ func (c *coreStitch) carve(final bool) {
 	cur, curWi := c.open[c.wi], c.wi
 	for done < len(c.pending) {
 		it := c.pending[done]
-		if it.Gap {
-			if !final && it.GapEnd >= c.mark {
+		if it.IsGap() {
+			if !final && it.GapEnd() >= c.mark {
 				break
 			}
 			c.open[curWi] = cur
-			lo := c.windowAt(it.GapStart)
-			hi := c.windowAt(it.GapEnd)
-			span := it.GapEnd - it.GapStart
-			for j := lo; j <= hi; j++ {
-				g := it
-				if j > lo {
-					g.GapStart = c.recs[j].TSC
-				}
-				if j < hi && j+1 < len(c.recs) {
-					g.GapEnd = c.recs[j+1].TSC
-				}
-				if g.GapEnd <= g.GapStart {
-					continue
-				}
-				if span > 0 {
-					g.LostBytes = it.LostBytes * (g.GapEnd - g.GapStart) / span
-				}
-				c.open[j] = append(c.open[j], g)
-			}
-			c.tsc = it.GapEnd
-			if w := c.windowAt(c.tsc); w > c.wi {
+			clipGap(c.recs, &it, func(j int, g source.Item) { c.open[j] = append(c.open[j], g) })
+			c.tsc = it.GapEnd()
+			if w := windowAt(c.recs, c.tsc); w > c.wi {
 				c.wi = w
 			}
 			cur, curWi = c.open[c.wi], c.wi
@@ -272,7 +243,7 @@ func (c *coreStitch) carve(final bool) {
 				break
 			}
 			c.tsc = it.Packet.TSC
-			if w := c.windowAt(c.tsc); w > c.wi {
+			if w := windowAt(c.recs, c.tsc); w > c.wi {
 				c.open[curWi] = cur
 				c.wi = w
 				cur, curWi = c.open[c.wi], c.wi
@@ -452,23 +423,13 @@ func (s *StreamStitcher) safeCarve(i int, final bool) {
 			c := &s.cores[i]
 			s.ledger.Add(fault.Entry{
 				Reason: fault.ReasonStageCrash, Thread: -1, Core: i,
-				Items: len(c.pending), Bytes: itemBytes(c.pending),
+				Items: len(c.pending), Bytes: source.PayloadBytes(c.pending),
 				Detail: fmt.Sprintf("carve: %v", r),
 			})
 			c.pending = nil
 		}
 	}()
 	s.cores[i].carve(final)
-}
-
-func itemBytes(items []source.Item) uint64 {
-	var n uint64
-	for i := range items {
-		if !items[i].Gap {
-			n += uint64(items[i].Packet.WireLen)
-		}
-	}
-	return n
 }
 
 // Drain emits every thread delta that is final under the current

@@ -90,7 +90,7 @@ func runStream(t *testing.T, cores []source.CoreTrace, sideband []vm.SwitchRecor
 // TestStreamMatchesBatchFixture sweeps chunk sizes over the migration/gap
 // fixture from the parallel test and demands byte-identical streams.
 func TestStreamMatchesBatchFixture(t *testing.T) {
-	gap := source.Item{Gap: true, GapStart: 150, GapEnd: 320, LostBytes: 1700}
+	gap := source.GapItem(1700, 150, 320)
 	cores := []source.CoreTrace{
 		{Core: 0, Items: []source.Item{
 			tscItem(0), tipItem(1), tipItem(2),
@@ -145,10 +145,7 @@ func genFixture(r *rand.Rand, ncores, nthreads, events int) ([]source.CoreTrace,
 			default:
 				start := clock
 				clock += uint64(1 + r.Intn(120))
-				cores[ci].Items = append(cores[ci].Items, source.Item{
-					Gap: true, GapStart: start, GapEnd: clock,
-					LostBytes: uint64(1 + r.Intn(4000)),
-				})
+				cores[ci].Items = append(cores[ci].Items, source.GapItem(uint64(1+r.Intn(4000)), start, clock))
 			}
 		}
 	}
@@ -216,7 +213,7 @@ func TestStreamTimestampInconsistencyAcrossChunks(t *testing.T) {
 	// Batch sanity: the misattribution is present at all.
 	var t0 []uint64
 	for _, it := range want[0].Items {
-		if !it.Gap && it.Packet.Kind == pt.KTIP {
+		if !it.IsGap() && it.Packet.Kind == pt.KTIP {
 			t0 = append(t0, it.Packet.IP)
 		}
 	}

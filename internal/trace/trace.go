@@ -92,51 +92,21 @@ func SplitByThread(cores []source.CoreTrace, sideband []vm.SwitchRecord, tr *sou
 // threads (the per-core half of SplitByThread). recs must already be
 // collapsed.
 func carveCore(ct *source.CoreTrace, recs []vm.SwitchRecord, tr *source.Traits) []window {
-	// windowAt returns the index of the scheduling window covering t.
-	windowAt := func(t uint64) int {
-		i := sort.Search(len(recs), func(i int) bool { return recs[i].TSC > t })
-		if i == 0 {
-			return 0
-		}
-		return i - 1
-	}
-
 	wins := make([][]source.Item, len(recs))
 	tsc := uint64(0)
 	wi := 0
 	for _, it := range ct.Items {
-		if it.Gap {
-			// Distribute the gap to every window it overlaps,
-			// clipped to the window bounds.
-			lo := windowAt(it.GapStart)
-			hi := windowAt(it.GapEnd)
-			span := it.GapEnd - it.GapStart
-			for j := lo; j <= hi; j++ {
-				g := it
-				if j > lo {
-					g.GapStart = recs[j].TSC
-				}
-				if j < hi && j+1 < len(recs) {
-					g.GapEnd = recs[j+1].TSC
-				}
-				if g.GapEnd <= g.GapStart {
-					continue
-				}
-				// Apportion the lost bytes by covered time.
-				if span > 0 {
-					g.LostBytes = it.LostBytes * (g.GapEnd - g.GapStart) / span
-				}
-				wins[j] = append(wins[j], g)
-			}
-			tsc = it.GapEnd
-			if w := windowAt(tsc); w > wi {
+		if it.IsGap() {
+			clipGap(recs, &it, func(j int, g source.Item) { wins[j] = append(wins[j], g) })
+			tsc = it.GapEnd()
+			if w := windowAt(recs, tsc); w > wi {
 				wi = w
 			}
 			continue
 		}
 		if tr.IsTime(it.Packet.Kind) {
 			tsc = it.Packet.TSC
-			if w := windowAt(tsc); w > wi {
+			if w := windowAt(recs, tsc); w > wi {
 				wi = w
 			}
 		}
@@ -149,4 +119,42 @@ func carveCore(ct *source.CoreTrace, recs []vm.SwitchRecord, tr *source.Traits) 
 		}
 	}
 	return out
+}
+
+// windowAt returns the index of the scheduling window of recs covering t.
+// The stitcher calls it over the records known so far, which gives the
+// batch result once the records below t are final.
+func windowAt(recs []vm.SwitchRecord, t uint64) int {
+	i := sort.Search(len(recs), func(i int) bool { return recs[i].TSC > t })
+	if i == 0 {
+		return 0
+	}
+	return i - 1
+}
+
+// clipGap distributes a loss marker to every scheduling window of recs it
+// overlaps: each window j receives, through add, the gap clipped to the
+// window's bounds, with the lost bytes apportioned by covered time. Pieces
+// that clip to nothing are dropped.
+func clipGap(recs []vm.SwitchRecord, it *source.Item, add func(j int, g source.Item)) {
+	start, end, lost := it.GapStart(), it.GapEnd(), it.LostBytes()
+	lo, hi := windowAt(recs, start), windowAt(recs, end)
+	span := end - start
+	for j := lo; j <= hi; j++ {
+		gs, ge := start, end
+		if j > lo {
+			gs = recs[j].TSC
+		}
+		if j < hi && j+1 < len(recs) {
+			ge = recs[j+1].TSC
+		}
+		if ge <= gs {
+			continue
+		}
+		l := lost
+		if span > 0 {
+			l = lost * (ge - gs) / span
+		}
+		add(j, source.GapItem(l, gs, ge))
+	}
 }

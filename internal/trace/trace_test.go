@@ -51,7 +51,7 @@ func TestSplitTwoThreadsOneCore(t *testing.T) {
 	streams := SplitByThread(cores, sideband, pt.Traits())
 	count := func(tid int) (tips int) {
 		for _, it := range streams[tid].Items {
-			if !it.Gap && it.Packet.Kind == pt.KTIP {
+			if !it.IsGap() && it.Packet.Kind == pt.KTIP {
 				tips++
 			}
 		}
@@ -91,7 +91,7 @@ func TestSplitClipsGapsToWindows(t *testing.T) {
 		Core: 0,
 		Items: []source.Item{
 			tscItem(0), tipItem(1),
-			{Gap: true, LostBytes: 1000, GapStart: 50, GapEnd: 250},
+			source.GapItem(1000, 50, 250),
 			tscItem(260), tipItem(2),
 		},
 	}}
@@ -103,16 +103,16 @@ func TestSplitClipsGapsToWindows(t *testing.T) {
 	streams := SplitByThread(cores, sideband, pt.Traits())
 	var g0, g1 []source.Item
 	for _, it := range streams[0].Items {
-		if it.Gap {
+		if it.IsGap() {
 			g0 = append(g0, it)
 		}
 	}
 	for _, it := range streams[1].Items {
-		if it.Gap {
+		if it.IsGap() {
 			g1 = append(g1, it)
 		}
 	}
-	if len(g0) != 1 || g0[0].GapStart != 50 || g0[0].GapEnd != 100 {
+	if len(g0) != 1 || g0[0].GapStart() != 50 || g0[0].GapEnd() != 100 {
 		t.Errorf("thread0 gaps: %+v", g0)
 	}
 	if len(g1) == 0 {
@@ -121,8 +121,8 @@ func TestSplitClipsGapsToWindows(t *testing.T) {
 	var covered uint64
 	var bytes uint64
 	for _, g := range append(g0, g1...) {
-		covered += g.GapEnd - g.GapStart
-		bytes += g.LostBytes
+		covered += g.GapEnd() - g.GapStart()
+		bytes += g.LostBytes()
 	}
 	if covered != 200 {
 		t.Errorf("gap coverage %d, want 200", covered)
@@ -153,7 +153,7 @@ func TestSplitIdleWindowsBoundGaps(t *testing.T) {
 		Core: 0,
 		Items: []source.Item{
 			tscItem(0), tipItem(1),
-			{Gap: true, LostBytes: 700, GapStart: 50, GapEnd: 400},
+			source.GapItem(700, 50, 400),
 			tscItem(410), tipItem(2),
 		},
 	}}
@@ -165,15 +165,15 @@ func TestSplitIdleWindowsBoundGaps(t *testing.T) {
 	streams := SplitByThread(cores, sideband, pt.Traits())
 	var gaps []source.Item
 	for _, it := range streams[0].Items {
-		if it.Gap {
+		if it.IsGap() {
 			gaps = append(gaps, it)
 		}
 	}
 	if len(gaps) != 1 {
 		t.Fatalf("gaps: %+v", gaps)
 	}
-	if gaps[0].GapStart != 50 || gaps[0].GapEnd != 100 {
-		t.Errorf("gap not clipped at idle: [%d,%d]", gaps[0].GapStart, gaps[0].GapEnd)
+	if gaps[0].GapStart() != 50 || gaps[0].GapEnd() != 100 {
+		t.Errorf("gap not clipped at idle: [%d,%d]", gaps[0].GapStart(), gaps[0].GapEnd())
 	}
 }
 

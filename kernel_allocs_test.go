@@ -9,6 +9,7 @@ package jportal_test
 // detector adds its own allocations, hence the build tag.
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -17,6 +18,7 @@ import (
 	"jportal/internal/cfg"
 	"jportal/internal/core"
 	"jportal/internal/source"
+	"jportal/internal/streamfmt"
 	"jportal/internal/trace"
 	"jportal/internal/workload"
 )
@@ -33,7 +35,8 @@ import (
 // linux/amd64). The MatchFreshScratch bound is the same band over 6
 // allocs/op, measured once the NFA layers shared one arena sized for the
 // token run; with one slice per layer it measured 4522 (go1.24,
-// linux/amd64).
+// linux/amd64). The StreamfmtDecode bound is the same band over 0
+// allocs/op, measured with 32-byte items (go1.24, linux/amd64).
 const (
 	maxAllocsMatchFromScratch    = 1
 	maxAllocsTokenize            = 1
@@ -43,6 +46,7 @@ const (
 	maxAllocsRecover             = 82
 	maxAllocsRecovererNoBoundary = 2
 	maxAllocsMatchFreshScratch   = 8
+	maxAllocsStreamfmtDecode     = 1
 )
 
 func TestKernelAllocs(t *testing.T) {
@@ -183,6 +187,28 @@ func TestKernelAllocs(t *testing.T) {
 			}
 		}
 		st.Finish()
+	})
+
+	// StreamfmtDecode: one chunk record per op, holding the first 1024
+	// items of the busiest core's trace, decoded into a reused items slice
+	// as the archive reader decodes every chunk record.
+	busiest := &run.Traces[0]
+	for j := range run.Traces {
+		if len(run.Traces[j].Items) > len(busiest.Items) {
+			busiest = &run.Traces[j]
+		}
+	}
+	var chunk bytes.Buffer
+	if err := streamfmt.NewRawEncoder(&chunk, ncores).Feed(busiest.Core, busiest.Items[:min(1024, len(busiest.Items))]); err != nil {
+		t.Fatal(err)
+	}
+	var decoded []source.Item
+	check("StreamfmtDecode", maxAllocsStreamfmtDecode, 100, func() {
+		r, n, err := streamfmt.DecodeInto(chunk.Bytes(), decoded, src.Traits())
+		if err != nil || n != chunk.Len() || r.Kind != streamfmt.KindChunk {
+			t.Fatalf("decode: kind %v, %d of %d bytes, err %v", r.Kind, n, chunk.Len(), err)
+		}
+		decoded = r.Items
 	})
 }
 

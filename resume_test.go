@@ -6,7 +6,9 @@ package jportal
 // edges.
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -18,7 +20,11 @@ import (
 
 	"jportal/internal/ckpt"
 	"jportal/internal/core"
+	"jportal/internal/fault"
+	"jportal/internal/iofault"
 	"jportal/internal/meta"
+	"jportal/internal/source"
+	"jportal/internal/vm"
 	"jportal/internal/workload"
 )
 
@@ -124,14 +130,22 @@ func TestResumeWithCorruptCheckpointReplaysFresh(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	resumeReplaysFresh(t, "corrupt-ckpt-fallback", dir, ckpt, want)
+}
+
+// resumeReplaysFresh resumes the replay of dir from the checkpoint at path,
+// which must be unusable: the resume must log the fallback and replay to
+// want, the uninterrupted analysis.
+func resumeReplaysFresh(t *testing.T, label, dir, path string, want *Analysis) {
+	t.Helper()
 	var notices []string
 	_, got, err := AnalyzeStreamArchiveOpts(context.Background(), dir, core.DefaultPipelineConfig(),
-		StreamOptions{CheckpointPath: ckpt, Resume: true,
+		StreamOptions{CheckpointPath: path, Resume: true,
 			Logf: func(format string, args ...any) { notices = append(notices, fmt.Sprintf(format, args...)) }})
 	if err != nil {
-		t.Fatalf("resume over a corrupt checkpoint: %v", err)
+		t.Fatalf("%s: resume over an unusable checkpoint: %v", label, err)
 	}
-	equalAnalyses(t, "corrupt-ckpt-fallback", want, got)
+	equalAnalyses(t, label, want, got)
 	found := false
 	for _, n := range notices {
 		if strings.Contains(n, "checkpoint unusable") {
@@ -139,7 +153,7 @@ func TestResumeWithCorruptCheckpointReplaysFresh(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Errorf("no fallback notice logged; got %q", notices)
+		t.Errorf("%s: no fallback notice logged; got %q", label, notices)
 	}
 }
 
@@ -185,23 +199,144 @@ func TestResumeRejectsCheckpointWithoutClock(t *testing.T) {
 		t.Fatalf("checkpoint without a clock: err %v, want ckpt.ErrCorrupt", err)
 	}
 
-	var notices []string
-	_, got, err := AnalyzeStreamArchiveOpts(context.Background(), dir, core.DefaultPipelineConfig(),
-		StreamOptions{CheckpointPath: path, Resume: true,
-			Logf: func(format string, args ...any) { notices = append(notices, fmt.Sprintf(format, args...)) }})
-	if err != nil {
-		t.Fatalf("resume over a clockless checkpoint: %v", err)
+	resumeReplaysFresh(t, "clockless-ckpt-fallback", dir, path, want)
+}
+
+// The stitcher item layout checkpoints carried before source.Item shrank
+// to 32 bytes: a gap's flag and episode sat in fields of their own. Gob
+// matches fields by name, so only the names and types matter here.
+type (
+	oldPacket struct {
+		Kind    source.Kind
+		IP      uint64
+		Bits    uint64
+		NBits   uint8
+		TSC     uint64
+		WireLen uint8
 	}
-	equalAnalyses(t, "clockless-ckpt-fallback", want, got)
-	found := false
-	for _, n := range notices {
-		if strings.Contains(n, "checkpoint unusable") {
-			found = true
+	oldItem struct {
+		Gap              bool
+		Packet           oldPacket
+		LostBytes        uint64
+		GapStart, GapEnd uint64
+	}
+	oldWindow struct {
+		Thread     int
+		Start, End uint64
+		Rec        int
+		Items      []oldItem
+	}
+	oldCoreState struct {
+		Recs    []vm.SwitchRecord
+		Mark    uint64
+		Pending []oldItem
+		WI      int
+		TSC     uint64
+		Open    map[int][]oldItem
+		Closed  []oldWindow
+		FO      int
+	}
+	oldStitcherState struct {
+		NCores, MaxThread int
+		Cores             []oldCoreState
+		LastThread        []int
+		LastTSC           []uint64
+		EmittedEnd        map[int]uint64
+	}
+	oldCheckpoint struct {
+		NCores, Records, Peak int
+		Stitcher              oldStitcherState
+		Analyzers             []core.ThreadAnalyzerState
+		Ledger                fault.LedgerState
+	}
+)
+
+func toOldItems(items []source.Item) []oldItem {
+	out := make([]oldItem, len(items))
+	for i := range items {
+		it := &items[i]
+		if it.IsGap() {
+			out[i] = oldItem{Gap: true, LostBytes: it.LostBytes(), GapStart: it.GapStart(), GapEnd: it.GapEnd()}
+			continue
 		}
+		p := it.Packet
+		out[i] = oldItem{Packet: oldPacket{Kind: p.Kind, IP: p.IP, Bits: p.Bits, NBits: p.NBits, TSC: p.TSC, WireLen: p.WireLen}}
 	}
-	if !found {
-		t.Errorf("no fallback notice logged; got %q", notices)
+	return out
+}
+
+// toOldCheckpoint re-lays ck's stitcher items in the old layout.
+func toOldCheckpoint(ck *SessionCheckpoint) *oldCheckpoint {
+	st := &ck.Stitcher
+	old := &oldCheckpoint{
+		NCores: ck.NCores, Records: ck.Records, Peak: ck.Peak,
+		Analyzers: ck.Analyzers, Ledger: ck.Ledger,
+		Stitcher: oldStitcherState{
+			NCores: st.NCores, MaxThread: st.MaxThread, LastThread: st.LastThread,
+			LastTSC: st.LastTSC, EmittedEnd: st.EmittedEnd,
+		},
 	}
+	for _, c := range st.Cores {
+		oc := oldCoreState{
+			Recs: c.Recs, Mark: c.Mark, Pending: toOldItems(c.Pending), WI: c.WI,
+			TSC: c.TSC, Open: map[int][]oldItem{}, FO: c.FO,
+		}
+		for j, items := range c.Open {
+			oc.Open[j] = toOldItems(items)
+		}
+		for _, w := range c.Closed {
+			oc.Closed = append(oc.Closed, oldWindow{Thread: w.Thread, Start: w.Start, End: w.End, Rec: w.Rec, Items: toOldItems(w.Items)})
+		}
+		old.Stitcher.Cores = append(old.Stitcher.Cores, oc)
+	}
+	return old
+}
+
+// TestResumeRejectsCheckpointOfOldItemLayout: a checkpoint written with the
+// old stitcher item layout gob-decodes without error, and every gap in it
+// becomes a kind-0 packet. It must be refused as corrupt, and resume must
+// replay to the uninterrupted analysis instead of misreading the gap.
+func TestResumeRejectsCheckpointOfOldItemLayout(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "chunked")
+	buildChunkedArchive(t, "pmd", 0.2, dir)
+	_, want, err := AnalyzeStreamArchive(dir, core.DefaultPipelineConfig(), false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := countArchiveRecords(t, dir)
+	path := filepath.Join(dir, CheckpointFileName)
+	_, _, err = AnalyzeStreamArchiveOpts(context.Background(), dir, core.DefaultPipelineConfig(),
+		StreamOptions{CheckpointPath: path, CheckpointEvery: 2, stopAfterRecords: total / 2})
+	if !errors.Is(err, errReplayAbandoned) {
+		t.Fatalf("abandoned replay = %v", err)
+	}
+	ck, err := ReadSessionCheckpoint(path)
+	if err != nil {
+		t.Fatalf("intact checkpoint: %v", err)
+	}
+
+	old := toOldCheckpoint(ck)
+	pending := &old.Stitcher.Cores[0].Pending
+	*pending = append(*pending, oldItem{Gap: true, LostBytes: 64, GapStart: 10, GapEnd: 20})
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	var misread SessionCheckpoint
+	if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&misread); err != nil {
+		t.Fatalf("old layout no longer gob-decodes, so this test no longer shows the hazard: %v", err)
+	}
+	if p := misread.Stitcher.Cores[0].Pending; p[len(p)-1] != (source.Item{}) {
+		t.Fatalf("old-layout gap decoded as %+v, want the zero item the layout check exists for", p[len(p)-1])
+	}
+
+	if err := ckpt.WriteFile(iofault.OS, path, buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadSessionCheckpoint(path); !errors.Is(err, ckpt.ErrCorrupt) {
+		t.Fatalf("old-layout checkpoint: err %v, want ckpt.ErrCorrupt", err)
+	}
+	resumeReplaysFresh(t, "old-layout-ckpt-fallback", dir, path, want)
 }
 
 // TestResumePastArchiveEndIsAnError: a checkpoint claiming more records

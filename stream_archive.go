@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -261,9 +262,12 @@ func (r *StreamArchiveReader) Close() error { return r.f.Close() }
 // retry after the writer appends.
 func (r *StreamArchiveReader) fill(n int) error {
 	for len(r.buf) < n {
-		chunk := make([]byte, max(4096, n-len(r.buf)))
-		m, err := r.f.ReadAt(chunk, r.off)
-		r.buf = append(r.buf, chunk[:m]...)
+		// Read straight into the read-ahead's spare capacity: the buffer
+		// is reused across records, so a steady replay allocates nothing.
+		want := max(4096, n-len(r.buf))
+		r.buf = slices.Grow(r.buf, want)
+		m, err := r.f.ReadAt(r.buf[len(r.buf):len(r.buf)+want], r.off)
+		r.buf = r.buf[:len(r.buf)+m]
 		r.off += int64(m)
 		if err == io.EOF {
 			if len(r.buf) < n {

@@ -17,6 +17,12 @@ import (
 // stream.jpt by the resumable replay path.
 const CheckpointFileName = "session.ckpt"
 
+// checkpointLayout identifies the stitcher item layout SessionCheckpoint
+// gob-encodes: 1 is the 32-byte source.Item whose gap episode shares the
+// packet's payload words. An earlier checkpoint carries a gap as separate
+// Item fields, which this layout would decode as a kind-0 packet.
+const checkpointLayout = 1
+
 // SessionCheckpoint is a Session's complete resumable state at a record
 // boundary of the chunked archive (DESIGN.md §11): stitcher frontiers,
 // per-thread analyzer state, the quarantine ledger, and the archive cursor
@@ -25,6 +31,11 @@ const CheckpointFileName = "session.ckpt"
 // snapshot and blob records, which is deterministic and keeps the
 // checkpoint small.
 type SessionCheckpoint struct {
+	// Layout is the in-memory record layout the checkpoint was written
+	// with (checkpointLayout). Gob matches fields by name, so a checkpoint
+	// of another layout can decode without error into wrong items; one
+	// written before the field existed decodes it as 0.
+	Layout  int
 	NCores  int
 	Records int
 	Peak    int
@@ -45,6 +56,7 @@ func (s *Session) ExportCheckpoint(records int) (*SessionCheckpoint, error) {
 	s.quiesce()
 	s.merge(0)
 	ck := &SessionCheckpoint{
+		Layout:    checkpointLayout,
 		NCores:    s.ncores,
 		Records:   records,
 		Peak:      int(s.peak.Load()),
@@ -105,8 +117,9 @@ func WriteSessionCheckpoint(path string, ck *SessionCheckpoint) error {
 
 // ReadSessionCheckpoint loads and validates a checkpoint file. A missing
 // file returns os.IsNotExist; a damaged one wraps ckpt.ErrCorrupt. So does
-// one whose open or pending segments have tokens without a usable clock:
-// a checkpoint written while tokens still carried their own timestamps
+// one of another Layout, whose stitcher items would decode wrong, and one
+// whose open or pending segments have tokens without a usable clock: a
+// checkpoint written while tokens still carried their own timestamps
 // gob-decodes into exactly that, and would resume with every timestamp 0.
 func ReadSessionCheckpoint(path string) (*SessionCheckpoint, error) {
 	payload, err := ckpt.ReadFile(iofault.OS, path)
@@ -116,6 +129,9 @@ func ReadSessionCheckpoint(path string) (*SessionCheckpoint, error) {
 	ck := new(SessionCheckpoint)
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(ck); err != nil {
 		return nil, fmt.Errorf("%w: gob: %v", ckpt.ErrCorrupt, err)
+	}
+	if ck.Layout != checkpointLayout {
+		return nil, fmt.Errorf("%w: record layout %d, want %d", ckpt.ErrCorrupt, ck.Layout, checkpointLayout)
 	}
 	for i := range ck.Analyzers {
 		if err := ck.Analyzers[i].CheckClocks(); err != nil {
