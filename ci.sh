@@ -6,7 +6,7 @@
 #                    the concurrent packages (core, trace, conc, pt, source,
 #                    etrace, ingest, fleet) and the root streaming and
 #                    kill-and-resume tests +
-#                    end-to-end smokes (PT, lossy PT, E-Trace and the
+#                    end-to-end smokes (PT, JIT-heavy PT, lossy PT, E-Trace and the
 #                    in-process run/analyze/report verbs) + a
 #                    vet/test pass over the benchmark/ module, which
 #                    builds against the root package
@@ -86,6 +86,19 @@ cmp "$SMOKE/etrace-stream.txt" "$SMOKE/etrace-decode.txt"
 grep -q 'recovered [1-9]' "$SMOKE/etrace-stream.txt"
 grep -qx 'thread 0: segments=2 tokens=70633 steps=112699 (recovered 42066)' "$SMOKE/etrace-stream.txt"
 echo "    E-Trace replay identical across workers and against decode"
+
+echo "==> JIT-heavy PT smoke (fop archive: stream, stream -workers 1 and decode agree)"
+# fop at -scale 0.5 runs 99.8% of its bytecodes in JIT code, so nearly
+# every token is lowered from a blob's pre-lowered run and matched by the
+# NFA's one-state located step; 24% of its trace is lost, so its holes
+# are recovered too.
+"$SMOKE/jportal" stream "$SMOKE/local" >"$SMOKE/local-stream.txt"
+"$SMOKE/jportal" stream -workers 1 "$SMOKE/local" >"$SMOKE/local-stream1.txt"
+cmp "$SMOKE/local-stream.txt" "$SMOKE/local-stream1.txt"
+"$SMOKE/jportal" decode "$SMOKE/local" | sed 's/ decode=[^ ]* recover=[^ ]*//' >"$SMOKE/local-decode.txt"
+cmp "$SMOKE/local-stream.txt" "$SMOKE/local-decode.txt"
+grep -qx 'thread 0: segments=3 tokens=674482 steps=730669 (recovered 56187)' "$SMOKE/local-stream.txt"
+echo "    JIT-heavy PT replay identical across workers and against decode"
 
 echo "==> lossy PT recovery smoke (stream, stream -workers 1 and decode agree)"
 # batik at 16M-label buffers: one thread whose 9 segments leave 8 holes, so

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"slices"
+
 	"jportal/internal/bytecode"
+	"jportal/internal/meta"
 	"jportal/internal/source"
 )
 
@@ -97,12 +100,23 @@ type tokenizer struct {
 	marks     []TSCMark
 	markStart int
 	// curLocated counts located tokens in the open segment (maintained
-	// by appendTok so flush doesn't rescan the segment).
+	// by appendTok/appendToks so flush doesn't rescan the segment).
 	curLocated int
 	// segSlab is the segment-header arena: headers are carved out of a
 	// fixed-capacity block (never append-grown past cap, so issued
 	// pointers stay valid) and a fresh block starts when one fills.
 	segSlab []Segment
+
+	// lowered maps each blob met so far to its pre-lowered token run in
+	// lowToks and its record tables in lowRecs (see lower). The arenas
+	// grow by append; nothing outside the tokenizer aliases them, since
+	// appendToks copies a run into the token slab. The table is derived
+	// from blobs, which are never mutated after export, so it is never
+	// checkpointed: restoreState and breakSegment drop it and the next
+	// range rebuilds what it needs.
+	lowered map[*meta.CompiledMethod]loweredBlob
+	lowToks []Token
+	lowRecs []int32
 }
 
 // tokenSlabSize is the smallest token-arena block (48KB of 12-byte
@@ -115,7 +129,7 @@ const (
 )
 
 func newTokenizer(prog *bytecode.Program) *tokenizer {
-	t := &tokenizer{prog: prog, pendingCond: -1}
+	t := &tokenizer{prog: prog, pendingCond: -1, lowered: make(map[*meta.CompiledMethod]loweredBlob)}
 	t.cur = t.newSeg()
 	return t
 }
@@ -169,12 +183,40 @@ func (t *tokenizer) flush(gapAfter *GapInfo) {
 }
 
 // appendTok appends tok to the open segment, stamped with the current
-// TSC: a clock mark is appended only when the TSC differs from the open
-// segment's last mark.
+// TSC.
 func (t *tokenizer) appendTok(tok Token) {
-	if tok.Method != bytecode.NoMethod {
+	if tok.Located() {
 		t.curLocated++
 	}
+	t.reserve(1)
+	t.slab = append(t.slab, tok)
+	t.cur.Tokens = t.slab[t.segStart:len(t.slab):len(t.slab)]
+}
+
+// appendToks appends a run of tokens to the open segment, all stamped
+// with the current TSC. allLocated says every token carries a method.
+func (t *tokenizer) appendToks(toks []Token, allLocated bool) {
+	if len(toks) == 0 {
+		return
+	}
+	if allLocated {
+		t.curLocated += len(toks)
+	} else {
+		for i := range toks {
+			if toks[i].Located() {
+				t.curLocated++
+			}
+		}
+	}
+	t.reserve(len(toks))
+	t.slab = append(t.slab, toks...)
+	t.cur.Tokens = t.slab[t.segStart:len(t.slab):len(t.slab)]
+}
+
+// reserve readies the open segment for n more tokens at the current TSC:
+// a clock mark is appended only when the TSC differs from the open
+// segment's last mark, and the token arena refills if the n do not fit.
+func (t *tokenizer) reserve(n int) {
 	if c := t.cur.Clock; len(c) == 0 || c[len(c)-1].TSC != t.tsc {
 		if len(t.marks) == cap(t.marks) {
 			t.marks = refill(t.marks, t.markStart, 1, markSlabSize)
@@ -183,12 +225,10 @@ func (t *tokenizer) appendTok(tok Token) {
 		t.marks = append(t.marks, TSCMark{At: int32(len(t.cur.Tokens)), TSC: t.tsc})
 		t.cur.Clock = t.marks[t.markStart:len(t.marks):len(t.marks)]
 	}
-	if len(t.slab) == cap(t.slab) {
-		t.slab = refill(t.slab, t.segStart, 1, tokenSlabSize)
+	if len(t.slab)+n > cap(t.slab) {
+		t.slab = refill(t.slab, t.segStart, n, tokenSlabSize)
 		t.segStart = 0
 	}
-	t.slab = append(t.slab, tok)
-	t.cur.Tokens = t.slab[t.segStart:len(t.slab):len(t.slab)]
 }
 
 // feed lowers one chunk of decoder events.
@@ -264,46 +304,136 @@ func (t *tokenizer) finish() []*Segment {
 // were lowered before the crash) but the stream position is not, so the
 // next segment starts behind a synthetic desync gap.
 func (t *tokenizer) breakSegment() {
+	t.dropLowered()
 	t.pendingCond = -1
 	t.flush(&GapInfo{Start: t.tsc, End: t.tsc, Desync: true})
 }
 
-// tokenizeRange converts an executed native instruction range into bytecode
-// tokens via the blob's debug records, collapsing the several native
-// instructions a bytecode lowers to into one token, and resolving inline
-// frames to the innermost instruction (§6, "Dealing with Inlined Code").
-// It is a tokenizer method (appending directly to the token slab) because
-// it runs once per JIT range on the hot decode path — an emit callback
-// would cost a closure allocation and an indirect call per token.
-func (t *tokenizer) tokenizeRange(ev *source.Event) {
-	blob := ev.Blob
+// loweredBlob locates one blob's pre-lowered token run in the tokenizer's
+// lowering arenas (DESIGN.md §12). The run is what one walk of the whole
+// blob's debug records emits: a token per framed record whose innermost
+// (method, pc) differs from the previous framed record's. The blob's
+// per-record tables, n+1 entries each, sit back to back in lowRecs:
+//
+//   - idx[i] is the number of run tokens emitted for records before i,
+//     so records [i, k) emit run[idx[i]:idx[k]];
+//   - next[i]>>2 is the first framed record at or after i (n if none),
+//     and its low bits say how a range starting there differs from the
+//     run, whose walk began earlier: startRepeat if the record repeats
+//     its predecessor's (method, pc), so the run has no token for it but
+//     the range emits one; startSkip if it carries the walk's starting
+//     state (NoMethod, -1), which a range starting there never emits.
+type loweredBlob struct {
+	tok, rec, n int32 // run offset in lowToks, table offset in lowRecs, len(Debug)
+	// allLocated: every run token carries a method, so a run's located
+	// count is its length.
+	allLocated bool
+}
+
+// Range-start kinds in the low bits of a loweredBlob's next table.
+const (
+	startRepeat = 1
+	startSkip   = 2
+)
+
+// lower walks blob's debug records once and appends its token run and
+// record tables to the lowering arenas.
+func (t *tokenizer) lower(blob *meta.CompiledMethod) loweredBlob {
+	n := len(blob.Debug)
+	lw := loweredBlob{tok: int32(len(t.lowToks)), rec: int32(len(t.lowRecs)), n: int32(n), allLocated: true}
+	t.lowRecs = slices.Grow(t.lowRecs, 2*n+2)[:int(lw.rec)+2*n+2]
+	idx, next := t.lowRecs[lw.rec:int(lw.rec)+n+1], t.lowRecs[int(lw.rec)+n+1:]
 	var lastM bytecode.MethodID = bytecode.NoMethod
 	lastPC := int32(-1)
 	var lastMethod *bytecode.Method
-	for i := int(ev.First); i < int(ev.Last); i++ {
-		if i < 0 || i >= len(blob.Debug) {
-			return // stale metadata: fewer debug records than instructions
-		}
+	for i := range blob.Debug {
+		idx[i] = int32(len(t.lowToks)) - lw.tok
 		rec := &blob.Debug[i]
+		next[i] = -1 // frameless; the backward pass below resolves it
 		if len(rec.Frames) == 0 {
-			continue // stale metadata: frameless record
+			continue
 		}
 		inner := rec.Frames[len(rec.Frames)-1]
-		if inner.Method == lastM && inner.PC == lastPC {
+		repeat := inner.Method == lastM && inner.PC == lastPC
+		switch {
+		case inner.Method == bytecode.NoMethod && inner.PC == -1:
+			next[i] = startSkip
+		case repeat:
+			next[i] = startRepeat
+		default:
+			next[i] = 0
+		}
+		if repeat {
 			continue // same bytecode instruction, subsequent native instr
 		}
 		if inner.Method != lastM {
 			lastMethod = t.prog.Method(inner.Method)
 		}
 		lastM, lastPC = inner.Method, inner.PC
-		tok := Token{
-			Method: inner.Method,
-			PC:     inner.PC,
-			Approx: rec.Approximate,
-		}
-		if lastMethod != nil && int(inner.PC) < len(lastMethod.Code) {
+		tok := Token{Method: inner.Method, PC: inner.PC, Approx: rec.Approximate}
+		if lastMethod != nil && inner.PC >= 0 && int(inner.PC) < len(lastMethod.Code) {
 			tok.Op = lastMethod.Code[inner.PC].Op
 		}
-		t.appendTok(tok)
+		if !tok.Located() {
+			lw.allLocated = false
+		}
+		t.lowToks = append(t.lowToks, tok)
 	}
+	idx[n] = int32(len(t.lowToks)) - lw.tok
+	next[n] = int32(n) << 2
+	for i := n - 1; i >= 0; i-- {
+		if next[i] < 0 {
+			next[i] = next[i+1]
+		} else {
+			next[i] |= int32(i) << 2
+		}
+	}
+	return lw
+}
+
+// dropLowered forgets every pre-lowered blob (a crash may have cut a
+// lowering short); the next range over a blob lowers it again.
+func (t *tokenizer) dropLowered() {
+	clear(t.lowered)
+	t.lowToks, t.lowRecs = t.lowToks[:0], t.lowRecs[:0]
+}
+
+// tokenizeRange converts an executed native instruction range into bytecode
+// tokens via the blob's debug records, collapsing the several native
+// instructions a bytecode lowers to into one token, and resolving inline
+// frames to the innermost instruction (§6, "Dealing with Inlined Code").
+// The first range over a blob lowers the whole blob once (lower); every
+// range then appends a slice of that run. Stale metadata lowers as it
+// always has: a range starting before record 0 emits nothing, one running
+// past the last record stops there, frameless records emit nothing, and a
+// pc outside its method's code gives a token with Op 0.
+func (t *tokenizer) tokenizeRange(ev *source.Event) {
+	lw, ok := t.lowered[ev.Blob]
+	if !ok {
+		lw = t.lower(ev.Blob)
+		t.lowered[ev.Blob] = lw
+	}
+	first, last := int(ev.First), min(int(ev.Last), int(lw.n))
+	if first < 0 || first >= last {
+		return
+	}
+	idx := t.lowRecs[lw.rec : lw.rec+lw.n+1]
+	next := t.lowRecs[lw.rec+lw.n+1 : lw.rec+2*lw.n+2]
+	j := int(next[first] >> 2)
+	if j >= last {
+		return
+	}
+	run := t.lowToks[lw.tok:]
+	start := idx[j]
+	switch next[first] & 3 {
+	case startRepeat:
+		// The range emits the repeated instruction once, with this
+		// record's approximation flag.
+		tok := run[start-1]
+		tok.Approx = ev.Blob.Debug[j].Approximate
+		t.appendTok(tok)
+	case startSkip:
+		start = idx[j+1]
+	}
+	t.appendToks(run[start:idx[last]], lw.allLocated)
 }

@@ -29,6 +29,10 @@ type Matcher struct {
 	// from callees the static ICFG did not wire (unresolved dynamic
 	// callers) fall back to them.
 	returnSites []cfg.NodeID
+	// fallback[n] flags n's membership of the three fallback sets above
+	// (fbEntry, fbHandler, fbReturnSite), so the located step tests a
+	// fallback target without building the set.
+	fallback []uint8
 
 	// ctrlReach holds, per node, the set of control nodes reachable
 	// through non-control instructions only (the ε-closure of the ANFA,
@@ -66,9 +70,26 @@ func NewMatcher(g *cfg.ICFG) *Matcher {
 		}
 	}
 	m.entryNodes = g.MethodEntries()
+	m.fallback = make([]uint8, g.NumNodes())
+	for _, n := range m.entryNodes {
+		m.fallback[n] |= fbEntry
+	}
+	for _, n := range m.handlerTargets {
+		m.fallback[n] |= fbHandler
+	}
+	for _, n := range m.returnSites {
+		m.fallback[n] |= fbReturnSite
+	}
 	m.precomputeCtrlReach()
 	return m
 }
+
+// Fallback-set flags of Matcher.fallback.
+const (
+	fbEntry uint8 = 1 << iota
+	fbHandler
+	fbReturnSite
+)
 
 // precomputeCtrlReach computes the ANFA ε-closure of every node eagerly.
 // The previous implementation memoised closures lazily in a map, which was
@@ -217,6 +238,91 @@ func onlyThrowless(edges []cfg.Edge) bool {
 		}
 	}
 	return true
+}
+
+// hasSuccessor reports whether to is among successors(n, t) — and, like
+// successors, whether a fallback set was used — without building the
+// list: the same edge-kind filter, scanned for to, and the fallback
+// sets tested through their per-node flags.
+func (m *Matcher) hasSuccessor(n cfg.NodeID, t *Token, to cfg.NodeID) (has, fb bool) {
+	ins := m.G.Instr(n)
+	edges := m.G.Succs[n]
+	switch {
+	case ins.Op.IsCondBranch():
+		for _, e := range edges {
+			if e.To != to {
+				continue
+			}
+			if !t.HasDir {
+				if e.Kind == cfg.EdgeTaken || e.Kind == cfg.EdgeFallthrough {
+					return true, false
+				}
+			} else if t.Taken && e.Kind == cfg.EdgeTaken || !t.Taken && e.Kind == cfg.EdgeFallthrough {
+				return true, false
+			}
+		}
+		return false, false
+	case ins.Op == bytecode.GOTO:
+		_, has = edgeTo(edges, cfg.EdgeJump, to)
+		return has, false
+	case ins.Op == bytecode.TABLESWITCH:
+		_, has = edgeTo(edges, cfg.EdgeSwitch, to)
+		return has, false
+	case ins.Op.IsCall():
+		return m.kindOrFallback(edges, cfg.EdgeCall, to, fbEntry)
+	case ins.Op.IsReturn():
+		return m.kindOrFallback(edges, cfg.EdgeReturn, to, fbReturnSite)
+	case ins.Op == bytecode.ATHROW:
+		return m.kindOrFallback(edges, cfg.EdgeThrow, to, fbHandler)
+	}
+	_, has = edgeTo(edges, cfg.EdgeFallthrough, to)
+	if ins.Op.MayThrow() {
+		anyThrow, hasThrow := edgeTo(edges, cfg.EdgeThrow, to)
+		has = has || hasThrow
+		if !anyThrow {
+			// Uncaught in this method: cross-method unwind.
+			return has || m.fallback[to]&fbHandler != 0, true
+		}
+	}
+	return has, false
+}
+
+// kindOrFallback is hasSuccessor for a transfer whose successors are its
+// kind-edges, or the flag's fallback set when it has none.
+func (m *Matcher) kindOrFallback(edges []cfg.Edge, kind cfg.EdgeKind, to cfg.NodeID, flag uint8) (has, fb bool) {
+	hasKind, has := edgeTo(edges, kind, to)
+	if !hasKind {
+		return m.fallback[to]&flag != 0, true
+	}
+	return has, false
+}
+
+// edgeTo reports whether edges hold any edge of kind, and one to to.
+func edgeTo(edges []cfg.Edge, kind cfg.EdgeKind, to cfg.NodeID) (hasKind, hit bool) {
+	for _, e := range edges {
+		if e.Kind == kind {
+			hasKind = true
+			if e.To == to {
+				return true, true
+			}
+		}
+	}
+	return hasKind, false
+}
+
+// locatedNode returns the node a located token names, if its (method, pc)
+// is a real instruction. Stale metadata can name neither.
+func (m *Matcher) locatedNode(t *Token) (cfg.NodeID, bool) {
+	if !t.Located() {
+		return 0, false
+	}
+	meth := m.G.Prog.Method(t.Method)
+	if meth == nil || t.PC < 0 || int(t.PC) >= len(meth.Code) {
+		return 0, false
+	}
+	n := m.G.Node(t.Method, t.PC)
+	mid, pc := m.G.Location(n)
+	return n, mid == t.Method && pc == t.PC
 }
 
 // CtrlReach returns the ANFA ε-closure of n: the control nodes reachable
@@ -391,9 +497,33 @@ func (m *Matcher) MatchFromScratch(sc *MatchScratch, starts []cfg.NodeID, toks [
 
 	for i := 0; i+1 < len(toks); i++ {
 		lo, hi := bounds[i], bounds[i+1]
-		sc.reset()
 		tok := &toks[i]
 		ntok := &toks[i+1]
+		if n, ok := m.locatedNode(ntok); ok {
+			// A located next token matches exactly one node, so the
+			// next layer is that node alone, its parent the first state
+			// of this layer that steps to it (DESIGN.md §12). The
+			// general step's MaxStates cut-off cannot fire: one state
+			// reaches it only if MaxStates <= 1, and then this layer
+			// holds one state too.
+			parent := int32(-1)
+			for pi := lo; pi < hi; pi++ {
+				has, fb := m.hasSuccessor(ents[pi].node, tok, n)
+				if fb {
+					res.Fallbacks++
+				}
+				if has && parent < 0 {
+					parent = pi
+				}
+			}
+			if parent < 0 {
+				res.Reanchors++
+			}
+			ents = append(ents, layerEntry{node: n, parent: parent})
+			bounds = append(bounds, int32(len(ents)))
+			continue
+		}
+		sc.reset()
 		for pi := lo; pi < hi; pi++ {
 			succs, fb := m.successors(ents[pi].node, tok, sc.buf[:0])
 			sc.buf = succs

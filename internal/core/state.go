@@ -51,6 +51,7 @@ func (t *tokenizer) exportState() TokenizerState {
 func (t *tokenizer) restoreState(st TokenizerState) {
 	t.st = st.Stats
 	t.segs = nil
+	t.dropLowered()
 	// Adopt the checkpointed open segment into the token and clock
 	// arenas: the restored tokens and marks are copied to the head of
 	// fresh open spans so the appendTok invariants (cur.Tokens ==

@@ -89,6 +89,21 @@ func (c *Coverage) Add(steps []core.Step) {
 	}
 }
 
+// Merge folds o's covered instructions into the accumulator: the union
+// of two accumulators is what one accumulator given both step batches
+// holds. Both must come from NewCoverage over the same program.
+func (c *Coverage) Merge(o *Coverage) {
+	for mid, bits := range o.byMethod {
+		cov := c.byMethod[mid]
+		for pc, b := range bits {
+			if b && !cov[pc] {
+				cov[pc] = true
+				c.CoveredInstrs++
+			}
+		}
+	}
+}
+
 // Seal recomputes CoveredMethods after the last Add. Idempotent.
 func (c *Coverage) Seal() {
 	c.CoveredMethods = 0

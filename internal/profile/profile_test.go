@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"reflect"
 	"testing"
 
 	"jportal/internal/bytecode"
@@ -63,6 +64,33 @@ func TestCoverage(t *testing.T) {
 	cov2 := ComputeCoverage(p, threads(steps, steps))
 	if cov2.CoveredInstrs != 8 {
 		t.Error("duplicates double-counted")
+	}
+}
+
+// TestCoverageMerge: merging per-batch accumulators gives what one
+// accumulator fed every batch holds.
+func TestCoverageMerge(t *testing.T) {
+	p := bytecode.MustAssemble(profSrc)
+	leaf := p.MethodByName("T.leaf")
+	main := p.MethodByName("T.main")
+	a := mkSteps([2]int32{int32(main.ID), 0}, [2]int32{int32(leaf.ID), 1}, [2]int32{int32(leaf.ID), 2})
+	b := mkSteps([2]int32{int32(leaf.ID), 2}, [2]int32{int32(main.ID), 3})
+	want := NewCoverage(p)
+	want.Add(a)
+	want.Add(b)
+	got := NewCoverage(p)
+	for _, steps := range [][]core.Step{a, b} {
+		c := NewCoverage(p)
+		c.Add(steps)
+		got.Merge(c)
+	}
+	got.Seal()
+	want.Seal()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("merged %+v, want %+v", got, want)
+	}
+	if got.CoveredInstrs != 4 {
+		t.Errorf("covered %d, want 4", got.CoveredInstrs)
 	}
 }
 

@@ -36,7 +36,9 @@ import (
 // allocs/op, measured once the NFA layers shared one arena sized for the
 // token run; with one slice per layer it measured 4522 (go1.24,
 // linux/amd64). The StreamfmtDecode bound is the same band over 0
-// allocs/op, measured with 32-byte items (go1.24, linux/amd64).
+// allocs/op, measured with 32-byte items (go1.24, linux/amd64). The
+// MatchLocated bound is the same band over 0 allocs/op, measured with the
+// one-state located step and a warm scratch (go1.24, linux/amd64).
 const (
 	maxAllocsMatchFromScratch    = 1
 	maxAllocsTokenize            = 1
@@ -47,6 +49,7 @@ const (
 	maxAllocsRecovererNoBoundary = 2
 	maxAllocsMatchFreshScratch   = 8
 	maxAllocsStreamfmtDecode     = 1
+	maxAllocsMatchLocated        = 1
 )
 
 func TestKernelAllocs(t *testing.T) {
@@ -98,6 +101,27 @@ func TestKernelAllocs(t *testing.T) {
 		tk.Feed(chunks[op%len(chunks)])
 		tk.Finish()
 		op++
+	})
+
+	// MatchLocated: the NFA over the busiest thread's first segment, whose
+	// tokens are almost all located (lowered from JIT code), on a reused
+	// scratch: the one-state located step (§4).
+	segs, _ := core.TokenizeEvents(s.Program, events)
+	ltoks := segs[0].Tokens
+	lm := core.NewMatcher(cfg.BuildICFG(s.Program, core.DefaultPipelineConfig().ICFG))
+	lstarts := lm.NodesWithOp(ltoks[0].Op)
+	lsc := lm.NewScratch()
+	located := 0
+	for i := range ltoks {
+		if ltoks[i].Located() {
+			located++
+		}
+	}
+	t.Logf("MatchLocated: %d tokens, %d located", len(ltoks), located)
+	check("MatchLocated", maxAllocsMatchLocated, 20, func() {
+		if r := lm.MatchFromScratch(lsc, lstarts, ltoks); r.Matched == 0 {
+			t.Fatal("first segment's first token matched no start")
+		}
 	})
 
 	// WalkerDecode: one full packet-stream decode of the busiest thread

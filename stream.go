@@ -211,12 +211,17 @@ func (s *Session) Close() (*Analysis, error) {
 	s.stopStages()
 	s.merge(0)
 	threads := make([]*core.ThreadResult, len(s.analyzers))
+	covs := make([]*profile.Coverage, len(s.analyzers))
 	conc.ParallelFor(s.pipe.Cfg.WorkerCount(), len(s.analyzers), func(i int) {
 		threads[i] = s.analyzers[i].Finish(s.ctx)
+		// Each thread's coverage is folded on its worker; the report
+		// only merges them.
+		covs[i] = profile.NewCoverage(s.prog)
+		covs[i].Add(threads[i].Steps)
 	})
 	s.cancel()
 	s.result = &Analysis{Threads: threads, Pipeline: s.pipe}
-	s.result.Report = s.degradationReport()
+	s.result.Report = s.degradationReport(covs)
 	for _, a := range s.analyzers {
 		if a.TimedOut() {
 			s.result.Report.TimedOut = true
@@ -234,9 +239,9 @@ func (s *Session) abandon() {
 	s.Close()
 }
 
-// degradationReport folds the ledger and per-thread results into the
-// per-run robustness summary.
-func (s *Session) degradationReport() *fault.DegradationReport {
+// degradationReport folds the ledger, the per-thread results and their
+// per-thread coverage into the per-run robustness summary.
+func (s *Session) degradationReport(covs []*profile.Coverage) *fault.DegradationReport {
 	rep := &fault.DegradationReport{Quarantined: s.ledger.Counts()}
 	rep.QuarantinedItems, rep.QuarantinedBytes = s.ledger.Totals()
 	for _, t := range s.result.Threads {
@@ -260,11 +265,9 @@ func (s *Session) degradationReport() *fault.DegradationReport {
 			}
 		}
 	}
-	// Fold coverage per thread instead of concatenating the whole
-	// profile into one throwaway slice.
 	cov := profile.NewCoverage(s.prog)
-	for _, t := range s.result.Threads {
-		cov.Add(t.Steps)
+	for _, c := range covs {
+		cov.Merge(c)
 	}
 	rep.Coverage = cov.Ratio()
 	return rep

@@ -15,6 +15,7 @@ import (
 	"jportal/internal/bytecode"
 	"jportal/internal/core"
 	"jportal/internal/meta"
+	"jportal/internal/profile"
 	"jportal/internal/source"
 	"jportal/internal/vm"
 	"jportal/internal/workload"
@@ -154,6 +155,38 @@ func TestStreamingMatchesBatchAllSubjects(t *testing.T) {
 			cfg.Workers = v.workers
 			got := sessionAnalyze(t, s, run, cfg, v.chunk)
 			equalAnalyses(t, name+"/"+v.name, batch, got)
+		}
+	}
+}
+
+// TestSessionReportCoverage: the degradation report's coverage, folded
+// per thread on the Close workers and merged, equals the statement
+// coverage computed from the finished analysis' steps, for multi-thread
+// and single-thread subjects, lossy and lossless, serial and parallel.
+func TestSessionReportCoverage(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		buf  uint64
+	}{{"h2", 16 << 10}, {"h2", 0}, {"batik", 16 << 10}, {"pmd", 0}} {
+		s := workload.MustLoad(c.name, 0.25)
+		rcfg := DefaultRunConfig()
+		rcfg.CollectOracle = false
+		if c.buf != 0 {
+			rcfg.PT.BufBytes = c.buf
+		}
+		run, err := Run(s.Program, s.Threads, rcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 3} {
+			pcfg := core.DefaultPipelineConfig()
+			pcfg.Workers = workers
+			an := sessionAnalyze(t, s, run, pcfg, 256)
+			want := profile.ComputeCoverage(s.Program, an.Threads).Ratio()
+			if an.Report.Coverage != want || want == 0 {
+				t.Errorf("%s buf %d workers %d: report coverage %v, want %v",
+					c.name, c.buf, workers, an.Report.Coverage, want)
+			}
 		}
 	}
 }
