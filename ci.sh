@@ -6,7 +6,8 @@
 #                    the concurrent packages (core, trace, conc, pt, source,
 #                    etrace, ingest, fleet) and the root streaming and
 #                    kill-and-resume tests +
-#                    end-to-end smokes (PT, JIT-heavy PT, lossy PT, E-Trace and the
+#                    end-to-end smokes (PT, JIT-heavy PT, lossy PT,
+#                    heavy-loss PT, E-Trace and the
 #                    in-process run/analyze/report verbs) + a
 #                    vet/test pass over the benchmark/ module, which
 #                    builds against the root package
@@ -38,7 +39,9 @@ go test -race ./internal/core/... ./internal/trace/... ./internal/conc/... ./int
 
 echo "==> go test -race (root streaming tests + kill-and-resume)"
 # TestKillAndResume restores checkpointed tokenizer state (tokens and
-# their clock, adopted into the arenas) under the concurrent Session.
+# their clock, adopted into the arenas) under the concurrent Session; the
+# TestSession*WithSegmentJobsInFlight tests checkpoint and cancel sessions
+# while segment tasks run on the analyzer workers.
 go test -race -run 'TestStream|TestAnalyzeStreamed|TestSession|TestAnalyzeDeterministicAcrossWorkers|TestDeadline|TestKillAndResume' .
 
 echo "==> go test -race (ingest service + fleet + netfault + iofault + scrub)"
@@ -112,6 +115,20 @@ cmp "$SMOKE/lossy-stream.txt" "$SMOKE/lossy-decode.txt"
 grep -q 'recovered [1-9]' "$SMOKE/lossy-stream.txt"
 grep -qx 'thread 0: segments=9 tokens=74070 steps=130239 (recovered 56169)' "$SMOKE/lossy-stream.txt"
 echo "    lossy PT replay identical across workers and against decode"
+
+echo "==> heavy-loss PT smoke (segments analyzed as they close: stream, stream -workers 1 and decode agree)"
+# batik at 8M-label buffers: one thread split into 18 segments. Each
+# segment is reconstructed and prepared for recovery by whichever analyzer
+# worker is free as soon as the tokenizer closes it, while the archive is
+# still being read; only the last one waits for Close.
+"$SMOKE/jportal" collect -scale 0.5 -buf 8 -out "$SMOKE/heavy" batik >/dev/null
+"$SMOKE/jportal" stream "$SMOKE/heavy" >"$SMOKE/heavy-stream.txt"
+"$SMOKE/jportal" stream -workers 1 "$SMOKE/heavy" >"$SMOKE/heavy-stream1.txt"
+cmp "$SMOKE/heavy-stream.txt" "$SMOKE/heavy-stream1.txt"
+"$SMOKE/jportal" decode "$SMOKE/heavy" | sed 's/ decode=[^ ]* recover=[^ ]*//' >"$SMOKE/heavy-decode.txt"
+cmp "$SMOKE/heavy-stream.txt" "$SMOKE/heavy-decode.txt"
+grep -qx 'thread 0: segments=18 tokens=81340 steps=180349 (recovered 99009)' "$SMOKE/heavy-stream.txt"
+echo "    heavy-loss PT replay identical across workers and against decode"
 
 echo "==> run/analyze/report smoke (in-process phases, per-thread call tree)"
 # report h2 profiles four threads. Its call tree starts every thread at the

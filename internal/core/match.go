@@ -355,6 +355,8 @@ type MatchScratch struct {
 	// pathBuf recycles the witness-path slice MatchFromScratch returns
 	// (aliased by MatchResult.Path; see that method's contract).
 	pathBuf []cfg.NodeID
+	// located holds candidateStarts' one start state for a located token.
+	located [1]cfg.NodeID
 }
 
 // NewScratch allocates a scratch sized for this matcher's ICFG.
@@ -616,7 +618,7 @@ func (m *Matcher) AbstractionGuided(toks []Token) (MatchResult, bool) {
 	}
 	sc := m.NewScratch()
 	atoks := AbstractTokens(toks)
-	for _, n := range m.candidateStarts(&toks[0]) {
+	for _, n := range m.candidateStarts(sc, &toks[0]) {
 		if !m.IsAcceptedAbstractScratch(sc, n, atoks) {
 			continue
 		}
@@ -633,9 +635,14 @@ func detach(r MatchResult) MatchResult {
 	return r
 }
 
-func (m *Matcher) candidateStarts(t *Token) []cfg.NodeID {
+// candidateStarts returns the states a match starting at t may begin in:
+// the token's own node when it is located, else every node with its
+// opcode. A located token's start is held in sc, valid until the next call
+// on sc.
+func (m *Matcher) candidateStarts(sc *MatchScratch, t *Token) []cfg.NodeID {
 	if t.Located() {
-		return []cfg.NodeID{m.G.Node(t.Method, t.PC)}
+		sc.located[0] = m.G.Node(t.Method, t.PC)
+		return sc.located[:]
 	}
 	return m.opIndex[t.Op]
 }

@@ -137,7 +137,8 @@ func TestLocatedTokensPinStates(t *testing.T) {
 		{Op: bytecode.ICONST, Method: fun.ID, PC: 16},
 		{Op: bytecode.IREM, Method: fun.ID, PC: 17},
 	}
-	res := m.MatchFromScratch(m.NewScratch(), m.candidateStarts(&toks[0]), toks)
+	sc := m.NewScratch()
+	res := m.MatchFromScratch(sc, m.candidateStarts(sc, &toks[0]), toks)
 	if !res.Complete {
 		t.Fatalf("located run rejected")
 	}
@@ -157,7 +158,8 @@ func TestReanchorOnLocatedGap(t *testing.T) {
 		{Op: bytecode.IREM, Method: fun.ID, PC: 17},
 		{Op: bytecode.IFNE, Method: fun.ID, PC: 18, HasDir: true, Taken: false},
 	}
-	res := m.MatchFromScratch(m.NewScratch(), m.candidateStarts(&toks[0]), toks)
+	sc := m.NewScratch()
+	res := m.MatchFromScratch(sc, m.candidateStarts(sc, &toks[0]), toks)
 	if !res.Complete {
 		t.Fatalf("elided run rejected (matched %d)", res.Matched)
 	}

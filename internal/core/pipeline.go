@@ -31,8 +31,9 @@ type PipelineConfig struct {
 	UseCallContext bool
 	// Workers bounds the goroutines of each parallel stage of the offline
 	// phase: the session's analyzer workers (thread t runs on worker
-	// t mod Workers), per-segment reconstruction and per-hole recovery.
-	// 0 means GOMAXPROCS. The reconstructed output is deterministic —
+	// t mod Workers, and any worker runs queued segment tasks), and at
+	// Close per-segment reconstruction, the anchor index build, per-hole
+	// recovery and the step merge. 0 means GOMAXPROCS. The reconstructed output is deterministic —
 	// identical for every worker count.
 	Workers int
 }

@@ -89,7 +89,7 @@ func (m *Matcher) ReconstructSegmentScratch(sc *MatchScratch, seg *Segment) *Seg
 	toks := seg.Tokens
 	i := 0
 	for i < len(toks) {
-		starts := m.candidateStarts(&toks[i])
+		starts := m.candidateStarts(sc, &toks[i])
 		var r MatchResult
 		if m.UseContext {
 			r = m.MatchFromContext(starts, toks[i:])

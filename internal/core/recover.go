@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"jportal/internal/cfg"
+	"jportal/internal/conc"
 )
 
 // RecoveryConfig tunes the §5 data-recovery phase.
@@ -121,32 +122,29 @@ func (ix *anchorIndex) visit(h uint64, fn func(anchorPos)) {
 // (every segment is a potential CS for some other segment's hole — the
 // paper notes "complete" and "incomplete" are relative).
 //
-// Construction also forces every segment's tier-1/tier-2 abstraction
-// caches: after NewRecoverer returns, the recoverer, its index and all
-// segments are strictly read-only, so RecoverHole may be called for
-// different holes from concurrent goroutines.
+// Construction prepares every segment the caller has not (prepareRecovery:
+// its tier-1/tier-2 abstraction caches, MatchKeys and anchor hashes):
+// after NewRecoverer returns, the recoverer, its index and all segments
+// are strictly read-only, so RecoverHole may be called for different
+// holes from concurrent goroutines.
 //
 // A thread with fewer than two segments has no hole, and a disabled
 // recoverer fills none: for either, NewRecoverer builds nothing, so a
 // lossless thread pays nothing for recovery.
 func NewRecoverer(m *Matcher, flows []*SegmentFlow, cfg RecoveryConfig) *Recoverer {
+	return newRecoverer(m, flows, cfg, 1)
+}
+
+// newRecoverer is NewRecoverer with the anchor index's counting sort
+// fanned out on up to workers goroutines.
+func newRecoverer(m *Matcher, flows []*SegmentFlow, cfg RecoveryConfig, workers int) *Recoverer {
 	r := &Recoverer{m: m, cfg: cfg, flows: flows}
 	if cfg.Disable || len(flows) < 2 {
 		return r
 	}
-	x := cfg.AnchorLen
-	// One key slab for all indexed flows, and the exact anchor count.
-	tokens, positions := 0, 0
-	for _, f := range flows {
-		if f != nil && !f.Quarantined {
-			tokens += len(f.Seg.Tokens)
-			if n := len(f.Seg.Tokens); n >= x {
-				positions += n - max(x-1, 0)
-			}
-		}
-	}
-	slab := make([]uint64, 0, tokens)
 	r.keys = make([][]uint64, len(flows))
+	anchors := make([][]uint32, len(flows))
+	tokens, positions := 0, 0
 	var activeSpan uint64
 	for si, f := range flows {
 		if f == nil || f.Quarantined {
@@ -154,18 +152,17 @@ func NewRecoverer(m *Matcher, flows []*SegmentFlow, cfg RecoveryConfig) *Recover
 			// into holes would launder corrupt data back into the profile.
 			continue
 		}
-		f.Seg.ensureAbs() // lazily-built otherwise: a data race under concurrent recovery
-		toks := f.Seg.Tokens
-		off := len(slab)
-		slab = appendKeys(slab, toks)
-		r.keys[si] = slab[off:len(slab):len(slab)]
-		if first, last := f.Seg.tscSpan(); len(toks) > 1 && last > first {
+		f.Seg.prepareRecovery(cfg.AnchorLen)
+		r.keys[si], anchors[si] = f.Seg.keys, f.Seg.anchors
+		tokens += len(f.Seg.Tokens)
+		positions += len(f.Seg.anchors)
+		if first, last := f.Seg.tscSpan(); len(f.Seg.Tokens) > 1 && last > first {
 			// Sum only the spans the thread was actually captured in, so
 			// the rate is not diluted by idle or lost periods.
 			activeSpan += last - first
 		}
 	}
-	r.index = buildAnchorIndex(r.keys, x, positions)
+	r.index = buildAnchorIndex(anchors, cfg.AnchorLen, positions, workers)
 	if activeSpan > 0 && tokens > 0 {
 		r.tokenRate = float64(tokens) / float64(activeSpan)
 	} else {
@@ -174,11 +171,43 @@ func NewRecoverer(m *Matcher, flows []*SegmentFlow, cfg RecoveryConfig) *Recover
 	return r
 }
 
-// buildAnchorIndex counting-sorts the positions of every x-key anchor in
-// keys (positions in all) by bucket, over a power-of-two bucket count no
-// smaller than positions. Both passes roll each flow's anchor hash along
-// its keys.
-func buildAnchorIndex(keys [][]uint64, x, positions int) anchorIndex {
+// prepareRecovery fills the segment's recovery caches for anchor length
+// x: the tier caches, every token's MatchKey, and, rolled along the keys
+// in the same pass, the low 32 bits of every x-key window's mixed hash
+// (the window ending at token i is entry i-max(x-1, 0)), all the index's
+// bucket masks read. A session prepares each segment as it closes, on
+// whichever worker is free; NewRecoverer prepares the rest.
+func (s *Segment) prepareRecovery(x int) {
+	s.ensureAbs()
+	if s.keys != nil && s.anchorX == x {
+		return
+	}
+	first := max(x-1, 0) // the index the first anchor ends at
+	out := uint64(1)     // a key's weight as it leaves the window
+	for range x {
+		out *= anchorPoly
+	}
+	keys := make([]uint64, len(s.Tokens))
+	hs := make([]uint32, max(len(s.Tokens)-first, 0))
+	h := uint64(0)
+	for i := range s.Tokens {
+		keys[i] = s.Tokens[i].MatchKey()
+		h = rollAnchor(h, keys, i, x, out)
+		if i >= first {
+			hs[i-first] = uint32(mixAnchor(h))
+		}
+	}
+	s.keys, s.anchors, s.anchorX = keys, hs, x
+}
+
+// buildAnchorIndex counting-sorts the positions of every anchor
+// (anchors[si] holds segment si's anchor hashes, positions in all) by
+// bucket, over a power-of-two bucket count no smaller than positions.
+// The sort fans out over bucket ranges: each of up to workers goroutines
+// owns a run of consecutive buckets, scans every hash and counts, then
+// places, only those in its range, so the ranges write disjoint slots and
+// each bucket still lists its positions in (segment, position) order.
+func buildAnchorIndex(anchors [][]uint32, x, positions, workers int) anchorIndex {
 	nb := 1
 	for nb < positions {
 		nb <<= 1
@@ -188,39 +217,48 @@ func buildAnchorIndex(keys [][]uint64, x, positions int) anchorIndex {
 		start: make([]int32, nb+1),
 		pos:   make([]anchorPos, positions),
 	}
-	first := max(x-1, 0) // the index the first anchor ends at
-	out := uint64(1)     // a key's weight as it leaves the window
-	for range x {
-		out *= anchorPoly
-	}
-	// Count bucket b into start[b+1], then turn the counts into bucket
-	// starts, still one slot up.
-	for _, k := range keys {
-		h := uint64(0)
-		for i := range k {
-			h = rollAnchor(h, k, i, x, out)
-			if i >= first {
-				ix.start[mixAnchor(h)&ix.mask+1]++
+	first := int32(max(x-1, 0))
+	mask := uint32(nb - 1)
+	ranges := min(max(workers, 1), nb)
+	bound := func(k int) uint32 { return uint32(k * nb / ranges) }
+	// Count bucket b into start[b+1], and each range's total.
+	base := make([]int32, ranges)
+	conc.ParallelFor(ranges, ranges, func(k int) {
+		lo, hi := bound(k), bound(k+1)
+		n := int32(0)
+		for _, hs := range anchors {
+			for _, h := range hs {
+				if b := h & mask; b >= lo && b < hi {
+					ix.start[b+1]++
+					n++
+				}
 			}
 		}
-	}
+		base[k] = n
+	})
+	// Turn the totals into each range's first slot, and within each range
+	// the counts into bucket starts, still one slot up; then place
+	// positions in (segment, position) order, advancing bucket b's cursor
+	// start[b+1] to its end, which is bucket b+1's start.
 	sum := int32(0)
-	for b := 1; b <= nb; b++ {
-		sum, ix.start[b] = sum+ix.start[b], sum
+	for k := range base {
+		sum, base[k] = sum+base[k], sum
 	}
-	// Place positions in (segment, position) order, advancing bucket b's
-	// cursor start[b+1] to its end, which is bucket b+1's start.
-	for si, k := range keys {
-		h := uint64(0)
-		for i := range k {
-			h = rollAnchor(h, k, i, x, out)
-			if i >= first {
-				b := mixAnchor(h)&ix.mask + 1
-				ix.pos[ix.start[b]] = anchorPos{seg: int32(si), pos: int32(i + 1)}
-				ix.start[b]++
+	conc.ParallelFor(ranges, ranges, func(k int) {
+		lo, hi := bound(k), bound(k+1)
+		sum := base[k]
+		for b := lo + 1; b <= hi; b++ {
+			sum, ix.start[b] = sum+ix.start[b], sum
+		}
+		for si, hs := range anchors {
+			for i, h := range hs {
+				if b := h & mask; b >= lo && b < hi {
+					ix.pos[ix.start[b+1]] = anchorPos{seg: int32(si), pos: int32(i) + first + 1}
+					ix.start[b+1]++
+				}
 			}
 		}
-	}
+	})
 	return ix
 }
 

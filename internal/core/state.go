@@ -91,9 +91,11 @@ func (t *tokenizer) restoreState(st TokenizerState) {
 }
 
 // ThreadAnalyzerState is one thread's checkpointable analysis state
-// (DESIGN.md §11): decoder walking state, tokenizer lowering state, the
-// decoded segments awaiting Finish, and the fault-harvest watermarks. Only
-// valid at quiescence — between Session drains — and only before Finish.
+// (DESIGN.md §11): decoder walking state, tokenizer lowering state, every
+// segment closed so far, and the fault-harvest watermarks. Only valid at
+// quiescence — between Session drains — and only before Finish. A
+// segment's flow and recovery caches are derived state and are not
+// checkpointed: a restored segment is analyzed again.
 type ThreadAnalyzerState struct {
 	Thread     int
 	Decoder    source.WalkerState
@@ -129,6 +131,15 @@ func (st *ThreadAnalyzerState) CheckClocks() error {
 	return nil
 }
 
+// segments returns the closed segments, in segment order.
+func (a *ThreadAnalyzer) segments() []*Segment {
+	segs := make([]*Segment, len(a.jobs))
+	for i, j := range a.jobs {
+		segs[i] = j.seg
+	}
+	return segs
+}
+
 // ExportState snapshots the analyzer for a checkpoint. It panics after
 // Finish: a finished thread is a result, not resumable state.
 func (a *ThreadAnalyzer) ExportState() ThreadAnalyzerState {
@@ -139,7 +150,7 @@ func (a *ThreadAnalyzer) ExportState() ThreadAnalyzerState {
 		Thread:     a.res.Thread,
 		Decoder:    a.dec.ExportState(),
 		Tokenizer:  a.tk.exportState(),
-		Pend:       append([]*Segment(nil), a.pend...),
+		Pend:       a.segments(),
 		DecodeTime: a.res.DecodeTime,
 
 		SeenFaults:  a.seenFaults,
@@ -155,13 +166,14 @@ func (a *ThreadAnalyzer) ExportState() ThreadAnalyzerState {
 }
 
 // RestoreState rebuilds a freshly-constructed analyzer from a checkpointed
-// state; segment abstraction caches rebuild lazily on first use.
+// state. Each restored segment becomes a job again and goes to the segment
+// queue, if one is attached, like a segment closed by Feed.
 func (a *ThreadAnalyzer) RestoreState(st ThreadAnalyzerState) error {
 	if err := a.dec.RestoreState(st.Decoder); err != nil {
 		return err
 	}
 	a.tk.restoreState(st.Tokenizer)
-	a.pend = append([]*Segment(nil), st.Pend...)
+	a.takeSegments(st.Pend, true)
 	a.res.Thread = st.Thread
 	a.res.DecodeTime = st.DecodeTime
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -13,22 +14,30 @@ import (
 )
 
 // ThreadAnalyzer is the per-thread offline pipeline: one thread's stitched
-// packet stream is fed in chunks and decoded and tokenized incrementally;
-// Finish reconstructs every decoded segment and then runs §5 hole
-// recovery. The decoded segments stay pending until Finish, so
-// reconstruction and recovery see the thread's complete segment sequence —
-// the §5 recoverer indexes every flow of the thread as a candidate
+// packet stream is fed in chunks and decoded and tokenized incrementally,
+// and every segment the tokenizer closes becomes a SegmentJob that
+// reconstructs it and prepares it for §5 recovery. A Session runs the jobs
+// as segments close, on whichever analyzer worker is free; Finish runs the
+// ones no worker has started (a thread's last segment closes only there)
+// and then runs §5 hole recovery over the thread's complete segment
+// sequence — the recoverer indexes every flow of the thread as a candidate
 // continuation for every hole (an early segment can splice a late hole).
-// Chunking is invisible: Finish returns byte-identical results for any
-// chunking and any worker count.
+// Chunking and scheduling are invisible: Finish returns byte-identical
+// results for any chunking, any worker count and any split of the jobs
+// between workers and Finish.
 type ThreadAnalyzer struct {
 	p        *Pipeline
 	snap     *meta.Snapshot
 	dec      source.Decoder
 	tk       *tokenizer
 	res      *ThreadResult
-	pend     []*Segment
 	finished bool
+	// jobs holds a job per closed segment, in segment order; unrun counts
+	// their tasks that have not finished. queue, when set, receives each
+	// job once per task as its segment closes in Feed.
+	jobs  []*SegmentJob
+	unrun sync.WaitGroup
+	queue func(*SegmentJob)
 	// ledger, when set, receives quarantine entries (decode faults, stage
 	// crashes). Nil drops them.
 	ledger *fault.Ledger
@@ -45,8 +54,64 @@ type ThreadAnalyzer struct {
 	carriedSkipPkts int
 	carriedSkipByte uint64
 	// timedOut records that the caller's deadline cut this thread short.
-	// Atomic: reconstruction workers set it concurrently.
+	// Atomic: the session reads it from another goroutine.
 	timedOut atomic.Bool
+}
+
+// feedChunk is how many items Feed decodes and tokenizes at a time, so
+// the segments a long delta closes reach the segment queue while the rest
+// of it is still being decoded.
+const feedChunk = 4096
+
+// SegmentJob is the analysis of one closed segment, in two tasks that
+// read only its tokens and so may run at once: its projection onto the
+// ICFG (§4), and, when recovery is on, its recovery caches (tier
+// abstractions, MatchKeys and anchor hashes; see NewRecoverer). Each task
+// runs exactly once: on a Session worker through Run, or in Finish.
+type SegmentJob struct {
+	a   *ThreadAnalyzer
+	seg *Segment
+	// next is the next task to claim: taskReconstruct, taskPrepare, then
+	// none.
+	next atomic.Int32
+	// Written by the reconstruction task, read by Finish once unrun is
+	// done.
+	flow      *SegmentFlow
+	crash     string // why reconstruction panicked, for Finish's ledger entry
+	cancelled bool
+}
+
+// A SegmentJob's tasks, in claim order.
+const (
+	taskReconstruct = iota
+	taskPrepare
+	numTasks
+)
+
+// Run runs the job's next unclaimed task on the caller's scratch, if any
+// is left. A Session queues each job once per task. Once ctx is cancelled
+// reconstruction quarantines the segment instead, as Finish does.
+func (j *SegmentJob) Run(ctx context.Context, sc *MatchScratch) {
+	if t := j.next.Add(1) - 1; t < numTasks {
+		j.run(ctx, sc, int(t))
+	}
+}
+
+// run runs task t. A cancelled segment gets an empty, Quarantined
+// flow — never nil, so slot addressing and hole bookkeeping stay intact.
+// Ledger entries wait for Finish, so a checkpoint taken while tasks run
+// never records a result it does not carry.
+func (j *SegmentJob) run(ctx context.Context, sc *MatchScratch, t int) {
+	defer j.a.unrun.Done()
+	a := j.a
+	switch {
+	case t == taskReconstruct && ctx.Err() != nil:
+		j.flow, j.cancelled = quarantinedFlow(j.seg, a.p.Matcher.G), true
+	case t == taskReconstruct:
+		j.flow, j.crash = a.safeReconstruct(sc, j.seg)
+	case ctx.Err() == nil && !a.p.Cfg.Recovery.Disable:
+		safePrepare(j.seg, a.p.Cfg.Recovery.AnchorLen)
+	}
 }
 
 // NewThreadAnalyzer starts the analysis of one thread's stream.
@@ -63,11 +128,15 @@ func (p *Pipeline) NewThreadAnalyzer(thread int, snap *meta.Snapshot) *ThreadAna
 // SetLedger attaches the quarantine ledger exclusions are reported to.
 func (a *ThreadAnalyzer) SetLedger(l *fault.Ledger) { a.ledger = l }
 
+// SetSegmentQueue attaches the queue Feed hands each closed segment's job
+// to. Without one, every job waits for Finish.
+func (a *ThreadAnalyzer) SetSegmentQueue(push func(*SegmentJob)) { a.queue = push }
+
 // Feed decodes and tokenizes the next chunk of the thread's stitched
-// stream; completed segments wait for Finish. Once ctx is cancelled the
-// chunk is quarantined under the deadline reason instead of decoded, so a
-// timed-out analysis stops consuming CPU but stays structurally valid —
-// Finish still returns a partial ThreadResult.
+// stream, feedChunk items at a time, queueing each segment that closes.
+// Once ctx is cancelled the chunk is quarantined under the deadline reason
+// instead of decoded, so a timed-out analysis stops consuming CPU but
+// stays structurally valid — Finish still returns a partial ThreadResult.
 func (a *ThreadAnalyzer) Feed(ctx context.Context, items []source.Item) {
 	if a.finished {
 		panic("core: ThreadAnalyzer.Feed after Finish")
@@ -79,8 +148,23 @@ func (a *ThreadAnalyzer) Feed(ctx context.Context, items []source.Item) {
 	t0 := time.Now()
 	a.safeFeed(items)
 	a.harvestFaults()
-	a.pend = append(a.pend, a.tk.take()...)
+	a.takeSegments(a.tk.take(), true) // what a crash's breakSegment closed
 	a.res.DecodeTime += time.Since(t0)
+}
+
+// takeSegments makes a job of each of segs, in segment order, and hands
+// it to the segment queue when queue is set and one is attached.
+func (a *ThreadAnalyzer) takeSegments(segs []*Segment, queue bool) {
+	for _, seg := range segs {
+		j := &SegmentJob{a: a, seg: seg}
+		a.unrun.Add(numTasks)
+		a.jobs = append(a.jobs, j)
+		if queue && a.queue != nil {
+			for range numTasks {
+				a.queue(j)
+			}
+		}
+	}
 }
 
 // quarantineDeadline records input dropped because the caller's context
@@ -99,9 +183,10 @@ func (a *ThreadAnalyzer) TimedOut() bool { return a.timedOut.Load() }
 // safeFeed runs the decode+tokenize of one chunk with panic containment:
 // a crash quarantines this chunk only, rebuilds the decoder (its walking
 // state is what crashed) and splits the token stream behind a synthetic
-// desync, so the thread — and every other thread — keeps analysing. It
-// runs inside the Session's per-thread fan-out, where an escaped panic
-// would kill the process.
+// desync, so the thread — and every other thread — keeps analysing. The
+// tokens lowered before the crash, those of the chunk's earlier
+// sub-chunks included, stay. It runs inside the Session's per-thread
+// fan-out, where an escaped panic would kill the process.
 func (a *ThreadAnalyzer) safeFeed(items []source.Item) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -120,7 +205,10 @@ func (a *ThreadAnalyzer) safeFeed(items []source.Item) {
 			a.tk.breakSegment()
 		}
 	}()
-	a.tk.feed(a.dec.DecodeChunk(items))
+	for off := 0; off < len(items); off += feedChunk {
+		a.tk.feed(a.dec.DecodeChunk(items[off:min(off+feedChunk, len(items))]))
+		a.takeSegments(a.tk.take(), true)
+	}
 }
 
 // harvestFaults reports the decode stage's new typed exclusions to the
@@ -155,34 +243,54 @@ func (a *ThreadAnalyzer) harvestFaults() {
 	}
 }
 
-// reconstruct projects the pending segments onto the ICFG as the thread's
-// flows, in segment order (slot-addressed, so identical for any worker
-// count), and drops the segment references. Each worker brings its own
-// match scratch. Segments whose turn comes after ctx is cancelled are
-// quarantined (an empty, Quarantined flow — never nil, so slot addressing
-// and hole bookkeeping stay intact) rather than projected.
+// reconstruct runs every task no worker has claimed, one scratch per
+// worker, waits for the tasks workers are running, and records the flows
+// in segment order (slot-addressed, so identical for any worker count and
+// any split of the tasks). A lone segment is not prepared for recovery:
+// it has no hole. Segments whose turn came after ctx was cancelled are
+// quarantined (an empty, Quarantined flow) rather than projected.
 func (a *ThreadAnalyzer) reconstruct(ctx context.Context) {
-	if len(a.pend) == 0 {
+	type task struct {
+		j *SegmentJob
+		t int
+	}
+	var mine []task
+	lone := len(a.jobs) == 1
+	for _, j := range a.jobs {
+		for t := j.next.Add(1) - 1; t < numTasks; t = j.next.Add(1) - 1 {
+			if t == taskPrepare && lone {
+				a.unrun.Done()
+				continue
+			}
+			mine = append(mine, task{j, int(t)})
+		}
+	}
+	conc.ParallelWork(a.p.Cfg.WorkerCount(), len(mine), a.p.Matcher.NewScratch,
+		func(sc *MatchScratch, i int) { mine[i].j.run(ctx, sc, mine[i].t) })
+	a.unrun.Wait()
+	if len(a.jobs) == 0 {
 		return
 	}
-	pend := a.pend
-	a.pend = nil
-	a.res.Flows = make([]*SegmentFlow, len(pend))
-	var cancelled atomic.Int64
-	conc.ParallelWork(a.p.Cfg.WorkerCount(), len(pend), a.p.Matcher.NewScratch,
-		func(sc *MatchScratch, i int) {
-			if ctx.Err() != nil {
-				a.timedOut.Store(true)
-				cancelled.Add(1)
-				a.res.Flows[i] = quarantinedFlow(pend[i], a.p.Matcher.G)
-				return
-			}
-			a.res.Flows[i] = a.safeReconstruct(sc, pend[i])
-		})
-	if n := cancelled.Load(); n > 0 {
+	a.res.Flows = make([]*SegmentFlow, len(a.jobs))
+	cancelled := 0
+	for i, j := range a.jobs {
+		a.res.Flows[i] = j.flow
+		if j.crash != "" {
+			a.ledger.Add(fault.Entry{
+				Reason: fault.ReasonStaleMetadata, Thread: a.res.Thread, Core: -1,
+				Items: len(j.seg.Tokens), Detail: j.crash,
+			})
+		}
+		if j.cancelled {
+			cancelled++
+		}
+	}
+	a.jobs = nil
+	if cancelled > 0 {
+		a.timedOut.Store(true)
 		a.ledger.Add(fault.Entry{
 			Reason: fault.ReasonDeadline, Thread: a.res.Thread, Core: -1,
-			Count: int(n), Items: int(n), Detail: "reconstruction cancelled",
+			Count: cancelled, Items: cancelled, Detail: "reconstruction cancelled",
 		})
 	}
 }
@@ -191,28 +299,31 @@ func (a *ThreadAnalyzer) reconstruct(ctx context.Context) {
 // crash (tokens from stale or hostile JIT metadata can carry PCs no ICFG
 // node exists for) quarantines that segment — recorded as an empty,
 // Quarantined flow so slot addressing and hole bookkeeping stay intact —
-// instead of killing the worker pool.
-func (a *ThreadAnalyzer) safeReconstruct(sc *MatchScratch, seg *Segment) (f *SegmentFlow) {
+// instead of killing the worker, and returns why.
+func (a *ThreadAnalyzer) safeReconstruct(sc *MatchScratch, seg *Segment) (f *SegmentFlow, crash string) {
 	defer func() {
 		if r := recover(); r != nil {
-			a.ledger.Add(fault.Entry{
-				Reason: fault.ReasonStaleMetadata, Thread: a.res.Thread, Core: -1,
-				Items:  len(seg.Tokens),
-				Detail: fmt.Sprintf("reconstruct: %v", r),
-			})
-			f = quarantinedFlow(seg, a.p.Matcher.G)
+			f, crash = quarantinedFlow(seg, a.p.Matcher.G), fmt.Sprintf("reconstruct: %v", r)
 		}
 	}()
-	return a.p.Matcher.ReconstructSegmentScratch(sc, seg)
+	return a.p.Matcher.ReconstructSegmentScratch(sc, seg), ""
 }
 
-// Finish flushes the decoder and tokenizer, reconstructs the segments,
-// runs §5 hole recovery over the complete flow sequence, and merges the
-// end-to-end profile. Repeated calls return the same result. Once ctx is
-// cancelled, pending segments are quarantined instead of reconstructed and
-// §5 recovery is skipped (every hole stays a hole — degradation, not
-// failure), so a timed-out Close returns a partial-but-valid ThreadResult
-// promptly.
+// safePrepare prepares seg for recovery with panic containment. A crash
+// leaves the caches unset, and NewRecoverer prepares the segment again
+// under its own containment, which reports it.
+func safePrepare(seg *Segment, x int) {
+	defer func() { _ = recover() }()
+	seg.prepareRecovery(x)
+}
+
+// Finish flushes the decoder and tokenizer, runs the segment tasks no
+// worker has claimed and waits for the rest, runs §5 hole recovery over
+// the complete flow sequence, and merges the end-to-end profile. Repeated
+// calls return the same result. Once ctx is cancelled, segments not yet
+// reconstructed are quarantined instead and §5 recovery is skipped (every
+// hole stays a hole — degradation, not failure), so a timed-out Close
+// returns a partial-but-valid ThreadResult promptly.
 func (a *ThreadAnalyzer) Finish(ctx context.Context) *ThreadResult {
 	if a.finished {
 		return a.res
@@ -223,7 +334,7 @@ func (a *ThreadAnalyzer) Finish(ctx context.Context) *ThreadResult {
 	t0 := time.Now()
 	a.tk.feed(a.dec.Flush())
 	a.harvestFaults()
-	a.pend = append(a.pend, a.tk.finish()...)
+	a.takeSegments(a.tk.finish(), false)
 	ds := a.dec.Stats()
 	st := a.tk.st
 	st.NativeDesyncs = a.carriedDesyncs + ds.Desyncs
@@ -259,7 +370,7 @@ func (a *ThreadAnalyzer) Finish(ctx context.Context) *ThreadResult {
 	res.RecoverTime = time.Since(t1)
 
 	// Merge the end-to-end profile from the per-flow steps and fills.
-	mergeSteps(res)
+	mergeSteps(res, a.p.Cfg.WorkerCount())
 	return res
 }
 
@@ -276,7 +387,7 @@ func (a *ThreadAnalyzer) safeRecoverer() (rec *Recoverer) {
 			rec = nil
 		}
 	}()
-	return NewRecoverer(a.p.Matcher, a.res.Flows, a.p.Cfg.Recovery)
+	return newRecoverer(a.p.Matcher, a.res.Flows, a.p.Cfg.Recovery, a.p.Cfg.WorkerCount())
 }
 
 // safeRecoverHole fills one hole with panic containment: a crash leaves
@@ -294,23 +405,25 @@ func (a *ThreadAnalyzer) safeRecoverHole(rec *Recoverer, i int) (fill Fill) {
 	return rec.RecoverHole(i)
 }
 
-// mergeSteps assembles the thread's final profile from flows and fills.
-func mergeSteps(res *ThreadResult) {
-	total := 0
+// mergeSteps assembles the thread's final profile from flows and fills:
+// each flow's steps, then its fill's. Every flow's offset in the profile
+// is summed up front, so the flows are copied in parallel.
+func mergeSteps(res *ThreadResult, workers int) {
+	offs := make([]int, len(res.Flows)+1)
 	for i, f := range res.Flows {
-		total += f.Matched()
-		if i < len(res.Fills) {
-			total += len(res.Fills[i].Steps)
-		}
-	}
-	res.Steps = make([]Step, 0, total)
-	for i, f := range res.Flows {
-		before := len(res.Steps)
-		res.Steps = f.AppendSteps(res.Steps)
-		res.DecodedSteps += len(res.Steps) - before
+		n := f.Matched()
+		res.DecodedSteps += n
 		if i < len(res.Fills) && res.Fills[i].Method != FillNone {
-			res.Steps = append(res.Steps, res.Fills[i].Steps...)
+			n += len(res.Fills[i].Steps)
 			res.RecoveredSteps += len(res.Fills[i].Steps)
 		}
+		offs[i+1] = offs[i] + n
 	}
+	res.Steps = make([]Step, offs[len(res.Flows)])
+	conc.ParallelFor(workers, len(res.Flows), func(i int) {
+		dst := res.Flows[i].AppendSteps(res.Steps[offs[i]:offs[i]:offs[i+1]])
+		if i < len(res.Fills) && res.Fills[i].Method != FillNone {
+			copy(res.Steps[offs[i]+len(dst):offs[i+1]], res.Fills[i].Steps)
+		}
+	})
 }

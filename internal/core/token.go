@@ -125,6 +125,13 @@ type Segment struct {
 	// tier-1/tier-2 tokens occur strictly before it (prefix counts used
 	// by suffix comparisons at higher tiers).
 	absIdx1, absIdx2 []int32
+
+	// keys and anchors are the recovery caches (prepareRecovery): every
+	// token's MatchKey, and the low 32 bits of the mixed hash of every
+	// anchorX-key anchor window, in window order.
+	keys    []uint64
+	anchors []uint32
+	anchorX int
 }
 
 // checkClock reports whether the segment's clock covers its tokens: a
@@ -201,7 +208,10 @@ func (s *Segment) AbsPrefix(l int, i int) int32 {
 }
 
 // ensureAbs fills the tier caches: one pass counts the prefix arrays,
-// which then size abs1/abs2 exactly.
+// which then size abs1/abs2 exactly. Both passes are branch-free: the
+// counts advance by tierStep, and every token writes its abstraction
+// slot, so the last write to slot k is the k-th surviving token's (the
+// tokens after the last one write a spare slot past the end).
 func (s *Segment) ensureAbs() {
 	if s.absIdx1 != nil {
 		return
@@ -212,25 +222,32 @@ func (s *Segment) ensureAbs() {
 	var c1, c2 int32
 	for i := range s.Tokens {
 		idx1[i], idx2[i] = c1, c2
-		switch s.Tokens[i].Tier() {
-		case 1:
-			c1++
-			c2++
-		case 2:
-			c2++
-		}
+		st := &tierStep[s.Tokens[i].Op]
+		c1 += st[0]
+		c2 += st[1]
 	}
 	idx1[n], idx2[n] = c1, c2
-	abs1 := make([]int32, c1)
-	abs2 := make([]int32, c2)
-	for i := 0; i < n; i++ {
-		if idx1[i+1] != idx1[i] {
-			abs1[idx1[i]] = int32(i)
-		}
-		if idx2[i+1] != idx2[i] {
-			abs2[idx2[i]] = int32(i)
-		}
+	abs1 := make([]int32, c1+1)
+	abs2 := make([]int32, c2+1)
+	for i := range n {
+		abs1[idx1[i]] = int32(i)
+		abs2[idx2[i]] = int32(i)
 	}
-	s.abs1, s.abs2 = abs1, abs2
+	s.abs1, s.abs2 = abs1[:c1:c1], abs2[:c2:c2]
 	s.absIdx1, s.absIdx2 = idx1, idx2
 }
+
+// tierStep[op] is how much a token of op advances the tier-1 and tier-2
+// counts: a token survives every tier from its Tier() up.
+var tierStep = func() (steps [256][2]int32) {
+	for op := range steps {
+		t := Token{Op: bytecode.Opcode(op)}
+		switch t.Tier() {
+		case 1:
+			steps[op] = [2]int32{1, 1}
+		case 2:
+			steps[op] = [2]int32{0, 1}
+		}
+	}
+	return steps
+}()

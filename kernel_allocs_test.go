@@ -38,7 +38,11 @@ import (
 // linux/amd64). The StreamfmtDecode bound is the same band over 0
 // allocs/op, measured with 32-byte items (go1.24, linux/amd64). The
 // MatchLocated bound is the same band over 0 allocs/op, measured with the
-// one-state located step and a warm scratch (go1.24, linux/amd64).
+// one-state located step and a warm scratch (go1.24, linux/amd64). The
+// ReconstructSegment bound is the same band over 2 allocs/op (the flow and
+// its node slice), measured once candidateStarts kept a located token's
+// start state in the scratch; it measured 2 before too, the inlined
+// one-element slice having stayed on the stack (go1.24, linux/amd64).
 const (
 	maxAllocsMatchFromScratch    = 1
 	maxAllocsTokenize            = 1
@@ -50,6 +54,7 @@ const (
 	maxAllocsMatchFreshScratch   = 8
 	maxAllocsStreamfmtDecode     = 1
 	maxAllocsMatchLocated        = 1
+	maxAllocsReconstructSegment  = 3
 )
 
 func TestKernelAllocs(t *testing.T) {
@@ -121,6 +126,21 @@ func TestKernelAllocs(t *testing.T) {
 	check("MatchLocated", maxAllocsMatchLocated, 20, func() {
 		if r := lm.MatchFromScratch(lsc, lstarts, ltoks); r.Matched == 0 {
 			t.Fatal("first segment's first token matched no start")
+		}
+	})
+
+	// ReconstructSegment: the projection of that thread's largest segment
+	// (§4) on a warm scratch, as an analyzer worker reconstructs segment
+	// after segment: the flow and its node slice, nothing per match run.
+	big := segs[0]
+	for _, seg := range segs {
+		if len(seg.Tokens) > len(big.Tokens) {
+			big = seg
+		}
+	}
+	check("ReconstructSegment", maxAllocsReconstructSegment, 20, func() {
+		if f := lm.ReconstructSegmentScratch(lsc, big); f.Runs == 0 {
+			t.Fatal("largest segment projected no run")
 		}
 	})
 

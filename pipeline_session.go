@@ -2,6 +2,7 @@ package jportal
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"jportal/internal/core"
 	"jportal/internal/meta"
@@ -14,6 +15,8 @@ import (
 // goroutines connected by buffered channels:
 //
 //	caller ──in──▶ stitcher goroutine ──work[w]──▶ analyzer workers
+//	                                                  │    ▲
+//	                                                  └segs┘
 //
 // The caller's Feed/AddSideband/Watermark/AddBlobs/Drain enqueue typed
 // messages on the input channel and return; the stitcher goroutine applies
@@ -22,6 +25,18 @@ import (
 // WorkerCount(). Each thread's deltas therefore reach its analyzer in
 // emission order through one FIFO channel, which is why the output is
 // byte-identical to batch Analyze for every worker count.
+//
+// Segment queue: each segment an analyzer's tokenizer closes becomes a
+// core.SegmentJob, queued on the shared segs queue once per task
+// (reconstruction, recovery prep). A worker runs queued tasks whenever its
+// own channel has no message waiting, on its own long-lived match scratch,
+// so a thread's segments are analyzed on every worker while its deltas are
+// still being decoded on one. Tasks are independent and their results
+// slot-addressed, so which worker runs one never changes the output. A
+// worker whose channel has closed keeps serving the queue until every
+// worker's channel has closed and the queue is empty; what is left — each
+// thread's last segment, closed only at Close — ThreadAnalyzer.Finish runs
+// itself.
 //
 // Metadata safety: in a live run the VM keeps exporting compiled-method
 // blobs into its snapshot while workers decode, so workers never read the
@@ -64,10 +79,69 @@ type stageMsg struct {
 	wg     *sync.WaitGroup // msgSync: Done once the receiver has drained
 }
 
+// segQueue is the FIFO of segment tasks the analyzer workers share: a
+// job appears once per task, and each pop runs its next one.
+type segQueue struct {
+	mu   sync.Mutex
+	jobs []*core.SegmentJob
+	// ready holds a token while the queue may be non-empty; feeding is
+	// closed once every worker's channel has closed, so no job can be
+	// pushed any more.
+	ready   chan struct{}
+	feeding chan struct{}
+	open    atomic.Int32 // workers whose channel is still open
+}
+
+func newSegQueue(workers int) *segQueue {
+	q := &segQueue{ready: make(chan struct{}, 1), feeding: make(chan struct{})}
+	q.open.Store(int32(workers))
+	return q
+}
+
+// push appends a job and wakes a waiting worker.
+func (q *segQueue) push(j *core.SegmentJob) {
+	q.mu.Lock()
+	q.jobs = append(q.jobs, j)
+	q.mu.Unlock()
+	q.signal()
+}
+
+func (q *segQueue) signal() {
+	select {
+	case q.ready <- struct{}{}:
+	default:
+	}
+}
+
+// pop takes the oldest job, or nil. When jobs remain it passes the wakeup
+// on, so another idle worker takes the next one.
+func (q *segQueue) pop() *core.SegmentJob {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if len(q.jobs) == 0 {
+		return nil
+	}
+	j := q.jobs[0]
+	q.jobs[0] = nil
+	q.jobs = q.jobs[1:]
+	if len(q.jobs) > 0 {
+		q.signal()
+	}
+	return j
+}
+
+// closeFeed records that one worker's channel has closed.
+func (q *segQueue) closeFeed() {
+	if q.open.Add(-1) == 0 {
+		close(q.feeding)
+	}
+}
+
 // startStages launches the stitcher goroutine and the analyzer workers, each
 // worker over its own replica of snap.
 func (s *Session) startStages(snap *meta.Snapshot) {
 	w := s.pipe.Cfg.WorkerCount()
+	s.segs = newSegQueue(w)
 	s.in = make(chan stageMsg, stageQueue)
 	s.work = make([]chan stageMsg, w)
 	s.wsnap = make([]*meta.Snapshot, w)
@@ -137,28 +211,75 @@ func (s *Session) route(deltas []trace.ThreadStream) {
 }
 
 // analyzeLoop is analyzer worker w: it exports broadcast blobs into its
-// snapshot replica and feeds deltas to the analyzers it owns, until its
-// channel closes.
+// snapshot replica and feeds deltas to the analyzers it owns until its
+// channel closes, and runs queued segment tasks whenever no message is
+// waiting, until every channel has closed and the queue is empty.
 func (s *Session) analyzeLoop(w int) {
 	defer s.stages.Done()
-	snap := s.wsnap[w]
-	for m := range s.work[w] {
-		switch m.kind {
-		case msgBlobs:
-			// A blob already present, pointer-identical at its entry
-			// address, is skipped: the clone may already hold it.
-			for _, b := range m.blobs {
-				if b != nil && snap.Compiled[b.EntryAddr()] != b {
-					snap.Export(b)
-				}
+	in := s.work[w]
+	var sc *core.MatchScratch // made by the first task this worker runs
+	run := func(j *core.SegmentJob) {
+		if sc == nil {
+			sc = s.pipe.Matcher.NewScratch()
+		}
+		j.Run(s.ctx, sc)
+	}
+	for {
+		// A waiting message comes first: deltas are what close segments.
+		// (Receiving from a nil channel never proceeds.)
+		select {
+		case m, ok := <-in:
+			in = s.handle(w, m, ok)
+			continue
+		default:
+		}
+		if j := s.segs.pop(); j != nil {
+			run(j)
+			continue
+		}
+		var done chan struct{}
+		if in == nil {
+			done = s.segs.feeding
+		}
+		select {
+		case m, ok := <-in:
+			in = s.handle(w, m, ok)
+		case <-s.segs.ready:
+		case <-done:
+			// No job can be pushed any more: drain the queue and stop.
+			j := s.segs.pop()
+			if j == nil {
+				return
 			}
-		case msgDelta:
-			s.analyzer(m.thread).Feed(s.ctx, m.items)
-			s.hbEmitted.Add(1)
-		case msgSync:
-			m.wg.Done()
+			run(j)
 		}
 	}
+}
+
+// handle applies one message of worker w's channel and returns the channel
+// to keep receiving from: nil once it has closed.
+func (s *Session) handle(w int, m stageMsg, ok bool) chan stageMsg {
+	if !ok {
+		s.segs.closeFeed()
+		return nil
+	}
+	switch m.kind {
+	case msgBlobs:
+		// A blob already present, pointer-identical at its entry address,
+		// is skipped: the clone may already hold it.
+		snap := s.wsnap[w]
+		for _, b := range m.blobs {
+			if b != nil && snap.Compiled[b.EntryAddr()] != b {
+				snap.Export(b)
+			}
+		}
+	case msgDelta:
+		s.analyzer(m.thread).Feed(s.ctx, m.items)
+		s.hbEmitted.Add(1)
+	case msgSync:
+		m.wg.Done()
+	}
+	return s.work[w]
 }
 
 // analyzer returns thread's analyzer, creating it against its worker's
@@ -174,6 +295,7 @@ func (s *Session) analyzer(thread int) *core.ThreadAnalyzer {
 	}
 	a := s.pipe.NewThreadAnalyzer(thread, s.wsnap[w])
 	a.SetLedger(s.ledger)
+	a.SetSegmentQueue(s.segs.push)
 	s.byThread[w][thread] = a
 	return a
 }

@@ -401,8 +401,9 @@ func TestDeadlineYieldsPartialAnalysis(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// A clean Drain decodes and tokenizes; reconstruction waits for Close,
-	// so every segment is still pending when the context is cancelled and
+	// A clean Drain decodes and tokenizes, and segments that close are
+	// reconstructed as they close; each thread's last segment closes only
+	// at Close, so it is still pending when the context is cancelled and
 	// the deadline cuts at the segment level. Drain is asynchronous: a
 	// checkpoint waits for it to be applied before the cancel.
 	if err := sess.Drain(); err != nil {

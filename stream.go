@@ -35,10 +35,12 @@ import (
 //
 // The stitcher holds only windows that are not yet globally safe to emit
 // (PeakBufferedItems reports the high water mark). Each thread's analyzer
-// decodes and tokenizes its deltas as they arrive, but keeps the decoded
-// segments until Close, which reconstructs them and runs §5 hole recovery:
-// the recoverer matches holes against every segment of the thread, so
-// recovering earlier would change fills.
+// decodes and tokenizes its deltas as they arrive, and every segment its
+// tokenizer closes is queued: whichever analyzer worker is free
+// reconstructs it and prepares it for recovery while the stream is still
+// being read. Close analyzes each thread's last segment, which closes only
+// there, and runs §5 hole recovery: the recoverer matches holes against
+// every segment of the thread, so recovering earlier would change fills.
 //
 // One context governs the whole session: the one passed to OpenSession.
 // Once it is cancelled, deltas still to be analysed are quarantined under
@@ -75,9 +77,11 @@ type Session struct {
 	// Stage machinery (pipeline_session.go). in carries the caller's
 	// messages to the stitcher; work[w] carries deltas to analyzer worker
 	// w, which alone touches wsnap[w] and byThread[w] between quiescence
-	// points.
+	// points; segs carries closed segments' jobs to whichever worker is
+	// free.
 	in       chan stageMsg
 	work     []chan stageMsg
+	segs     *segQueue
 	wsnap    []*meta.Snapshot
 	byThread [][]*core.ThreadAnalyzer
 	stages   sync.WaitGroup
@@ -170,10 +174,10 @@ func (s *Session) Feed(core int, items []source.Item) error {
 
 // Drain advances the analysis over every scheduling window that is final
 // under the current watermarks: finalized per-thread deltas are stitched
-// out and pushed through the per-thread analyzers (decode and tokenize;
-// reconstruction waits for Close). Drain is asynchronous: it enqueues the
-// request and returns, and the stages do the work; Close (or a checkpoint)
-// waits for it. Deltas analysed after the session's context is cancelled
+// out and pushed through the per-thread analyzers (decode and tokenize,
+// then reconstruction of each segment that closed; recovery waits for
+// Close). Drain is asynchronous: it enqueues the request and returns, and
+// the stages do the work; Close (or a checkpoint) waits for it. Deltas analysed after the session's context is cancelled
 // are quarantined instead of decoded.
 func (s *Session) Drain() error {
 	if s.closed {
