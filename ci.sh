@@ -7,7 +7,7 @@
 #                    etrace, ingest, fleet) and the root streaming and
 #                    kill-and-resume tests +
 #                    end-to-end smokes (PT, JIT-heavy PT, lossy PT,
-#                    heavy-loss PT, E-Trace and the
+#                    heavy-loss PT, many-segment PT, E-Trace and the
 #                    in-process run/analyze/report verbs) + a
 #                    vet/test pass over the benchmark/ module, which
 #                    builds against the root package
@@ -129,6 +129,19 @@ cmp "$SMOKE/heavy-stream.txt" "$SMOKE/heavy-stream1.txt"
 cmp "$SMOKE/heavy-stream.txt" "$SMOKE/heavy-decode.txt"
 grep -qx 'thread 0: segments=18 tokens=81340 steps=180349 (recovered 99009)' "$SMOKE/heavy-stream.txt"
 echo "    heavy-loss PT replay identical across workers and against decode"
+
+echo "==> many-segment lossy PT smoke (per-segment anchor indexes: stream, stream -workers 1 and decode agree)"
+# batik at 4M-label buffers: one thread split into 27 segments. Each
+# segment's recovery prep indexes its own anchors, and every candidate
+# lookup walks the 27 indexes in segment order.
+"$SMOKE/jportal" collect -scale 0.5 -buf 4 -out "$SMOKE/many" batik >/dev/null
+"$SMOKE/jportal" stream "$SMOKE/many" >"$SMOKE/many-stream.txt"
+"$SMOKE/jportal" stream -workers 1 "$SMOKE/many" >"$SMOKE/many-stream1.txt"
+cmp "$SMOKE/many-stream.txt" "$SMOKE/many-stream1.txt"
+"$SMOKE/jportal" decode "$SMOKE/many" | sed 's/ decode=[^ ]* recover=[^ ]*//' >"$SMOKE/many-decode.txt"
+cmp "$SMOKE/many-stream.txt" "$SMOKE/many-decode.txt"
+grep -qx 'thread 0: segments=27 tokens=58406 steps=154634 (recovered 96228)' "$SMOKE/many-stream.txt"
+echo "    many-segment PT replay identical across workers and against decode"
 
 echo "==> run/analyze/report smoke (in-process phases, per-thread call tree)"
 # report h2 profiles four threads. Its call tree starts every thread at the

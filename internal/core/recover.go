@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"jportal/internal/cfg"
-	"jportal/internal/conc"
 )
 
 // RecoveryConfig tunes the §5 data-recovery phase.
@@ -79,9 +78,10 @@ type Recoverer struct {
 	// reads these instead of re-deriving keys from tokens.
 	keys [][]uint64
 
-	// anchor index: hash of AnchorLen consecutive MatchKeys -> positions
-	// (the position is the index just past the anchor).
-	index anchorIndex
+	// index[si] is flow si's anchor index: hash of AnchorLen consecutive
+	// MatchKeys -> positions, each the index just past its anchor (empty
+	// for a nil or quarantined flow).
+	index []anchorIndex
 
 	// tokenRate is tokens per cycle, estimated from captured data.
 	tokenRate float64
@@ -92,59 +92,55 @@ type anchorPos struct {
 	pos int32
 }
 
-// anchorIndex is a bucketed multi-map from anchor hash to anchor
-// positions, laid out flat (compressed sparse rows): bucket b, the low
-// bits of the hash, owns pos[start[b]:start[b+1]]. It is built by one
-// counting sort, so each bucket lists its positions in (segment,
-// position) order. A bucket may also hold other hashes' positions; every
-// caller verifies an anchor by suffix compare anyway (hash collisions),
-// which rejects them, so the verified positions are exactly the anchor's,
-// in the same order.
+// anchorIndex is one segment's bucketed multi-map from anchor hash to
+// anchor positions, laid out flat (compressed sparse rows): bucket b, the
+// low bits of the hash, owns pos[start[b]:start[b+1]]. prepareRecovery
+// builds it by one counting sort, so each bucket lists its positions in
+// order. A bucket may also hold other hashes' positions; every caller
+// verifies an anchor by suffix compare anyway (hash collisions), and
+// rejects those before it counts or keeps a position, so the verified
+// positions are exactly the anchor's, in the same order.
 type anchorIndex struct {
-	mask  uint64
-	start []int32 // len = buckets + 1
-	pos   []anchorPos
+	start []int32 // len = buckets + 1, buckets a power of two
+	pos   []int32
 }
 
-// visit calls fn for every position in h's bucket, (segment, position)
-// order.
-func (ix *anchorIndex) visit(h uint64, fn func(anchorPos)) {
-	if len(ix.start) == 0 {
-		return
-	}
-	b := h & ix.mask
-	for _, ap := range ix.pos[ix.start[b]:ix.start[b+1]] {
-		fn(ap)
+// visit calls fn for every position in h's bucket of each flow's index,
+// flows in order, so in (segment, position) order.
+func (r *Recoverer) visit(h uint64, fn func(anchorPos)) {
+	for si := range r.index {
+		ix := &r.index[si]
+		if len(ix.start) == 0 {
+			continue // nil or quarantined
+		}
+		b := h & uint64(len(ix.start)-2)
+		for _, p := range ix.pos[ix.start[b]:ix.start[b+1]] {
+			fn(anchorPos{seg: int32(si), pos: p})
+		}
 	}
 }
 
-// NewRecoverer builds the anchor index over all of the thread's segments
-// (every segment is a potential CS for some other segment's hole — the
-// paper notes "complete" and "incomplete" are relative).
+// NewRecoverer collects the recovery caches of all of the thread's
+// segments (every segment is a potential CS for some other segment's hole
+// — the paper notes "complete" and "incomplete" are relative): their
+// MatchKeys and anchor indexes, which a lookup walks one bucket per flow.
 //
-// Construction prepares every segment the caller has not (prepareRecovery:
-// its tier-1/tier-2 abstraction caches, MatchKeys and anchor hashes):
-// after NewRecoverer returns, the recoverer, its index and all segments
-// are strictly read-only, so RecoverHole may be called for different
-// holes from concurrent goroutines.
+// Construction prepares every segment the caller has not (prepareRecovery):
+// after NewRecoverer returns, the recoverer and all segments are strictly
+// read-only, so RecoverHole may be called for different holes from
+// concurrent goroutines.
 //
 // A thread with fewer than two segments has no hole, and a disabled
 // recoverer fills none: for either, NewRecoverer builds nothing, so a
 // lossless thread pays nothing for recovery.
 func NewRecoverer(m *Matcher, flows []*SegmentFlow, cfg RecoveryConfig) *Recoverer {
-	return newRecoverer(m, flows, cfg, 1)
-}
-
-// newRecoverer is NewRecoverer with the anchor index's counting sort
-// fanned out on up to workers goroutines.
-func newRecoverer(m *Matcher, flows []*SegmentFlow, cfg RecoveryConfig, workers int) *Recoverer {
 	r := &Recoverer{m: m, cfg: cfg, flows: flows}
 	if cfg.Disable || len(flows) < 2 {
 		return r
 	}
 	r.keys = make([][]uint64, len(flows))
-	anchors := make([][]uint32, len(flows))
-	tokens, positions := 0, 0
+	r.index = make([]anchorIndex, len(flows))
+	tokens := 0
 	var activeSpan uint64
 	for si, f := range flows {
 		if f == nil || f.Quarantined {
@@ -153,16 +149,14 @@ func newRecoverer(m *Matcher, flows []*SegmentFlow, cfg RecoveryConfig, workers 
 			continue
 		}
 		f.Seg.prepareRecovery(cfg.AnchorLen)
-		r.keys[si], anchors[si] = f.Seg.keys, f.Seg.anchors
+		r.keys[si], r.index[si] = f.Seg.keys, f.Seg.anchors
 		tokens += len(f.Seg.Tokens)
-		positions += len(f.Seg.anchors)
 		if first, last := f.Seg.tscSpan(); len(f.Seg.Tokens) > 1 && last > first {
 			// Sum only the spans the thread was actually captured in, so
 			// the rate is not diluted by idle or lost periods.
 			activeSpan += last - first
 		}
 	}
-	r.index = buildAnchorIndex(anchors, cfg.AnchorLen, positions, workers)
 	if activeSpan > 0 && tokens > 0 {
 		r.tokenRate = float64(tokens) / float64(activeSpan)
 	} else {
@@ -172,11 +166,15 @@ func newRecoverer(m *Matcher, flows []*SegmentFlow, cfg RecoveryConfig, workers 
 }
 
 // prepareRecovery fills the segment's recovery caches for anchor length
-// x: the tier caches, every token's MatchKey, and, rolled along the keys
-// in the same pass, the low 32 bits of every x-key window's mixed hash
-// (the window ending at token i is entry i-max(x-1, 0)), all the index's
-// bucket masks read. A session prepares each segment as it closes, on
-// whichever worker is free; NewRecoverer prepares the rest.
+// x: the tier caches, every token's MatchKey and its anchor index. The
+// index is a counting sort of the anchors' end positions by the low bits
+// of their mixed hash, rolled along the keys twice, once to count and
+// once to place (rolling again costs less than keeping the hashes). Its
+// bucket count is the power of two no smaller than a quarter of the
+// anchor count: recovery makes a few hundred lookups per thread, so a
+// bucket's mates cost it less than a larger array costs every prep. A
+// session prepares each segment as it closes, on whichever worker is
+// free; NewRecoverer prepares the rest.
 func (s *Segment) prepareRecovery(x int) {
 	s.ensureAbs()
 	if s.keys != nil && s.anchorX == x {
@@ -188,78 +186,39 @@ func (s *Segment) prepareRecovery(x int) {
 		out *= anchorPoly
 	}
 	keys := make([]uint64, len(s.Tokens))
-	hs := make([]uint32, max(len(s.Tokens)-first, 0))
+	n := max(len(s.Tokens)-first, 0)
+	nb := 1
+	for nb*4 < n {
+		nb <<= 1
+	}
+	mask := uint64(nb - 1)
+	ix := anchorIndex{start: make([]int32, nb+1), pos: make([]int32, n)}
+	// Count bucket b into start[b+2] and sum the counts, so start[b+1] is
+	// bucket b's first slot; placing advances it to bucket b's end, which
+	// is bucket b+1's start.
 	h := uint64(0)
 	for i := range s.Tokens {
 		keys[i] = s.Tokens[i].MatchKey()
 		h = rollAnchor(h, keys, i, x, out)
 		if i >= first {
-			hs[i-first] = uint32(mixAnchor(h))
-		}
-	}
-	s.keys, s.anchors, s.anchorX = keys, hs, x
-}
-
-// buildAnchorIndex counting-sorts the positions of every anchor
-// (anchors[si] holds segment si's anchor hashes, positions in all) by
-// bucket, over a power-of-two bucket count no smaller than positions.
-// The sort fans out over bucket ranges: each of up to workers goroutines
-// owns a run of consecutive buckets, scans every hash and counts, then
-// places, only those in its range, so the ranges write disjoint slots and
-// each bucket still lists its positions in (segment, position) order.
-func buildAnchorIndex(anchors [][]uint32, x, positions, workers int) anchorIndex {
-	nb := 1
-	for nb < positions {
-		nb <<= 1
-	}
-	ix := anchorIndex{
-		mask:  uint64(nb - 1),
-		start: make([]int32, nb+1),
-		pos:   make([]anchorPos, positions),
-	}
-	first := int32(max(x-1, 0))
-	mask := uint32(nb - 1)
-	ranges := min(max(workers, 1), nb)
-	bound := func(k int) uint32 { return uint32(k * nb / ranges) }
-	// Count bucket b into start[b+1], and each range's total.
-	base := make([]int32, ranges)
-	conc.ParallelFor(ranges, ranges, func(k int) {
-		lo, hi := bound(k), bound(k+1)
-		n := int32(0)
-		for _, hs := range anchors {
-			for _, h := range hs {
-				if b := h & mask; b >= lo && b < hi {
-					ix.start[b+1]++
-					n++
-				}
+			if b := int(mixAnchor(h) & mask); b+2 <= nb {
+				ix.start[b+2]++
 			}
 		}
-		base[k] = n
-	})
-	// Turn the totals into each range's first slot, and within each range
-	// the counts into bucket starts, still one slot up; then place
-	// positions in (segment, position) order, advancing bucket b's cursor
-	// start[b+1] to its end, which is bucket b+1's start.
-	sum := int32(0)
-	for k := range base {
-		sum, base[k] = sum+base[k], sum
 	}
-	conc.ParallelFor(ranges, ranges, func(k int) {
-		lo, hi := bound(k), bound(k+1)
-		sum := base[k]
-		for b := lo + 1; b <= hi; b++ {
-			sum, ix.start[b] = sum+ix.start[b], sum
+	for b := 2; b <= nb; b++ {
+		ix.start[b] += ix.start[b-1]
+	}
+	h = 0
+	for i := range keys {
+		h = rollAnchor(h, keys, i, x, out)
+		if i >= first {
+			b := mixAnchor(h)&mask + 1
+			ix.pos[ix.start[b]] = int32(i + 1)
+			ix.start[b]++
 		}
-		for si, hs := range anchors {
-			for i, h := range hs {
-				if b := h & mask; b >= lo && b < hi {
-					ix.pos[ix.start[b+1]] = anchorPos{seg: int32(si), pos: int32(i) + first + 1}
-					ix.start[b+1]++
-				}
-			}
-		}
-	})
-	return ix
+	}
+	s.keys, s.anchors, s.anchorX = keys, ix, x
 }
 
 // appendKeys appends the MatchKey of every token in toks to dst.
@@ -351,7 +310,7 @@ func (r *Recoverer) searchCS(isIdx int) ([]candidate, int, int) {
 	var cands []candidate
 	tried, pruned := 0, 0
 	m1, m2, m3 := 0, 0, 0
-	r.index.visit(h, func(ap anchorPos) {
+	r.visit(h, func(ap anchorPos) {
 		if int(ap.seg) == isIdx && int(ap.pos) == n {
 			return // the IS's own tail
 		}
@@ -660,7 +619,7 @@ func (r *Recoverer) continueFrom(tail []uint64) (anchorPos, bool) {
 	h := anchorHash(tail, len(tail)-1, x)
 	var best anchorPos
 	bestLen := -1
-	r.index.visit(h, func(ap anchorPos) {
+	r.visit(h, func(ap anchorPos) {
 		csK := r.keys[ap.seg]
 		n := suffixKeys(tail, len(tail), csK, int(ap.pos))
 		if n < x {

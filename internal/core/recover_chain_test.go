@@ -153,12 +153,12 @@ func TestRecovererNoBoundaryBuildsNothing(t *testing.T) {
 			flows = append(flows, mkFlow(m, repTrace(3, uint64(10_000*i)), nil))
 		}
 		r := NewRecoverer(m, flows, tc.cfg)
-		if n := len(r.index.pos); n != 0 || r.keys != nil {
-			t.Errorf("%s: %d anchor index entries, keys %v; want none", tc.name, n, r.keys != nil)
+		if r.index != nil || r.keys != nil {
+			t.Errorf("%s: anchor indexes %v, keys %v; want none", tc.name, r.index != nil, r.keys != nil)
 		}
 		for i, f := range flows {
-			if f.Seg.absIdx1 != nil {
-				t.Errorf("%s: segment %d abstraction tiers built", tc.name, i)
+			if f.Seg.absIdx1 != nil || f.Seg.anchors.start != nil {
+				t.Errorf("%s: segment %d abstraction tiers or anchor index built", tc.name, i)
 			}
 		}
 	}

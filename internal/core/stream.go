@@ -66,7 +66,7 @@ const feedChunk = 4096
 // SegmentJob is the analysis of one closed segment, in two tasks that
 // read only its tokens and so may run at once: its projection onto the
 // ICFG (§4), and, when recovery is on, its recovery caches (tier
-// abstractions, MatchKeys and anchor hashes; see NewRecoverer). Each task
+// abstractions, MatchKeys and anchor index; see NewRecoverer). Each task
 // runs exactly once: on a Session worker through Run, or in Finish.
 type SegmentJob struct {
 	a   *ThreadAnalyzer
@@ -387,7 +387,7 @@ func (a *ThreadAnalyzer) safeRecoverer() (rec *Recoverer) {
 			rec = nil
 		}
 	}()
-	return newRecoverer(a.p.Matcher, a.res.Flows, a.p.Cfg.Recovery, a.p.Cfg.WorkerCount())
+	return NewRecoverer(a.p.Matcher, a.res.Flows, a.p.Cfg.Recovery)
 }
 
 // safeRecoverHole fills one hole with panic containment: a crash leaves

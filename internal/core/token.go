@@ -127,10 +127,10 @@ type Segment struct {
 	absIdx1, absIdx2 []int32
 
 	// keys and anchors are the recovery caches (prepareRecovery): every
-	// token's MatchKey, and the low 32 bits of the mixed hash of every
-	// anchorX-key anchor window, in window order.
+	// token's MatchKey, and the index of every anchorX-key anchor window's
+	// end position by its hash.
 	keys    []uint64
-	anchors []uint32
+	anchors anchorIndex
 	anchorX int
 }
 

@@ -42,7 +42,10 @@ import (
 // ReconstructSegment bound is the same band over 2 allocs/op (the flow and
 // its node slice), measured once candidateStarts kept a located token's
 // start state in the scratch; it measured 2 before too, the inlined
-// one-element slice having stayed on the stack (go1.24, linux/amd64).
+// one-element slice having stayed on the stack (go1.24, linux/amd64). The
+// PrepareSegment and NewRecoverer bounds are the same band over 13 and 3
+// allocs/op, measured once each segment's prep built its own anchor index
+// (go1.24, linux/amd64).
 const (
 	maxAllocsMatchFromScratch    = 1
 	maxAllocsTokenize            = 1
@@ -55,6 +58,8 @@ const (
 	maxAllocsStreamfmtDecode     = 1
 	maxAllocsMatchLocated        = 1
 	maxAllocsReconstructSegment  = 3
+	maxAllocsPrepareSegment      = 16
+	maxAllocsNewRecoverer        = 4
 )
 
 func TestKernelAllocs(t *testing.T) {
@@ -211,6 +216,37 @@ func TestKernelAllocs(t *testing.T) {
 	// hole to fill.
 	check("RecovererNoBoundary", maxAllocsRecovererNoBoundary, 100, func() {
 		core.NewRecoverer(rm, rflows[:1], core.DefaultRecoveryConfig())
+	})
+
+	// PrepareSegment: the recovery prep of batik x0.5's largest segment
+	// (tier caches, MatchKeys and anchor index) on a fresh copy per op,
+	// as a session worker prepares each segment when it closes. A
+	// recoverer over that segment and a nil flow prepares just it.
+	bs := workload.MustLoad("batik", 0.5)
+	brun, bsrc, bitems := busiestThread(t, bs, source.DefaultID)
+	bsegs, _ := core.TokenizeEvents(bs.Program, bsrc.NewDecoder(brun.Snapshot).Decode(bitems))
+	bbig := bsegs[0]
+	for _, seg := range bsegs {
+		if len(seg.Tokens) > len(bbig.Tokens) {
+			bbig = seg
+		}
+	}
+	t.Logf("PrepareSegment: %d segments, the largest %d tokens", len(bsegs), len(bbig.Tokens))
+	var prepared []*core.SegmentFlow
+	check("PrepareSegment", maxAllocsPrepareSegment, 10, func() {
+		seg := &core.Segment{Tokens: bbig.Tokens, Clock: bbig.Clock}
+		prepared = []*core.SegmentFlow{{Seg: seg}, nil}
+		core.NewRecoverer(nil, prepared, core.DefaultRecoveryConfig())
+	})
+
+	// NewRecoverer: over flows already prepared, it only collects their
+	// keys and indexes, so its allocs/op are the same for the ablation's
+	// seven small flows and for batik's largest segment.
+	check("NewRecoverer/ablation", maxAllocsNewRecoverer, 100, func() {
+		core.NewRecoverer(rm, rflows, core.DefaultRecoveryConfig())
+	})
+	check("NewRecoverer/batik", maxAllocsNewRecoverer, 100, func() {
+		core.NewRecoverer(nil, prepared, core.DefaultRecoveryConfig())
 	})
 
 	// CarveStitch: one full incremental stitch per op — sideband,

@@ -214,14 +214,15 @@ func (s *Session) Close() (*Analysis, error) {
 	s.closed = true
 	s.stopStages()
 	s.merge(0)
+	workers := s.pipe.Cfg.WorkerCount()
 	threads := make([]*core.ThreadResult, len(s.analyzers))
 	covs := make([]*profile.Coverage, len(s.analyzers))
-	conc.ParallelFor(s.pipe.Cfg.WorkerCount(), len(s.analyzers), func(i int) {
+	conc.ParallelFor(workers, len(s.analyzers), func(i int) {
 		threads[i] = s.analyzers[i].Finish(s.ctx)
-		// Each thread's coverage is folded on its worker; the report
-		// only merges them.
-		covs[i] = profile.NewCoverage(s.prog)
-		covs[i].Add(threads[i].Steps)
+		// Each thread's coverage is folded on its worker, over as many
+		// ranges as there are workers per thread, so a lone thread
+		// still uses every worker; the report only merges them.
+		covs[i] = foldCoverage(s.prog, threads[i].Steps, max(workers/len(s.analyzers), 1))
 	})
 	s.cancel()
 	s.result = &Analysis{Threads: threads, Pipeline: s.pipe}
@@ -233,6 +234,27 @@ func (s *Session) Close() (*Analysis, error) {
 		}
 	}
 	return s.result, nil
+}
+
+// coverageSpan is the fewest steps foldCoverage gives one range, so a
+// short thread folds in one: every range allocates, and is merged from,
+// a coverage of the whole program.
+const coverageSpan = 1 << 14
+
+// foldCoverage folds the statement coverage of steps over up to parts
+// ranges at once, one coverage per range, and merges them.
+func foldCoverage(prog *bytecode.Program, steps []core.Step, parts int) *profile.Coverage {
+	per := max((len(steps)+parts-1)/parts, coverageSpan)
+	n := max((len(steps)+per-1)/per, 1)
+	covs := make([]*profile.Coverage, n)
+	conc.ParallelFor(n, n, func(k int) {
+		covs[k] = profile.NewCoverage(prog)
+		covs[k].Add(steps[k*per : min((k+1)*per, len(steps))])
+	})
+	for _, c := range covs[1:] {
+		covs[0].Merge(c)
+	}
+	return covs[0]
 }
 
 // abandon releases an unfinished session's goroutines on an error path.

@@ -160,7 +160,7 @@ func TestStreamingMatchesBatchAllSubjects(t *testing.T) {
 }
 
 // TestSessionReportCoverage: the degradation report's coverage, folded
-// per thread on the Close workers and merged, equals the statement
+// per range of each thread's steps on the Close workers and merged, equals the statement
 // coverage computed from the finished analysis' steps, for multi-thread
 // and single-thread subjects, lossy and lossless, serial and parallel.
 func TestSessionReportCoverage(t *testing.T) {
