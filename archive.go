@@ -187,13 +187,13 @@ func LoadRun(dir string) (*bytecode.Program, *RunResult, error) {
 		if err != nil {
 			return nil, nil, err
 		}
+		if ev.Kind != EvSnapshot && snap == nil {
+			return nil, nil, fmt.Errorf("jportal: %s: %s record before snapshot", dir, ev.Kind)
+		}
 		switch ev.Kind {
 		case EvSnapshot:
 			snap = ev.Snapshot
 		case EvBlob:
-			if snap == nil {
-				return nil, nil, fmt.Errorf("jportal: %s: blob record before snapshot", dir)
-			}
 			snap.Export(ev.Blob)
 		case EvSideband:
 			sideband = append(sideband, ev.Rec)

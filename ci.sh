@@ -15,7 +15,8 @@
 # The race pass covers the offline-phase parallelism introduced with the
 # worker pool — the read-only Matcher contract, the per-core trace carve and
 # the pool primitives themselves — plus the streaming pipeline: the chunked
-# collector export, the incremental stitcher, and the staged Session (the
+# collector export, the incremental stitcher, and the staged Session, which
+# stitches on the caller's goroutine while its analyzer workers decode (the
 # full root suite under -race is too slow for CI, so the race pass runs the
 # streaming-specific tests).
 set -eu
@@ -40,9 +41,11 @@ go test -race ./internal/core/... ./internal/trace/... ./internal/conc/... ./int
 echo "==> go test -race (root streaming tests + kill-and-resume)"
 # TestKillAndResume restores checkpointed tokenizer state (tokens and
 # their clock, adopted into the arenas) under the concurrent Session; the
+# TestResume tests export and restore checkpoints, reading and replacing
+# the stitcher on the caller's goroutine while the workers run; the
 # TestSession*WithSegmentJobsInFlight tests checkpoint and cancel sessions
 # while segment tasks run on the analyzer workers.
-go test -race -run 'TestStream|TestAnalyzeStreamed|TestSession|TestAnalyzeDeterministicAcrossWorkers|TestDeadline|TestKillAndResume' .
+go test -race -run 'TestStream|TestAnalyzeStreamed|TestSession|TestAnalyzeDeterministicAcrossWorkers|TestDeadline|TestKillAndResume|TestResume' .
 
 echo "==> go test -race (ingest service + fleet + netfault + iofault + scrub)"
 go test -race ./internal/ingest/... ./internal/fleet/... ./internal/netfault/... ./internal/iofault/... ./internal/scrub/...

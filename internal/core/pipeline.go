@@ -22,8 +22,6 @@ type PipelineConfig struct {
 	// streams (nil = the registered default, Intel PT). The analysis
 	// layers above the decoder are source-independent.
 	Source source.Source
-	// ICFG options (whether dynamic call edges are statically resolved).
-	ICFG cfg.Options
 	// Recovery is the §5 configuration.
 	Recovery RecoveryConfig
 	// UseCallContext switches reconstruction to the PDA engine (an
@@ -62,10 +60,7 @@ func (c PipelineConfig) Validate() error {
 
 // DefaultPipelineConfig returns the production configuration.
 func DefaultPipelineConfig() PipelineConfig {
-	return PipelineConfig{
-		ICFG:     cfg.DefaultOptions(),
-		Recovery: DefaultRecoveryConfig(),
-	}
+	return PipelineConfig{Recovery: DefaultRecoveryConfig()}
 }
 
 // Pipeline is the reusable offline analyser for one program: it owns the
@@ -79,33 +74,20 @@ type Pipeline struct {
 	src source.Source
 }
 
-// NewPipeline builds the ICFG and matcher for prog.
-func NewPipeline(prog *bytecode.Program, cfg PipelineConfig) *Pipeline {
-	g := buildICFG(prog, cfg)
-	m := NewMatcher(g)
-	m.UseContext = cfg.UseCallContext
-	src := cfg.Source
+// NewPipeline builds the ICFG, with dynamic call edges resolved, and the
+// matcher for prog.
+func NewPipeline(prog *bytecode.Program, pcfg PipelineConfig) *Pipeline {
+	m := NewMatcher(cfg.BuildICFG(prog, cfg.DefaultOptions()))
+	m.UseContext = pcfg.UseCallContext
+	src := pcfg.Source
 	if src == nil {
 		src = source.Default()
 	}
-	return &Pipeline{Prog: prog, Matcher: m, Cfg: cfg, src: src}
+	return &Pipeline{Prog: prog, Matcher: m, Cfg: pcfg, src: src}
 }
 
-// Source returns the trace source this pipeline decodes with. Pipelines
-// built as struct literals (tests) resolve the default here instead.
-func (p *Pipeline) Source() source.Source {
-	if p.src != nil {
-		return p.src
-	}
-	if p.Cfg.Source != nil {
-		return p.Cfg.Source
-	}
-	return source.Default()
-}
-
-func buildICFG(prog *bytecode.Program, pcfg PipelineConfig) *cfg.ICFG {
-	return cfg.BuildICFG(prog, pcfg.ICFG)
-}
+// Source returns the trace source this pipeline decodes with.
+func (p *Pipeline) Source() source.Source { return p.src }
 
 // ThreadResult is the reconstructed control flow of one thread.
 type ThreadResult struct {

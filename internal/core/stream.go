@@ -181,18 +181,21 @@ func (a *ThreadAnalyzer) quarantineDeadline(items int, bytes uint64, detail stri
 func (a *ThreadAnalyzer) TimedOut() bool { return a.timedOut.Load() }
 
 // safeFeed runs the decode+tokenize of one chunk with panic containment:
-// a crash quarantines this chunk only, rebuilds the decoder (its walking
-// state is what crashed) and splits the token stream behind a synthetic
-// desync, so the thread — and every other thread — keeps analysing. The
-// tokens lowered before the crash, those of the chunk's earlier
-// sub-chunks included, stay. It runs inside the Session's per-thread
-// fan-out, where an escaped panic would kill the process.
+// a crash quarantines the rest of this chunk only, from the sub-chunk that
+// crashed on, rebuilds the decoder (its walking state is what crashed) and
+// splits the token stream behind a synthetic desync, so the thread — and
+// every other thread — keeps analysing. The tokens lowered before the
+// crash, those of the chunk's earlier sub-chunks included, stay, so the
+// ledger entry counts only the items dropped. It runs on a Session
+// analyzer worker, where an escaped panic would kill the process.
 func (a *ThreadAnalyzer) safeFeed(items []source.Item) {
+	off := 0
 	defer func() {
 		if r := recover(); r != nil {
+			dropped := items[off:]
 			a.ledger.Add(fault.Entry{
 				Reason: fault.ReasonStageCrash, Thread: a.res.Thread, Core: -1,
-				Items: len(items), Bytes: source.PayloadBytes(items),
+				Items: len(dropped), Bytes: source.PayloadBytes(dropped),
 				Detail: fmt.Sprintf("decode: %v", r),
 			})
 			ds := a.dec.Stats()
@@ -205,7 +208,7 @@ func (a *ThreadAnalyzer) safeFeed(items []source.Item) {
 			a.tk.breakSegment()
 		}
 	}()
-	for off := 0; off < len(items); off += feedChunk {
+	for ; off < len(items); off += feedChunk {
 		a.tk.feed(a.dec.DecodeChunk(items[off:min(off+feedChunk, len(items))]))
 		a.takeSegments(a.tk.take(), true)
 	}

@@ -5,6 +5,11 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"jportal/internal/bytecode"
+	"jportal/internal/fault"
+	"jportal/internal/meta"
+	"jportal/internal/source"
 )
 
 // TestTokenizerChunkInvariant feeds the mixed event fixture (templates,
@@ -53,8 +58,7 @@ func TestTokenizerChunkInvariant(t *testing.T) {
 // TestThreadAnalyzerFinishIdempotent: Finish is the terminal state; a
 // second call returns the same result and Feed panics.
 func TestThreadAnalyzerFinishIdempotent(t *testing.T) {
-	prog, m := fig2Matcher(t)
-	p := &Pipeline{Prog: prog, Matcher: m, Cfg: DefaultPipelineConfig()}
+	p := NewPipeline(bytecode.MustAssemble(fig2Src), DefaultPipelineConfig())
 	a := p.NewThreadAnalyzer(0, nil)
 	ctx := context.Background()
 	a.Feed(ctx, nil)
@@ -87,5 +91,81 @@ func TestPipelineConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
+	}
+}
+
+// crashSource wraps the default trace source. Its decoders lower every
+// item to one ILOAD template event, and the crashAt-th DecodeChunk call
+// (counted from 0 across all its decoders) panics.
+type crashSource struct {
+	source.Source
+	calls, crashAt int
+}
+
+func (s *crashSource) NewDecoder(snap *meta.Snapshot) source.Decoder {
+	return &crashDecoder{Decoder: s.Source.NewDecoder(snap), src: s}
+}
+
+type crashDecoder struct {
+	source.Decoder
+	src *crashSource
+	out []source.Event
+}
+
+func (d *crashDecoder) DecodeChunk(items []source.Item) []source.Event {
+	d.src.calls++
+	if d.src.calls-1 == d.src.crashAt {
+		panic("injected decode crash")
+	}
+	d.out = d.out[:0]
+	for range items {
+		d.out = append(d.out, source.Event{Kind: source.EvTemplate, Op: bytecode.ILOAD})
+	}
+	return d.out
+}
+
+// TestFeedCrashQuarantinesOnlyDroppedItems: a decoder crash in a delta's
+// k-th sub-chunk keeps the tokens of the k sub-chunks before it, so the
+// stage-crash ledger entry counts only the items from the crashing
+// sub-chunk on, and the rebuilt decoder decodes the next delta.
+func TestFeedCrashQuarantinesOnlyDroppedItems(t *testing.T) {
+	const k = 2
+	cfg := DefaultPipelineConfig()
+	cfg.Source = &crashSource{Source: source.Default(), crashAt: k}
+	p := NewPipeline(bytecode.MustAssemble(fig2Src), cfg)
+	a := p.NewThreadAnalyzer(0, nil)
+	ledger := fault.NewLedger(nil)
+	a.SetLedger(ledger)
+	ctx := context.Background()
+
+	delta := make([]source.Item, 4*feedChunk+100)
+	for i := range delta {
+		delta[i].Packet.WireLen = uint8(1 + i%7)
+	}
+	a.Feed(ctx, delta)
+	var kept int
+	for _, j := range a.jobs {
+		kept += len(j.seg.Tokens)
+	}
+	if kept != k*feedChunk {
+		t.Errorf("tokens kept before the crash = %d, want %d", kept, k*feedChunk)
+	}
+	es := ledger.Entries()
+	if len(es) != 1 || es[0].Reason != fault.ReasonStageCrash {
+		t.Fatalf("ledger entries = %+v, want one stage crash", es)
+	}
+	dropped := delta[k*feedChunk:]
+	if es[0].Items != len(dropped) || es[0].Bytes != source.PayloadBytes(dropped) {
+		t.Errorf("stage crash entry covers %d items (%d bytes), want %d (%d)",
+			es[0].Items, es[0].Bytes, len(dropped), source.PayloadBytes(dropped))
+	}
+
+	later := delta[:100]
+	a.Feed(ctx, later)
+	if n := len(a.tk.cur.Tokens); n != len(later) {
+		t.Errorf("later delta lowered %d tokens, want %d", n, len(later))
+	}
+	if n := len(ledger.Entries()); n != 1 {
+		t.Errorf("later delta added %d ledger entries", n-1)
 	}
 }

@@ -225,6 +225,16 @@ const (
 	KindSeal
 )
 
+var kindNames = [...]string{"snapshot", "blob", "sideband", "chunk", "watermark", "seal"}
+
+// String names the kind as error messages do ("chunk record ...").
+func (k Kind) String() string {
+	if k < 0 || int(k) >= len(kindNames) {
+		return fmt.Sprintf("kind %d", int(k))
+	}
+	return kindNames[k]
+}
+
 // Record is one decoded stream record.
 type Record struct {
 	Kind     Kind

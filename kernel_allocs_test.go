@@ -118,7 +118,7 @@ func TestKernelAllocs(t *testing.T) {
 	// scratch: the one-state located step (§4).
 	segs, _ := core.TokenizeEvents(s.Program, events)
 	ltoks := segs[0].Tokens
-	lm := core.NewMatcher(cfg.BuildICFG(s.Program, core.DefaultPipelineConfig().ICFG))
+	lm := core.NewMatcher(cfg.BuildICFG(s.Program, cfg.DefaultOptions()))
 	lstarts := lm.NodesWithOp(ltoks[0].Op)
 	lsc := lm.NewScratch()
 	located := 0

@@ -8,23 +8,21 @@ import (
 	"jportal/internal/meta"
 	"jportal/internal/source"
 	"jportal/internal/trace"
-	"jportal/internal/vm"
 )
 
-// The staged session (DESIGN.md §12) runs the Session's stages on their own
-// goroutines connected by buffered channels:
+// The staged session (DESIGN.md §12) stitches on the caller's goroutine
+// and analyzes on WorkerCount() analyzer workers, each fed through its own
+// buffered channel:
 //
-//	caller ──in──▶ stitcher goroutine ──work[w]──▶ analyzer workers
-//	                                                  │    ▲
-//	                                                  └segs┘
+//	caller (stitcher) ──work[w]──▶ analyzer workers
+//	                                  │    ▲
+//	                                  └segs┘
 //
-// The caller's Feed/AddSideband/Watermark/AddBlobs/Drain enqueue typed
-// messages on the input channel and return; the stitcher goroutine applies
-// them to the StreamStitcher in arrival order and routes emitted thread
-// deltas to WorkerCount() analyzer workers, thread t to worker t mod
-// WorkerCount(). Each thread's deltas therefore reach its analyzer in
-// emission order through one FIFO channel, which is why the output is
-// byte-identical to batch Analyze for every worker count.
+// Feed, AddSideband and Watermark apply straight to the StreamStitcher;
+// Drain and Close route the thread deltas it emits to the workers, thread t
+// to worker t mod WorkerCount(). Each thread's deltas therefore reach its
+// analyzer in emission order through one FIFO channel, which is why the
+// output is byte-identical to batch Analyze for every worker count.
 //
 // Segment queue: each segment an analyzer's tokenizer closes becomes a
 // core.SegmentJob, queued on the shared segs queue once per task
@@ -42,39 +40,34 @@ import (
 // blobs into its snapshot while workers decode, so workers never read the
 // caller's snapshot. Each worker owns a replica (meta.Snapshot.Clone), and
 // blob deliveries are broadcast in-band: channel order guarantees a worker
-// observes a blob before any chunk that references it, mirroring §3.2's
+// observes a blob before any delta that references it, mirroring §3.2's
 // dump-before-use discipline.
 //
-// Quiescence: checkpoint export and restore need the whole pipeline idle.
-// quiesce sends a sync message that the stitcher forwards to every worker
-// and acknowledges only after all of them have; the channel operations give
-// the happens-before edges that make the session's state readable (and
-// writable, until the next enqueue) from the caller's goroutine.
+// Quiescence: checkpoint export and restore need every worker idle.
+// quiesce sends a sync message to each worker and returns once all of them
+// have acknowledged it; the channel operations give the happens-before
+// edges that make the analyzers readable (and writable, until the next
+// delta or blob is sent) from the caller's goroutine, which owns the
+// stitcher throughout.
 
-// stageQueue is the capacity of every stage channel, in messages: enough to
-// keep the stages overlapped, small enough to bound in-flight memory.
+// stageQueue is the capacity of every worker channel, in messages: enough
+// to keep the workers busy while the caller stitches, small enough to bound
+// in-flight memory.
 const stageQueue = 256
 
 type stageKind uint8
 
 const (
-	msgChunk     stageKind = iota // caller → stitcher
-	msgSideband                   // caller → stitcher
-	msgWatermark                  // caller → stitcher
-	msgDrain                      // caller → stitcher
-	msgBlobs                      // caller → stitcher → every worker
-	msgSync                       // caller → stitcher → every worker
-	msgDelta                      // stitcher → worker
+	msgDelta stageKind = iota // one thread's stitched delta
+	msgBlobs                  // broadcast to every worker
+	msgSync                   // broadcast to every worker
 )
 
-// stageMsg is one message on a stage channel.
+// stageMsg is one message on a worker channel.
 type stageMsg struct {
 	kind   stageKind
-	core   int
 	thread int
-	mark   uint64
 	items  []source.Item
-	recs   []vm.SwitchRecord
 	blobs  []*meta.CompiledMethod
 	wg     *sync.WaitGroup // msgSync: Done once the receiver has drained
 }
@@ -137,68 +130,26 @@ func (q *segQueue) closeFeed() {
 	}
 }
 
-// startStages launches the stitcher goroutine and the analyzer workers, each
-// worker over its own replica of snap.
+// startStages launches the analyzer workers, each over its own replica of
+// snap.
 func (s *Session) startStages(snap *meta.Snapshot) {
 	w := s.pipe.Cfg.WorkerCount()
 	s.segs = newSegQueue(w)
-	s.in = make(chan stageMsg, stageQueue)
 	s.work = make([]chan stageMsg, w)
 	s.wsnap = make([]*meta.Snapshot, w)
 	s.byThread = make([][]*core.ThreadAnalyzer, w)
-	s.stages.Add(1 + w)
+	s.stages.Add(w)
 	for i := range s.work {
 		s.work[i] = make(chan stageMsg, stageQueue)
 		s.wsnap[i] = snap.Clone()
 		go s.analyzeLoop(i)
 	}
-	go s.stitchLoop()
 }
 
-// stitchLoop is the stitcher goroutine: it owns s.st between quiescence
-// points. When the input channel closes it runs the final carve, routes the
-// last deltas, and releases the workers.
-func (s *Session) stitchLoop() {
-	defer s.stages.Done()
-	for m := range s.in {
-		switch m.kind {
-		case msgChunk:
-			s.st.Feed(m.core, m.items) // core range checked by Session.Feed
-			s.noteBuffered()
-		case msgSideband:
-			s.st.AddSideband(m.recs)
-		case msgWatermark:
-			s.st.Watermark(m.core, m.mark)
-		case msgDrain:
-			s.route(s.st.Drain())
-			s.noteBuffered()
-		case msgBlobs:
-			for _, w := range s.work {
-				w <- m
-			}
-		case msgSync:
-			var wg sync.WaitGroup
-			wg.Add(len(s.work))
-			for _, w := range s.work {
-				w <- stageMsg{kind: msgSync, wg: &wg}
-			}
-			wg.Wait()
-			m.wg.Done()
-		}
-	}
-	s.route(s.st.FinishWorkers(s.pipe.Cfg.Workers))
+// broadcast sends m to every worker.
+func (s *Session) broadcast(m stageMsg) {
 	for _, w := range s.work {
-		close(w)
-	}
-}
-
-// noteBuffered republishes the stitcher's in-flight item count for
-// concurrent BufferedItems/PeakBufferedItems readers.
-func (s *Session) noteBuffered() {
-	n := int64(s.st.BufferedItems())
-	s.buffered.Store(n)
-	if n > s.peak.Load() {
-		s.peak.Store(n)
+		w <- m
 	}
 }
 
@@ -300,12 +251,12 @@ func (s *Session) analyzer(thread int) *core.ThreadAnalyzer {
 	return a
 }
 
-// quiesce blocks until every message enqueued so far has been processed by
-// the stitcher and all workers.
+// quiesce blocks until every worker has processed every message sent to
+// it so far.
 func (s *Session) quiesce() {
 	var wg sync.WaitGroup
-	wg.Add(1)
-	s.in <- stageMsg{kind: msgSync, wg: &wg}
+	wg.Add(len(s.work))
+	s.broadcast(stageMsg{kind: msgSync, wg: &wg})
 	wg.Wait()
 }
 
@@ -321,9 +272,12 @@ func (s *Session) merge(n int) {
 	s.analyzers = as
 }
 
-// stopStages closes the input, lets the stitcher finish the stitch, and
-// joins every stage goroutine.
+// stopStages runs the final carve, routes the last deltas, and closes and
+// joins the workers.
 func (s *Session) stopStages() {
-	close(s.in)
+	s.route(s.st.FinishWorkers(s.pipe.Cfg.Workers))
+	for _, w := range s.work {
+		close(w)
+	}
 	s.stages.Wait()
 }

@@ -404,8 +404,9 @@ func TestDeadlineYieldsPartialAnalysis(t *testing.T) {
 	// A clean Drain decodes and tokenizes, and segments that close are
 	// reconstructed as they close; each thread's last segment closes only
 	// at Close, so it is still pending when the context is cancelled and
-	// the deadline cuts at the segment level. Drain is asynchronous: a
-	// checkpoint waits for it to be applied before the cancel.
+	// the deadline cuts at the segment level. Drain is asynchronous toward
+	// the workers: it stitches and sends the deltas, and a checkpoint waits
+	// for the workers to analyse them before the cancel.
 	if err := sess.Drain(); err != nil {
 		t.Fatal(err)
 	}

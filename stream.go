@@ -26,12 +26,12 @@ import (
 // batch call for every chunking, watermark schedule and worker count —
 // streaming changes when work happens, never what it computes.
 //
-// The stages run on their own goroutines (pipeline_session.go): Feed,
-// AddSideband, Watermark, AddBlobs and Drain only enqueue, and Close joins
-// the stages. Every Session owns goroutines until it is closed, so close
-// abandoned sessions too. Calls must all come from one goroutine;
-// DeltasApplied, BufferedItems and PeakBufferedItems alone are safe to
-// sample from others.
+// Feed, AddSideband, Watermark and Drain stitch on the caller's goroutine;
+// the analysis runs on the Session's analyzer workers
+// (pipeline_session.go), to which Drain and AddBlobs only hand work, and
+// Close joins them. Every Session owns goroutines until it is closed, so
+// close abandoned sessions too. Calls must all come from one goroutine;
+// DeltasApplied alone is safe to sample from others.
 //
 // The stitcher holds only windows that are not yet globally safe to emit
 // (PeakBufferedItems reports the high water mark). Each thread's analyzer
@@ -69,17 +69,13 @@ type Session struct {
 	// applied so far. Atomic so a supervisor goroutine can sample it while
 	// the workers update it.
 	hbEmitted atomic.Uint64
-	// buffered and peak mirror the stitcher's BufferedItems and its
-	// high-water mark for concurrent readers.
-	buffered atomic.Int64
-	peak     atomic.Int64
+	// peak is the high-water mark of the stitcher's BufferedItems.
+	peak int
 
-	// Stage machinery (pipeline_session.go). in carries the caller's
-	// messages to the stitcher; work[w] carries deltas to analyzer worker
-	// w, which alone touches wsnap[w] and byThread[w] between quiescence
-	// points; segs carries closed segments' jobs to whichever worker is
-	// free.
-	in       chan stageMsg
+	// Stage machinery (pipeline_session.go). work[w] carries deltas to
+	// analyzer worker w, which alone touches wsnap[w] and byThread[w]
+	// between quiescence points; segs carries closed segments' jobs to
+	// whichever worker is free.
 	work     []chan stageMsg
 	segs     *segQueue
 	wsnap    []*meta.Snapshot
@@ -122,68 +118,65 @@ func OpenSession(ctx context.Context, prog *bytecode.Program, snap *meta.Snapsho
 func (s *Session) Ledger() *fault.Ledger { return s.ledger }
 
 // AddSideband delivers scheduler switch records in the order the VM
-// recorded them. The records are copied, so the caller may reuse its slice.
+// recorded them. The stitcher keeps the records by value, so the caller
+// may reuse its slice.
 func (s *Session) AddSideband(recs []vm.SwitchRecord) {
-	if len(recs) == 0 || s.closed {
-		return
+	if !s.closed {
+		s.st.AddSideband(recs)
 	}
-	s.in <- stageMsg{kind: msgSideband, recs: append([]vm.SwitchRecord(nil), recs...)}
 }
 
 // Watermark declares that every switch record for core with TSC < w has
 // been delivered (watermarks only move forward).
 func (s *Session) Watermark(core int, w uint64) {
-	if s.closed {
-		return
+	if !s.closed {
+		s.st.Watermark(core, w)
 	}
-	s.in <- stageMsg{kind: msgWatermark, core: core, mark: w}
 }
 
 // AddBlobs delivers compiled-method metadata (BlobSink). The blobs are
 // broadcast in-band to every worker's snapshot replica, so each worker sees
-// a blob before any trace chunk that references it (§3.2 dump-before-use).
-// A blob a replica already holds is skipped, which makes the delivery
+// a blob before any delta that references it (§3.2 dump-before-use). A
+// blob a replica already holds is skipped, which makes the delivery
 // idempotent when RunWithSink re-offers the export-log suffix.
 func (s *Session) AddBlobs(blobs []*meta.CompiledMethod) error {
 	if s.closed {
 		return errors.New("jportal: AddBlobs on closed session")
 	}
 	if len(blobs) > 0 {
-		s.in <- stageMsg{kind: msgBlobs, blobs: append([]*meta.CompiledMethod(nil), blobs...)}
+		s.broadcast(stageMsg{kind: msgBlobs, blobs: append([]*meta.CompiledMethod(nil), blobs...)})
 	}
 	return nil
 }
 
 // Feed delivers one chunk of a core's exported trace, in export order. The
-// items are copied before they are enqueued, so the caller may reuse its
-// buffer immediately (the archive reader does). The copy is transient
-// extra memory: up to stageQueue chunks can wait in the input channel, so
-// a batch Analyze, which feeds each core's whole trace as one chunk,
-// briefly holds about one more copy of the trace than a synchronous
-// Feed would.
+// stitcher appends the items to its own buffer, so the caller may reuse
+// its buffer as soon as Feed returns (the archive reader does).
 func (s *Session) Feed(core int, items []source.Item) error {
 	if s.closed {
 		return errors.New("jportal: Feed on closed session")
 	}
-	if core < 0 || core >= s.ncores {
-		return fmt.Errorf("jportal: chunk for core %d, session has %d cores", core, s.ncores)
+	if err := s.st.Feed(core, items); err != nil {
+		return fmt.Errorf("jportal: %w", err)
 	}
-	s.in <- stageMsg{kind: msgChunk, core: core, items: append([]source.Item(nil), items...)}
+	s.peak = max(s.peak, s.st.BufferedItems())
 	return nil
 }
 
 // Drain advances the analysis over every scheduling window that is final
-// under the current watermarks: finalized per-thread deltas are stitched
-// out and pushed through the per-thread analyzers (decode and tokenize,
-// then reconstruction of each segment that closed; recovery waits for
-// Close). Drain is asynchronous: it enqueues the request and returns, and
-// the stages do the work; Close (or a checkpoint) waits for it. Deltas analysed after the session's context is cancelled
-// are quarantined instead of decoded.
+// under the current watermarks: it stitches out the finalized per-thread
+// deltas and hands each to its thread's analyzer worker, which decodes
+// and tokenizes it and queues each segment that closes for reconstruction
+// (recovery waits for Close). Drain is asynchronous toward the workers
+// only: it returns once the deltas are sent, and Close (or a checkpoint)
+// waits for the analysis. Deltas analysed after the session's context is
+// cancelled are quarantined instead of decoded.
 func (s *Session) Drain() error {
 	if s.closed {
 		return errors.New("jportal: Drain on closed session")
 	}
-	s.in <- stageMsg{kind: msgDrain}
+	s.route(s.st.Drain())
+	s.peak = max(s.peak, s.st.BufferedItems())
 	return nil
 }
 
@@ -191,14 +184,10 @@ func (s *Session) Drain() error {
 // analyzers — a monotone watchdog heartbeat, safe to sample concurrently.
 func (s *Session) DeltasApplied() uint64 { return s.hbEmitted.Load() }
 
-// BufferedItems returns the trace items currently buffered in the stitcher
-// (fed but not yet emitted to an analyzer), as of the last chunk or drain
-// the stitcher processed.
-func (s *Session) BufferedItems() int { return int(s.buffered.Load()) }
-
-// PeakBufferedItems returns the high-water mark of BufferedItems over the
-// session — the streaming pipeline's peak in-flight trace memory.
-func (s *Session) PeakBufferedItems() int { return int(s.peak.Load()) }
+// PeakBufferedItems returns the high-water mark over the session of the
+// trace items buffered in the stitcher (fed but not yet emitted to an
+// analyzer) — the streaming pipeline's peak in-flight trace memory.
+func (s *Session) PeakBufferedItems() int { return s.peak }
 
 // Close declares the input complete, runs the remaining decode,
 // reconstruction and recovery, and returns the Analysis. Close is

@@ -292,7 +292,7 @@ func (r *StreamArchiveReader) consume(n int) {
 // streamfmt.ErrCorrupt for damaged streams — including a seal whose CRC
 // does not match the bytes read before it. A chunk event's Items slice is
 // only valid until the following Next call (the decode buffer is reused);
-// consumers that keep items copy them, as Session.Feed does.
+// consumers that keep items copy them, as Session.Feed's stitcher does.
 func (r *StreamArchiveReader) Next() (*StreamEvent, error) {
 	if r.cur.Sealed {
 		return nil, io.EOF
@@ -500,6 +500,67 @@ func AnalyzeStreamArchiveOpts(ctx context.Context, dir string, cfg core.Pipeline
 		}
 		return r.Program(), an, cause
 	}
+	// apply applies one record to the session and, at its checkpoint
+	// cadence, checkpoints it.
+	apply := func(ev *StreamEvent) error {
+		if ev.Kind != EvSnapshot && sess == nil {
+			return fmt.Errorf("jportal: %s: %s record before snapshot", dir, ev.Kind)
+		}
+		// replayed marks records inside the resumed prefix: their analysis
+		// effects live in the checkpoint, so only the deterministic
+		// snapshot/blob replay (which rebuilds the metadata the checkpoint
+		// references) is applied.
+		replayed := resume != nil && records < resume.Records
+		switch ev.Kind {
+		case EvSnapshot:
+			if sess != nil {
+				return fmt.Errorf("jportal: %s: duplicate snapshot record", dir)
+			}
+			s, err := OpenSession(context.WithoutCancel(ctx), r.Program(), ev.Snapshot, r.NumCores(), cfg)
+			if err != nil {
+				return err
+			}
+			sess = s
+			sessPtr.Store(sess)
+		case EvBlob:
+			if err := sess.AddBlobs([]*meta.CompiledMethod{ev.Blob}); err != nil {
+				return err
+			}
+		case EvSideband:
+			if !replayed {
+				sess.AddSideband([]vm.SwitchRecord{ev.Rec})
+			}
+		case EvWatermark:
+			if !replayed {
+				sess.Watermark(ev.Core, ev.Mark)
+			}
+		case EvChunk:
+			if !replayed {
+				if err := sess.Feed(ev.Core, ev.Items); err != nil {
+					return err
+				}
+				if err := sess.Drain(); err != nil {
+					return err
+				}
+				chunks++
+			}
+		case EvSeal:
+			// loop exits via io.EOF on the next Next
+		}
+		records++
+		recordsHB.Add(1)
+		if resume != nil && records == resume.Records {
+			// The prefix is replayed: the snapshot's export log now matches
+			// the checkpointing run's, so the saved state can reattach.
+			if err := sess.RestoreCheckpoint(resume); err != nil {
+				return fmt.Errorf("jportal: resume at record %d: %w", records, err)
+			}
+			resume = nil
+		} else if resume == nil && ev.Kind == EvChunk && !replayed && chunks%opts.CheckpointEvery == 0 {
+			checkpoint()
+		}
+		return nil
+	}
 	for {
 		if opts.stopAfterRecords > 0 && records >= opts.stopAfterRecords {
 			return nil, nil, errReplayAbandoned
@@ -523,81 +584,11 @@ func AnalyzeStreamArchiveOpts(ctx context.Context, dir string, cfg core.Pipeline
 			return nil, nil, err
 		}
 		busy.Store(true)
-		// replayed marks records inside the resumed prefix: their analysis
-		// effects live in the checkpoint, so only the deterministic
-		// snapshot/blob replay (which rebuilds the metadata the checkpoint
-		// references) is applied.
-		replayed := resume != nil && records < resume.Records
-		switch ev.Kind {
-		case EvSnapshot:
-			if sess != nil {
-				busy.Store(false)
-				return nil, nil, fmt.Errorf("jportal: %s: duplicate snapshot record", dir)
-			}
-			sess, err = OpenSession(context.WithoutCancel(ctx), r.Program(), ev.Snapshot, r.NumCores(), cfg)
-			if err != nil {
-				busy.Store(false)
-				return nil, nil, err
-			}
-			sessPtr.Store(sess)
-		case EvBlob:
-			if sess == nil {
-				busy.Store(false)
-				return nil, nil, fmt.Errorf("jportal: %s: blob record before snapshot", dir)
-			}
-			if err := sess.AddBlobs([]*meta.CompiledMethod{ev.Blob}); err != nil {
-				busy.Store(false)
-				return nil, nil, err
-			}
-		case EvSideband:
-			if sess == nil {
-				busy.Store(false)
-				return nil, nil, fmt.Errorf("jportal: %s: sideband record before snapshot", dir)
-			}
-			if !replayed {
-				sess.AddSideband([]vm.SwitchRecord{ev.Rec})
-			}
-		case EvWatermark:
-			if sess == nil {
-				busy.Store(false)
-				return nil, nil, fmt.Errorf("jportal: %s: watermark record before snapshot", dir)
-			}
-			if !replayed {
-				sess.Watermark(ev.Core, ev.Mark)
-			}
-		case EvChunk:
-			if sess == nil {
-				busy.Store(false)
-				return nil, nil, fmt.Errorf("jportal: %s: chunk record before snapshot", dir)
-			}
-			if !replayed {
-				if err := sess.Feed(ev.Core, ev.Items); err != nil {
-					busy.Store(false)
-					return nil, nil, err
-				}
-				if err := sess.Drain(); err != nil {
-					busy.Store(false)
-					return nil, nil, err
-				}
-				chunks++
-			}
-		case EvSeal:
-			// loop exits via io.EOF on the next Next
-		}
-		records++
-		recordsHB.Add(1)
-		if resume != nil && records == resume.Records {
-			// The prefix is replayed: the snapshot's export log now matches
-			// the checkpointing run's, so the saved state can reattach.
-			if err := sess.RestoreCheckpoint(resume); err != nil {
-				busy.Store(false)
-				return nil, nil, fmt.Errorf("jportal: resume at record %d: %w", records, err)
-			}
-			resume = nil
-		} else if resume == nil && ev.Kind == EvChunk && !replayed && chunks%opts.CheckpointEvery == 0 {
-			checkpoint()
-		}
+		err = apply(ev)
 		busy.Store(false)
+		if err != nil {
+			return nil, nil, err
+		}
 		if err := ctx.Err(); err != nil {
 			return partial(err)
 		}

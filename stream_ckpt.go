@@ -46,7 +46,7 @@ type SessionCheckpoint struct {
 }
 
 // ExportCheckpoint snapshots the session between drains. It first waits
-// for the stages to process everything enqueued so far, so the state it
+// for the workers to analyse every delta sent so far, so the state it
 // exports covers exactly the calls made before it; the archive replay loop
 // checkpoints only between records.
 func (s *Session) ExportCheckpoint(records int) (*SessionCheckpoint, error) {
@@ -59,7 +59,7 @@ func (s *Session) ExportCheckpoint(records int) (*SessionCheckpoint, error) {
 		Layout:    checkpointLayout,
 		NCores:    s.ncores,
 		Records:   records,
-		Peak:      int(s.peak.Load()),
+		Peak:      s.peak,
 		Stitcher:  s.st.ExportState(),
 		Analyzers: make([]core.ThreadAnalyzerState, len(s.analyzers)),
 		Ledger:    s.ledger.ExportState(),
@@ -83,10 +83,9 @@ func (s *Session) RestoreCheckpoint(ck *SessionCheckpoint) error {
 		return fmt.Errorf("jportal: checkpoint has %d cores, session has %d", ck.NCores, s.ncores)
 	}
 	// Quiesce first: the prefix's blob records must reach every worker
-	// replica before analyzers restore against them, and the stitcher must
-	// be idle before its state is replaced.
+	// replica before analyzers restore against them.
 	s.quiesce()
-	if s.peak.Load() != 0 || s.DeltasApplied() != 0 {
+	if s.peak != 0 || s.DeltasApplied() != 0 {
 		return errors.New("jportal: restore into a session that has already analysed input")
 	}
 	if err := s.st.RestoreState(ck.Stitcher); err != nil {
@@ -99,7 +98,7 @@ func (s *Session) RestoreCheckpoint(ck *SessionCheckpoint) error {
 		}
 	}
 	s.ledger.RestoreState(ck.Ledger)
-	s.peak.Store(int64(ck.Peak))
+	s.peak = ck.Peak
 	return nil
 }
 

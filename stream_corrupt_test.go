@@ -8,10 +8,13 @@ package jportal_test
 // also match the checksum.
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -179,5 +182,49 @@ func TestSessionErrorPathsLeaveNoGoroutines(t *testing.T) {
 	}
 	if n > before {
 		t.Fatalf("%d goroutines left behind by the error paths", n-before)
+	}
+}
+
+// TestArchiveRecordBeforeSnapshotRefused: the snapshot record must come
+// first, because every later record is read against it. An archive whose
+// first record is a chunk (the snapshot follows it) is refused by both
+// readers, the batch LoadRun and the streaming replay, and the refusal
+// leaves no session goroutine behind.
+func TestArchiveRecordBeforeSnapshotRefused(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "base")
+	collectSmallArchive(t, base)
+	_, run, err := jportal.LoadRun(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	enc, err := streamfmt.NewEncoder(&buf, len(run.Traces))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc.Feed(0, run.Traces[0].Items[:64])
+	enc.Snapshot(run.Snapshot)
+	if err := enc.Seal(); err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "chunk-first")
+	cloneArchive(t, base, dir, buf.Bytes())
+
+	before := runtime.NumGoroutine()
+	const want = "chunk record before snapshot"
+	if _, _, err := jportal.LoadRun(dir); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("LoadRun: err = %v, want %q", err, want)
+	}
+	_, _, err = jportal.AnalyzeStreamArchiveOpts(context.Background(), dir, core.DefaultPipelineConfig(), jportal.StreamOptions{})
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("AnalyzeStreamArchiveOpts: err = %v, want %q", err, want)
+	}
+	n := runtime.NumGoroutine()
+	for deadline := time.Now().Add(2 * time.Second); n > before && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > before {
+		t.Fatalf("%d goroutines left behind by the refusals", n-before)
 	}
 }
