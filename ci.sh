@@ -7,18 +7,18 @@
 #                    etrace, ingest, fleet) and the root streaming and
 #                    kill-and-resume tests +
 #                    end-to-end smokes (PT, JIT-heavy PT, lossy PT,
-#                    heavy-loss PT, many-segment PT, E-Trace and the
-#                    in-process run/analyze/report verbs) + a
-#                    vet/test pass over the benchmark/ module, which
-#                    builds against the root package
+#                    heavy-loss PT, many-segment PT, four-thread PT,
+#                    E-Trace and the in-process run/analyze/report
+#                    verbs) + a vet/test pass over the benchmark/
+#                    module, which builds against the root package
 #
 # The race pass covers the offline-phase parallelism introduced with the
 # worker pool — the read-only Matcher contract, the per-core trace carve and
-# the pool primitives themselves — plus the streaming pipeline: the chunked
-# collector export, the incremental stitcher, and the staged Session, which
-# stitches on the caller's goroutine while its analyzer workers decode (the
-# full root suite under -race is too slow for CI, so the race pass runs the
-# streaming-specific tests).
+# the pool primitives themselves (conc.Pool's property tests) — plus the
+# streaming pipeline: the chunked collector export, the incremental
+# stitcher, and the staged Session, which stitches on the caller's
+# goroutine while its worker pool decodes (the full root suite under -race
+# is too slow for CI, so the race pass runs the streaming-specific tests).
 set -eu
 
 cd "$(dirname "$0")"
@@ -44,7 +44,8 @@ echo "==> go test -race (root streaming tests + kill-and-resume)"
 # TestResume tests export and restore checkpoints, reading and replacing
 # the stitcher on the caller's goroutine while the workers run; the
 # TestSession*WithSegmentJobsInFlight tests checkpoint and cancel sessions
-# while segment tasks run on the analyzer workers.
+# while segment tasks run on the pool, and TestSessionBackPressure holds
+# every worker while deltas are routed.
 go test -race -run 'TestStream|TestAnalyzeStreamed|TestSession|TestAnalyzeDeterministicAcrossWorkers|TestDeadline|TestKillAndResume|TestResume' .
 
 echo "==> go test -race (ingest service + fleet + netfault + iofault + scrub)"
@@ -145,6 +146,24 @@ cmp "$SMOKE/many-stream.txt" "$SMOKE/many-stream1.txt"
 cmp "$SMOKE/many-stream.txt" "$SMOKE/many-decode.txt"
 grep -qx 'thread 0: segments=27 tokens=58406 steps=154634 (recovered 96228)' "$SMOKE/many-stream.txt"
 echo "    many-segment PT replay identical across workers and against decode"
+
+echo "==> four-thread lossy PT smoke (thread strands: stream at 1, default and 8 workers and decode agree)"
+# h2 at 16M-label buffers: four threads of 4 to 8 segments each, with holes
+# recovered in every thread, so the pool interleaves four strands of deltas
+# with their segment, hole and merge tasks.
+"$SMOKE/jportal" collect -scale 0.5 -buf 16 -out "$SMOKE/threads" h2 >/dev/null
+"$SMOKE/jportal" stream "$SMOKE/threads" >"$SMOKE/threads-stream.txt"
+"$SMOKE/jportal" stream -workers 1 "$SMOKE/threads" >"$SMOKE/threads-stream1.txt"
+"$SMOKE/jportal" stream -workers 8 "$SMOKE/threads" >"$SMOKE/threads-stream8.txt"
+cmp "$SMOKE/threads-stream.txt" "$SMOKE/threads-stream1.txt"
+cmp "$SMOKE/threads-stream.txt" "$SMOKE/threads-stream8.txt"
+"$SMOKE/jportal" decode "$SMOKE/threads" | sed 's/ decode=[^ ]* recover=[^ ]*//' >"$SMOKE/threads-decode.txt"
+cmp "$SMOKE/threads-stream.txt" "$SMOKE/threads-decode.txt"
+grep -qx 'thread 0: segments=8 tokens=22623 steps=84975 (recovered 62352)' "$SMOKE/threads-stream.txt"
+grep -qx 'thread 1: segments=6 tokens=63390 steps=107227 (recovered 43837)' "$SMOKE/threads-stream.txt"
+grep -qx 'thread 2: segments=4 tokens=67074 steps=100375 (recovered 33301)' "$SMOKE/threads-stream.txt"
+grep -qx 'thread 3: segments=4 tokens=59992 steps=105468 (recovered 45476)' "$SMOKE/threads-stream.txt"
+echo "    four-thread PT replay identical across workers and against decode"
 
 echo "==> run/analyze/report smoke (in-process phases, per-thread call tree)"
 # report h2 profiles four threads. Its call tree starts every thread at the

@@ -116,7 +116,7 @@ commands:
                                 and SIGINT then prints the full analysis of
                                 every record read so far; -poll sets the
                                 follow-mode poll interval, -workers sets the
-                                analyzer worker count)
+                                analysis worker count)
   serve                        trace-ingest server: agents push archives over TCP
                                (-listen, -http metrics sidecar, -data, -queue,
                                 -drain shutdown budget;

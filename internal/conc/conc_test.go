@@ -28,19 +28,6 @@ func TestParallelForEmptyAndNegative(t *testing.T) {
 	}
 }
 
-func TestParallelWorkStatePerWorker(t *testing.T) {
-	var states atomic.Int32
-	ParallelWork(4, 100, func() int { return int(states.Add(1)) },
-		func(s int, i int) {
-			if s < 1 || s > 4 {
-				t.Errorf("state %d outside worker range", s)
-			}
-		})
-	if got := states.Load(); got < 1 || got > 4 {
-		t.Fatalf("created %d states, want 1..4", got)
-	}
-}
-
 func TestWorkersResolution(t *testing.T) {
 	if Workers(3) != 3 {
 		t.Error("explicit count not honoured")

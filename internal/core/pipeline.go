@@ -27,11 +27,11 @@ type PipelineConfig struct {
 	// UseCallContext switches reconstruction to the PDA engine (an
 	// extension; the paper uses the NFA).
 	UseCallContext bool
-	// Workers bounds the goroutines of each parallel stage of the offline
-	// phase: the session's analyzer workers (thread t runs on worker
-	// t mod Workers, and any worker runs queued segment tasks), and at
-	// Close per-segment reconstruction, the anchor index build, per-hole
-	// recovery and the step merge. 0 means GOMAXPROCS. The reconstructed output is deterministic —
+	// Workers sizes the session's worker pool, on which each thread's
+	// deltas and Finish run in order and per-segment reconstruction and
+	// recovery prep, per-hole recovery, the step merge and the coverage
+	// fold run beside them, and the stitcher's final per-core carve.
+	// 0 means GOMAXPROCS. The reconstructed output is deterministic —
 	// identical for every worker count.
 	Workers int
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -166,14 +167,14 @@ func (a *ThreadAnalyzer) ExportState() ThreadAnalyzerState {
 }
 
 // RestoreState rebuilds a freshly-constructed analyzer from a checkpointed
-// state. Each restored segment becomes a job again and goes to the segment
-// queue, if one is attached, like a segment closed by Feed.
-func (a *ThreadAnalyzer) RestoreState(st ThreadAnalyzerState) error {
+// state. Each restored segment becomes a job again, its tasks queued
+// under ctx like those of a segment closed by Feed.
+func (a *ThreadAnalyzer) RestoreState(ctx context.Context, st ThreadAnalyzerState) error {
 	if err := a.dec.RestoreState(st.Decoder); err != nil {
 		return err
 	}
 	a.tk.restoreState(st.Tokenizer)
-	a.takeSegments(st.Pend, true)
+	a.takeSegments(ctx, st.Pend, true)
 	a.res.Thread = st.Thread
 	a.res.DecodeTime = st.DecodeTime
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,16 +14,16 @@ import (
 
 // ThreadAnalyzer is the per-thread offline pipeline: one thread's stitched
 // packet stream is fed in chunks and decoded and tokenized incrementally,
-// and every segment the tokenizer closes becomes a SegmentJob that
-// reconstructs it and prepares it for §5 recovery. A Session runs the jobs
-// as segments close, on whichever analyzer worker is free; Finish runs the
-// ones no worker has started (a thread's last segment closes only there)
-// and then runs §5 hole recovery over the thread's complete segment
-// sequence — the recoverer indexes every flow of the thread as a candidate
-// continuation for every hole (an early segment can splice a late hole).
-// Chunking and scheduling are invisible: Finish returns byte-identical
-// results for any chunking, any worker count and any split of the jobs
-// between workers and Finish.
+// and every segment the tokenizer closes becomes a segmentJob whose tasks
+// reconstruct it and prepare it for §5 recovery. With a pool attached
+// (SetPool) the tasks run as segments close, on whichever pool worker is
+// free; without one they run inline in Finish. Finish waits for them (a
+// thread's last segment closes only there) and then runs §5 hole recovery
+// over the thread's complete segment sequence — the recoverer indexes
+// every flow of the thread as a candidate continuation for every hole (an
+// early segment can splice a late hole). Chunking and scheduling are
+// invisible: Finish returns byte-identical results for any chunking, any
+// worker count and any order the tasks run in.
 type ThreadAnalyzer struct {
 	p        *Pipeline
 	snap     *meta.Snapshot
@@ -32,12 +31,11 @@ type ThreadAnalyzer struct {
 	tk       *tokenizer
 	res      *ThreadResult
 	finished bool
-	// jobs holds a job per closed segment, in segment order; unrun counts
-	// their tasks that have not finished. queue, when set, receives each
-	// job once per task as its segment closes in Feed.
-	jobs  []*SegmentJob
-	unrun sync.WaitGroup
-	queue func(*SegmentJob)
+	// jobs holds a job per closed segment, in segment order; tasks is the
+	// group their tasks, and Finish's, run in (on the attached pool, or
+	// inline when waited for).
+	jobs  []*segmentJob
+	tasks *conc.Group[*MatchScratch]
 	// ledger, when set, receives quarantine entries (decode faults, stage
 	// crashes). Nil drops them.
 	ledger *fault.Ledger
@@ -59,78 +57,69 @@ type ThreadAnalyzer struct {
 }
 
 // feedChunk is how many items Feed decodes and tokenizes at a time, so
-// the segments a long delta closes reach the segment queue while the rest
-// of it is still being decoded.
+// the segments a long delta closes reach the pool while the rest of it
+// is still being decoded.
 const feedChunk = 4096
 
-// SegmentJob is the analysis of one closed segment, in two tasks that
+// segmentJob is the analysis of one closed segment, in two tasks that
 // read only its tokens and so may run at once: its projection onto the
 // ICFG (§4), and, when recovery is on, its recovery caches (tier
-// abstractions, MatchKeys and anchor index; see NewRecoverer). Each task
-// runs exactly once: on a Session worker through Run, or in Finish.
-type SegmentJob struct {
-	a   *ThreadAnalyzer
+// abstractions, MatchKeys and anchor index; see NewRecoverer).
+type segmentJob struct {
 	seg *Segment
-	// next is the next task to claim: taskReconstruct, taskPrepare, then
-	// none.
-	next atomic.Int32
-	// Written by the reconstruction task, read by Finish once unrun is
-	// done.
+	// Written by the reconstruction task, read by Finish once the
+	// analyzer's task group is done.
 	flow      *SegmentFlow
 	crash     string // why reconstruction panicked, for Finish's ledger entry
 	cancelled bool
 }
 
-// A SegmentJob's tasks, in claim order.
-const (
-	taskReconstruct = iota
-	taskPrepare
-	numTasks
-)
-
-// Run runs the job's next unclaimed task on the caller's scratch, if any
-// is left. A Session queues each job once per task. Once ctx is cancelled
-// reconstruction quarantines the segment instead, as Finish does.
-func (j *SegmentJob) Run(ctx context.Context, sc *MatchScratch) {
-	if t := j.next.Add(1) - 1; t < numTasks {
-		j.run(ctx, sc, int(t))
-	}
-}
-
-// run runs task t. A cancelled segment gets an empty, Quarantined
-// flow — never nil, so slot addressing and hole bookkeeping stay intact.
+// takeSegments makes a job of each of segs, in segment order, and queues
+// its tasks on the analyzer's group: reconstruction, and recovery prep
+// when prepare is set. Once ctx is cancelled reconstruction gives the
+// segment an empty, Quarantined flow instead — never nil, so slot
+// addressing and hole bookkeeping stay intact — and prep is skipped.
 // Ledger entries wait for Finish, so a checkpoint taken while tasks run
 // never records a result it does not carry.
-func (j *SegmentJob) run(ctx context.Context, sc *MatchScratch, t int) {
-	defer j.a.unrun.Done()
-	a := j.a
-	switch {
-	case t == taskReconstruct && ctx.Err() != nil:
-		j.flow, j.cancelled = quarantinedFlow(j.seg, a.p.Matcher.G), true
-	case t == taskReconstruct:
-		j.flow, j.crash = a.safeReconstruct(sc, j.seg)
-	case ctx.Err() == nil && !a.p.Cfg.Recovery.Disable:
-		safePrepare(j.seg, a.p.Cfg.Recovery.AnchorLen)
+func (a *ThreadAnalyzer) takeSegments(ctx context.Context, segs []*Segment, prepare bool) {
+	for _, seg := range segs {
+		j := &segmentJob{seg: seg}
+		a.jobs = append(a.jobs, j)
+		a.tasks.Go(func(sc *MatchScratch) {
+			if ctx.Err() != nil {
+				j.flow, j.cancelled = quarantinedFlow(seg, a.p.Matcher.G), true
+				return
+			}
+			j.flow, j.crash = a.safeReconstruct(sc, seg)
+		})
+		if prepare && !a.p.Cfg.Recovery.Disable {
+			a.tasks.Go(func(*MatchScratch) {
+				if ctx.Err() == nil {
+					safePrepare(seg, a.p.Cfg.Recovery.AnchorLen)
+				}
+			})
+		}
 	}
 }
 
 // NewThreadAnalyzer starts the analysis of one thread's stream.
 func (p *Pipeline) NewThreadAnalyzer(thread int, snap *meta.Snapshot) *ThreadAnalyzer {
 	return &ThreadAnalyzer{
-		p:    p,
-		snap: snap,
-		dec:  p.Source().NewDecoder(snap),
-		tk:   newTokenizer(p.Prog),
-		res:  &ThreadResult{Thread: thread},
+		p:     p,
+		snap:  snap,
+		dec:   p.Source().NewDecoder(snap),
+		tk:    newTokenizer(p.Prog),
+		res:   &ThreadResult{Thread: thread},
+		tasks: conc.NewGroup[*MatchScratch](nil),
 	}
 }
 
 // SetLedger attaches the quarantine ledger exclusions are reported to.
 func (a *ThreadAnalyzer) SetLedger(l *fault.Ledger) { a.ledger = l }
 
-// SetSegmentQueue attaches the queue Feed hands each closed segment's job
-// to. Without one, every job waits for Finish.
-func (a *ThreadAnalyzer) SetSegmentQueue(push func(*SegmentJob)) { a.queue = push }
+// SetPool attaches the pool the analyzer's segment, hole and merge tasks
+// run on, before the first Feed. Without one they run inline in Finish.
+func (a *ThreadAnalyzer) SetPool(p *conc.Pool[*MatchScratch]) { a.tasks = conc.NewGroup(p) }
 
 // Feed decodes and tokenizes the next chunk of the thread's stitched
 // stream, feedChunk items at a time, queueing each segment that closes.
@@ -146,25 +135,10 @@ func (a *ThreadAnalyzer) Feed(ctx context.Context, items []source.Item) {
 		return
 	}
 	t0 := time.Now()
-	a.safeFeed(items)
+	a.safeFeed(ctx, items)
 	a.harvestFaults()
-	a.takeSegments(a.tk.take(), true) // what a crash's breakSegment closed
+	a.takeSegments(ctx, a.tk.take(), true) // what a crash's breakSegment closed
 	a.res.DecodeTime += time.Since(t0)
-}
-
-// takeSegments makes a job of each of segs, in segment order, and hands
-// it to the segment queue when queue is set and one is attached.
-func (a *ThreadAnalyzer) takeSegments(segs []*Segment, queue bool) {
-	for _, seg := range segs {
-		j := &SegmentJob{a: a, seg: seg}
-		a.unrun.Add(numTasks)
-		a.jobs = append(a.jobs, j)
-		if queue && a.queue != nil {
-			for range numTasks {
-				a.queue(j)
-			}
-		}
-	}
 }
 
 // quarantineDeadline records input dropped because the caller's context
@@ -186,9 +160,9 @@ func (a *ThreadAnalyzer) TimedOut() bool { return a.timedOut.Load() }
 // splits the token stream behind a synthetic desync, so the thread — and
 // every other thread — keeps analysing. The tokens lowered before the
 // crash, those of the chunk's earlier sub-chunks included, stay, so the
-// ledger entry counts only the items dropped. It runs on a Session
-// analyzer worker, where an escaped panic would kill the process.
-func (a *ThreadAnalyzer) safeFeed(items []source.Item) {
+// ledger entry counts only the items dropped. It runs on a Session pool
+// worker, where an escaped panic would kill the process.
+func (a *ThreadAnalyzer) safeFeed(ctx context.Context, items []source.Item) {
 	off := 0
 	defer func() {
 		if r := recover(); r != nil {
@@ -210,7 +184,7 @@ func (a *ThreadAnalyzer) safeFeed(items []source.Item) {
 	}()
 	for ; off < len(items); off += feedChunk {
 		a.tk.feed(a.dec.DecodeChunk(items[off:min(off+feedChunk, len(items))]))
-		a.takeSegments(a.tk.take(), true)
+		a.takeSegments(ctx, a.tk.take(), true)
 	}
 }
 
@@ -246,31 +220,16 @@ func (a *ThreadAnalyzer) harvestFaults() {
 	}
 }
 
-// reconstruct runs every task no worker has claimed, one scratch per
-// worker, waits for the tasks workers are running, and records the flows
-// in segment order (slot-addressed, so identical for any worker count and
-// any split of the tasks). A lone segment is not prepared for recovery:
-// it has no hole. Segments whose turn came after ctx was cancelled are
-// quarantined (an empty, Quarantined flow) rather than projected.
-func (a *ThreadAnalyzer) reconstruct(ctx context.Context) {
-	type task struct {
-		j *SegmentJob
-		t int
-	}
-	var mine []task
-	lone := len(a.jobs) == 1
-	for _, j := range a.jobs {
-		for t := j.next.Add(1) - 1; t < numTasks; t = j.next.Add(1) - 1 {
-			if t == taskPrepare && lone {
-				a.unrun.Done()
-				continue
-			}
-			mine = append(mine, task{j, int(t)})
-		}
-	}
-	conc.ParallelWork(a.p.Cfg.WorkerCount(), len(mine), a.p.Matcher.NewScratch,
-		func(sc *MatchScratch, i int) { mine[i].j.run(ctx, sc, mine[i].t) })
-	a.unrun.Wait()
+// reconstruct queues the tasks of segs, the segments Finish closed, waits for
+// every segment task on sc (running queued tasks meanwhile), and records
+// the flows in segment order (slot-addressed, so identical for any worker
+// count and any order the tasks ran in). A lone segment is not prepared
+// for recovery: it has no hole. Segments whose turn came after ctx was
+// cancelled are quarantined (an empty, Quarantined flow) rather than
+// projected.
+func (a *ThreadAnalyzer) reconstruct(ctx context.Context, sc *MatchScratch, segs []*Segment) {
+	a.takeSegments(ctx, segs, len(a.jobs)+len(segs) > 1)
+	a.tasks.Wait(sc)
 	if len(a.jobs) == 0 {
 		return
 	}
@@ -320,14 +279,16 @@ func safePrepare(seg *Segment, x int) {
 	seg.prepareRecovery(x)
 }
 
-// Finish flushes the decoder and tokenizer, runs the segment tasks no
-// worker has claimed and waits for the rest, runs §5 hole recovery over
-// the complete flow sequence, and merges the end-to-end profile. Repeated
-// calls return the same result. Once ctx is cancelled, segments not yet
-// reconstructed are quarantined instead and §5 recovery is skipped (every
-// hole stays a hole — degradation, not failure), so a timed-out Close
-// returns a partial-but-valid ThreadResult promptly.
-func (a *ThreadAnalyzer) Finish(ctx context.Context) *ThreadResult {
+// Finish flushes the decoder and tokenizer, waits for the segment tasks,
+// runs §5 hole recovery over the complete flow sequence, and merges the
+// end-to-end profile. sc is the calling pool worker's scratch (or, with
+// no pool attached, one the caller owns), on which Finish runs queued
+// tasks while it waits. Repeated calls return the same result.
+// Once ctx is cancelled, segments not yet reconstructed are quarantined
+// instead and §5 recovery is skipped (every hole stays a hole —
+// degradation, not failure), so a timed-out Close returns a
+// partial-but-valid ThreadResult promptly.
+func (a *ThreadAnalyzer) Finish(ctx context.Context, sc *MatchScratch) *ThreadResult {
 	if a.finished {
 		return a.res
 	}
@@ -337,7 +298,7 @@ func (a *ThreadAnalyzer) Finish(ctx context.Context) *ThreadResult {
 	t0 := time.Now()
 	a.tk.feed(a.dec.Flush())
 	a.harvestFaults()
-	a.takeSegments(a.tk.finish(), false)
+	segs := a.tk.finish()
 	ds := a.dec.Stats()
 	st := a.tk.st
 	st.NativeDesyncs = a.carriedDesyncs + ds.Desyncs
@@ -345,7 +306,7 @@ func (a *ThreadAnalyzer) Finish(ctx context.Context) *ThreadResult {
 	st.SkippedPackets = a.carriedSkipPkts + ds.SkippedPackets
 	st.QuarantinedBytes = a.carriedSkipByte + ds.SkippedBytes
 	res.Decode = st
-	a.reconstruct(ctx)
+	a.reconstruct(ctx, sc, segs)
 	res.DecodeTime += time.Since(t0)
 
 	t1 := time.Now()
@@ -362,18 +323,21 @@ func (a *ThreadAnalyzer) Finish(ctx context.Context) *ThreadResult {
 	}
 	res.Fills = make([]Fill, len(res.Flows))
 	if rec != nil {
-		conc.ParallelFor(a.p.Cfg.WorkerCount(), len(res.Flows)-1, func(i int) {
-			if ctx.Err() != nil {
-				a.timedOut.Store(true)
-				return // Fill zero value = FillNone: the hole stays open
-			}
-			res.Fills[i] = a.safeRecoverHole(rec, i)
-		})
+		for i := range len(res.Flows) - 1 {
+			a.tasks.Go(func(*MatchScratch) {
+				if ctx.Err() != nil {
+					a.timedOut.Store(true)
+					return // Fill zero value = FillNone: the hole stays open
+				}
+				res.Fills[i] = a.safeRecoverHole(rec, i)
+			})
+		}
+		a.tasks.Wait(sc)
 	}
 	res.RecoverTime = time.Since(t1)
 
 	// Merge the end-to-end profile from the per-flow steps and fills.
-	mergeSteps(res, a.p.Cfg.WorkerCount())
+	a.mergeSteps(sc)
 	return res
 }
 
@@ -410,8 +374,10 @@ func (a *ThreadAnalyzer) safeRecoverHole(rec *Recoverer, i int) (fill Fill) {
 
 // mergeSteps assembles the thread's final profile from flows and fills:
 // each flow's steps, then its fill's. Every flow's offset in the profile
-// is summed up front, so the flows are copied in parallel.
-func mergeSteps(res *ThreadResult, workers int) {
+// is summed up front, so the flows are copied in parallel, one task each,
+// while sc's worker waits.
+func (a *ThreadAnalyzer) mergeSteps(sc *MatchScratch) {
+	res := a.res
 	offs := make([]int, len(res.Flows)+1)
 	for i, f := range res.Flows {
 		n := f.Matched()
@@ -423,10 +389,13 @@ func mergeSteps(res *ThreadResult, workers int) {
 		offs[i+1] = offs[i] + n
 	}
 	res.Steps = make([]Step, offs[len(res.Flows)])
-	conc.ParallelFor(workers, len(res.Flows), func(i int) {
-		dst := res.Flows[i].AppendSteps(res.Steps[offs[i]:offs[i]:offs[i+1]])
-		if i < len(res.Fills) && res.Fills[i].Method != FillNone {
-			copy(res.Steps[offs[i]+len(dst):offs[i+1]], res.Fills[i].Steps)
-		}
-	})
+	for i := range res.Flows {
+		a.tasks.Go(func(*MatchScratch) {
+			dst := res.Flows[i].AppendSteps(res.Steps[offs[i]:offs[i]:offs[i+1]])
+			if i < len(res.Fills) && res.Fills[i].Method != FillNone {
+				copy(res.Steps[offs[i]+len(dst):offs[i+1]], res.Fills[i].Steps)
+			}
+		})
+	}
+	a.tasks.Wait(sc)
 }

@@ -62,8 +62,8 @@ func TestThreadAnalyzerFinishIdempotent(t *testing.T) {
 	a := p.NewThreadAnalyzer(0, nil)
 	ctx := context.Background()
 	a.Feed(ctx, nil)
-	res := a.Finish(ctx)
-	if res2 := a.Finish(ctx); res2 != res {
+	res := a.Finish(ctx, p.Matcher.NewScratch())
+	if res2 := a.Finish(ctx, p.Matcher.NewScratch()); res2 != res {
 		t.Fatal("second Finish returned a different result")
 	}
 	defer func() {

@@ -233,8 +233,8 @@ func (s *Snapshot) Export(c *CompiledMethod) {
 // template table, the stubs, and the *CompiledMethod blobs themselves
 // (never mutated after export). The clone has its own Compiled map, export
 // log and sorted index, so exporting into it never races readers of the
-// original — the staged Session gives each analyzer worker a replica
-// and delivers blob records to it in stream order.
+// original — the staged Session gives each thread a replica, which
+// exports the session's blob log in delivery order.
 func (s *Snapshot) Clone() *Snapshot {
 	c := &Snapshot{
 		Templates: s.Templates,

@@ -234,5 +234,5 @@ func Analyze(prog *bytecode.Program, run *RunResult, cfg core.PipelineConfig) (*
 			return nil, err
 		}
 	}
-	return s.Close()
+	return s.Close(), nil
 }

@@ -135,7 +135,7 @@ func TestKernelAllocs(t *testing.T) {
 	})
 
 	// ReconstructSegment: the projection of that thread's largest segment
-	// (§4) on a warm scratch, as an analyzer worker reconstructs segment
+	// (§4) on a warm scratch, as a pool worker reconstructs segment
 	// after segment: the flow and its node slice, nothing per match run.
 	big := segs[0]
 	for _, seg := range segs {

@@ -414,10 +414,7 @@ func TestDeadlineYieldsPartialAnalysis(t *testing.T) {
 		t.Fatal(err)
 	}
 	cancel()
-	an, err := sess.Close()
-	if err != nil {
-		t.Fatalf("Close under a dead deadline: %v", err)
-	}
+	an := sess.Close()
 	if an == nil || an.Report == nil {
 		t.Fatal("no analysis returned")
 	}
@@ -459,10 +456,7 @@ func TestSessionLifecycleEdges(t *testing.T) {
 	if err := sess.Drain(); err != nil {
 		t.Fatalf("Drain on an empty session: %v", err)
 	}
-	an, err := sess.Close()
-	if err != nil {
-		t.Fatalf("Close on an empty session: %v", err)
-	}
+	an := sess.Close()
 	for _, th := range an.Threads {
 		if len(th.Flows) != 0 || len(th.Steps) != 0 {
 			t.Errorf("empty run produced %d flows and %d steps for thread %d", len(th.Flows), len(th.Steps), th.Thread)
@@ -473,10 +467,7 @@ func TestSessionLifecycleEdges(t *testing.T) {
 	}
 
 	// Double Close: idempotent, returns the same Analysis.
-	an2, err := sess.Close()
-	if err != nil {
-		t.Fatalf("second Close: %v", err)
-	}
+	an2 := sess.Close()
 	if an2 != an {
 		t.Error("second Close returned a different Analysis")
 	}
@@ -504,7 +495,5 @@ func TestSessionLifecycleEdges(t *testing.T) {
 	if err := sess2.RestoreCheckpoint(&SessionCheckpoint{NCores: 2}); err == nil {
 		t.Error("RestoreCheckpoint accepted a core-count mismatch")
 	}
-	if _, err := sess2.Close(); err != nil {
-		t.Fatal(err)
-	}
+	sess2.Close()
 }

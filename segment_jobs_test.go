@@ -2,7 +2,7 @@ package jportal
 
 // Tests for the per-segment analysis of the staged Session (DESIGN.md §7,
 // §12): every segment a thread's tokenizer closes is reconstructed and
-// prepared for recovery on whichever analyzer worker is free, while the
+// prepared for recovery on whichever pool worker is free, while the
 // stream is still being read. The results must be those of the cold path
 // that reconstructs and prepares everything at the end, a checkpoint taken
 // while segment tasks run must resume to the uninterrupted analysis, and a
@@ -159,10 +159,7 @@ func TestSessionCheckpointWithSegmentJobsInFlight(t *testing.T) {
 	sess := f.open(context.Background(), s.Program)
 	f.feed(sess, false)
 	f.feed(sess, true)
-	want, err := sess.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := sess.Close()
 
 	killed := f.open(context.Background(), s.Program)
 	f.feed(killed, false)
@@ -183,10 +180,7 @@ func TestSessionCheckpointWithSegmentJobsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.feed(resumed, true)
-	got, err := resumed.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := resumed.Close()
 	equalAnalyses(t, "segment-jobs/checkpoint-resume", want, got)
 	if w, g := want.Report.String(), got.Report.String(); w != g {
 		t.Errorf("degradation reports diverge:\n--- uninterrupted\n%s\n--- resumed\n%s", w, g)
@@ -213,10 +207,7 @@ func TestSessionCancelWithSegmentJobsInFlight(t *testing.T) {
 	f.checkpoint(sess)
 	cancel()
 	f.feed(sess, true)
-	an, err := sess.Close()
-	if err != nil {
-		t.Fatalf("Close after a cancel: %v", err)
-	}
+	an := sess.Close()
 	if !an.Report.TimedOut {
 		t.Error("Report.TimedOut = false after a cancel")
 	}

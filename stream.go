@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"jportal/internal/bytecode"
@@ -27,16 +26,16 @@ import (
 // streaming changes when work happens, never what it computes.
 //
 // Feed, AddSideband, Watermark and Drain stitch on the caller's goroutine;
-// the analysis runs on the Session's analyzer workers
-// (pipeline_session.go), to which Drain and AddBlobs only hand work, and
-// Close joins them. Every Session owns goroutines until it is closed, so
-// close abandoned sessions too. Calls must all come from one goroutine;
-// DeltasApplied alone is safe to sample from others.
+// the analysis runs on the Session's worker pool (pipeline_session.go),
+// to which Drain only hands work, and Close joins it. Every Session owns
+// goroutines until it is closed, so close abandoned sessions too. Calls
+// must all come from one goroutine; DeltasApplied alone is safe to sample
+// from others.
 //
 // The stitcher holds only windows that are not yet globally safe to emit
 // (PeakBufferedItems reports the high water mark). Each thread's analyzer
 // decodes and tokenizes its deltas as they arrive, and every segment its
-// tokenizer closes is queued: whichever analyzer worker is free
+// tokenizer closes is queued: whichever pool worker is free
 // reconstructs it and prepares it for recovery while the stream is still
 // being read. Close analyzes each thread's last segment, which closes only
 // there, and runs §5 hole recovery: the recoverer matches holes against
@@ -53,9 +52,6 @@ type Session struct {
 	ncores int
 	closed bool
 	result *Analysis
-	// analyzers is every thread's analyzer in thread order, assembled from
-	// the workers' tables by merge at quiescence and at Close.
-	analyzers []*core.ThreadAnalyzer
 	// ledger is the session's quarantine record (DESIGN.md §10): every
 	// hardened stage reports what it excluded and why, and Close folds the
 	// totals into the Analysis's DegradationReport.
@@ -72,22 +68,21 @@ type Session struct {
 	// peak is the high-water mark of the stitcher's BufferedItems.
 	peak int
 
-	// Stage machinery (pipeline_session.go). work[w] carries deltas to
-	// analyzer worker w, which alone touches wsnap[w] and byThread[w]
-	// between quiescence points; segs carries closed segments' jobs to
-	// whichever worker is free.
-	work     []chan stageMsg
-	segs     *segQueue
-	wsnap    []*meta.Snapshot
-	byThread [][]*core.ThreadAnalyzer
-	stages   sync.WaitGroup
+	// Stage machinery (pipeline_session.go): the worker pool, one strand
+	// per thread in thread order, the snapshot clone every thread's
+	// replica starts from, and the append-only log of blobs delivered
+	// since.
+	pool    *conc.Pool[*core.MatchScratch]
+	threads []*sessionThread
+	base    *meta.Snapshot
+	blobs   []*meta.CompiledMethod
 }
 
 // OpenSession starts an incremental analysis over ncores per-core trace
 // streams, decoding against snap. snap may still be growing — the online
 // phase exports method metadata before the trace bytes that reference it —
-// but each analyzer worker decodes against its own copy taken here, so
-// metadata exported later must arrive through AddBlobs. ctx governs the
+// but the session decodes against a copy taken here, so metadata exported
+// later must arrive through AddBlobs. ctx governs the
 // whole session, Drain and Close included.
 func OpenSession(ctx context.Context, prog *bytecode.Program, snap *meta.Snapshot, ncores int, cfg core.PipelineConfig) (*Session, error) {
 	if err := cfg.Validate(); err != nil {
@@ -106,10 +101,12 @@ func OpenSession(ctx context.Context, prog *bytecode.Program, snap *meta.Snapsho
 		st:     trace.NewStreamStitcher(ncores, pipe.Source().Traits()),
 		ncores: ncores,
 		ledger: fault.NewLedger(metrics.Default),
+		base:   snap.Clone(),
 	}
 	s.ctx, s.cancel = context.WithCancel(ctx)
 	s.st.SetLedger(s.ledger)
-	s.startStages(snap)
+	w := cfg.WorkerCount()
+	s.pool = conc.NewPool(w, stageQueue*w, pipe.Matcher.NewScratch)
 	return s, nil
 }
 
@@ -134,18 +131,17 @@ func (s *Session) Watermark(core int, w uint64) {
 	}
 }
 
-// AddBlobs delivers compiled-method metadata (BlobSink). The blobs are
-// broadcast in-band to every worker's snapshot replica, so each worker sees
-// a blob before any delta that references it (§3.2 dump-before-use). A
+// AddBlobs delivers compiled-method metadata (BlobSink). The blobs join
+// the session's blob log, which every thread's snapshot replica catches
+// up on before it decodes a delta routed later, so each thread sees a
+// blob before any delta that references it (§3.2 dump-before-use). A
 // blob a replica already holds is skipped, which makes the delivery
 // idempotent when RunWithSink re-offers the export-log suffix.
 func (s *Session) AddBlobs(blobs []*meta.CompiledMethod) error {
 	if s.closed {
 		return errors.New("jportal: AddBlobs on closed session")
 	}
-	if len(blobs) > 0 {
-		s.broadcast(stageMsg{kind: msgBlobs, blobs: append([]*meta.CompiledMethod(nil), blobs...)})
-	}
+	s.blobs = append(s.blobs, blobs...)
 	return nil
 }
 
@@ -165,10 +161,11 @@ func (s *Session) Feed(core int, items []source.Item) error {
 
 // Drain advances the analysis over every scheduling window that is final
 // under the current watermarks: it stitches out the finalized per-thread
-// deltas and hands each to its thread's analyzer worker, which decodes
-// and tokenizes it and queues each segment that closes for reconstruction
+// deltas and posts each to its thread's strand, whose task decodes and
+// tokenizes it and queues each segment that closes for reconstruction
 // (recovery waits for Close). Drain is asynchronous toward the workers
-// only: it returns once the deltas are sent, and Close (or a checkpoint)
+// only: it returns once the deltas are posted — blocking while
+// stageQueue×WorkerCount() deltas wait — and Close (or a checkpoint)
 // waits for the analysis. Deltas analysed after the session's context is
 // cancelled are quarantined instead of decoded.
 func (s *Session) Drain() error {
@@ -194,35 +191,41 @@ func (s *Session) PeakBufferedItems() int { return s.peak }
 // idempotent; after it, Feed and Drain fail. If the session's context is
 // cancelled, the remaining reconstruction quarantines instead of computing
 // and §5 recovery is skipped: Close returns promptly with a partial
-// Analysis whose Report is tagged TimedOut — never an error, never a hang
-// (DESIGN.md §11).
-func (s *Session) Close() (*Analysis, error) {
+// Analysis whose Report is tagged TimedOut — never a hang (DESIGN.md §11).
+func (s *Session) Close() *Analysis {
 	if s.closed {
-		return s.result, nil
+		return s.result
 	}
 	s.closed = true
-	s.stopStages()
-	s.merge(0)
+	// The stitcher's final per-core carve runs on the caller's own
+	// fan-out, ahead of the segment tasks queued on the pool.
+	s.route(s.st.FinishWorkers(s.pipe.Cfg.Workers))
+	n := max(s.st.NumThreads(), len(s.threads))
 	workers := s.pipe.Cfg.WorkerCount()
-	threads := make([]*core.ThreadResult, len(s.analyzers))
-	covs := make([]*profile.Coverage, len(s.analyzers))
-	conc.ParallelFor(workers, len(s.analyzers), func(i int) {
-		threads[i] = s.analyzers[i].Finish(s.ctx)
-		// Each thread's coverage is folded on its worker, over as many
-		// ranges as there are workers per thread, so a lone thread
-		// still uses every worker; the report only merges them.
-		covs[i] = foldCoverage(s.prog, threads[i].Steps, max(workers/len(s.analyzers), 1))
-	})
+	threads := make([]*core.ThreadResult, n)
+	covs := make([]*profile.Coverage, n)
+	blobs := s.blobs
+	for t := range n {
+		th := s.thread(t)
+		th.strand.Post(func(sc *core.MatchScratch) {
+			threads[t] = s.analyzer(th, t, blobs).Finish(s.ctx, sc)
+			// Each thread's coverage is folded over as many ranges as
+			// there are workers per thread, so a lone thread still uses
+			// every worker; the report only merges them.
+			covs[t] = s.foldCoverage(sc, threads[t].Steps, max(workers/n, 1))
+		})
+	}
+	s.pool.Close()
 	s.cancel()
 	s.result = &Analysis{Threads: threads, Pipeline: s.pipe}
 	s.result.Report = s.degradationReport(covs)
-	for _, a := range s.analyzers {
-		if a.TimedOut() {
+	for _, th := range s.threads {
+		if th.a.TimedOut() {
 			s.result.Report.TimedOut = true
 			break
 		}
 	}
-	return s.result, nil
+	return s.result
 }
 
 // coverageSpan is the fewest steps foldCoverage gives one range, so a
@@ -231,15 +234,19 @@ func (s *Session) Close() (*Analysis, error) {
 const coverageSpan = 1 << 14
 
 // foldCoverage folds the statement coverage of steps over up to parts
-// ranges at once, one coverage per range, and merges them.
-func foldCoverage(prog *bytecode.Program, steps []core.Step, parts int) *profile.Coverage {
+// ranges, one pool task and one coverage per range, while sc's worker
+// waits, and merges them.
+func (s *Session) foldCoverage(sc *core.MatchScratch, steps []core.Step, parts int) *profile.Coverage {
 	per := max((len(steps)+parts-1)/parts, coverageSpan)
-	n := max((len(steps)+per-1)/per, 1)
-	covs := make([]*profile.Coverage, n)
-	conc.ParallelFor(n, n, func(k int) {
-		covs[k] = profile.NewCoverage(prog)
-		covs[k].Add(steps[k*per : min((k+1)*per, len(steps))])
-	})
+	covs := make([]*profile.Coverage, max((len(steps)+per-1)/per, 1))
+	g := conc.NewGroup(s.pool)
+	for k := range covs {
+		g.Go(func(*core.MatchScratch) {
+			covs[k] = profile.NewCoverage(s.prog)
+			covs[k].Add(steps[k*per : min((k+1)*per, len(steps))])
+		})
+	}
+	g.Wait(sc)
 	for _, c := range covs[1:] {
 		covs[0].Merge(c)
 	}
@@ -292,8 +299,8 @@ func (s *Session) degradationReport(covs []*profile.Coverage) *fault.Degradation
 // delivers sideband, watermarks and trace chunks through it as the
 // collector drains. *Session implements TraceSink (live analysis); so does
 // *StreamArchiveWriter (chunked archival). A sink that wraps a *Session
-// must also implement BlobSink and forward AddBlobs: the session's workers
-// decode against snapshot copies taken at OpenSession, so metadata the VM
+// must also implement BlobSink and forward AddBlobs: the session decodes
+// against snapshot copies taken at OpenSession, so metadata the VM
 // exports later reaches them only through AddBlobs.
 type TraceSink interface {
 	AddSideband(recs []vm.SwitchRecord)
@@ -304,7 +311,7 @@ type TraceSink interface {
 
 // BlobSink is optionally implemented by sinks that need the metadata the
 // VM exports during the run (the archive writer persists it; the live
-// Session hands it to its workers' snapshot replicas): RunWithSink
+// Session hands it to its threads' snapshot replicas): RunWithSink
 // delivers each compiled method's blob before any trace chunk that can
 // reference it, mirroring §3.2's dump-before-use ordering.
 type BlobSink interface {
@@ -411,9 +418,5 @@ func AnalyzeStreamed(prog *bytecode.Program, threads []vm.ThreadSpec, rcfg RunCo
 		}
 		return nil, nil, err
 	}
-	an, err := sess.Close()
-	if err != nil {
-		return nil, nil, err
-	}
-	return run, an, nil
+	return run, sess.Close(), nil
 }

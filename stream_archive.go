@@ -494,11 +494,7 @@ func AnalyzeStreamArchiveOpts(ctx context.Context, dir string, cfg core.Pipeline
 		if sess == nil {
 			return nil, nil, cause
 		}
-		an, cerr := sess.Close()
-		if cerr != nil {
-			return nil, nil, errors.Join(cause, cerr)
-		}
-		return r.Program(), an, cause
+		return r.Program(), sess.Close(), cause
 	}
 	// apply applies one record to the session and, at its checkpoint
 	// cadence, checkpoints it.
@@ -599,10 +595,7 @@ func AnalyzeStreamArchiveOpts(ctx context.Context, dir string, cfg core.Pipeline
 	if resume != nil {
 		return nil, nil, fmt.Errorf("jportal: checkpoint covers %d records but the archive has only %d", resume.Records, records)
 	}
-	an, err := sess.Close()
-	if err != nil {
-		return nil, nil, err
-	}
+	an := sess.Close()
 	if opts.CheckpointPath != "" {
 		// The run is complete: a later -resume must start fresh, not replay
 		// a stale mid-run state over a finished analysis.

@@ -46,26 +46,26 @@ type SessionCheckpoint struct {
 }
 
 // ExportCheckpoint snapshots the session between drains. It first waits
-// for the workers to analyse every delta sent so far, so the state it
+// for the workers to analyse every delta routed so far, so the state it
 // exports covers exactly the calls made before it; the archive replay loop
 // checkpoints only between records.
 func (s *Session) ExportCheckpoint(records int) (*SessionCheckpoint, error) {
 	if s.closed {
 		return nil, errors.New("jportal: checkpoint of a closed session")
 	}
-	s.quiesce()
-	s.merge(0)
+	s.pool.Quiesce()
+	s.catchUp(0)
 	ck := &SessionCheckpoint{
 		Layout:    checkpointLayout,
 		NCores:    s.ncores,
 		Records:   records,
 		Peak:      s.peak,
 		Stitcher:  s.st.ExportState(),
-		Analyzers: make([]core.ThreadAnalyzerState, len(s.analyzers)),
+		Analyzers: make([]core.ThreadAnalyzerState, len(s.threads)),
 		Ledger:    s.ledger.ExportState(),
 	}
-	for i, a := range s.analyzers {
-		ck.Analyzers[i] = a.ExportState()
+	for i, th := range s.threads {
+		ck.Analyzers[i] = th.a.ExportState()
 	}
 	return ck, nil
 }
@@ -82,18 +82,19 @@ func (s *Session) RestoreCheckpoint(ck *SessionCheckpoint) error {
 	if ck.NCores != s.ncores {
 		return fmt.Errorf("jportal: checkpoint has %d cores, session has %d", ck.NCores, s.ncores)
 	}
-	// Quiesce first: the prefix's blob records must reach every worker
-	// replica before analyzers restore against them.
-	s.quiesce()
+	// Quiesce first: no delta may still be running. catchUp then catches
+	// every thread's replica up on the prefix's blob records, before the
+	// analyzers restore against them.
+	s.pool.Quiesce()
 	if s.peak != 0 || s.DeltasApplied() != 0 {
 		return errors.New("jportal: restore into a session that has already analysed input")
 	}
 	if err := s.st.RestoreState(ck.Stitcher); err != nil {
 		return err
 	}
-	s.merge(len(ck.Analyzers))
+	s.catchUp(len(ck.Analyzers))
 	for i := range ck.Analyzers {
-		if err := s.analyzers[i].RestoreState(ck.Analyzers[i]); err != nil {
+		if err := s.threads[i].a.RestoreState(s.ctx, ck.Analyzers[i]); err != nil {
 			return fmt.Errorf("jportal: restore thread %d: %w", i, err)
 		}
 	}

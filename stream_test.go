@@ -104,10 +104,7 @@ func sessionAnalyze(t *testing.T, s *workload.Subject, run *RunResult, cfg core.
 			t.Fatal(err)
 		}
 	}
-	an, err := sess.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	an := sess.Close()
 	// Everything was final under the infinite watermarks, so the stitcher
 	// should have emitted incrementally rather than hoarding until Close.
 	total := 0
@@ -491,9 +488,7 @@ func TestSessionValidation(t *testing.T) {
 	if err := sess.Feed(5, nil); err == nil {
 		t.Error("fed an out-of-range core")
 	}
-	if _, err := sess.Close(); err != nil {
-		t.Fatal(err)
-	}
+	sess.Close()
 	if err := sess.Feed(0, []source.Item{{}}); err == nil {
 		t.Error("fed a closed session")
 	}
@@ -553,9 +548,7 @@ func BenchmarkStreamingMemory(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sess.Close(); err != nil {
-			b.Fatal(err)
-		}
+		sess.Close()
 		peak = float64(sess.PeakBufferedItems())
 		total = float64(fed)
 	}
