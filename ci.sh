@@ -8,8 +8,8 @@
 #                    kill-and-resume tests +
 #                    end-to-end smokes (PT, JIT-heavy PT, lossy PT,
 #                    heavy-loss PT, many-segment PT, four-thread PT,
-#                    E-Trace and the in-process run/analyze/report
-#                    verbs) + a vet/test pass over the benchmark/
+#                    long-segment PT, E-Trace and the in-process
+#                    run/analyze/report verbs) + a vet/test pass over the benchmark/
 #                    module, which builds against the root package
 #
 # The race pass covers the offline-phase parallelism introduced with the
@@ -45,7 +45,8 @@ echo "==> go test -race (root streaming tests + kill-and-resume)"
 # the stitcher on the caller's goroutine while the workers run; the
 # TestSession*WithSegmentJobsInFlight tests checkpoint and cancel sessions
 # while segment tasks run on the pool, and TestSessionBackPressure holds
-# every worker while deltas are routed.
+# every worker while deltas are routed; TestSessionPiecedSegmentsMatchBatch
+# reconstructs single-segment threads as pieces on the pool.
 go test -race -run 'TestStream|TestAnalyzeStreamed|TestSession|TestAnalyzeDeterministicAcrossWorkers|TestDeadline|TestKillAndResume|TestResume' .
 
 echo "==> go test -race (ingest service + fleet + netfault + iofault + scrub)"
@@ -164,6 +165,25 @@ grep -qx 'thread 1: segments=6 tokens=63390 steps=107227 (recovered 43837)' "$SM
 grep -qx 'thread 2: segments=4 tokens=67074 steps=100375 (recovered 33301)' "$SMOKE/threads-stream.txt"
 grep -qx 'thread 3: segments=4 tokens=59992 steps=105468 (recovered 45476)' "$SMOKE/threads-stream.txt"
 echo "    four-thread PT replay identical across workers and against decode"
+
+echo "==> long-segment lossless PT smoke (segments cut into pieces: stream at 1, default and 8 workers and decode agree)"
+# pmd at 256M-label buffers loses nothing: each of its four threads is one
+# segment of about 167K tokens that closes only at Close, and is
+# reconstructed as pieces cut at located tokens, matched on the pool and
+# joined. The lossy smokes above split threads into short segments.
+"$SMOKE/jportal" collect -scale 1 -buf 256 -out "$SMOKE/long" pmd >/dev/null
+"$SMOKE/jportal" stream "$SMOKE/long" >"$SMOKE/long-stream.txt"
+"$SMOKE/jportal" stream -workers 1 "$SMOKE/long" >"$SMOKE/long-stream1.txt"
+"$SMOKE/jportal" stream -workers 8 "$SMOKE/long" >"$SMOKE/long-stream8.txt"
+cmp "$SMOKE/long-stream.txt" "$SMOKE/long-stream1.txt"
+cmp "$SMOKE/long-stream.txt" "$SMOKE/long-stream8.txt"
+"$SMOKE/jportal" decode "$SMOKE/long" | sed 's/ decode=[^ ]* recover=[^ ]*//' >"$SMOKE/long-decode.txt"
+cmp "$SMOKE/long-stream.txt" "$SMOKE/long-decode.txt"
+grep -qx 'thread 0: segments=1 tokens=167111 steps=167111 (recovered 0)' "$SMOKE/long-stream.txt"
+grep -qx 'thread 1: segments=1 tokens=166369 steps=166369 (recovered 0)' "$SMOKE/long-stream.txt"
+grep -qx 'thread 2: segments=1 tokens=166623 steps=166623 (recovered 0)' "$SMOKE/long-stream.txt"
+grep -qx 'thread 3: segments=1 tokens=167118 steps=167118 (recovered 0)' "$SMOKE/long-stream.txt"
+echo "    long-segment PT replay identical across workers and against decode"
 
 echo "==> run/analyze/report smoke (in-process phases, per-thread call tree)"
 # report h2 profiles four threads. Its call tree starts every thread at the

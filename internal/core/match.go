@@ -34,6 +34,13 @@ type Matcher struct {
 	// fallback target without building the set.
 	fallback []uint8
 
+	// op[n] is node n's opcode, and span[mid] method mid's node range:
+	// the dense tables the per-token queries (tokenMatchesNode,
+	// successors, hasSuccessor, locatedNode) read instead of chasing a
+	// node's location into the program's code.
+	op   []bytecode.Opcode
+	span []methodSpan
+
 	// ctrlReach holds, per node, the set of control nodes reachable
 	// through non-control instructions only (the ε-closure of the ANFA,
 	// Fig 5). It is precomputed for every node at construction time so the
@@ -55,11 +62,18 @@ func NewMatcher(g *cfg.ICFG) *Matcher {
 		G:         g,
 		opIndex:   make([][]cfg.NodeID, bytecode.NumOpcodes),
 		MaxStates: 4096,
+		op:        make([]bytecode.Opcode, g.NumNodes()),
+		span:      make([]methodSpan, len(g.Prog.Methods)),
 	}
-	for _, meth := range g.Prog.Methods {
+	for mid, meth := range g.Prog.Methods {
+		if meth.ID == bytecode.MethodID(mid) {
+			// A method stored under another index names no node.
+			m.span[mid] = methodSpan{base: g.Entry(meth.ID), n: int32(len(meth.Code))}
+		}
 		for pc := range meth.Code {
 			n := g.Node(meth.ID, int32(pc))
 			op := meth.Code[pc].Op
+			m.op[n] = op
 			m.opIndex[op] = append(m.opIndex[op], n)
 			if op.IsCall() && pc+1 < len(meth.Code) {
 				m.returnSites = append(m.returnSites, g.Node(meth.ID, int32(pc+1)))
@@ -82,6 +96,13 @@ func NewMatcher(g *cfg.ICFG) *Matcher {
 	}
 	m.precomputeCtrlReach()
 	return m
+}
+
+// methodSpan is one method's node range in the ICFG's dense numbering:
+// nodes base to base+n-1.
+type methodSpan struct {
+	base cfg.NodeID
+	n    int32
 }
 
 // Fallback-set flags of Matcher.fallback.
@@ -112,7 +133,7 @@ func (m *Matcher) precomputeCtrlReach() {
 				continue
 			}
 			seen[x] = gen
-			if m.G.Instr(x).Op.IsControl() {
+			if m.op[x].IsControl() {
 				out = append(out, x)
 				continue
 			}
@@ -139,7 +160,7 @@ func (m *Matcher) tokenMatchesNode(t *Token, n cfg.NodeID) bool {
 		mid, pc := m.G.Location(n)
 		return mid == t.Method && pc == t.PC
 	}
-	return m.G.Instr(n).Op == t.Op
+	return m.op[n] == t.Op
 }
 
 // successors returns the NFA transition targets from node n given that the
@@ -149,10 +170,10 @@ func (m *Matcher) tokenMatchesNode(t *Token, n cfg.NodeID) bool {
 // buf's backing array (fallback sets are copied in), so callers may retain
 // the returned slice as their reusable scratch buffer.
 func (m *Matcher) successors(n cfg.NodeID, t *Token, buf []cfg.NodeID) ([]cfg.NodeID, bool) {
-	ins := m.G.Instr(n)
+	op := m.op[n]
 	edges := m.G.Succs[n]
 	switch {
-	case ins.Op.IsCondBranch():
+	case op.IsCondBranch():
 		for _, e := range edges {
 			if !t.HasDir {
 				if e.Kind == cfg.EdgeTaken || e.Kind == cfg.EdgeFallthrough {
@@ -164,19 +185,19 @@ func (m *Matcher) successors(n cfg.NodeID, t *Token, buf []cfg.NodeID) ([]cfg.No
 				buf = append(buf, e.To)
 			}
 		}
-	case ins.Op == bytecode.GOTO:
+	case op == bytecode.GOTO:
 		for _, e := range edges {
 			if e.Kind == cfg.EdgeJump {
 				buf = append(buf, e.To)
 			}
 		}
-	case ins.Op == bytecode.TABLESWITCH:
+	case op == bytecode.TABLESWITCH:
 		for _, e := range edges {
 			if e.Kind == cfg.EdgeSwitch {
 				buf = append(buf, e.To)
 			}
 		}
-	case ins.Op.IsCall():
+	case op.IsCall():
 		for _, e := range edges {
 			if e.Kind == cfg.EdgeCall {
 				buf = append(buf, e.To)
@@ -188,7 +209,7 @@ func (m *Matcher) successors(n cfg.NodeID, t *Token, buf []cfg.NodeID) ([]cfg.No
 			// entry points (§4, Discussions).
 			return append(buf, m.entryNodes...), true
 		}
-	case ins.Op.IsReturn():
+	case op.IsReturn():
 		for _, e := range edges {
 			if e.Kind == cfg.EdgeReturn {
 				buf = append(buf, e.To)
@@ -199,7 +220,7 @@ func (m *Matcher) successors(n cfg.NodeID, t *Token, buf []cfg.NodeID) ([]cfg.No
 			// through unresolved dynamic dispatch): any return site.
 			return append(buf, m.returnSites...), true
 		}
-	case ins.Op == bytecode.ATHROW:
+	case op == bytecode.ATHROW:
 		for _, e := range edges {
 			if e.Kind == cfg.EdgeThrow {
 				buf = append(buf, e.To)
@@ -215,7 +236,7 @@ func (m *Matcher) successors(n cfg.NodeID, t *Token, buf []cfg.NodeID) ([]cfg.No
 			}
 		}
 		// A may-throw instruction can also transfer to a handler.
-		if ins.Op.MayThrow() {
+		if op.MayThrow() {
 			for _, e := range edges {
 				if e.Kind == cfg.EdgeThrow {
 					buf = append(buf, e.To)
@@ -245,10 +266,10 @@ func onlyThrowless(edges []cfg.Edge) bool {
 // list: the same edge-kind filter, scanned for to, and the fallback
 // sets tested through their per-node flags.
 func (m *Matcher) hasSuccessor(n cfg.NodeID, t *Token, to cfg.NodeID) (has, fb bool) {
-	ins := m.G.Instr(n)
+	op := m.op[n]
 	edges := m.G.Succs[n]
 	switch {
-	case ins.Op.IsCondBranch():
+	case op.IsCondBranch():
 		for _, e := range edges {
 			if e.To != to {
 				continue
@@ -262,21 +283,21 @@ func (m *Matcher) hasSuccessor(n cfg.NodeID, t *Token, to cfg.NodeID) (has, fb b
 			}
 		}
 		return false, false
-	case ins.Op == bytecode.GOTO:
+	case op == bytecode.GOTO:
 		_, has = edgeTo(edges, cfg.EdgeJump, to)
 		return has, false
-	case ins.Op == bytecode.TABLESWITCH:
+	case op == bytecode.TABLESWITCH:
 		_, has = edgeTo(edges, cfg.EdgeSwitch, to)
 		return has, false
-	case ins.Op.IsCall():
+	case op.IsCall():
 		return m.kindOrFallback(edges, cfg.EdgeCall, to, fbEntry)
-	case ins.Op.IsReturn():
+	case op.IsReturn():
 		return m.kindOrFallback(edges, cfg.EdgeReturn, to, fbReturnSite)
-	case ins.Op == bytecode.ATHROW:
+	case op == bytecode.ATHROW:
 		return m.kindOrFallback(edges, cfg.EdgeThrow, to, fbHandler)
 	}
 	_, has = edgeTo(edges, cfg.EdgeFallthrough, to)
-	if ins.Op.MayThrow() {
+	if op.MayThrow() {
 		anyThrow, hasThrow := edgeTo(edges, cfg.EdgeThrow, to)
 		has = has || hasThrow
 		if !anyThrow {
@@ -311,18 +332,17 @@ func edgeTo(edges []cfg.Edge, kind cfg.EdgeKind, to cfg.NodeID) (hasKind, hit bo
 }
 
 // locatedNode returns the node a located token names, if its (method, pc)
-// is a real instruction. Stale metadata can name neither.
+// is a real instruction. Stale metadata can name neither. An interpreter
+// token's NoMethod is out of range, like any stale method.
 func (m *Matcher) locatedNode(t *Token) (cfg.NodeID, bool) {
-	if !t.Located() {
+	if uint(t.Method) >= uint(len(m.span)) {
 		return 0, false
 	}
-	meth := m.G.Prog.Method(t.Method)
-	if meth == nil || t.PC < 0 || int(t.PC) >= len(meth.Code) {
+	s := m.span[t.Method]
+	if uint32(t.PC) >= uint32(s.n) {
 		return 0, false
 	}
-	n := m.G.Node(t.Method, t.PC)
-	mid, pc := m.G.Location(n)
-	return n, mid == t.Method && pc == t.PC
+	return s.base + cfg.NodeID(t.PC), true
 }
 
 // CtrlReach returns the ANFA ε-closure of n: the control nodes reachable
@@ -357,6 +377,10 @@ type MatchScratch struct {
 	pathBuf []cfg.NodeID
 	// located holds candidateStarts' one start state for a located token.
 	located [1]cfg.NodeID
+	// pieces and over recycle ReconstructSegmentScratch's piece records
+	// and their witness overrides (reconstruct.go).
+	pieces []piece
+	over   []override
 }
 
 // NewScratch allocates a scratch sized for this matcher's ICFG.
@@ -470,10 +494,17 @@ type layerEntry struct {
 // valid until the next MatchFromScratch call with the same scratch, so
 // copy it out (as ReconstructSegmentScratch does) before matching again.
 func (m *Matcher) MatchFromScratch(sc *MatchScratch, starts []cfg.NodeID, toks []Token) MatchResult {
+	res, _ := m.match(sc, starts, toks)
+	return res
+}
+
+// match is MatchFromScratch, also reporting whether the witness walk
+// crossed a re-anchor (and so took every earlier layer's smallest state),
+// which reconstruction's piece join needs (reconstruct.go).
+func (m *Matcher) match(sc *MatchScratch, starts []cfg.NodeID, toks []Token) (res MatchResult, crossed bool) {
 	if len(toks) == 0 {
-		return MatchResult{Complete: true}
+		return MatchResult{Complete: true}, false
 	}
-	var res MatchResult
 	// Every layer holds at least one state: size the arena for one per
 	// token up front rather than regrow it layer by layer.
 	if cap(sc.ents) < len(toks) {
@@ -493,7 +524,7 @@ func (m *Matcher) MatchFromScratch(sc *MatchScratch, starts []cfg.NodeID, toks [
 	}
 	if len(ents) == 0 {
 		sc.ents, sc.starts = ents, bounds
-		return res
+		return res, false
 	}
 	bounds = append(bounds, int32(len(ents)))
 
@@ -576,13 +607,14 @@ func (m *Matcher) MatchFromScratch(sc *MatchScratch, starts []cfg.NodeID, toks [
 			for lj := li - 1; lj >= 0; lj-- {
 				path[lj] = ents[bounds[lj]+int32(smallest(ents[bounds[lj]:bounds[lj+1]]))].node
 			}
+			crossed = true
 			break
 		}
 	}
 	res.Path = path
 	res.Matched = nLayers
 	res.Complete = res.Matched == len(toks)
-	return res
+	return res, crossed
 }
 
 func smallest(l []layerEntry) int {

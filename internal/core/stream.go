@@ -61,14 +61,14 @@ type ThreadAnalyzer struct {
 // is still being decoded.
 const feedChunk = 4096
 
-// segmentJob is the analysis of one closed segment, in two tasks that
-// read only its tokens and so may run at once: its projection onto the
-// ICFG (§4), and, when recovery is on, its recovery caches (tier
-// abstractions, MatchKeys and anchor index; see NewRecoverer).
+// segmentJob is the analysis of one closed segment, in tasks that read
+// only its tokens and so may run at once: its projection onto the ICFG
+// (§4), one task per piece, and, when recovery is on, its recovery caches
+// (tier abstractions, MatchKeys and anchor index; see NewRecoverer).
 type segmentJob struct {
 	seg *Segment
-	// Written by the reconstruction task, read by Finish once the
-	// analyzer's task group is done.
+	// Written by the piece task that finishes last, read by Finish once
+	// the analyzer's task group is done.
 	flow      *SegmentFlow
 	crash     string // why reconstruction panicked, for Finish's ledger entry
 	cancelled bool
@@ -85,13 +85,7 @@ func (a *ThreadAnalyzer) takeSegments(ctx context.Context, segs []*Segment, prep
 	for _, seg := range segs {
 		j := &segmentJob{seg: seg}
 		a.jobs = append(a.jobs, j)
-		a.tasks.Go(func(sc *MatchScratch) {
-			if ctx.Err() != nil {
-				j.flow, j.cancelled = quarantinedFlow(seg, a.p.Matcher.G), true
-				return
-			}
-			j.flow, j.crash = a.safeReconstruct(sc, seg)
-		})
+		a.tasks.Go(func(sc *MatchScratch) { a.reconstructJob(ctx, sc, j) })
 		if prepare && !a.p.Cfg.Recovery.Disable {
 			a.tasks.Go(func(*MatchScratch) {
 				if ctx.Err() == nil {
@@ -257,18 +251,59 @@ func (a *ThreadAnalyzer) reconstruct(ctx context.Context, sc *MatchScratch, segs
 	}
 }
 
-// safeReconstruct projects one segment with panic containment: a matcher
-// crash (tokens from stale or hostile JIT metadata can carry PCs no ICFG
-// node exists for) quarantines that segment — recorded as an empty,
-// Quarantined flow so slot addressing and hole bookkeeping stay intact —
-// instead of killing the worker, and returns why.
-func (a *ThreadAnalyzer) safeReconstruct(sc *MatchScratch, seg *Segment) (f *SegmentFlow, crash string) {
+// reconstructJob projects j's segment (§4): it cuts the segment into
+// pieces (reconstruct.go), queues a task for each piece but the last, and
+// runs the last itself; whichever piece finishes last joins them into
+// j.flow. A matcher crash in a piece (tokens from stale or hostile JIT
+// metadata can carry PCs no ICFG node exists for) quarantines the segment
+// — an empty, Quarantined flow, so slot addressing and hole bookkeeping
+// stay intact — instead of killing the worker, and the lowest crashing
+// piece says why. A piece whose turn comes after ctx is cancelled
+// quarantines the segment as cancelled.
+func (a *ThreadAnalyzer) reconstructJob(ctx context.Context, sc *MatchScratch, j *segmentJob) {
+	m := a.p.Matcher
+	f := newFlow(j.seg, m.G)
+	ps := m.cutPieces(j.seg.Tokens, pieceLen, nil)
+	var left atomic.Int32
+	var cancelled atomic.Bool
+	left.Store(int32(len(ps)))
+	run := func(sc *MatchScratch, p *piece) {
+		if ctx.Err() != nil {
+			cancelled.Store(true)
+		} else {
+			safePiece(m, sc, f, p)
+		}
+		if left.Add(-1) > 0 {
+			return
+		}
+		for k := range ps {
+			if ps[k].crash != "" {
+				j.flow, j.crash = quarantinedFlow(j.seg, m.G), ps[k].crash
+				return
+			}
+		}
+		if cancelled.Load() {
+			j.flow, j.cancelled = quarantinedFlow(j.seg, m.G), true
+			return
+		}
+		f.join(ps)
+		j.flow = f
+	}
+	for k := range len(ps) - 1 {
+		a.tasks.Go(func(sc *MatchScratch) { run(sc, &ps[k]) })
+	}
+	run(sc, &ps[len(ps)-1])
+}
+
+// safePiece reconstructs one piece with panic containment, recording in
+// p.crash why it panicked.
+func safePiece(m *Matcher, sc *MatchScratch, f *SegmentFlow, p *piece) {
 	defer func() {
 		if r := recover(); r != nil {
-			f, crash = quarantinedFlow(seg, a.p.Matcher.G), fmt.Sprintf("reconstruct: %v", r)
+			p.crash = fmt.Sprintf("reconstruct: %v", r)
 		}
 	}()
-	return a.p.Matcher.ReconstructSegmentScratch(sc, seg), ""
+	m.reconstructPiece(sc, f, p, nil)
 }
 
 // safePrepare prepares seg for recovery with panic containment. A crash

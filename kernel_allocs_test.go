@@ -45,6 +45,9 @@ import (
 // one-element slice having stayed on the stack (go1.24, linux/amd64). The
 // PrepareSegment and NewRecoverer bounds are the same band over 13 and 3
 // allocs/op, measured once each segment's prep built its own anchor index
+// (go1.24, linux/amd64). The ReconstructPieces bound is the same band over
+// 2 allocs/op (the flow and its node slice), measured once reconstruction
+// cut segments into pieces and kept the piece records in the scratch
 // (go1.24, linux/amd64).
 const (
 	maxAllocsMatchFromScratch    = 1
@@ -60,6 +63,7 @@ const (
 	maxAllocsReconstructSegment  = 3
 	maxAllocsPrepareSegment      = 16
 	maxAllocsNewRecoverer        = 4
+	maxAllocsReconstructPieces   = 3
 )
 
 func TestKernelAllocs(t *testing.T) {
@@ -237,6 +241,23 @@ func TestKernelAllocs(t *testing.T) {
 		seg := &core.Segment{Tokens: bbig.Tokens, Clock: bbig.Clock}
 		prepared = []*core.SegmentFlow{{Seg: seg}, nil}
 		core.NewRecoverer(nil, prepared, core.DefaultRecoveryConfig())
+	})
+
+	// ReconstructPieces: the projection of that same segment, which the
+	// reconstruction cuts into pieces at located tokens, on a warm
+	// scratch: the pieces and their witness overrides live in the
+	// scratch, so it allocates what a one-piece segment does.
+	bm := core.NewMatcher(cfg.BuildICFG(bs.Program, cfg.DefaultOptions()))
+	bsc := bm.NewScratch()
+	pieces := jportal.PieceCount(bbig.Tokens)
+	t.Logf("ReconstructPieces: %d tokens in %d pieces", len(bbig.Tokens), pieces)
+	if pieces < 3 {
+		t.Fatalf("batik's largest segment cuts into %d pieces, want 3 or more", pieces)
+	}
+	check("ReconstructPieces", maxAllocsReconstructPieces, 10, func() {
+		if f := bm.ReconstructSegmentScratch(bsc, bbig); f.Runs == 0 {
+			t.Fatal("largest segment projected no run")
+		}
 	})
 
 	// NewRecoverer: over flows already prepared, it only collects their

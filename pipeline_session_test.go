@@ -3,6 +3,7 @@ package jportal
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -55,6 +56,48 @@ func TestSessionMatchesBatchAllSubjects(t *testing.T) {
 				equalAnalyses(t, fmt.Sprintf("%s/p%d-w%d", name, procs, v.workers), batch, got)
 			}
 		})
+	}
+}
+
+// TestSessionPiecedSegmentsMatchBatch: pmd ×1 at 256M-label buffers is
+// lossless, and each of its four threads is a single segment of about
+// 167K tokens, which reconstruction cuts into pieces that run as separate
+// pool tasks. A Session at 1, 2 and 8 workers equals the batch Analyze,
+// and every flow equals its inline reconstruction, diagnostics included.
+func TestSessionPiecedSegmentsMatchBatch(t *testing.T) {
+	s := workload.MustLoad("pmd", 1)
+	rcfg := DefaultRunConfig()
+	rcfg.CollectOracle = false
+	rcfg.PT.BufBytes = 64 << 10 // paper-label 256MB
+	run, err := Run(s.Program, s.Threads, rcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := Analyze(s.Program, run, core.DefaultPipelineConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := batch.Pipeline.Matcher
+	sc := m.NewScratch()
+	for _, th := range batch.Threads {
+		if len(th.Flows) != 1 {
+			t.Fatalf("thread %d: %d segments, want one", th.Thread, len(th.Flows))
+		}
+		f := th.Flows[0]
+		if n := PieceCount(f.Seg.Tokens); n < 3 {
+			t.Fatalf("thread %d: %d tokens in %d pieces, want 3 or more", th.Thread, len(f.Seg.Tokens), n)
+		}
+		w := m.ReconstructSegmentScratch(sc, f.Seg)
+		if !reflect.DeepEqual(f.Nodes, w.Nodes) || f.Runs != w.Runs || f.Skipped != w.Skipped ||
+			f.Reanchors != w.Reanchors || f.Fallbacks != w.Fallbacks {
+			t.Errorf("thread %d: the session's flow (runs %d) differs from the inline reconstruction (runs %d)",
+				th.Thread, f.Runs, w.Runs)
+		}
+	}
+	for _, workers := range []int{1, 2, 8} {
+		cfg := core.DefaultPipelineConfig()
+		cfg.Workers = workers
+		equalAnalyses(t, fmt.Sprintf("pmd-x1/w%d", workers), batch, sessionAnalyze(t, s, run, cfg, 4096))
 	}
 }
 
